@@ -20,11 +20,10 @@ context may legitimately complete the protocol.
 from __future__ import annotations
 
 import re
-import shlex
 from collections import deque
 from dataclasses import dataclass, field
 
-from cbugscan.checkers.base import Checker, Services
+from cbugscan.checkers.base import Checker, Services, config_lines, read_config
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, iter_tree, to_text
 from cbugscan.ir.units import TranslationUnit
@@ -91,13 +90,7 @@ def parse_automaton_file(text: str, source: str = "<automaton>") -> list[Automat
                 f"{source}:{lineno}: directive before 'automaton NAME'")
         return current
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            parts = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-        if not parts:
-            continue
+    for lineno, line, parts in config_lines(text, source):
         directive = parts[0]
         if directive == "automaton" and len(parts) == 2:
             if current is not None:
@@ -126,9 +119,13 @@ def parse_automaton_file(text: str, source: str = "<automaton>") -> list[Automat
                     f"{source}:{lineno}: duplicate rule for {key}")
             auto.errors[key] = parts[3]
         elif directive == "error-at-exit" and len(parts) == 3:
-            need_current(lineno).exit_errors[parts[1]] = parts[2]
+            auto = need_current(lineno)
+            if parts[1] in auto.exit_errors:
+                raise ConfigError(f"{source}:{lineno}: duplicate rule "
+                                  f"for error-at-exit {parts[1]!r}")
+            auto.exit_errors[parts[1]] = parts[2]
         else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {raw.strip()!r}")
+            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
     if current is not None:
         current.validate(source)
     if not automata:
@@ -211,14 +208,8 @@ class AutomatonChecker(Checker):
     name = "automaton"
 
     def __init__(self, config_path: str | None):
-        if config_path is None:
-            raise ConfigError("automaton checker requires a config file")
-        try:
-            with open(config_path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {config_path}: {exc}") from exc
-        self.automata = parse_automaton_file(text, config_path)
+        self.automata = parse_automaton_file(
+            read_config(config_path, self.name), config_path)
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:

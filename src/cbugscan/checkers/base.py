@@ -9,9 +9,10 @@ checker's output.
 from __future__ import annotations
 
 import importlib.resources
+import shlex
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from cbugscan.errors import ConfigError
 from cbugscan.ir.units import TranslationUnit, UnitManager
@@ -23,8 +24,6 @@ class Services:
     """What the engine offers a running checker."""
     unit_manager: UnitManager
     report_diagnostic: Callable[[str], None] = lambda _message: None
-    points_to: Callable[[TranslationUnit], dict[str, frozenset[str]]] = \
-        field(default=lambda _unit: {})
 
 
 class Checker(ABC):
@@ -36,6 +35,30 @@ class Checker(ABC):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         """Analyze one unit; return its findings."""
+
+
+def read_config(path: str | None, checker_name: str) -> str:
+    """The text of a checker's config file, which is required."""
+    if path is None:
+        raise ConfigError(f"{checker_name} checker requires a config file")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def config_lines(text: str,
+                 source: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, stripped line, shell-style words) for each line of
+    a config text that has words; `#` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        try:
+            words = shlex.split(raw, comments=True)
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
+        if words:
+            yield lineno, raw.strip(), words
 
 
 @dataclass(frozen=True)

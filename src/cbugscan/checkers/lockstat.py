@@ -12,17 +12,16 @@ with the lock held. The analysis is local to one function's CFG.
 
 from __future__ import annotations
 
-import shlex
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from cbugscan.checkers.base import Checker, Services
+from cbugscan.checkers.base import Checker, Services, config_lines, read_config
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, iter_tree, to_text
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import Pattern, compile_pattern, match_node
+from cbugscan.patterns import Pattern, compile_pattern, first_binding, match_node
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 
@@ -37,13 +36,7 @@ class LockstatConfig:
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            parts = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-        if not parts:
-            continue
+    for lineno, line, parts in config_lines(text, source):
         directive = parts[0]
         if directive == "access" and len(parts) == 2:
             config.accesses.append(compile_pattern(parts[1]))
@@ -63,7 +56,7 @@ def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConf
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: bad min-samples") from exc
         else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {raw.strip()!r}")
+            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
     if not config.accesses:
         raise ConfigError(f"{source}: no access patterns configured")
     return config
@@ -77,14 +70,6 @@ def should_report(locked: int, total: int, threshold: Fraction,
     return Fraction(locked, total) >= threshold
 
 
-def _first_binding_text(pattern: Pattern, bindings: dict[str, AstNode],
-                        node: AstNode) -> str:
-    names = pattern.metavar_names()
-    if names:
-        return to_text(bindings[names[0]])
-    return to_text(node)
-
-
 @dataclass
 class _Access:
     variable: str
@@ -96,14 +81,8 @@ class LockstatChecker(Checker):
     name = "lockstat"
 
     def __init__(self, config_path: str | None):
-        if config_path is None:
-            raise ConfigError("lockstat checker requires a config file")
-        try:
-            with open(config_path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {config_path}: {exc}") from exc
-        self.config = parse_lockstat_config(text, config_path)
+        self.config = parse_lockstat_config(
+            read_config(config_path, self.name), config_path)
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
@@ -126,16 +105,16 @@ class LockstatChecker(Checker):
                     bindings = match_node(pattern, subnode)
                     if bindings is not None:
                         record(_Access(
-                            _first_binding_text(pattern, bindings, subnode),
+                            to_text(first_binding(pattern, bindings, subnode)),
                             subnode.location, frozenset(held)))
             for pattern in self.config.locks:
                 bindings = match_node(pattern, subnode)
                 if bindings is not None:
-                    held.add(_first_binding_text(pattern, bindings, subnode))
+                    held.add(to_text(first_binding(pattern, bindings, subnode)))
             for pattern in self.config.unlocks:
                 bindings = match_node(pattern, subnode)
                 if bindings is not None:
-                    held.discard(_first_binding_text(pattern, bindings, subnode))
+                    held.discard(to_text(first_binding(pattern, bindings, subnode)))
 
     def _collect_accesses(self, cfg: Cfg) -> list[_Access]:
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the

@@ -13,11 +13,10 @@ anything, every defined function (conservative).
 
 from __future__ import annotations
 
-import shlex
 from collections import deque
 from dataclasses import dataclass, field
 
-from cbugscan.checkers.base import Checker, Services
+from cbugscan.checkers.base import Checker, Services, config_lines, read_config
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
@@ -27,7 +26,7 @@ from cbugscan.frontend.ast_nodes import (
     to_text,
 )
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import Pattern, compile_pattern, match_node
+from cbugscan.patterns import Pattern, compile_pattern, first_binding, match_node
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import build_supergraph
 
@@ -46,13 +45,7 @@ class ThreadConfig:
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            parts = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-        if not parts:
-            continue
+    for lineno, line, parts in config_lines(text, source):
         directive = parts[0]
         if directive == "spawn" and len(parts) == 2:
             pattern = compile_pattern(parts[1])
@@ -74,8 +67,11 @@ def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
                 config.max_cycles = int(parts[1])
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: bad max-cycles") from exc
+            if config.max_cycles < 1:
+                raise ConfigError(
+                    f"{source}:{lineno}: max-cycles must be at least 1")
         else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {raw.strip()!r}")
+            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
     if not config.spawns:
         config.spawns.append(compile_pattern(DEFAULT_SPAWN))
     return config
@@ -85,8 +81,7 @@ def lock_key(pattern: Pattern, bindings: dict[str, AstNode],
              node: AstNode) -> str:
     """Canonical lock identity: the bound expression's text, with one
     leading address-of stripped so `&m` and the lock object `m` agree."""
-    names = pattern.metavar_names()
-    expr = bindings[names[0]] if names else node
+    expr = first_binding(pattern, bindings, node)
     if expr.kind is NodeKind.UNARY_OP and expr.text == "addrof":
         expr = expr.children[0]
     return to_text(expr)
@@ -232,14 +227,8 @@ class ThreadChecker(Checker):
     name = "thread"
 
     def __init__(self, config_path: str | None):
-        if config_path is None:
-            raise ConfigError("thread checker requires a config file")
-        try:
-            with open(config_path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {config_path}: {exc}") from exc
-        self.config = parse_thread_config(text, config_path)
+        self.config = parse_thread_config(
+            read_config(config_path, self.name), config_path)
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:

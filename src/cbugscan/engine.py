@@ -14,7 +14,6 @@ from cbugscan.checkers.base import CheckerRegistry, Services
 from cbugscan.config import AnalysisJob
 from cbugscan.errors import CbugscanError, FrontendError
 from cbugscan.ir.units import TranslationUnit, UnitManager, load_unit
-from cbugscan.pointsto import collect_constraints, steensgaard
 from cbugscan.report import ErrorTrace, Importance, normalize
 
 
@@ -29,10 +28,9 @@ class JobResult:
 
 def make_loader(job: AnalysisJob):
     flags_by_path = {d.path: d.flags for d in job.sources}
-    mode = "external-command" if job.preprocess_command else "none"
 
     def loader(path: str) -> TranslationUnit:
-        return load_unit(path, flags_by_path.get(path, ()), mode,
+        return load_unit(path, flags_by_path.get(path, ()),
                          job.preprocess_command)
 
     return loader
@@ -48,18 +46,9 @@ def run_job(job: AnalysisJob,
     checkers = [(name, registry.create(name, config_path))
                 for name, config_path in job.checkers]
 
-    points_to_cache: dict[str, dict[str, frozenset[str]]] = {}
-
-    def points_to(unit: TranslationUnit) -> dict[str, frozenset[str]]:
-        if unit.path not in points_to_cache:
-            points_to_cache[unit.path] = steensgaard(
-                collect_constraints(unit.ast))
-        return points_to_cache[unit.path]
-
     services = Services(
         unit_manager=manager,
         report_diagnostic=result.diagnostics.append,
-        points_to=points_to,
     )
 
     for descriptor in job.sources:

@@ -11,32 +11,27 @@ from cbugscan.errors import FrontendError
 
 
 def preprocess_source(path: str, flags: tuple[str, ...] = (),
-                      mode: str = "none", command: str | None = None) -> str:
-    """Return the source text for path according to the preprocess mode.
+                      command: str | None = None) -> str:
+    """Return the source text for path.
 
-    mode "none" reads the file verbatim. mode "external-command" runs
-    `command + flags + [path]` and returns its stdout; a nonzero exit is
-    a frontend error carrying the command's stderr.
+    Without a command the file is read verbatim. With one, it runs
+    `command + flags + [path]` and returns its stdout; a nonzero exit
+    is a frontend error carrying the command's stderr.
     """
-    if mode == "none":
+    if not command:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return handle.read()
         except OSError as err:
             raise FrontendError(f"cannot read source file {path!r}: {err}")
-    if mode == "external-command":
-        if not command:
-            raise FrontendError(
-                f"source {path!r} requires external preprocessing but no preprocessor command is configured")
-        argv = shlex.split(command) + list(flags) + [path]
-        try:
-            proc = subprocess.run(argv, capture_output=True, text=True, check=False)
-        except OSError as err:
-            raise FrontendError(f"cannot run preprocessor {argv[0]!r}: {err}")
-        if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
-            tail = detail[-1] if detail else "no diagnostic output"
-            raise FrontendError(
-                f"preprocessor failed for {path!r} (exit {proc.returncode}): {tail}")
-        return proc.stdout
-    raise FrontendError(f"unknown preprocess mode {mode!r}")
+    argv = shlex.split(command) + list(flags) + [path]
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+    except OSError as err:
+        raise FrontendError(f"cannot run preprocessor {argv[0]!r}: {err}")
+    if proc.returncode != 0:
+        detail = proc.stderr.strip().splitlines()
+        tail = detail[-1] if detail else "no diagnostic output"
+        raise FrontendError(
+            f"preprocessor failed for {path!r} (exit {proc.returncode}): {tail}")
+    return proc.stdout

@@ -33,12 +33,6 @@ class CallGraph:
         self.by_caller.setdefault(edge.caller, []).append(edge)
         self.by_callee.setdefault(edge.callee, []).append(edge)
 
-    def callees_of(self, caller: str) -> list[str]:
-        return [e.callee for e in self.by_caller.get(caller, [])]
-
-    def callers_of(self, callee: str) -> list[str]:
-        return [e.caller for e in self.by_callee.get(callee, [])]
-
 
 def collect_calls(node: AstNode) -> list[AstNode]:
     """All Call nodes under `node`, post-order (inner calls first)."""

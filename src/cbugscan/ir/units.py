@@ -35,9 +35,6 @@ class TranslationUnit:
     func_params: dict[str, list[str]] = field(default_factory=dict)
     func_locals: dict[str, set[str]] = field(default_factory=dict)
 
-    def defined_function_names(self) -> list[str]:
-        return list(self.functions)
-
 
 def build_unit_from_text(source: str, path: str) -> TranslationUnit:
     """Parse + lower one source text into a complete unit."""
@@ -69,10 +66,9 @@ def _collect_locals(node: AstNode, into: set[str]) -> None:
 
 
 def load_unit(path: str, flags: tuple[str, ...] = (),
-              preprocess_mode: str = "none",
-              preprocess_command: str | None = None) -> TranslationUnit:
+              command: str | None = None) -> TranslationUnit:
     """Read (optionally preprocess) and build the unit for one file."""
-    source = preprocess_source(path, flags, preprocess_mode, preprocess_command)
+    source = preprocess_source(path, flags, command)
     return build_unit_from_text(source, path)
 
 
@@ -120,7 +116,3 @@ class UnitManager:
     def resident_paths(self) -> list[str]:
         with self._lock:
             return list(self._resident)
-
-    def drop(self, path: str) -> None:
-        with self._lock:
-            self._resident.pop(path, None)

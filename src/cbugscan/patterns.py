@@ -9,7 +9,6 @@ equal subtrees each time.
 
 from __future__ import annotations
 
-import shlex
 from dataclasses import dataclass
 
 from cbugscan.errors import PatternError
@@ -75,55 +74,9 @@ def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
                for p, n in zip(pat.children, node.children))
 
 
-def find_matches(pattern: Pattern, root: AstNode) -> list[tuple[AstNode, Bindings]]:
-    """All subtrees of `root` (preorder, root included) matching the pattern."""
-    found: list[tuple[AstNode, Bindings]] = []
-    for node in iter_tree(root):
-        bindings = match_node(pattern, node)
-        if bindings is not None:
-            found.append((node, bindings))
-    return found
-
-
-def substitute(pattern: Pattern, bindings: Bindings) -> AstNode:
-    """Instantiate a pattern: replace each metavariable with its binding.
-
-    Every metavariable in the pattern must be bound. Matching the
-    pattern against the result recovers structurally equal bindings.
-    """
-    missing = [m for m in pattern.metavar_names() if m not in bindings]
-    if missing:
-        raise PatternError(f"unbound metavariables: {', '.join(missing)}")
-    return _substitute(pattern.tree, bindings)
-
-
-def _substitute(node: AstNode, bindings: Bindings) -> AstNode:
-    if node.kind is NodeKind.META_VAR:
-        return bindings[node.text]
-    if not node.children:
-        return node
-    return AstNode(
-        kind=node.kind,
-        location=node.location,
-        text=node.text,
-        children=tuple(_substitute(c, bindings) for c in node.children),
-        ctype=node.ctype,
-        end_location=node.end_location,
-    )
-
-
-def parse_pattern_file(text: str, source: str = "<patterns>") -> list[Pattern]:
-    """Parse `pattern NAME "TEMPLATE"` lines; `#` starts a comment."""
-    patterns: list[Pattern] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        try:
-            parts = shlex.split(raw, comments=True)
-        except ValueError as exc:
-            raise PatternError(f"{source}:{lineno}: {exc}") from exc
-        if not parts:
-            continue
-        if parts[0] != "pattern" or len(parts) != 3:
-            raise PatternError(
-                f"{source}:{lineno}: expected 'pattern NAME \"TEMPLATE\"'")
-        patterns.append(compile_pattern(parts[2], name=parts[1]))
-    return patterns
+def first_binding(pattern: Pattern, bindings: Bindings,
+                  node: AstNode) -> AstNode:
+    """The subtree bound to the pattern's first metavariable, or the
+    matched node itself when the pattern has none."""
+    names = pattern.metavar_names()
+    return bindings[names[0]] if names else node

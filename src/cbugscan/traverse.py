@@ -1,88 +1,28 @@
-"""CFG traversal, intraprocedural and interprocedural.
+"""Interprocedural supergraphs and expression mapping across calls.
 
-Interprocedural walks run over a supergraph built for one entry
-function: each call to a function defined in the same unit is expanded
-into that callee's CFG, instantiated per calling context. A context is
-the tuple of call frames leading to the instance; recursion is cut by
-never re-entering a function already on the frame stack and by a
-configurable depth bound, so the supergraph is always finite.
+A supergraph is built for one entry function: each call to a function
+defined in the same unit is expanded into that callee's CFG,
+instantiated per calling context. A context is the tuple of call
+frames leading to the instance; recursion is cut by never re-entering
+a function already on the frame stack and by a configurable depth
+bound, so the supergraph is always finite.
 
 Expressions observed inside a callee can be translated into the
-caller's terms (formals become the actual argument expressions) and
-vice versa, which lets checkers track one object across call
-boundaries.
+caller's terms (formals become the actual argument expressions), which
+lets checkers track one object across call boundaries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterable
 
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind, structurally_equal
+from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.ir.callgraph import collect_calls
-from cbugscan.ir.cfg import Cfg, CfgNode
+from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
 
 
-class Direction(Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-
-
-class Strategy(Enum):
-    BFS = "bfs"
-    DFS = "dfs"
-
-
-class VisitResult(Enum):
-    CONTINUE = "continue"
-    PRUNE_BRANCH = "prune-branch"
-    STOP_ALL = "stop-all"
-
-
 DEFAULT_MAX_CALL_DEPTH = 8
-
-
-# -- intraprocedural -------------------------------------------------------
-
-def traverse_cfg(cfg: Cfg,
-                 visitor: Callable[[CfgNode], VisitResult | None],
-                 start: int | None = None,
-                 direction: Direction = Direction.FORWARD,
-                 strategy: Strategy = Strategy.BFS) -> list[int]:
-    """Walk one CFG, visiting each reachable node once.
-
-    The visitor may return PRUNE_BRANCH to skip a node's neighbors or
-    STOP_ALL to abort the walk; None counts as CONTINUE. Returns node
-    ids in visit order.
-    """
-    if start is None:
-        start = cfg.entry if direction is Direction.FORWARD else cfg.exit
-
-    def neighbors(node_id: int) -> list[int]:
-        if direction is Direction.FORWARD:
-            return [e.target for e in cfg.successors(node_id)]
-        return list(cfg.preds.get(node_id, ()))
-
-    order: list[int] = []
-    visited = {start}
-    work: deque[int] = deque([start])
-    while work:
-        node_id = work.popleft() if strategy is Strategy.BFS else work.pop()
-        order.append(node_id)
-        result = visitor(cfg.nodes[node_id]) or VisitResult.CONTINUE
-        if result is VisitResult.STOP_ALL:
-            break
-        if result is VisitResult.PRUNE_BRANCH:
-            continue
-        nexts = [n for n in neighbors(node_id) if n not in visited]
-        visited.update(nexts)
-        if strategy is Strategy.DFS:
-            nexts.reverse()
-        work.extend(nexts)
-    return order
 
 
 # -- interprocedural supergraph ---------------------------------------------
@@ -100,21 +40,6 @@ Context = tuple[CallFrame, ...]
 SuperKey = tuple[Context, int]
 
 
-@dataclass(frozen=True)
-class VisitContext:
-    key: SuperKey
-    node: CfgNode
-    function: str
-
-    @property
-    def frames(self) -> Context:
-        return self.key[0]
-
-    @property
-    def depth(self) -> int:
-        return len(self.key[0])
-
-
 @dataclass(eq=False)
 class SuperGraph:
     unit: TranslationUnit
@@ -122,21 +47,11 @@ class SuperGraph:
     entry: SuperKey
     exit: SuperKey
     succs: dict[SuperKey, list[SuperKey]] = field(default_factory=dict)
-    preds: dict[SuperKey, list[SuperKey]] = field(default_factory=dict)
     node_function: dict[int, str] = field(default_factory=dict)
 
     def cfg_node(self, key: SuperKey) -> CfgNode:
         fn = self.node_function[key[1]]
         return self.unit.cfgs[fn].nodes[key[1]]
-
-    def function_of(self, key: SuperKey) -> str:
-        return self.node_function[key[1]]
-
-    def visit_context(self, key: SuperKey) -> VisitContext:
-        return VisitContext(key, self.cfg_node(key), self.function_of(key))
-
-    def iter_keys(self) -> Iterable[SuperKey]:
-        return self.succs.keys()
 
 
 def _eligible_calls(node: CfgNode, context: Context, unit: TranslationUnit,
@@ -201,54 +116,14 @@ def build_supergraph(unit: TranslationUnit, entry_function: str,
             last_exit = (frames[-1], last_cfg.exit)
             succs.setdefault(last_exit, []).extend(out)
 
-    preds: dict[SuperKey, list[SuperKey]] = {key: [] for key in succs}
-    for key, targets in succs.items():
-        for target in targets:
-            preds.setdefault(target, []).append(key)
-
     return SuperGraph(
         unit=unit,
         entry_function=entry_function,
         entry=((), root_cfg.entry),
         exit=((), root_cfg.exit),
         succs=succs,
-        preds=preds,
         node_function=node_function,
     )
-
-
-def traverse_interprocedural(
-        unit: TranslationUnit, entry_function: str,
-        visitor: Callable[[VisitContext], VisitResult | None],
-        direction: Direction = Direction.FORWARD,
-        strategy: Strategy = Strategy.BFS,
-        max_call_depth: int = DEFAULT_MAX_CALL_DEPTH) -> list[SuperKey]:
-    """Interprocedural walk from an entry function over its supergraph."""
-    graph = build_supergraph(unit, entry_function, max_call_depth)
-    start = graph.entry if direction is Direction.FORWARD else graph.exit
-
-    def neighbors(key: SuperKey) -> list[SuperKey]:
-        if direction is Direction.FORWARD:
-            return graph.succs.get(key, [])
-        return graph.preds.get(key, [])
-
-    order: list[SuperKey] = []
-    visited = {start}
-    work: deque[SuperKey] = deque([start])
-    while work:
-        key = work.popleft() if strategy is Strategy.BFS else work.pop()
-        order.append(key)
-        result = visitor(graph.visit_context(key)) or VisitResult.CONTINUE
-        if result is VisitResult.STOP_ALL:
-            break
-        if result is VisitResult.PRUNE_BRANCH:
-            continue
-        nexts = [k for k in neighbors(key) if k not in visited]
-        visited.update(nexts)
-        if strategy is Strategy.DFS:
-            nexts.reverse()
-        work.extend(nexts)
-    return order
 
 
 # -- expression mapping across call boundaries --------------------------------
@@ -298,48 +173,6 @@ def map_expression_to_caller(expr: AstNode, frame: CallFrame,
     return rewrite(expr)
 
 
-def map_expression_to_callee(expr: AstNode, frame: CallFrame,
-                             unit: TranslationUnit) -> AstNode | None:
-    """Rewrite a caller-context expression into the callee's terms.
-
-    Subtrees structurally equal to an actual argument become that
-    formal parameter. Globals pass through. Anything still naming a
-    caller local afterwards is invisible to the callee: returns None.
-    """
-    params = unit.func_params.get(frame.callee)
-    if params is None:
-        return None
-    actuals = frame.call.children[1:]
-    if len(actuals) != len(params):
-        return None
-    caller_locals = unit.func_locals.get(frame.caller, set())
-
-    def rewrite(node: AstNode) -> AstNode | None:
-        for formal, actual in zip(params, actuals):
-            if structurally_equal(node, actual):
-                return AstNode(NodeKind.IDENTIFIER, node.location, formal)
-        if node.kind is NodeKind.IDENTIFIER:
-            if node.text in caller_locals:
-                return None
-            return node
-        if not node.children:
-            return node
-        if node.kind is NodeKind.MEMBER:
-            base = rewrite(node.children[0])
-            if base is None:
-                return None
-            return _clone(node, (base, node.children[1]))
-        new_children = []
-        for child in node.children:
-            mapped_child = rewrite(child)
-            if mapped_child is None:
-                return None
-            new_children.append(mapped_child)
-        return _clone(node, tuple(new_children))
-
-    return rewrite(expr)
-
-
 def _clone(node: AstNode, children: tuple[AstNode, ...]) -> AstNode:
     return AstNode(
         kind=node.kind,
@@ -349,20 +182,3 @@ def _clone(node: AstNode, children: tuple[AstNode, ...]) -> AstNode:
         ctype=node.ctype,
         end_location=node.end_location,
     )
-
-
-def map_return_assignment(statement: AstNode) -> tuple[AstNode, AstNode] | None:
-    """For a statement of the shape `lhs = call(...)`, return (lhs, call).
-
-    Lets a checker connect a callee's return value to the variable the
-    caller stores it in. Any other statement shape returns None.
-    """
-    node = statement
-    if node.kind is NodeKind.EXPR_STATEMENT:
-        node = node.children[0]
-    if node.kind is not NodeKind.ASSIGN:
-        return None
-    lhs, rhs = node.children
-    if rhs.kind is not NodeKind.CALL:
-        return None
-    return lhs, rhs

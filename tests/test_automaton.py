@@ -85,6 +85,14 @@ def test_config_errors(mutation, fragment):
         parse_automaton_file(fragment)
 
 
+def test_duplicate_error_at_exit_rejected():
+    text = LOCK_CONFIG + 'error-at-exit L "second message %X"\n'
+    with pytest.raises(ConfigError) as info:
+        parse_automaton_file(text, "auto.conf")
+    assert str(info.value) == (
+        "auto.conf:12: duplicate rule for error-at-exit 'L'")
+
+
 def test_render_message_substitutes_bindings():
     assert render_message("double lock of %X at %WHERE", {
         "X": "&m", "WHERE": "here"}) == "double lock of &m at here"
@@ -349,7 +357,7 @@ def test_map_binding_text_fallback_is_function_qualified():
         void f() { helper(); }
     """), "t.c")
     graph = build_supergraph(unit, "f")
-    frames = next(k[0] for k in graph.iter_keys()
+    frames = next(k[0] for k in graph.succs
                   if k[0] and k[0][-1].callee == "helper")
     from cbugscan.frontend import parse_fragment
     text = map_binding_text(parse_fragment("mine", file="t.c"), frames, unit)

@@ -189,33 +189,7 @@ def test_make_loader_passes_flags_and_preprocess_mode(tmp_path):
         loader(source)
     finally:
         engine.load_unit = original
-    assert calls == [(source, ("-DX",), "external-command", "cat")]
-
-
-# -- services -----------------------------------------------------------------------
-
-class PointsToProbe(Checker):
-    name = "probe"
-    seen = []
-
-    def __init__(self, config_path):
-        pass
-
-    def check_unit(self, unit, services):
-        PointsToProbe.seen.append(services.points_to(unit))
-        PointsToProbe.seen.append(services.points_to(unit))
-        return []
-
-
-def test_points_to_service_is_cached_per_unit(tmp_path):
-    source = write(tmp_path, "a.c", "void f(void) { p = &x; }")
-    registry = registry_with(CheckerDescriptor("probe", PointsToProbe))
-    PointsToProbe.seen = []
-    run_job(job_for(tmp_path, [source], checkers=[("probe", None)]),
-            registry=registry)
-    first, second = PointsToProbe.seen
-    assert first is second
-    assert first["p"] == frozenset({"x"})
+    assert calls == [(source, ("-DX",), "cat")]
 
 
 def test_job_result_defaults():

@@ -1,19 +1,18 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from cbugscan.errors import PatternError
-from cbugscan.frontend import parse_fragment, structurally_equal, to_text
-from cbugscan.patterns import (
-    compile_pattern,
-    find_matches,
-    match_node,
-    parse_pattern_file,
-    substitute,
-)
+from cbugscan.frontend import iter_tree, parse_fragment, to_text
+from cbugscan.patterns import compile_pattern, first_binding, match_node
 
 
 def expr(source):
     return parse_fragment(source, file="t.c")
+
+
+def matches(pattern, root):
+    """Bindings of every subtree of root (preorder) the pattern matches."""
+    found = (match_node(pattern, node) for node in iter_tree(root))
+    return [bindings for bindings in found if bindings is not None]
 
 
 # -- compilation ---------------------------------------------------------------
@@ -63,16 +62,16 @@ def test_match_is_at_node_only():
 def test_find_matches_preorder():
     pat = compile_pattern("g(%X)")
     tree = expr("g(g(g(x)))")
-    hits = find_matches(pat, tree)
-    assert [to_text(b["X"]) for _, b in hits] == ["g(g(x))", "g(x)", "x"]
+    hits = matches(pat, tree)
+    assert [to_text(b["X"]) for b in hits] == ["g(g(x))", "g(x)", "x"]
 
 
 def test_find_matches_in_statement_context():
     from cbugscan.frontend import parse
     unit = parse("void f() { a = 1; b = 2; }", "t.c")
     pat = compile_pattern("%V = %E")
-    hits = find_matches(pat, unit)
-    assert [to_text(b["V"]) for _, b in hits] == ["a", "b"]
+    hits = matches(pat, unit)
+    assert [to_text(b["V"]) for b in hits] == ["a", "b"]
 
 
 def test_metavar_matches_any_expression_kind():
@@ -81,52 +80,10 @@ def test_metavar_matches_any_expression_kind():
         assert match_node(pat, expr(source)) is not None
 
 
-# -- substitution ------------------------------------------------------------------
-
-def test_substitute_builds_new_tree():
-    pat = compile_pattern("unlock(%X)")
-    result = substitute(pat, {"X": expr("&dev->lock")})
-    assert to_text(result) == "unlock(&dev->lock)"
-
-
-def test_substitute_requires_all_bindings():
-    pat = compile_pattern("f(%A, %B)")
-    with pytest.raises(PatternError):
-        substitute(pat, {"A": expr("x")})
-
-
-def test_substitute_does_not_share_template_nodes():
-    pat = compile_pattern("f(%A)")
-    r1 = substitute(pat, {"A": expr("x")})
-    r2 = substitute(pat, {"A": expr("y")})
-    assert to_text(r1) == "f(x)"
-    assert to_text(r2) == "f(y)"
-
-
-@given(st.sampled_from(["x", "a + b", "f(g(1))", "&s->field", "arr[i]"]))
-def test_match_substitute_round_trip(source):
-    pat = compile_pattern("wrap(%X)")
-    tree = expr(f"wrap({source})")
-    bindings = match_node(pat, tree)
-    rebuilt = substitute(pat, bindings)
-    assert structurally_equal(tree, rebuilt)
-
-
-# -- pattern files -------------------------------------------------------------------
-
-def test_parse_pattern_file():
-    text = """
-    # locking primitives
-    pattern lock "mutex_lock(%X)"
-    pattern unlock "mutex_unlock(%X)"
-    """
-    patterns = parse_pattern_file(text, "locks.pat")
-    assert [p.name for p in patterns] == ["lock", "unlock"]
-    assert patterns[0].metavar_names() == ["X"]
-
-
-def test_parse_pattern_file_rejects_bad_lines():
-    with pytest.raises(PatternError):
-        parse_pattern_file("pattern missing_template", "p.pat")
-    with pytest.raises(PatternError):
-        parse_pattern_file("frobnicate x \"y\"", "p.pat")
+def test_first_binding_follows_first_occurrence_else_node():
+    pat = compile_pattern("f(%B, %A)")
+    node = expr("f(x, y)")
+    assert to_text(first_binding(pat, match_node(pat, node), node)) == "x"
+    plain = compile_pattern("g()")
+    node = expr("g()")
+    assert first_binding(plain, match_node(plain, node), node) is node

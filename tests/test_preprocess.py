@@ -19,8 +19,7 @@ def test_mode_none_missing_file(tmp_path):
 def test_external_command_pipes_through(tmp_path):
     src = tmp_path / "a.c"
     src.write_text("ignored\n")
-    out = preprocess_source(str(src), mode="external-command",
-                            command="echo preprocessed")
+    out = preprocess_source(str(src), command="echo preprocessed")
     # `echo preprocessed <path>` output starts with our marker
     assert out.startswith("preprocessed ")
 
@@ -28,8 +27,7 @@ def test_external_command_pipes_through(tmp_path):
 def test_external_command_receives_flags(tmp_path):
     src = tmp_path / "a.c"
     src.write_text("x\n")
-    out = preprocess_source(str(src), flags=("-DF=1",),
-                            mode="external-command", command="echo")
+    out = preprocess_source(str(src), flags=("-DF=1",), command="echo")
     assert "-DF=1" in out
     assert str(src) in out
 
@@ -41,28 +39,14 @@ def test_external_command_failure_carries_stderr(tmp_path):
     script.write_text("#!/bin/sh\necho 'boom: bad flag' >&2\nexit 3\n")
     script.chmod(0o755)
     with pytest.raises(FrontendError) as err:
-        preprocess_source(str(src), mode="external-command",
-                          command=str(script))
+        preprocess_source(str(src), command=str(script))
     assert "exit 3" in str(err.value)
     assert "boom" in str(err.value)
-
-
-def test_external_mode_requires_command(tmp_path):
-    src = tmp_path / "a.c"
-    src.write_text("x\n")
-    with pytest.raises(FrontendError):
-        preprocess_source(str(src), mode="external-command", command=None)
-
-
-def test_unknown_mode_rejected(tmp_path):
-    with pytest.raises(FrontendError):
-        preprocess_source("whatever.c", mode="gcc-builtin")
 
 
 def test_missing_preprocessor_binary(tmp_path):
     src = tmp_path / "a.c"
     src.write_text("x\n")
     with pytest.raises(FrontendError) as err:
-        preprocess_source(str(src), mode="external-command",
-                          command="/nonexistent/cpp-binary")
+        preprocess_source(str(src), command="/nonexistent/cpp-binary")
     assert "cannot run" in str(err.value)

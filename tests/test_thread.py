@@ -87,6 +87,14 @@ def test_bad_configs(text):
         parse_thread_config(text)
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_cycles_below_one_rejected(value):
+    # a cap below one would silently turn the checker off
+    with pytest.raises(ConfigError) as info:
+        parse_thread_config(f"{PAIR_CONFIG}max-cycles {value}\n", "t.conf")
+    assert str(info.value) == "t.conf:2: max-cycles must be at least 1"
+
+
 def test_checker_requires_config_file(tmp_path):
     with pytest.raises(ConfigError):
         ThreadChecker(None)

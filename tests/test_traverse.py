@@ -1,21 +1,13 @@
 import textwrap
+from collections import deque
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbugscan.frontend import parse_fragment, statement_text, to_text
 from cbugscan.ir import build_unit_from_text
 from cbugscan.traverse import (
-    CallFrame,
-    Direction,
-    Strategy,
-    VisitResult,
     build_supergraph,
-    map_expression_to_callee,
     map_expression_to_caller,
-    map_return_assignment,
-    traverse_cfg,
-    traverse_interprocedural,
 )
 
 
@@ -23,85 +15,21 @@ def unit_of(source):
     return build_unit_from_text(textwrap.dedent(source), "t.c")
 
 
-def node_text(cfg, node_id):
-    node = cfg.nodes[node_id]
-    if node_id == cfg.entry:
-        return "<entry>"
-    if node_id == cfg.exit:
-        return "<exit>"
-    return statement_text(node.ast_ref)
+def function_of(graph, key):
+    return graph.node_function[key[1]]
 
 
-# -- intraprocedural traversal ---------------------------------------------------
-
-DIAMOND = """
-    void f(int c) {
-        if (c) a(); else b();
-        x();
-    }
-"""
-
-
-def test_bfs_forward_visits_level_by_level():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-    order = traverse_cfg(cfg, lambda n: None)
-    texts = [node_text(cfg, i) for i in order]
-    assert texts == ["<entry>", "c", "a();", "b();", "x();", "<exit>"]
-
-
-def test_dfs_forward_follows_true_branch_first():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-    order = traverse_cfg(cfg, lambda n: None, strategy=Strategy.DFS)
-    texts = [node_text(cfg, i) for i in order]
-    assert texts == ["<entry>", "c", "a();", "x();", "<exit>", "b();"]
-
-
-def test_backward_traversal_from_exit():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-    order = traverse_cfg(cfg, lambda n: None, direction=Direction.BACKWARD)
-    texts = [node_text(cfg, i) for i in order]
-    assert texts[0] == "<exit>"
-    assert set(texts) == {"<exit>", "x();", "a();", "b();", "c", "<entry>"}
-
-
-def test_each_node_visited_once_in_loops():
-    cfg = unit_of("void f(int n) { while (n) { n = n - 1; } g(); }").cfgs["f"]
-    order = traverse_cfg(cfg, lambda n: None)
-    assert len(order) == len(set(order))
-
-
-def test_prune_branch_skips_successors():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-
-    def prune_condition(node):
-        if node_text(cfg, node.id) == "c":
-            return VisitResult.PRUNE_BRANCH
-        return None
-
-    order = traverse_cfg(cfg, prune_condition)
-    texts = [node_text(cfg, i) for i in order]
-    assert texts == ["<entry>", "c"]
-
-
-def test_stop_all_aborts_walk():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-    seen = []
-
-    def stopper(node):
-        seen.append(node.id)
-        if len(seen) == 2:
-            return VisitResult.STOP_ALL
-        return None
-
-    order = traverse_cfg(cfg, stopper)
-    assert len(order) == 2
-
-
-def test_start_override():
-    cfg = unit_of(DIAMOND).cfgs["f"]
-    cond = next(i for i in cfg.nodes if node_text(cfg, i) == "c")
-    order = traverse_cfg(cfg, lambda n: None, start=cond)
-    assert order[0] == cond
+def bfs(graph):
+    """Supergraph keys reachable from the entry, breadth-first."""
+    order, seen, work = [], {graph.entry}, deque([graph.entry])
+    while work:
+        key = work.popleft()
+        order.append(key)
+        for succ in graph.succs[key]:
+            if succ not in seen:
+                seen.add(succ)
+                work.append(succ)
+    return order
 
 
 # -- supergraph --------------------------------------------------------------------
@@ -118,11 +46,10 @@ CALLER_CALLEE = """
 
 def test_interprocedural_visit_order_inlines_callee():
     unit = unit_of(CALLER_CALLEE)
-    order = traverse_interprocedural(unit, "f", lambda ctx: None)
     graph = build_supergraph(unit, "f")
     labels = []
-    for key in order:
-        fn = graph.function_of(key)
+    for key in bfs(graph):
+        fn = function_of(graph, key)
         node = graph.cfg_node(key)
         if node.id == unit.cfgs[fn].entry:
             labels.append(f"{fn}.entry")
@@ -138,8 +65,8 @@ def test_interprocedural_visit_order_inlines_callee():
 def test_callee_instance_carries_call_frame():
     unit = unit_of(CALLER_CALLEE)
     graph = build_supergraph(unit, "f")
-    callee_keys = [k for k in graph.iter_keys()
-                   if graph.function_of(k) == "g" and k[0]]
+    callee_keys = [k for k in graph.succs
+                   if function_of(graph, k) == "g" and k[0]]
     assert callee_keys
     for key in callee_keys:
         frame, = key[0]
@@ -158,7 +85,7 @@ def test_two_call_sites_two_instances():
     """)
     graph = build_supergraph(unit, "f")
     g_entry = unit.cfgs["g"].entry
-    instances = {k[0] for k in graph.iter_keys() if k[1] == g_entry}
+    instances = {k[0] for k in graph.succs if k[1] == g_entry}
     assert len(instances) == 2
 
 
@@ -168,10 +95,9 @@ def test_two_calls_same_statement_chain_in_order():
         void b() { s2(); }
         void f() { use(a(), b()); }
     """)
-    order = traverse_interprocedural(unit, "f", lambda ctx: None,
-                                     strategy=Strategy.DFS)
     graph = build_supergraph(unit, "f")
-    fns = [graph.function_of(k) for k in order]
+    order = bfs(graph)
+    fns = [function_of(graph, k) for k in order]
     # a's instance is fully walked before b's
     assert fns.index("a") < fns.index("b")
     a_exit = (order[fns.index("a")][0], unit.cfgs["a"].exit)
@@ -183,7 +109,7 @@ def test_recursion_descends_once_then_cuts():
     unit = unit_of("void f() { f(); }")
     graph = build_supergraph(unit, "f")
     f_entry = unit.cfgs["f"].entry
-    instances = {k[0] for k in graph.iter_keys() if k[1] == f_entry}
+    instances = {k[0] for k in graph.succs if k[1] == f_entry}
     # the root instance plus exactly one nested expansion
     assert len(instances) == 2
 
@@ -194,7 +120,7 @@ def test_mutual_recursion_terminates():
         void b() { a(); }
     """)
     graph = build_supergraph(unit, "a")
-    depths = {len(k[0]) for k in graph.iter_keys()}
+    depths = {len(k[0]) for k in graph.succs}
     assert max(depths) == 2  # a -> b -> a(cut)
 
 
@@ -206,23 +132,15 @@ def test_max_call_depth_limits_expansion():
         void a() { b(); }
     """)
     graph = build_supergraph(unit, "a", max_call_depth=2)
-    assert max(len(k[0]) for k in graph.iter_keys()) == 2
+    assert max(len(k[0]) for k in graph.succs) == 2
     deep = build_supergraph(unit, "a")
-    assert max(len(k[0]) for k in deep.iter_keys()) == 3
+    assert max(len(k[0]) for k in deep.succs) == 3
 
 
 def test_external_calls_not_expanded():
     unit = unit_of("void f() { printf(); }")
     graph = build_supergraph(unit, "f")
-    assert all(graph.function_of(k) == "f" for k in graph.iter_keys())
-
-
-def test_supergraph_preds_inverse_of_succs():
-    unit = unit_of(CALLER_CALLEE)
-    graph = build_supergraph(unit, "f")
-    for key, targets in graph.succs.items():
-        for t in targets:
-            assert key in graph.preds[t]
+    assert all(function_of(graph, k) == "f" for k in graph.succs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -234,14 +152,14 @@ def test_supergraph_always_finite(n_funcs, depth):
         lines.append(f"void fn{i}() {{ fn{callee}(); fn{i}(); }}")
     unit = unit_of("\n".join(lines))
     graph = build_supergraph(unit, "fn0", max_call_depth=depth)
-    assert all(len(k[0]) <= depth for k in graph.iter_keys())
+    assert all(len(k[0]) <= depth for k in graph.succs)
 
 
 # -- expression mapping ----------------------------------------------------------
 
 def frame_for(unit, caller, callee):
     graph = build_supergraph(unit, caller)
-    for key in graph.iter_keys():
+    for key in graph.succs:
         if key[0] and key[0][-1].callee == callee:
             return key[0][-1]
     raise AssertionError("no frame found")
@@ -309,47 +227,3 @@ def test_arity_mismatch_maps_to_none():
     frame = frame_for(unit, "caller", "callee")
     assert map_expression_to_caller(
         parse_fragment("a", file="t.c"), frame, unit) is None
-
-
-def test_map_actual_back_to_formal():
-    unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
-    mapped = map_expression_to_callee(
-        parse_fragment("&dev->lock", file="t.c"), frame, unit)
-    assert to_text(mapped) == "p"
-
-
-def test_caller_local_residue_maps_to_none():
-    unit = unit_of("""
-        void callee(int x) { use(x); }
-        void caller() {
-            int mine;
-            callee(mine + 1);
-        }
-    """)
-    frame = frame_for(unit, "caller", "callee")
-    # `mine` alone is not an actual argument and is local to the caller
-    assert map_expression_to_callee(
-        parse_fragment("mine", file="t.c"), frame, unit) is None
-
-
-def test_round_trip_formal_actual_formal():
-    unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
-    outward = map_expression_to_caller(
-        parse_fragment("p", file="t.c"), frame, unit)
-    back = map_expression_to_callee(outward, frame, unit)
-    assert to_text(back) == "p"
-
-
-def test_map_return_assignment_recognizer():
-    unit = unit_of("void f() { x = g(); y + 1; }")
-    cfg = unit.cfgs["f"]
-    stmts = [cfg.nodes[i].ast_ref for i in sorted(cfg.nodes)
-             if cfg.nodes[i].ast_ref is not None]
-    hit = map_return_assignment(stmts[0])
-    assert hit is not None
-    lhs, call = hit
-    assert to_text(lhs) == "x"
-    assert to_text(call) == "g()"
-    assert map_return_assignment(stmts[1]) is None

@@ -111,16 +111,6 @@ def test_reload_returns_equivalent_unit(tmp_path):
     assert list(before.functions) == list(after.functions)
 
 
-def test_drop_discards_unit(tmp_path):
-    (p,) = write_sources(tmp_path, 1)
-    mgr = UnitManager(load_unit)
-    mgr.get(p)
-    mgr.drop(p)
-    assert mgr.resident_paths() == []
-    mgr.get(p)
-    assert mgr.load_counts[p] == 2
-
-
 @given(
     budget=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     accesses=st.lists(st.integers(min_value=0, max_value=5),
@@ -129,8 +119,7 @@ def test_drop_discards_unit(tmp_path):
 def test_manager_counters_match_lru_oracle(budget, accesses):
     loaded = []
 
-    def fake_loader(path, flags=(), preprocess_mode="none",
-                    preprocess_command=None):
+    def fake_loader(path, flags=(), command=None):
         loaded.append(path)
         return object()
 
