@@ -23,15 +23,27 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 
-from cbugscan.checkers.base import Checker, Services, config_lines, read_config
+from cbugscan.checkers.base import (
+    Checker,
+    Services,
+    config_lines,
+    node_events,
+    read_config,
+)
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, iter_tree, to_text
+from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, to_text
+from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import Pattern, compile_pattern, match_node
+from cbugscan.patterns import (
+    Bindings,
+    Pattern,
+    PatternIndex,
+    compile_pattern,
+    match_node,
+)
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
     Context,
-    SuperGraph,
     build_supergraph,
     map_expression_to_caller,
 )
@@ -225,20 +237,6 @@ def _is_call_graph_root(unit: TranslationUnit, function: str) -> bool:
                for edge in unit.call_graph.by_callee.get(function, []))
 
 
-def _node_events(automaton: AutomatonDef, graph: SuperGraph,
-                 key) -> list[tuple[Pattern, AstNode, dict[str, AstNode]]]:
-    node = graph.cfg_node(key)
-    if node.ast_ref is None:
-        return []
-    events = []
-    for subnode in iter_tree(node.ast_ref):
-        for pattern in automaton.patterns:
-            bindings = match_node(pattern, subnode)
-            if bindings is not None:
-                events.append((pattern, subnode, bindings))
-    return events
-
-
 def _run_automaton(automaton: AutomatonDef,
                    unit: TranslationUnit) -> list[ErrorTrace]:
     traces: list[ErrorTrace] = []
@@ -257,14 +255,18 @@ def _run_automaton(automaton: AutomatonDef,
             steps=steps,
         ))
 
+    # every calling context of a CFG node shares its matches
+    events = node_events(PatternIndex(automaton.patterns), match_node,
+                         lambda *match: match)
     for entry in unit.functions:
         graph = build_supergraph(unit, entry)
         in_maps: dict[object, _InstMap] = {graph.entry: {}}
         work = deque([graph.entry])
         while work:
             super_key = work.popleft()
-            out = _transfer(automaton, unit, graph, super_key,
-                            in_maps[super_key], emit)
+            node = graph.cfg_node(super_key)
+            out = _transfer(automaton, unit, node, super_key[0],
+                            events(node), in_maps[super_key], emit)
             for succ in graph.succs.get(super_key, []):
                 existing = in_maps.get(succ)
                 if existing is None:
@@ -293,14 +295,12 @@ def _run_automaton(automaton: AutomatonDef,
 
 
 def _transfer(automaton: AutomatonDef, unit: TranslationUnit,
-              graph: SuperGraph, super_key, in_map: _InstMap,
-              emit) -> _InstMap:
-    events = _node_events(automaton, graph, super_key)
+              node: CfgNode, frames: Context,
+              events: list[tuple[Pattern, AstNode, Bindings]],
+              in_map: _InstMap, emit) -> _InstMap:
     if not events:
         return in_map
     out = _copy_map(in_map)
-    frames = super_key[0]
-    node = graph.cfg_node(super_key)
     for pattern, subnode, bindings in events:
         texts = {name: map_binding_text(expr, frames, unit)
                  for name, expr in bindings.items()}

@@ -12,11 +12,16 @@ import importlib.resources
 import shlex
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from cbugscan.errors import ConfigError
+from cbugscan.frontend.ast_nodes import AstNode
+from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit, UnitManager
+from cbugscan.patterns import Bindings, Pattern, PatternIndex
 from cbugscan.report import ErrorTrace
+
+Event = TypeVar("Event")
 
 
 @dataclass(eq=False)
@@ -59,6 +64,31 @@ def config_lines(text: str,
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
         if words:
             yield lineno, raw.strip(), words
+
+
+def node_events(
+        index: PatternIndex,
+        match: Callable[[Pattern, AstNode], Bindings | None],
+        event: Callable[[Pattern, AstNode, Bindings], Event],
+) -> Callable[[CfgNode], list[Event]]:
+    """A function giving a CFG node's events, one `event(pattern,
+    subnode, bindings)` per match under the node in evaluation order.
+
+    Each node is matched once, however often a fixpoint or a calling
+    context revisits it. Results are keyed by CFG node id, which is
+    unique within a unit, so make one per `check_unit` call. Checkers
+    pass their own module's `match_node`, looked up at the call.
+    """
+    memo: dict[int, list[Event]] = {}
+
+    def events(node: CfgNode) -> list[Event]:
+        found = memo.get(node.id)
+        if found is None:
+            found = memo[node.id] = [] if node.ast_ref is None else [
+                event(*hit) for hit in index.matches(node.ast_ref, match)]
+        return found
+
+    return events
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from cbugscan.checkers.base import Checker, Services, config_lines, read_config
+from cbugscan.checkers.base import (
+    Checker,
+    Services,
+    config_lines,
+    node_events,
+    read_config,
+)
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, iter_tree, to_text
-from cbugscan.ir.cfg import Cfg
+from cbugscan.frontend.ast_nodes import SourceLocation, to_text
+from cbugscan.ir.cfg import Cfg, CfgNode
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import Pattern, compile_pattern, first_binding, match_node
+from cbugscan.patterns import (
+    Pattern,
+    PatternIndex,
+    compile_pattern,
+    first_binding,
+    match_node,
+)
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 
@@ -77,6 +90,11 @@ class _Access:
     held: frozenset[str]
 
 
+_ACCESS, _LOCK, _UNLOCK = "access", "lock", "unlock"
+# (_ACCESS, _LOCK or _UNLOCK, text bound by the pattern, location)
+_Event = tuple[str, str, SourceLocation]
+
+
 class LockstatChecker(Checker):
     name = "lockstat"
 
@@ -89,34 +107,46 @@ class LockstatChecker(Checker):
         # Statistics aggregate over the whole unit; the held-set
         # computation itself is per function.
         accesses: list[_Access] = []
+        events = self._node_events()
         for name in unit.functions:
-            accesses.extend(self._collect_accesses(unit.cfgs[name]))
+            accesses.extend(self._collect_accesses(unit.cfgs[name], events))
         return self._report(accesses)
 
     # -- per-function analysis -------------------------------------------
 
-    def _walk_node(self, ast: AstNode, held: set[str],
-                   record) -> None:
-        """One preorder pass over a node's AST: record accesses against
-        the running held set, then apply lock/unlock events in place."""
-        for subnode in iter_tree(ast):
-            if record is not None:
-                for pattern in self.config.accesses:
-                    bindings = match_node(pattern, subnode)
-                    if bindings is not None:
-                        record(_Access(
-                            to_text(first_binding(pattern, bindings, subnode)),
-                            subnode.location, frozenset(held)))
-            for pattern in self.config.locks:
-                bindings = match_node(pattern, subnode)
-                if bindings is not None:
-                    held.add(to_text(first_binding(pattern, bindings, subnode)))
-            for pattern in self.config.unlocks:
-                bindings = match_node(pattern, subnode)
-                if bindings is not None:
-                    held.discard(to_text(first_binding(pattern, bindings, subnode)))
+    def _node_events(self) -> Callable[[CfgNode], list[_Event]]:
+        """Each CFG node's accesses and lock/unlock events, matched once
+        per node: make one per unit (see `checkers.base.node_events`)."""
+        config = self.config
+        # patterns in config order: accesses, locks, unlocks
+        kinds = {**dict.fromkeys(config.accesses, _ACCESS),
+                 **dict.fromkeys(config.locks, _LOCK),
+                 **dict.fromkeys(config.unlocks, _UNLOCK)}
+        return node_events(
+            PatternIndex(kinds), match_node,
+            lambda pattern, subnode, bindings: (
+                kinds[pattern],
+                to_text(first_binding(pattern, bindings, subnode)),
+                subnode.location))
 
-    def _collect_accesses(self, cfg: Cfg) -> list[_Access]:
+    @staticmethod
+    def _apply(events: list[_Event], held: set[str], record) -> None:
+        """Record accesses against the running held set, and apply
+        lock/unlock events to it in place."""
+        for kind, text, location in events:
+            if kind is _ACCESS:
+                if record is not None:
+                    record(_Access(text, location, frozenset(held)))
+            elif kind is _LOCK:
+                held.add(text)
+            else:
+                held.discard(text)
+
+    def _collect_accesses(
+            self, cfg: Cfg,
+            events: Callable[[CfgNode], list[_Event]] | None = None,
+    ) -> list[_Access]:
+        events = events or self._node_events()
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the
         # first propagation copies the incoming set, later ones narrow
         # it by intersection, which converges to the same fixpoint as
@@ -126,10 +156,8 @@ class LockstatChecker(Checker):
         work = deque([cfg.entry])
         while work:
             node_id = work.popleft()
-            node = cfg.nodes[node_id]
             out = set(in_sets[node_id])
-            if node.ast_ref is not None:
-                self._walk_node(node.ast_ref, out, record=None)
+            self._apply(events(cfg.nodes[node_id]), out, record=None)
             for edge in cfg.successors(node_id):
                 succ = edge.target
                 if succ not in reachable:
@@ -144,11 +172,9 @@ class LockstatChecker(Checker):
 
         accesses: list[_Access] = []
         for node_id in sorted(reachable):
-            node = cfg.nodes[node_id]
-            if node.ast_ref is None:
-                continue
             held = set(in_sets[node_id])
-            self._walk_node(node.ast_ref, held, record=accesses.append)
+            self._apply(events(cfg.nodes[node_id]), held,
+                        record=accesses.append)
         return accesses
 
     def _report(self, accesses: list[_Access]) -> list[ErrorTrace]:

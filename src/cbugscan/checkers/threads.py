@@ -15,8 +15,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
-from cbugscan.checkers.base import Checker, Services, config_lines, read_config
+from cbugscan.checkers.base import (
+    Checker,
+    Services,
+    config_lines,
+    node_events,
+    read_config,
+)
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
@@ -25,8 +32,15 @@ from cbugscan.frontend.ast_nodes import (
     iter_tree,
     to_text,
 )
+from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import Pattern, compile_pattern, first_binding, match_node
+from cbugscan.patterns import (
+    Pattern,
+    PatternIndex,
+    compile_pattern,
+    first_binding,
+    match_node,
+)
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import build_supergraph
 
@@ -106,12 +120,29 @@ class Witness:
 
 LockOrderGraph = dict[tuple[str, str], list[Witness]]
 
+# (is a lock, lock key, location) in evaluation order within a CFG node
+LockEvent = tuple[bool, str, SourceLocation]
+
+
+def lock_events(config: ThreadConfig) -> Callable[[CfgNode], list[LockEvent]]:
+    """Each CFG node's lock events, matched once per node: make one per
+    unit (see `checkers.base.node_events`)."""
+    locks = set(config.locks)
+    return node_events(
+        PatternIndex(config.locks + config.unlocks), match_node,
+        lambda pattern, subnode, bindings: (
+            pattern in locks, lock_key(pattern, bindings, subnode),
+            subnode.location))
+
 
 def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
                         services: Services) -> list[str]:
     entries: list[str] = []
+    index = PatternIndex(config.spawns)
     for spawn in config.spawns:
         for node in iter_tree(unit.ast):
+            if spawn not in index.candidates(node):
+                continue
             bindings = match_node(spawn, node)
             if bindings is None:
                 continue
@@ -130,41 +161,39 @@ def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
     return entries
 
 
-def build_dependency_graph(unit: TranslationUnit, entry: str,
-                           config: ThreadConfig) -> LockOrderGraph:
-    """Interprocedural may-hold lockset walk from one entry point."""
+def build_dependency_graph(
+        unit: TranslationUnit, entry: str, config: ThreadConfig,
+        events: Callable[[CfgNode], list[LockEvent]] | None = None,
+) -> LockOrderGraph:
+    """Interprocedural may-hold lockset walk from one entry point.
+
+    `events` is a `lock_events(config)` function to share between the
+    entries of one unit; by default the walk makes its own."""
+    events = events or lock_events(config)
     graph = build_supergraph(unit, entry)
     edges: LockOrderGraph = {}
     seen: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
 
     # dataflow value: frozenset of (lock key, acquisition location)
     def transfer(in_set: frozenset, super_key) -> frozenset:
-        node = graph.cfg_node(super_key)
-        if node.ast_ref is None:
+        found = events(graph.cfg_node(super_key))
+        if not found:
             return in_set
         current = set(in_set)
-        for subnode in iter_tree(node.ast_ref):
-            for pattern in config.locks:
-                bindings = match_node(pattern, subnode)
-                if bindings is None:
-                    continue
-                key = lock_key(pattern, bindings, subnode)
-                for held_key, held_loc in sorted(current):
-                    if held_key == key:
-                        continue
-                    dedup = (held_key, key, held_loc, subnode.location)
-                    if dedup in seen:
-                        continue
-                    seen.add(dedup)
-                    edges.setdefault((held_key, key), []).append(
-                        Witness(entry, held_loc, subnode.location))
-                current.add((key, subnode.location))
-            for pattern in config.unlocks:
-                bindings = match_node(pattern, subnode)
-                if bindings is None:
-                    continue
-                key = lock_key(pattern, bindings, subnode)
+        for is_lock, key, location in found:
+            if not is_lock:
                 current = {pair for pair in current if pair[0] != key}
+                continue
+            for held_key, held_loc in sorted(current):
+                if held_key == key:
+                    continue
+                dedup = (held_key, key, held_loc, location)
+                if dedup in seen:
+                    continue
+                seen.add(dedup)
+                edges.setdefault((held_key, key), []).append(
+                    Witness(entry, held_loc, location))
+            current.add((key, location))
         return frozenset(current)
 
     in_sets = {graph.entry: frozenset()}
@@ -233,11 +262,19 @@ class ThreadChecker(Checker):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         entries = find_thread_entries(unit, self.config, services)
-        graphs = [build_dependency_graph(unit, entry, self.config)
+        events = lock_events(self.config)
+        graphs = [build_dependency_graph(unit, entry, self.config, events)
                   for entry in entries]
         combined = combine_graphs(graphs)
+        cap = self.config.max_cycles
+        cycles = elementary_cycles(combined, cap + 1)
+        if len(cycles) > cap:
+            del cycles[cap:]
+            services.report_diagnostic(
+                f"{unit.path}: thread checker stopped at max-cycles {cap}; "
+                f"further lock-order cycles are not reported")
         traces = []
-        for cycle in elementary_cycles(combined, self.config.max_cycles):
+        for cycle in cycles:
             chain = " <- ".join(cycle + (cycle[0],))
             message = f"circular lock dependency: {chain}"
             steps = []

@@ -57,6 +57,11 @@ def run_job(job: AnalysisJob,
         except FrontendError as exc:
             result.diagnostics.append(f"skipping {descriptor.path}: {exc}")
             continue
+        except Exception as exc:  # isolate crashes while building a unit
+            result.diagnostics.append(
+                f"skipping {descriptor.path}: internal error: "
+                f"{type(exc).__name__}: {exc}")
+            continue
         for name, checker in checkers:
             try:
                 result.traces.extend(checker.check_unit(unit, services))

@@ -10,6 +10,7 @@ equal subtrees each time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 from cbugscan.errors import PatternError
 from cbugscan.frontend.ast_nodes import (
@@ -72,6 +73,59 @@ def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
         return False
     return all(_match(p, n, bindings)
                for p, n in zip(pat.children, node.children))
+
+
+def _signature(node: AstNode) -> tuple:
+    """What `PatternIndex` looks at: the node's kind, text and arity, and
+    the kind and text of its first child (a call's callee)."""
+    if not node.children:
+        return (node.kind, node.text, 0, None, None)
+    head = node.children[0]
+    return (node.kind, node.text, len(node.children), head.kind, head.text)
+
+
+def _root_may_match(tree: AstNode, signature: tuple) -> bool:
+    if tree.kind is NodeKind.META_VAR:
+        return True
+    if signature[:3] != (tree.kind, tree.text, len(tree.children)):
+        return False
+    head = tree.children[0] if tree.children else None
+    return (head is None or head.kind is NodeKind.META_VAR
+            or signature[3:] == (head.kind, head.text))
+
+
+class PatternIndex:
+    """Patterns prefiltered by the shape of the node they are tried on.
+
+    `candidates(node)` keeps, in the given order, the patterns that can
+    match `node`: a metavariable root matches anything; otherwise the
+    root's kind, text and arity must agree, and so must the head (first
+    child, e.g. the callee name) unless it is a metavariable. Every
+    pattern that `match_node` accepts on a node is among its candidates.
+    """
+
+    def __init__(self, patterns: Iterable[Pattern]):
+        self.patterns = list(patterns)
+        self._by_signature: dict[tuple, list[Pattern]] = {}
+
+    def candidates(self, node: AstNode) -> list[Pattern]:
+        signature = _signature(node)
+        found = self._by_signature.get(signature)
+        if found is None:
+            found = self._by_signature[signature] = [
+                p for p in self.patterns if _root_may_match(p.tree, signature)]
+        return found
+
+    def matches(self, root: AstNode,
+                match: Callable[[Pattern, AstNode], Bindings | None] = match_node,
+                ) -> Iterator[tuple[Pattern, AstNode, Bindings]]:
+        """(pattern, subnode, bindings) for every match under `root`:
+        subnodes in preorder, each subnode's patterns in index order."""
+        for subnode in iter_tree(root):
+            for pattern in self.candidates(subnode):
+                bindings = match(pattern, subnode)
+                if bindings is not None:
+                    yield pattern, subnode, bindings
 
 
 def first_binding(pattern: Pattern, bindings: Bindings,

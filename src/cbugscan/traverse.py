@@ -42,6 +42,12 @@ SuperKey = tuple[Context, int]
 
 @dataclass(eq=False)
 class SuperGraph:
+    """The call-expanded graph of one entry function.
+
+    `succs` maps each (context, CFG node id) key to its successor keys.
+    `node_function` maps CFG node ids to function names for the
+    functions the graph reaches only, not for the whole unit.
+    """
     unit: TranslationUnit
     entry_function: str
     entry: SuperKey
@@ -54,21 +60,14 @@ class SuperGraph:
         return self.unit.cfgs[fn].nodes[key[1]]
 
 
-def _eligible_calls(node: CfgNode, context: Context, unit: TranslationUnit,
-                    max_call_depth: int) -> list[AstNode]:
-    """Calls in this node that the supergraph descends into, in
+def _local_calls(node: CfgNode, unit: TranslationUnit) -> list[AstNode]:
+    """Calls in this node to functions defined in the unit, in
     evaluation (post-) order."""
-    if node.ast_ref is None or len(context) >= max_call_depth:
+    if node.ast_ref is None:
         return []
-    on_stack = {frame.callee for frame in context}
-    chain = []
-    for call in collect_calls(node.ast_ref):
-        target = call.children[0]
-        if target.kind is not NodeKind.IDENTIFIER:
-            continue
-        if target.text in unit.cfgs and target.text not in on_stack:
-            chain.append(call)
-    return chain
+    return [call for call in collect_calls(node.ast_ref)
+            if call.children[0].kind is NodeKind.IDENTIFIER
+            and call.children[0].text in unit.cfgs]
 
 
 def build_supergraph(unit: TranslationUnit, entry_function: str,
@@ -77,9 +76,8 @@ def build_supergraph(unit: TranslationUnit, entry_function: str,
     into one graph, one callee instance per calling context."""
     root_cfg = unit.cfgs[entry_function]
     node_function: dict[int, str] = {}
-    for fn, cfg in unit.cfgs.items():
-        for node_id in cfg.nodes:
-            node_function[node_id] = fn
+    # function -> CFG node id -> its unit-local calls, once per function
+    local_calls: dict[str, dict[int, list[AstNode]]] = {}
 
     succs: dict[SuperKey, list[SuperKey]] = {}
     pending: list[tuple[Context, str]] = [((), entry_function)]
@@ -91,13 +89,23 @@ def build_supergraph(unit: TranslationUnit, entry_function: str,
             continue
         expanded.add((context, fn))
         cfg = unit.cfgs[fn]
-        for node_id, node in cfg.nodes.items():
-            key = (context, node_id)
-            succs.setdefault(key, [])
+        calls = local_calls.get(fn)
+        if calls is None:
+            calls = local_calls[fn] = {
+                node_id: _local_calls(node, unit)
+                for node_id, node in cfg.nodes.items()}
+            node_function.update(dict.fromkeys(cfg.nodes, fn))
+        # the calls the graph descends into: recursion is cut at any
+        # function already on the frame stack, and depth at the bound
+        on_stack = {frame.callee for frame in context}
+        descend = len(context) < max_call_depth
+        for node_id in cfg.nodes:
+            node_succs = succs.setdefault((context, node_id), [])
             out = [(context, e.target) for e in cfg.successors(node_id)]
-            chain = _eligible_calls(node, context, unit, max_call_depth)
+            chain = [call for call in calls[node_id]
+                     if call.children[0].text not in on_stack] if descend else []
             if not chain:
-                succs[key].extend(out)
+                node_succs.extend(out)
                 continue
             frames = []
             for call in chain:
@@ -105,7 +113,7 @@ def build_supergraph(unit: TranslationUnit, entry_function: str,
                 frames.append(context + (CallFrame(fn, node_id, call, callee),))
                 pending.append((frames[-1], callee))
             first_callee = unit.cfgs[chain[0].children[0].text]
-            succs[key].append((frames[0], first_callee.entry))
+            node_succs.append((frames[0], first_callee.entry))
             for i in range(len(chain) - 1):
                 this_cfg = unit.cfgs[chain[i].children[0].text]
                 next_cfg = unit.cfgs[chain[i + 1].children[0].text]

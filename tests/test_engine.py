@@ -1,3 +1,4 @@
+import re
 import textwrap
 
 from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
@@ -87,6 +88,20 @@ def test_unparseable_file_is_skipped_with_diagnostic(tmp_path):
     assert len(result.traces) == 1  # the good file still analyzed
     assert len(result.diagnostics) == 1
     assert result.diagnostics[0].startswith(f"skipping {bad}: ")
+
+
+def test_crash_while_building_a_unit_is_isolated(tmp_path):
+    # 400 nested ifs exceed the parser's recursion depth
+    depth = 400
+    deep = write(tmp_path, "deep.c", "void f(int c) {\n"
+                 + "if (c) {\n" * depth + "step();\n" + "}\n" * depth + "}\n")
+    good = write(tmp_path, "good.c", DEAD_CODE)
+    result = run_job(job_for(tmp_path, [deep, good]))
+    assert [t.steps[0].location.file for t in result.traces] == [good]
+    assert len(result.diagnostics) == 1
+    assert result.diagnostics[0].startswith(
+        f"skipping {deep}: internal error: RecursionError: ")
+    assert not re.search(r"\.c:\d", result.diagnostics[0])  # no location
 
 
 class CrashingChecker(Checker):

@@ -1,0 +1,57 @@
+"""Each lock checker matches a (pattern, AST subnode) pair at most once
+per check_unit, however many calling contexts reach the subnode."""
+
+import collections
+import textwrap
+
+import pytest
+
+from cbugscan.checkers import automaton, builtin_registry, lockstat, threads
+from cbugscan.checkers.base import Services
+from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+
+
+def fan_out_chain(depth=4, fan_out=3):
+    """f0 calls f1 `fan_out` times, f1 calls f2 as often, and so on; each
+    level takes its own lock around the calls and writes a global."""
+    functions = [f"""
+        void f{depth - 1}(int *p) {{
+            mutex_lock(&m{depth - 1});
+            shared = *p;
+            mutex_unlock(&m{depth - 1});
+            spin_lock(&s);
+            spin_unlock(&s);
+        }}"""]
+    for level in range(depth - 2, -1, -1):
+        calls = "\n".join(f"            f{level + 1}(p);"
+                          for _ in range(fan_out))
+        functions.append(f"""
+        void f{level}(int *p) {{
+            mutex_lock(&m{level});
+            shared = {level};
+{calls}
+            mutex_unlock(&m{level});
+        }}""")
+    source = "int shared;\n" + "\n".join(functions)
+    return build_unit_from_text(textwrap.dedent(source), "chain.c")
+
+
+@pytest.mark.parametrize("name", ["automaton", "thread", "lockstat"])
+def test_each_pattern_subnode_pair_matched_once(name, monkeypatch):
+    attempts = collections.Counter()
+    for module in (automaton, threads, lockstat):
+        original = module.match_node
+
+        def counted(pattern, node, original=original):
+            attempts[pattern, node] += 1
+            return original(pattern, node)
+
+        monkeypatch.setattr(module, "match_node", counted)
+
+    checker = builtin_registry().create(name)
+    checker.check_unit(fan_out_chain(),
+                       Services(unit_manager=UnitManager(load_unit)))
+    assert attempts  # the checker did match something
+    repeated = [(p.name, str(n.location), count)
+                for (p, n), count in attempts.items() if count > 1]
+    assert repeated == []

@@ -1,8 +1,20 @@
+import glob
+import os
+
 import pytest
 
+from conftest import CORPUS_DIR
+
+from cbugscan.checkers import builtin_registry
 from cbugscan.errors import PatternError
 from cbugscan.frontend import iter_tree, parse_fragment, to_text
-from cbugscan.patterns import compile_pattern, first_binding, match_node
+from cbugscan.ir import load_unit
+from cbugscan.patterns import (
+    PatternIndex,
+    compile_pattern,
+    first_binding,
+    match_node,
+)
 
 
 def expr(source):
@@ -87,3 +99,44 @@ def test_first_binding_follows_first_occurrence_else_node():
     plain = compile_pattern("g()")
     node = expr("g()")
     assert first_binding(plain, match_node(plain, node), node) is node
+
+
+# -- prefiltering by root shape ---------------------------------------------------
+
+def bundled_patterns():
+    registry = builtin_registry()
+    automaton = registry.create("automaton")
+    lockstat = registry.create("lockstat").config
+    thread = registry.create("thread").config
+    return ([p for a in automaton.automata for p in a.patterns]
+            + lockstat.accesses + lockstat.locks + lockstat.unlocks
+            + thread.spawns + thread.locks + thread.unlocks)
+
+
+def test_index_keeps_patterns_whose_root_agrees():
+    lock, unlock, assign, anything, call = patterns = [
+        compile_pattern(t) for t in ("mutex_lock(%X)", "mutex_unlock(%X)",
+                                     "%V = %E", "%X", "%F(%A)")]
+    index = PatternIndex(patterns)
+    assert index.candidates(expr("mutex_lock(&m)")) == [lock, anything, call]
+    assert index.candidates(expr("mutex_lock(&m, 1)")) == [anything]
+    assert index.candidates(expr("x = mutex_unlock(&m)")) == [assign, anything]
+    assert index.candidates(expr("m")) == [anything]
+
+
+def test_index_candidates_contain_every_match_in_order():
+    patterns = bundled_patterns() + [
+        compile_pattern(t) for t in ("%X", "%F(%A)", "*%P = %E", "%V = %E")]
+    index = PatternIndex(patterns)
+    matched = filtered = 0
+    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c"))):
+        for node in iter_tree(load_unit(path).ast):
+            candidates = index.candidates(node)
+            positions = [patterns.index(p) for p in candidates]
+            assert positions == sorted(positions), path
+            filtered += len(patterns) - len(candidates)
+            for pattern in patterns:
+                if match_node(pattern, node) is not None:
+                    matched += 1
+                    assert pattern in candidates, (path, node, pattern.name)
+    assert matched and filtered  # the check is not vacuous

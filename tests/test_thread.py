@@ -493,3 +493,50 @@ def test_reruns_are_identical(tmp_path):
     second = run(source, tmp_path)
     assert [(t.message, t.steps) for t in first] == \
         [(t.message, t.steps) for t in second]
+
+
+TWO_INVERSIONS = """
+    void t1(void) {
+        mtx_lock(&a);
+        mtx_lock(&b);
+        mtx_unlock(&b);
+        mtx_unlock(&a);
+        mtx_lock(&c);
+        mtx_lock(&d);
+        mtx_unlock(&d);
+        mtx_unlock(&c);
+    }
+    void t2(void) {
+        mtx_lock(&b);
+        mtx_lock(&a);
+        mtx_unlock(&a);
+        mtx_unlock(&b);
+        mtx_lock(&d);
+        mtx_lock(&c);
+        mtx_unlock(&c);
+        mtx_unlock(&d);
+    }
+"""
+
+
+def test_cycle_cap_reported_when_cycles_are_dropped(tmp_path):
+    diagnostics = []
+    traces = run(TWO_INVERSIONS, tmp_path,
+                 config_text=PAIR_CONFIG + "max-cycles 1\n",
+                 diagnostics=diagnostics)
+    assert [t.message for t in traces] == [
+        "circular lock dependency: a <- b <- a"]
+    assert diagnostics == [
+        "t.c: thread checker stopped at max-cycles 1; "
+        "further lock-order cycles are not reported"]
+
+
+def test_cycle_cap_silent_when_nothing_is_dropped(tmp_path):
+    diagnostics = []
+    traces = run(TWO_INVERSIONS, tmp_path,
+                 config_text=PAIR_CONFIG + "max-cycles 2\n",
+                 diagnostics=diagnostics)
+    assert [t.message for t in traces] == [
+        "circular lock dependency: a <- b <- a",
+        "circular lock dependency: c <- d <- c"]
+    assert diagnostics == []
