@@ -98,7 +98,10 @@ _PREC_ASSIGN = 1
 _PREC_UNARY = 8
 _PREC_POSTFIX = 9
 
-_BINARY_PREC = {
+# Binding strength of each binary operator, higher binds tighter; the
+# parser and to_text both read it. Assignment (1) binds looser than every
+# binary operator, unary and postfix operators (8, 9) tighter.
+BINARY_PRECEDENCE = {
     "||": 2, "&&": 3,
     "==": 4, "!=": 4,
     "<": 5, ">": 5, "<=": 5, ">=": 5,
@@ -127,7 +130,7 @@ def _fmt(node: AstNode, ctx: int) -> str:
         text = (f"{_fmt(node.children[0], _PREC_ASSIGN + 1)} = "
                 f"{_fmt(node.children[1], _PREC_ASSIGN)}")
     elif kind is NodeKind.BINARY_OP:
-        prec = _BINARY_PREC[node.text]
+        prec = BINARY_PRECEDENCE[node.text]
         text = (f"{_fmt(node.children[0], prec)} {node.text} "
                 f"{_fmt(node.children[1], prec + 1)}")
     elif kind is NodeKind.UNARY_OP:

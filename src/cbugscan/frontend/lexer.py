@@ -1,5 +1,7 @@
 """Tokenizer for the C subset and for pattern templates.
 
+One master regular expression, with one named group per token class,
+splits the source; lines and columns come from the offsets of newlines.
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -7,6 +9,8 @@ the `%` stays a modulo operator.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from cbugscan.errors import FrontendError
@@ -17,17 +21,32 @@ KEYWORDS = frozenset({
     "return", "struct", "void", "while",
 })
 
-# Multi-character operators must come first so "&&" wins over "&".
-_PUNCTUATION = (
-    "&&", "||", "==", "!=", "<=", ">=", "->",
-    "(", ")", "{", "}", "[", "]", ";", ",", "=",
-    "<", ">", "+", "-", "*", "/", "%", "&", "!", ".", ":",
-)
+# Alternatives are tried in order: comments before "/", multi-character
+# operators before their prefixes, and each open_* group only catches
+# what the well-formed class before it rejected. bad_number is a letter
+# glued to a number; eof matches only where nothing else can.
+_CLASSES = r"""
+    (?P<space>[ \t\n\r\f\v]+)
+  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<open_comment>/\*)
+  | (?P<directive>\#[^\n]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>0[xX][0-9a-fA-F]*|[0-9]+)(?P<bad_number>[A-Za-z_])?
+  | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
+  | (?P<open_string>")
+  | """
+_METAVAR = r"(?P<metavar>%[A-Za-z_][A-Za-z0-9_]*) | "
+_OPERATORS = r"""
+    (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
+  | (?P<other>.)
+  | (?P<eof>\Z)
+"""
+_SOURCE_TOKEN = re.compile(_CLASSES + _OPERATORS, re.VERBOSE)
+_TEMPLATE_TOKEN = re.compile(_CLASSES + _METAVAR + _OPERATORS, re.VERBOSE)
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_HEX = frozenset("0123456789abcdefABCDEF")
+# `# N "FILE" flags...` (cpp output) and `#line N "FILE"`.
+_LINE_MARKER = re.compile(
+    r'#[ \t]*(?:line[ \t]+)?([0-9]+)(?:[ \t]+"((?:[^"\\]|\\.)*)")?(?:[ \t]|$)')
 
 
 @dataclass(frozen=True)
@@ -41,117 +60,49 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     """Split source into tokens; raises FrontendError at the first bad char.
 
     Comments are skipped. Lines whose first non-blank character is `#`
-    (preprocessor directives, cpp line markers) are skipped as well since
-    the frontend expects preprocessed input.
+    (preprocessor directives) are skipped as well since the frontend
+    expects preprocessed input; a line marker among them (`# N "FILE"`
+    or `#line N ["FILE"]`) makes the next line line N of FILE.
     """
+    line_starts = [0]
+    line_starts.extend(m.end() for m in re.finditer("\n", source))
+    shift = 0  # logical minus physical line number, set by line markers
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
     at_line_start = True
-
-    def loc() -> SourceLocation:
-        return SourceLocation(file, line, col)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\f\v":
-            advance(1)
+    regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
+    for m in regex.finditer(source):
+        kind = m.lastgroup
+        text = m[0]
+        if kind == "space":
+            at_line_start = at_line_start or "\n" in text
             continue
-        if ch == "\n":
-            advance(1)
-            at_line_start = True
+        if kind == "comment":
             continue
-        if ch == "#" and at_line_start:
-            while i < n and source[i] != "\n":
-                advance(1)
+        if kind == "directive" and at_line_start:
+            marker = _LINE_MARKER.match(text)
+            if marker:
+                shift = int(marker[1]) - bisect_right(line_starts, m.start()) - 1
+                if marker[2] is not None:
+                    file = re.sub(r"\\(.)", r"\1", marker[2])
             continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and source[i + 1] == "*":
-            start = loc()
-            advance(2)
-            while True:
-                if i + 1 >= n:
-                    raise FrontendError("unterminated comment", start)
-                if source[i] == "*" and source[i + 1] == "/":
-                    advance(2)
-                    break
-                advance(1)
-            continue
-
         at_line_start = False
-        start = loc()
-
-        if ch in _IDENT_START:
-            j = i
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            text = source[i:j]
-            kind = text if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start))
-            advance(j - i)
-            continue
-
-        if ch in _DIGITS:
-            j = i
-            if ch == "0" and j + 1 < n and source[j + 1] in "xX":
-                j += 2
-                while j < n and source[j] in _HEX:
-                    j += 1
-            else:
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in _IDENT_START:
-                raise FrontendError(f"malformed number near {source[i:j + 1]!r}", start)
-            tokens.append(Token("int", source[i:j], start))
-            advance(j - i)
-            continue
-
-        if ch == '"':
-            j = i + 1
-            while True:
-                if j >= n or source[j] == "\n":
-                    raise FrontendError("unterminated string literal", start)
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == '"':
-                    j += 1
-                    break
-                j += 1
-            tokens.append(Token("string", source[i:j], start))
-            advance(j - i)
-            continue
-
-        if ch == "%" and metavars and i + 1 < n and source[i + 1] in _IDENT_START:
-            j = i + 1
-            while j < n and source[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("metavar", source[i + 1:j], start))
-            advance(j - i)
-            continue
-
-        for punct in _PUNCTUATION:
-            if source.startswith(punct, i):
-                tokens.append(Token(punct, punct, start))
-                advance(len(punct))
-                break
+        start = m.start()
+        row = bisect_right(line_starts, start)
+        where = SourceLocation(file, row + shift, start - line_starts[row - 1] + 1)
+        if kind == "ident":
+            tokens.append(Token(text if text in KEYWORDS else "ident", text, where))
+        elif kind == "punct":
+            tokens.append(Token(text, text, where))
+        elif kind in ("int", "string", "eof"):
+            tokens.append(Token(kind, text, where))
+        elif kind == "metavar":
+            tokens.append(Token("metavar", text[1:], where))
+        elif kind == "open_comment":
+            raise FrontendError("unterminated comment", where)
+        elif kind == "open_string":
+            raise FrontendError("unterminated string literal", where)
+        elif kind == "bad_number":
+            raise FrontendError(f"malformed number near {text!r}", where)
         else:
-            raise FrontendError(f"unexpected character {ch!r}", start)
-
-    tokens.append(Token("eof", "", loc()))
+            raise FrontendError(f"unexpected character {text[0]!r}", where)
     return tokens

@@ -10,16 +10,24 @@ loud parse error; no construct is silently dropped.
 from __future__ import annotations
 
 from cbugscan.errors import FrontendError
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind, SourceLocation
+from cbugscan.frontend.ast_nodes import (
+    BINARY_PRECEDENCE, UNARY_SYMBOL, AstNode, NodeKind, SourceLocation)
 from cbugscan.frontend.lexer import Token, tokenize
 
 _TYPE_STARTERS = ("int", "void", "char", "struct")
 
 
 def parse(source: str, file: str) -> AstNode:
-    """Parse a whole translation unit; returns the TranslationUnitRoot."""
+    """Parse a whole translation unit; returns the TranslationUnitRoot.
+
+    Nesting deeper than Python's recursion limit is a FrontendError at
+    the token where the parser ran out of stack.
+    """
     parser = _Parser(tokenize(source, file), file)
-    return parser.translation_unit()
+    try:
+        return parser.translation_unit()
+    except RecursionError:
+        raise FrontendError("nesting too deep", parser.tok.location) from None
 
 
 def parse_fragment(source: str, file: str = "<pattern>") -> AstNode:
@@ -271,42 +279,27 @@ class _Parser:
         return self.assignment()
 
     def assignment(self) -> AstNode:
-        left = self.logical_or()
+        left = self.binary(1)  # every binary operator binds tighter than '='
         if self.at("="):
             self.pos += 1
             right = self.assignment()
             return AstNode(NodeKind.ASSIGN, left.location, text="=", children=(left, right))
         return left
 
-    def _binary_chain(self, operators: tuple[str, ...], operand) -> AstNode:
-        left = operand()
-        while self.tok.kind in operators:
+    def binary(self, min_prec: int) -> AstNode:
+        """Operators binding at least as tight as min_prec, by precedence
+        climbing over BINARY_PRECEDENCE (Pratt, POPL'73); operators of
+        equal precedence associate to the left."""
+        left = self.unary()
+        while (prec := BINARY_PRECEDENCE.get(self.tok.kind, 0)) >= min_prec:
             op = self.tok
             self.pos += 1
-            right = operand()
+            right = self.binary(prec + 1)
             left = AstNode(NodeKind.BINARY_OP, left.location, text=op.text,
                            children=(left, right))
         return left
 
-    def logical_or(self) -> AstNode:
-        return self._binary_chain(("||",), self.logical_and)
-
-    def logical_and(self) -> AstNode:
-        return self._binary_chain(("&&",), self.equality)
-
-    def equality(self) -> AstNode:
-        return self._binary_chain(("==", "!="), self.relational)
-
-    def relational(self) -> AstNode:
-        return self._binary_chain(("<", ">", "<=", ">="), self.additive)
-
-    def additive(self) -> AstNode:
-        return self._binary_chain(("+", "-"), self.multiplicative)
-
-    def multiplicative(self) -> AstNode:
-        return self._binary_chain(("*", "/", "%"), self.unary)
-
-    _UNARY_NAME = {"*": "deref", "&": "addrof", "!": "not", "-": "neg"}
+    _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
 
     def unary(self) -> AstNode:
         tok = self.tok

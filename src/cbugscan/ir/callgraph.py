@@ -36,15 +36,16 @@ class CallGraph:
 
 def collect_calls(node: AstNode) -> list[AstNode]:
     """All Call nodes under `node`, post-order (inner calls first)."""
+    # Children pushed left to right are visited right to left; that
+    # mirrored preorder, reversed, is post-order.
     found: list[AstNode] = []
-
-    def walk(n: AstNode) -> None:
-        for child in n.children:
-            walk(child)
-        if n.kind is NodeKind.CALL:
-            found.append(n)
-
-    walk(node)
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur.kind is NodeKind.CALL:
+            found.append(cur)
+        stack.extend(cur.children)
+    found.reverse()
     return found
 
 

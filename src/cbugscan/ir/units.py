@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind
+from cbugscan.frontend.ast_nodes import AstNode, NodeKind, iter_tree
 from cbugscan.frontend.parser import parse
 from cbugscan.frontend.preprocess import preprocess_source
 from cbugscan.ir.callgraph import CallGraph, build_call_graph
@@ -50,19 +50,11 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
         params = [p.text for p in func.children[:-1]]
         unit.func_params[name] = params
         body = func.children[-1]
-        local_names = set(params)
-        _collect_locals(body, local_names)
-        unit.func_locals[name] = local_names
+        unit.func_locals[name] = set(params) | {
+            node.text for node in iter_tree(body) if node.kind is NodeKind.VAR_DECL}
         unit.cfgs[name] = build_cfg(func, ids)
     unit.call_graph = build_call_graph(unit.functions)
     return unit
-
-
-def _collect_locals(node: AstNode, into: set[str]) -> None:
-    if node.kind is NodeKind.VAR_DECL:
-        into.add(node.text)
-    for child in node.children:
-        _collect_locals(child, into)
 
 
 def load_unit(path: str, flags: tuple[str, ...] = (),

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -187,6 +188,23 @@ def test_dump_cfg_unknown_function(tmp_path, capsys):
     source = write(tmp_path, "a.c", CLEAN)
     assert main(["dump-cfg", source, "--function", "ghost"]) == 2
     assert "no function 'ghost'" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("cpp") is None, reason="needs a C preprocessor")
+def test_cpp_line_markers_keep_original_locations(tmp_path, capsys):
+    (tmp_path / "pp.h").write_text("/* pp.h */\n#define UNUSED 1\nint shared;\n")
+    source = write(tmp_path, "pp.c", '#include "pp.h"\nvoid f(void) {\n'
+                   "    mutex_lock(&m);\n}\n")
+    reports = []
+    for extra in ([], ["--preprocess", "cpp"]):
+        out_path = tmp_path / "report.json"
+        assert main(["check", source, "--checker", "automaton", *extra,
+                     "--format", "json", "--output", str(out_path)]) == 1
+        reports.append(json.loads(out_path.read_text()))
+    plain, preprocessed = reports
+    assert preprocessed == plain
+    assert [(s["file"], s["line"]) for s in plain[0]["steps"]] == [
+        (source, 3), (source, 4)]
 
 
 # -- report and triage -------------------------------------------------------------------

@@ -5,7 +5,7 @@ from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
 from cbugscan.config import AnalysisJob, SourceDescriptor, build_job
 from cbugscan.engine import JobResult, make_loader, run_job
 from cbugscan.errors import ConfigError
-from cbugscan.ir import UnitManager
+from cbugscan.ir import UnitManager, units
 from cbugscan.report import ErrorTrace, Importance, TraceStep, export_json
 
 DEAD_CODE = """
@@ -90,8 +90,24 @@ def test_unparseable_file_is_skipped_with_diagnostic(tmp_path):
     assert result.diagnostics[0].startswith(f"skipping {bad}: ")
 
 
-def test_crash_while_building_a_unit_is_isolated(tmp_path):
-    # 400 nested ifs exceed the parser's recursion depth
+def test_crash_while_building_a_unit_is_isolated(tmp_path, monkeypatch):
+    crash = write(tmp_path, "crash.c", CLEAN)
+    good = write(tmp_path, "good.c", DEAD_CODE)
+    real_build_cfg = units.build_cfg
+
+    def build_cfg(func, ids):
+        if func.location.file == crash:
+            raise ZeroDivisionError("boom")
+        return real_build_cfg(func, ids)
+
+    monkeypatch.setattr(units, "build_cfg", build_cfg)
+    result = run_job(job_for(tmp_path, [crash, good]))
+    assert [t.steps[0].location.file for t in result.traces] == [good]
+    assert result.diagnostics == [
+        f"skipping {crash}: internal error: ZeroDivisionError: boom"]
+
+
+def test_too_deep_nesting_is_a_located_diagnostic(tmp_path):
     depth = 400
     deep = write(tmp_path, "deep.c", "void f(int c) {\n"
                  + "if (c) {\n" * depth + "step();\n" + "}\n" * depth + "}\n")
@@ -99,9 +115,8 @@ def test_crash_while_building_a_unit_is_isolated(tmp_path):
     result = run_job(job_for(tmp_path, [deep, good]))
     assert [t.steps[0].location.file for t in result.traces] == [good]
     assert len(result.diagnostics) == 1
-    assert result.diagnostics[0].startswith(
-        f"skipping {deep}: internal error: RecursionError: ")
-    assert not re.search(r"\.c:\d", result.diagnostics[0])  # no location
+    assert re.fullmatch(rf"skipping {re.escape(deep)}: {re.escape(deep)}:\d+:\d+: "
+                        r"nesting too deep", result.diagnostics[0])
 
 
 class CrashingChecker(Checker):

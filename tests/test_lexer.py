@@ -53,6 +53,15 @@ def test_preprocessor_lines_skipped():
     assert texts(source) == ["x", ";", "y", ";"]
 
 
+def test_line_markers_set_the_next_line_and_file():
+    source = ('a\n# 7 "orig.c" 2\nb\n#line 20\nc\n'
+              '  #line 3 "x\\\\y.c"\nd\n#define N 9\ne')
+    assert [(t.text, t.location.file, t.location.line, t.location.column)
+            for t in tokenize(source, "t.c")] == [
+        ("a", "t.c", 1, 1), ("b", "orig.c", 7, 1), ("c", "orig.c", 20, 1),
+        ("d", "x\\y.c", 3, 1), ("e", "x\\y.c", 5, 1), ("", "x\\y.c", 5, 2)]
+
+
 def test_hex_and_decimal_literals():
     toks = tokenize("0x1F 42 0", "t.c")
     assert [(t.kind, t.text) for t in toks[:-1]] == [
@@ -102,3 +111,40 @@ def test_whitespace_never_changes_token_stream(names):
     left = [(t.kind, t.text) for t in tokenize(compact, "t.c")]
     right = [(t.kind, t.text) for t in tokenize(spaced, "t.c")]
     assert left == right
+
+
+# (source, metavars, expected): expected is the (kind, text, line, column)
+# list without the eof token, or the exact FrontendError text.
+_EDGE_CASES = [
+    # a '#' after a comment is still at line start
+    ("/* c */ #x\ny", False, [("ident", "y", 2, 1)]),
+    ("a # b", False, "t.c:1:3: unexpected character '#'"),
+    # a newline inside a comment does not start a line
+    ("a/*\n*/#z", False, "t.c:2:3: unexpected character '#'"),
+    ('"a\\\nb" c', False, [("string", '"a\\\nb"', 1, 1), ("ident", "c", 2, 4)]),
+    ("0x", False, [("int", "0x", 1, 1)]),
+    ("12ab", False, "t.c:1:1: malformed number near '12a'"),
+    ("0x1G", False, "t.c:1:1: malformed number near '0x1G'"),
+    ("a /* open", False, "t.c:1:3: unterminated comment"),
+    ("/*/", False, "t.c:1:1: unterminated comment"),
+    ('"abc', False, "t.c:1:1: unterminated string literal"),
+    ('"abc\nd"', False, "t.c:1:1: unterminated string literal"),
+    ('"\\', False, "t.c:1:1: unterminated string literal"),
+    ("%1", True, [("%", "%", 1, 1), ("int", "1", 1, 2)]),
+    ("\tx\r\ny", False, [("ident", "x", 1, 2), ("ident", "y", 2, 1)]),
+    ("é", False, "t.c:1:1: unexpected character 'é'"),
+    ("a*/", False, [("ident", "a", 1, 1), ("*", "*", 1, 2), ("/", "/", 1, 3)]),
+]
+
+
+@pytest.mark.parametrize("source,metavars,expected", _EDGE_CASES)
+def test_edge_cases(source, metavars, expected):
+    if isinstance(expected, str):
+        with pytest.raises(FrontendError) as err:
+            tokenize(source, "t.c", metavars)
+        assert str(err.value) == expected
+        return
+    toks = tokenize(source, "t.c", metavars)
+    assert toks[-1].kind == "eof"
+    assert [(t.kind, t.text, t.location.line, t.location.column)
+            for t in toks[:-1]] == expected

@@ -57,6 +57,24 @@ def test_relational_binds_tighter_than_equality():
     assert tree.children[0].text == "<"
 
 
+# C's binary operator levels, loosest first.
+_LEVELS = [("||",), ("&&",), ("==", "!="), ("<", ">", "<=", ">="), ("+", "-"),
+           ("*", "/", "%")]
+_LEVEL = {op: i for i, ops in enumerate(_LEVELS) for op in ops}
+
+
+@pytest.mark.parametrize("left", list(_LEVEL))
+def test_binary_precedence_and_left_associativity(left):
+    for right in _LEVEL:
+        source = f"a {left} b {right} c"
+        tree = expr(source)
+        if _LEVEL[left] >= _LEVEL[right]:
+            assert (tree.text, tree.children[0].text) == (right, left)
+        else:
+            assert (tree.text, tree.children[1].text) == (left, right)
+        assert to_text(tree) == source
+
+
 def test_assignment_right_associative():
     tree = expr("a = b = c")
     assert tree.kind is NodeKind.ASSIGN

@@ -34,6 +34,15 @@ def test_unit_indexes_functions_and_globals():
     assert unit.func_locals["f"] == {"a", "x"}
 
 
+def test_unit_builds_for_a_3000_term_sum():
+    # the sum's left spine is deeper than Python's recursion limit
+    sum_ = " + ".join(["x"] * 3000)
+    unit = build_unit_from_text(
+        f"void f(int x) {{ int y; x = {sum_}; g(h(x)); }}\n", "t.c")
+    assert unit.func_locals["f"] == {"x", "y"}
+    assert [e.callee for e in unit.call_graph.by_caller["f"]] == ["h", "g"]
+
+
 def test_load_unit_reads_file(tmp_path):
     p = tmp_path / "m.c"
     p.write_text("void hello() {}\n")
