@@ -20,13 +20,13 @@ context may legitimately complete the protocol.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 from cbugscan.checkers.base import (
     Checker,
     Services,
     config_lines,
+    forward_fixpoint,
     node_events,
     read_config,
 )
@@ -157,45 +157,37 @@ def render_message(template: str, texts: dict[str, str]) -> str:
 _ABSENT = "<absent>"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Instance:
     texts: dict[str, str]                          # first-sight bindings
     states: dict[str, tuple[TraceStep, ...]]       # state -> witness steps
-
-    def copy(self) -> "_Instance":
-        return _Instance(dict(self.texts), dict(self.states))
 
 
 _InstMap = dict[tuple[str, ...], _Instance]
 
 
-def _copy_map(instmap: _InstMap) -> _InstMap:
-    return {key: inst.copy() for key, inst in instmap.items()}
+def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
+    """The union of two instance maps, or None when `new` adds nothing.
 
-
-def _merge_into(dst: _InstMap, src: _InstMap) -> bool:
-    """Union src into dst; existing states keep their first witness.
-
-    An instance known on one side only also gains the absent
-    pseudo-state: some path into this point has not created it.
+    Keys and states already in `old` keep their place and witness; the
+    rest follow in `new`'s order. An instance only one side knows also
+    gains the absent pseudo-state: some path here has not created it.
     """
-    changed = False
-    for key, inst in src.items():
-        mine = dst.get(key)
+    merged = dict(old)
+    for key, inst in new.items():
+        mine = old.get(key)
         if mine is None:
-            dst[key] = inst.copy()
-            dst[key].states.setdefault(_ABSENT, ())
-            changed = True
+            merged[key] = _Instance(inst.texts, {**inst.states, _ABSENT: ()})
             continue
-        for state, witness in inst.states.items():
-            if state not in mine.states:
-                mine.states[state] = witness
-                changed = True
-    for key, mine in dst.items():
-        if key not in src and _ABSENT not in mine.states:
-            mine.states[_ABSENT] = ()
-            changed = True
-    return changed
+        added = {state: witness for state, witness in inst.states.items()
+                 if state not in mine.states}
+        if added:
+            merged[key] = _Instance(mine.texts, {**mine.states, **added})
+    for key, mine in old.items():
+        if key not in new and _ABSENT not in mine.states:
+            merged[key] = _Instance(mine.texts, {**mine.states, _ABSENT: ()})
+    # unchanged entries are the same objects, so this compares cheaply
+    return None if merged == old else merged
 
 
 def map_binding_text(expr: AstNode, frames: Context,
@@ -260,26 +252,19 @@ def _run_automaton(automaton: AutomatonDef,
                          lambda *match: match)
     for entry in unit.functions:
         graph = build_supergraph(unit, entry)
-        in_maps: dict[object, _InstMap] = {graph.entry: {}}
-        work = deque([graph.entry])
-        while work:
-            super_key = work.popleft()
+
+        def transfer(super_key, in_map: _InstMap) -> _InstMap:
             node = graph.cfg_node(super_key)
-            out = _transfer(automaton, unit, node, super_key[0],
-                            events(node), in_maps[super_key], emit)
-            for succ in graph.succs.get(super_key, []):
-                existing = in_maps.get(succ)
-                if existing is None:
-                    in_maps[succ] = _copy_map(out)
-                    work.append(succ)
-                elif _merge_into(existing, out):
-                    work.append(succ)
+            return _transfer(automaton, unit, node, super_key[0],
+                             events(node), in_map, emit)
+
+        in_maps = forward_fixpoint(
+            graph.entry, {}, lambda super_key: graph.succs.get(super_key, ()),
+            transfer, _merge)
 
         if not _is_call_graph_root(unit, entry):
             continue
-        exit_map = in_maps.get(graph.exit)
-        if exit_map is None:
-            continue
+        exit_map = in_maps.get(graph.exit, {})
         exit_node = graph.cfg_node(graph.exit)
         for key in sorted(exit_map):
             inst = exit_map[key]
@@ -300,15 +285,14 @@ def _transfer(automaton: AutomatonDef, unit: TranslationUnit,
               in_map: _InstMap, emit) -> _InstMap:
     if not events:
         return in_map
-    out = _copy_map(in_map)
+    out = dict(in_map)
     for pattern, subnode, bindings in events:
         texts = {name: map_binding_text(expr, frames, unit)
                  for name, expr in bindings.items()}
         key = tuple(sorted(texts.values()))
         inst = out.get(key)
         if inst is None:
-            inst = _Instance(dict(texts), {automaton.start: ()})
-            out[key] = inst
+            inst = _Instance(texts, {automaton.start: ()})
         new_states: dict[str, tuple[TraceStep, ...]] = {}
         for state, witness in inst.states.items():
             if state == _ABSENT:
@@ -327,5 +311,5 @@ def _transfer(automaton: AutomatonDef, unit: TranslationUnit,
                 new_states.setdefault(target, witness + (step,))
             else:
                 new_states.setdefault(state, witness)
-        inst.states = new_states
+        out[key] = _Instance(inst.texts, new_states)
     return out

@@ -11,8 +11,9 @@ from __future__ import annotations
 import importlib.resources
 import shlex
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode
@@ -22,6 +23,8 @@ from cbugscan.patterns import Bindings, Pattern, PatternIndex
 from cbugscan.report import ErrorTrace
 
 Event = TypeVar("Event")
+Key = TypeVar("Key", bound=Hashable)
+Fact = TypeVar("Fact")
 
 
 @dataclass(eq=False)
@@ -89,6 +92,35 @@ def node_events(
         return found
 
     return events
+
+
+def forward_fixpoint(
+        start: Key, initial: Fact,
+        successors: Callable[[Key], Iterable[Key]],
+        transfer: Callable[[Key, Fact], Fact],
+        join: Callable[[Fact, Fact], Fact | None],
+) -> dict[Key, Fact]:
+    """The in-fact of every key reachable from `start`, by one FIFO
+    worklist (Kildall, POPL'73). `transfer(key, in_fact)` is the key's
+    out-fact. The first fact to reach a key is stored as it is; later
+    ones go through `join(old, incoming)`, which returns the joined fact
+    or None when `incoming` adds nothing, and only a joined fact queues
+    the key again. Facts are never mutated, so keys may share one."""
+    facts = {start: initial}
+    work = deque([start])
+    while work:
+        key = work.popleft()
+        out = transfer(key, facts[key])
+        for succ in successors(key):
+            if succ not in facts:
+                facts[succ] = out
+            else:
+                joined = join(facts[succ], out)
+                if joined is None:
+                    continue
+                facts[succ] = joined
+            work.append(succ)
+    return facts
 
 
 @dataclass(frozen=True)

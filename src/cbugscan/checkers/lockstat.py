@@ -12,7 +12,6 @@ with the lock held. The analysis is local to one function's CFG.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -21,6 +20,7 @@ from cbugscan.checkers.base import (
     Checker,
     Services,
     config_lines,
+    forward_fixpoint,
     node_events,
     read_config,
 )
@@ -130,9 +130,11 @@ class LockstatChecker(Checker):
                 subnode.location))
 
     @staticmethod
-    def _apply(events: list[_Event], held: set[str], record) -> None:
-        """Record accesses against the running held set, and apply
-        lock/unlock events to it in place."""
+    def _apply(events: list[_Event], in_set: frozenset[str],
+               record=None) -> frozenset[str]:
+        """The held set after a node's events, starting from `in_set`;
+        each access is passed to `record` with the set held at it."""
+        held = set(in_set)
         for kind, text, location in events:
             if kind is _ACCESS:
                 if record is not None:
@@ -141,6 +143,7 @@ class LockstatChecker(Checker):
                 held.add(text)
             else:
                 held.discard(text)
+        return frozenset(held)
 
     def _collect_accesses(
             self, cfg: Cfg,
@@ -148,33 +151,19 @@ class LockstatChecker(Checker):
     ) -> list[_Access]:
         events = events or self._node_events()
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the
-        # first propagation copies the incoming set, later ones narrow
-        # it by intersection, which converges to the same fixpoint as
+        # first set to arrive is taken as it is, later ones narrow it by
+        # intersection, which converges to the same fixpoint as
         # initializing every non-entry node to the full lock universe.
-        in_sets: dict[int, set[str]] = {cfg.entry: set()}
-        reachable: set[int] = {cfg.entry}
-        work = deque([cfg.entry])
-        while work:
-            node_id = work.popleft()
-            out = set(in_sets[node_id])
-            self._apply(events(cfg.nodes[node_id]), out, record=None)
-            for edge in cfg.successors(node_id):
-                succ = edge.target
-                if succ not in reachable:
-                    reachable.add(succ)
-                    in_sets[succ] = set(out)
-                    work.append(succ)
-                else:
-                    narrowed = in_sets[succ] & out
-                    if narrowed != in_sets[succ]:
-                        in_sets[succ] = narrowed
-                        work.append(succ)
+        in_sets = forward_fixpoint(
+            cfg.entry, frozenset(),
+            lambda node_id: [edge.target for edge in cfg.successors(node_id)],
+            lambda node_id, held: self._apply(events(cfg.nodes[node_id]), held),
+            lambda old, new: None if old <= new else old & new)
 
         accesses: list[_Access] = []
-        for node_id in sorted(reachable):
-            held = set(in_sets[node_id])
-            self._apply(events(cfg.nodes[node_id]), held,
-                        record=accesses.append)
+        for node_id in sorted(in_sets):
+            self._apply(events(cfg.nodes[node_id]), in_sets[node_id],
+                        accesses.append)
         return accesses
 
     def _report(self, accesses: list[_Access]) -> list[ErrorTrace]:

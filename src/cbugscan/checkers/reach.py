@@ -10,9 +10,7 @@ meant.
 
 from __future__ import annotations
 
-from collections import deque
-
-from cbugscan.checkers.base import Checker, Services
+from cbugscan.checkers.base import Checker, Services, forward_fixpoint
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind, iter_tree, statement_text
 from cbugscan.ir.cfg import Cfg
@@ -21,15 +19,11 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 
 def reachable_nodes(cfg: Cfg) -> set[int]:
-    seen = {cfg.entry}
-    work = deque([cfg.entry])
-    while work:
-        node_id = work.popleft()
-        for edge in cfg.successors(node_id):
-            if edge.target not in seen:
-                seen.add(edge.target)
-                work.append(edge.target)
-    return seen
+    # a constant fact that is not None, since None means "no change"
+    return set(forward_fixpoint(
+        cfg.entry, True,
+        lambda node_id: [edge.target for edge in cfg.successors(node_id)],
+        lambda _node_id, fact: fact, lambda _old, _new: None))
 
 
 def dead_leaders(cfg: Cfg) -> list[int]:

@@ -13,7 +13,6 @@ anything, every defined function (conservative).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,6 +20,7 @@ from cbugscan.checkers.base import (
     Checker,
     Services,
     config_lines,
+    forward_fixpoint,
     node_events,
     read_config,
 )
@@ -175,7 +175,7 @@ def build_dependency_graph(
     seen: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
 
     # dataflow value: frozenset of (lock key, acquisition location)
-    def transfer(in_set: frozenset, super_key) -> frozenset:
+    def transfer(super_key, in_set: frozenset) -> frozenset:
         found = events(graph.cfg_node(super_key))
         if not found:
             return in_set
@@ -196,16 +196,10 @@ def build_dependency_graph(
             current.add((key, location))
         return frozenset(current)
 
-    in_sets = {graph.entry: frozenset()}
-    work = deque([graph.entry])
-    while work:
-        super_key = work.popleft()
-        out = transfer(in_sets[super_key], super_key)
-        for succ in graph.succs.get(super_key, []):
-            merged = in_sets.get(succ, frozenset()) | out
-            if succ not in in_sets or merged != in_sets[succ]:
-                in_sets[succ] = merged
-                work.append(succ)
+    forward_fixpoint(
+        graph.entry, frozenset(),
+        lambda super_key: graph.succs.get(super_key, ()), transfer,
+        lambda old, new: None if new <= old else old | new)
     return edges
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 = clean run, 1 = at least one error-importance finding,
-2 = usage, configuration, or frontend failure.
+2 = usage, configuration, or frontend failure, 3 = internal error: any
+other exception, reported as `cbugscan: internal error: TYPE: message`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ def main(argv: list[str] | None = None) -> int:
     except CbugscanError as exc:
         sys.stderr.write(f"cbugscan: {exc}\n")
         return 2
+    except Exception as exc:  # a crash is never a finding
+        sys.stderr.write(
+            f"cbugscan: internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def _cmd_check(argv: list[str]) -> int:

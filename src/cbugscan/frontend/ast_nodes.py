@@ -191,17 +191,17 @@ def dump_sexpr(root: AstNode) -> str:
     Each line reads `(Kind "text" file:line:col` followed by indented
     children, closing parentheses accumulating on the last line.
     """
-    lines = _dump(root, 0)
+    lines: list[str] = []
+    stack = [(root, 0, 0)]  # (node, depth, ancestors its last line closes)
+    while stack:
+        node, depth, closes = stack.pop()
+        head = (f"{'  ' * depth}({node.kind.value} {json.dumps(node.text)} "
+                f"{node.location}")
+        children = node.children
+        if not children:
+            lines.append(head + ")" * (closes + 1))
+            continue
+        lines.append(head)
+        stack.append((children[-1], depth + 1, closes + 1))
+        stack.extend((child, depth + 1, 0) for child in reversed(children[:-1]))
     return "\n".join(lines)
-
-
-def _dump(node: AstNode, depth: int) -> list[str]:
-    pad = "  " * depth
-    head = f"{pad}({node.kind.value} {json.dumps(node.text)} {node.location}"
-    if not node.children:
-        return [head + ")"]
-    lines = [head]
-    for child in node.children:
-        lines.extend(_dump(child, depth + 1))
-    lines[-1] += ")"
-    return lines

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,8 @@ import textwrap
 
 import pytest
 
+import cbugscan
+from cbugscan import cli
 from cbugscan.cli import main
 from cbugscan.report import traces_from_json
 
@@ -190,6 +193,31 @@ def test_dump_cfg_unknown_function(tmp_path, capsys):
     assert "no function 'ghost'" in capsys.readouterr().err
 
 
+def test_dump_ast_of_a_3000_term_sum(tmp_path, capsys):
+    terms = " + ".join(["x"] * 3000)
+    source = write(tmp_path, "sum.c",
+                   f"int f(int x) {{ x = {terms}; return x; }}\n")
+    assert main(["dump-ast", source]) == 0
+    out = capsys.readouterr().out
+    assert out.count('(BinaryOp "+"') == 2999
+    assert out.count("(") == out.count(")")
+
+
+# -- internal errors ---------------------------------------------------------------
+
+def test_internal_error_exits_three_without_traceback(tmp_path, capsys,
+                                                      monkeypatch):
+    def crash(job):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "run_job", crash)
+    source = write(tmp_path, "a.c", CLEAN)
+    assert main(["check", source, "--checker", "reach"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "cbugscan: internal error: ZeroDivisionError: boom\n"
+
+
 @pytest.mark.skipif(shutil.which("cpp") is None, reason="needs a C preprocessor")
 def test_cpp_line_markers_keep_original_locations(tmp_path, capsys):
     (tmp_path / "pp.h").write_text("/* pp.h */\n#define UNUSED 1\nint shared;\n")
@@ -285,7 +313,11 @@ def test_report_empty_journal(tmp_path, capsys):
 # -- installed entry point -----------------------------------------------------------
 
 def test_console_script_help():
+    # the fresh interpreter imports the same cbugscan this test did
+    src = os.path.dirname(os.path.dirname(cbugscan.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "cbugscan.cli", "help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: cbugscan COMMAND")
