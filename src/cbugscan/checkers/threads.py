@@ -216,33 +216,48 @@ def combine_graphs(graphs: list[LockOrderGraph]) -> LockOrderGraph:
 def elementary_cycles(edges: LockOrderGraph,
                       cap: int = DEFAULT_MAX_CYCLES) -> list[tuple[str, ...]]:
     """Every elementary cycle, as a node tuple rotated so its
-    lexicographically smallest key comes first; enumeration stops at cap."""
+    lexicographically smallest key comes first; enumeration stops at cap.
+
+    Cycles are listed by smallest key, then in depth-first order over
+    sorted successors. From each start the search enters only nodes above
+    it that can get back to it through nodes above it, so it never enters
+    a branch that cannot close a cycle."""
     adjacency: dict[str, list[str]] = {}
+    reverse: dict[str, list[str]] = {}
     for a, b in edges:
         adjacency.setdefault(a, []).append(b)
+        reverse.setdefault(b, []).append(a)
     for targets in adjacency.values():
         targets.sort()
 
     cycles: list[tuple[str, ...]] = []
-
-    def search(start: str, current: str, path: list[str],
-               on_path: set[str]) -> None:
-        if len(cycles) >= cap:
-            return
-        for target in adjacency.get(current, ()):
-            if target == start and len(path) >= 2:
-                cycles.append(tuple(path))
-                if len(cycles) >= cap:
-                    return
-            elif target > start and target not in on_path:
-                on_path.add(target)
-                path.append(target)
-                search(start, target, path, on_path)
-                path.pop()
-                on_path.remove(target)
-
     for start in sorted(adjacency):
-        search(start, start, [start], {start})
+        if len(cycles) >= cap:
+            break
+        closing: set[str] = set()
+        todo = [start]
+        while todo:
+            for source in reverse.get(todo.pop(), ()):
+                if source > start and source not in closing:
+                    closing.add(source)
+                    todo.append(source)
+        path = [start]
+        on_path: set[str] = set()
+        pending = [iter(adjacency[start])]
+        while pending:
+            for target in pending[-1]:
+                if target == start and len(path) >= 2:
+                    cycles.append(tuple(path))
+                    if len(cycles) >= cap:
+                        return cycles
+                elif target in closing and target not in on_path:
+                    path.append(target)
+                    on_path.add(target)
+                    pending.append(iter(adjacency.get(target, ())))
+                    break
+            else:
+                pending.pop()
+                on_path.discard(path.pop())
     return cycles
 
 

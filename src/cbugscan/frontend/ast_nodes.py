@@ -94,6 +94,7 @@ def structurally_equal(a: AstNode, b: AstNode) -> bool:
     return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
 
 
+_LEAF_KINDS = frozenset({NodeKind.IDENTIFIER, NodeKind.INT_LITERAL, NodeKind.STRING_LITERAL})
 _PREC_ASSIGN = 1
 _PREC_UNARY = 8
 _PREC_POSTFIX = 9
@@ -116,42 +117,53 @@ def to_text(node: AstNode) -> str:
     Parenthesization is normalized: structurally equal trees always render
     to the same string, which makes the output usable as a map key.
     """
-    return _fmt(node, 0)
-
-
-def _fmt(node: AstNode, ctx: int) -> str:
-    kind = node.kind
-    if kind in (NodeKind.IDENTIFIER, NodeKind.INT_LITERAL, NodeKind.STRING_LITERAL):
-        return node.text
-    if kind is NodeKind.META_VAR:
-        return "%" + node.text
-    if kind is NodeKind.ASSIGN:
-        prec = _PREC_ASSIGN
-        text = (f"{_fmt(node.children[0], _PREC_ASSIGN + 1)} = "
-                f"{_fmt(node.children[1], _PREC_ASSIGN)}")
-    elif kind is NodeKind.BINARY_OP:
-        prec = BINARY_PRECEDENCE[node.text]
-        text = (f"{_fmt(node.children[0], prec)} {node.text} "
-                f"{_fmt(node.children[1], prec + 1)}")
-    elif kind is NodeKind.UNARY_OP:
-        prec = _PREC_UNARY
-        text = UNARY_SYMBOL[node.text] + _fmt(node.children[0], _PREC_UNARY)
-    elif kind is NodeKind.CALL:
-        prec = _PREC_POSTFIX
-        args = ", ".join(_fmt(a, _PREC_ASSIGN) for a in node.children[1:])
-        text = f"{_fmt(node.children[0], _PREC_POSTFIX)}({args})"
-    elif kind is NodeKind.MEMBER:
-        prec = _PREC_POSTFIX
-        op = "->" if node.text == "arrow" else "."
-        text = f"{_fmt(node.children[0], _PREC_POSTFIX)}{op}{node.children[1].text}"
-    elif kind is NodeKind.INDEX:
-        prec = _PREC_POSTFIX
-        text = f"{_fmt(node.children[0], _PREC_POSTFIX)}[{_fmt(node.children[1], 0)}]"
-    else:
-        raise ValueError(f"not an expression node: {kind.value}")
-    if prec < ctx:
-        return f"({text})"
-    return text
+    out: list[str] = []
+    # pending pieces, next one last: text, or (subtree, context precedence)
+    stack: list = [(node, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, ctx = item
+        kind = node.kind
+        if kind in _LEAF_KINDS:
+            out.append(node.text)
+            continue
+        if kind is NodeKind.META_VAR:
+            out.append("%" + node.text)
+            continue
+        children = node.children
+        if kind is NodeKind.BINARY_OP:
+            prec = BINARY_PRECEDENCE[node.text]
+            pieces = ((children[0], prec), f" {node.text} ", (children[1], prec + 1))
+        elif kind is NodeKind.CALL:
+            prec = _PREC_POSTFIX
+            pieces = [(children[0], _PREC_POSTFIX), "("]
+            for i, arg in enumerate(children[1:]):
+                if i:
+                    pieces.append(", ")
+                pieces.append((arg, _PREC_ASSIGN))
+            pieces.append(")")
+        elif kind is NodeKind.MEMBER:
+            prec = _PREC_POSTFIX
+            op = "->" if node.text == "arrow" else "."
+            pieces = ((children[0], _PREC_POSTFIX), op + children[1].text)
+        elif kind is NodeKind.UNARY_OP:
+            prec = _PREC_UNARY
+            pieces = (UNARY_SYMBOL[node.text], (children[0], _PREC_UNARY))
+        elif kind is NodeKind.ASSIGN:
+            prec = _PREC_ASSIGN
+            pieces = ((children[0], _PREC_ASSIGN + 1), " = ", (children[1], _PREC_ASSIGN))
+        elif kind is NodeKind.INDEX:
+            prec = _PREC_POSTFIX
+            pieces = ((children[0], _PREC_POSTFIX), "[", (children[1], 0), "]")
+        else:
+            raise ValueError(f"not an expression node: {kind.value}")
+        if prec < ctx:
+            pieces = ("(", *pieces, ")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
 
 def statement_text(node: AstNode) -> str:

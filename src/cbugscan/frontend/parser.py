@@ -99,32 +99,30 @@ class _Parser:
             items.append(self.top_level())
         return AstNode(NodeKind.TRANSLATION_UNIT, root_loc, children=tuple(items))
 
-    def type_spec(self) -> tuple[str, SourceLocation]:
+    def declarator(self) -> tuple[Token, str, SourceLocation]:
+        """`TYPE *... NAME`: the name token, the declared type spelling and
+        the location of the type."""
         tok = self.tok
         if tok.kind in ("int", "void", "char"):
             self.pos += 1
-            return tok.text, tok.location
-        if tok.kind == "struct":
+            ctype = tok.text
+        elif tok.kind == "struct":
             self.pos += 1
-            name = self.expect("ident")
+            ctype = f"struct {self.expect('ident').text}"
             if self.at("{"):
                 self.fail("struct definitions are not supported; declare variables of 'struct NAME' type instead")
-            return f"struct {name.text}", tok.location
-        raise self.fail(f"expected a type, found {tok.text or tok.kind!r}")
-
-    def _stars(self) -> int:
-        depth = 0
+        else:
+            raise self.fail(f"expected a type, found {tok.text or tok.kind!r}")
+        stars = ""
         while self.accept("*"):
-            depth += 1
-        return depth
+            stars += "*"
+        return (self.expect("ident"), f"{ctype} {stars}" if stars else ctype,
+                tok.location)
 
     def top_level(self) -> AstNode:
         if self.tok.kind not in _TYPE_STARTERS:
             self.fail("expected a declaration or function definition")
-        base, loc = self.type_spec()
-        stars = self._stars()
-        name = self.expect("ident")
-        ctype = base + (" " + "*" * stars if stars else "")
+        name, ctype, loc = self.declarator()
         if self.at("("):
             return self.function_def(name, ctype, loc)
         return self.var_decl_tail(name, ctype, loc)
@@ -150,10 +148,7 @@ class _Parser:
                        children=tuple(params) + (body,), ctype=ctype)
 
     def param_decl(self) -> AstNode:
-        base, loc = self.type_spec()
-        stars = self._stars()
-        name = self.expect("ident")
-        ctype = base + (" " + "*" * stars if stars else "")
+        name, ctype, loc = self.declarator()
         return AstNode(NodeKind.PARAM_DECL, loc, text=name.text, ctype=ctype)
 
     def var_decl_tail(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
@@ -217,11 +212,7 @@ class _Parser:
             self.expect(";")
             return AstNode(NodeKind.CONTINUE, tok.location)
         if kind in _TYPE_STARTERS:
-            base, loc = self.type_spec()
-            stars = self._stars()
-            name = self.expect("ident")
-            ctype = base + (" " + "*" * stars if stars else "")
-            return self.var_decl_tail(name, ctype, loc)
+            return self.var_decl_tail(*self.declarator())
         if kind == "ident" and self.peek().kind == ":":
             self.pos += 2
             inner = self.statement()

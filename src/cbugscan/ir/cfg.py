@@ -3,10 +3,14 @@
 Every statement maps to exactly one node. Structured statements dissolve:
 an `if`/`while`/`for` contributes a condition node plus its body nodes,
 and branches connect straight to the following statement (or the exit)
-rather than through synthetic join nodes. Literal integer conditions
-(`while (1)`, `if (0)`) are lowered as single-successor statement nodes,
-so genuine condition nodes always carry exactly one true and one false
-edge.
+rather than through synthetic join nodes. Node ids follow source order,
+dead branches included, except that a `for` step follows its body.
+
+`_CfgBuilder.branch` is the one rule for conditions: it returns the
+deciding node with its true and false exits. A literal integer condition
+(`while (1)`, `if (0)`) or the missing condition of `for (;;)` becomes a
+statement node with only the exit it takes, so genuine condition nodes
+always carry exactly one true and one false edge.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ class Cfg:
 # Dangling edge sources produced while lowering: (node id, edge label).
 _Frontier = list[tuple[int, "str | None"]]
 
+# Statements that lower to one node of their own.
+_SINGLE_NODE = frozenset({
+    NodeKind.VAR_DECL, NodeKind.EXPR_STATEMENT, NodeKind.EMPTY_STATEMENT,
+    NodeKind.RETURN, NodeKind.GOTO, NodeKind.BREAK, NodeKind.CONTINUE,
+})
+
 
 def build_cfg(func: AstNode, ids: Iterator[int]) -> Cfg:
     """Lower one FunctionDef to its CFG. `ids` allocates unit-unique node ids."""
@@ -81,7 +91,9 @@ class _CfgBuilder:
         self.succs: dict[int, list[CfgEdge]] = {}
         self.labels: dict[str, int] = {}
         self.gotos: list[tuple[int, str, SourceLocation]] = []
-        self.loop_stack: list[dict[str, _Frontier]] = []
+        # dangling break/continue edges of the innermost loop, None outside
+        self.breaks: _Frontier | None = None
+        self.continues: _Frontier | None = None
         self.exit_id = -1
 
     def build(self) -> Cfg:
@@ -137,6 +149,23 @@ class _CfgBuilder:
 
     def lower(self, stmt: AstNode, preds: _Frontier) -> tuple[int | None, _Frontier]:
         kind = stmt.kind
+        if kind in _SINGLE_NODE:
+            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
+            self.connect(preds, node)
+            if kind is NodeKind.RETURN:
+                self.add_edge(node, self.exit_id, None)
+            elif kind is NodeKind.GOTO:
+                self.gotos.append((node, stmt.text, stmt.location))
+            elif kind is NodeKind.BREAK or kind is NodeKind.CONTINUE:
+                jumps = self.breaks if kind is NodeKind.BREAK else self.continues
+                if jumps is None:
+                    raise FrontendError(
+                        f"{kind.value.lower()!r} outside of a loop", stmt.location)
+                jumps.append((node, None))
+            else:
+                return node, [(node, None)]
+            return node, []
+
         if kind is NodeKind.BLOCK:
             head = None
             cur = preds
@@ -146,22 +175,15 @@ class _CfgBuilder:
                     head = child_head
             return head, cur
 
-        if kind in (NodeKind.VAR_DECL, NodeKind.EXPR_STATEMENT, NodeKind.EMPTY_STATEMENT):
-            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
-            self.connect(preds, node)
-            return node, [(node, None)]
+        if kind is NodeKind.IF:
+            head, on_true, on_false = self.branch(stmt.children[0], preds)
+            _, out = self.lower(stmt.children[1], on_true)
+            if len(stmt.children) == 3:
+                _, on_false = self.lower(stmt.children[2], on_false)
+            return head, out + on_false
 
-        if kind is NodeKind.RETURN:
-            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
-            self.connect(preds, node)
-            self.add_edge(node, self.exit_id, None)
-            return node, []
-
-        if kind is NodeKind.GOTO:
-            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
-            self.connect(preds, node)
-            self.gotos.append((node, stmt.text, stmt.location))
-            return node, []
+        if kind is NodeKind.WHILE or kind is NodeKind.FOR:
+            return self.lower_loop(stmt, preds)
 
         if kind is NodeKind.LABEL:
             # Labels are transparent: the label resolves to the head of the
@@ -177,130 +199,50 @@ class _CfgBuilder:
             self.labels[stmt.text] = head
             return head, out
 
-        if kind is NodeKind.BREAK:
-            if not self.loop_stack:
-                raise FrontendError("'break' outside of a loop", stmt.location)
-            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
-            self.connect(preds, node)
-            self.loop_stack[-1]["breaks"].append((node, None))
-            return node, []
-
-        if kind is NodeKind.CONTINUE:
-            if not self.loop_stack:
-                raise FrontendError("'continue' outside of a loop", stmt.location)
-            node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
-            self.connect(preds, node)
-            self.loop_stack[-1]["continues"].append((node, None))
-            return node, []
-
-        if kind is NodeKind.IF:
-            return self.lower_if(stmt, preds)
-        if kind is NodeKind.WHILE:
-            return self.lower_while(stmt, preds)
-        if kind is NodeKind.FOR:
-            return self.lower_for(stmt, preds)
-
         raise FrontendError(f"cannot lower {kind.value} to CFG", stmt.location)
 
-    @staticmethod
-    def _const_value(cond: AstNode) -> int | None:
-        if cond.kind is NodeKind.INT_LITERAL:
-            return int(cond.text, 0)
-        return None
+    def branch(self, cond: AstNode, preds: _Frontier) -> tuple[int, _Frontier, _Frontier]:
+        """The node that decides `cond`, and its true and false exits.
 
-    def lower_if(self, stmt: AstNode, preds: _Frontier) -> tuple[int | None, _Frontier]:
-        cond = stmt.children[0]
-        then = stmt.children[1]
-        els = stmt.children[2] if len(stmt.children) == 3 else None
-        const = self._const_value(cond)
-
-        if const is None:
-            cnode = self.new_node(CfgNodeKind.CONDITION, cond, cond.location)
-            self.connect(preds, cnode)
-            _, out_then = self.lower(then, [(cnode, "true")])
-            if els is not None:
-                _, out_else = self.lower(els, [(cnode, "false")])
-            else:
-                out_else = [(cnode, "false")]
-            return cnode, out_then + out_else
-
-        cnode = self.new_node(CfgNodeKind.STATEMENT, cond, cond.location)
-        self.connect(preds, cnode)
-        taken, untaken = (then, els) if const != 0 else (els, then)
-        out = [(cnode, None)]
-        if taken is not None:
-            _, out = self.lower(taken, [(cnode, None)])
-        if untaken is not None:
-            _, dead_out = self.lower(untaken, [])
-            out = out + dead_out
-        return cnode, out
-
-    def lower_while(self, stmt: AstNode, preds: _Frontier) -> tuple[int | None, _Frontier]:
-        cond, body = stmt.children
-        const = self._const_value(cond)
-        frame: dict[str, _Frontier] = {"breaks": [], "continues": []}
-        self.loop_stack.append(frame)
-
-        if const is None:
-            head = self.new_node(CfgNodeKind.CONDITION, cond, cond.location)
-            self.connect(preds, head)
-            _, body_out = self.lower(body, [(head, "true")])
-            exits: _Frontier = [(head, "false")]
-        else:
+        A literal condition, or the empty condition of `for (;;)`, is a
+        statement node with only the exit it takes."""
+        if cond.kind is NodeKind.EMPTY_STATEMENT or cond.kind is NodeKind.INT_LITERAL:
             head = self.new_node(CfgNodeKind.STATEMENT, cond, cond.location)
-            self.connect(preds, head)
-            if const != 0:
-                _, body_out = self.lower(body, [(head, None)])
-                exits = []
-            else:
-                _, body_out = self.lower(body, [])
-                exits = [(head, None)]
-        self.connect(body_out, head)
-        self.loop_stack.pop()
-        self.connect(frame["continues"], head)
-        return head, exits + frame["breaks"]
+            holds = cond.kind is NodeKind.EMPTY_STATEMENT or int(cond.text, 0) != 0
+            taken: _Frontier = [(head, None)]
+            on_true, on_false = (taken, []) if holds else ([], taken)
+        else:
+            head = self.new_node(CfgNodeKind.CONDITION, cond, cond.location)
+            on_true, on_false = [(head, "true")], [(head, "false")]
+        self.connect(preds, head)
+        return head, on_true, on_false
 
-    def lower_for(self, stmt: AstNode, preds: _Frontier) -> tuple[int | None, _Frontier]:
-        init, cond, step, body = stmt.children
+    def lower_loop(self, stmt: AstNode, preds: _Frontier) -> tuple[int | None, _Frontier]:
+        """`while (cond) body` or `for (init; cond; step) body`. The loop
+        exits through the false exit of `cond` and the body's breaks; the
+        body's fall-through and its continues go to the step, if any, and
+        then back to `cond`."""
         first = None
-        cur = preds
-        if init.kind is not NodeKind.EMPTY_STATEMENT:
-            first, cur = self.lower(init, cur)
-
-        has_cond = cond.kind is not NodeKind.EMPTY_STATEMENT
-        const = self._const_value(cond) if has_cond else 1
-
-        if has_cond and const is None:
-            head = self.new_node(CfgNodeKind.CONDITION, cond, cond.location)
-            body_preds: _Frontier = [(head, "true")]
-            exits: _Frontier = [(head, "false")]
+        if stmt.kind is NodeKind.FOR:
+            init, cond, step, body = stmt.children
+            if init.kind is not NodeKind.EMPTY_STATEMENT:
+                first, preds = self.lower(init, preds)
         else:
-            # cond is the EmptyStatement placeholder when absent
-            head = self.new_node(CfgNodeKind.STATEMENT, cond, cond.location)
-            if const != 0:
-                body_preds = [(head, None)]
-                exits = []
-            else:
-                body_preds = []
-                exits = [(head, None)]
-        self.connect(cur, head)
-        if first is None:
-            first = head
+            (cond, body), step = stmt.children, None
+        head, on_true, on_false = self.branch(cond, preds)
 
-        frame: dict[str, _Frontier] = {"breaks": [], "continues": []}
-        self.loop_stack.append(frame)
-        _, body_out = self.lower(body, body_preds)
-        self.loop_stack.pop()
+        outer = self.breaks, self.continues
+        self.breaks, self.continues = [], []
+        _, out = self.lower(body, on_true)
+        breaks, continues = self.breaks, self.continues
+        self.breaks, self.continues = outer
 
-        if step.kind is not NodeKind.EMPTY_STATEMENT:
-            snode = self.new_node(CfgNodeKind.STATEMENT, step, step.location)
-            self.connect(body_out, snode)
-            self.connect(frame["continues"], snode)
-            self.add_edge(snode, head, None)
-        else:
-            self.connect(body_out, head)
-            self.connect(frame["continues"], head)
-        return first, exits + frame["breaks"]
+        latch = head
+        if step is not None and step.kind is not NodeKind.EMPTY_STATEMENT:
+            latch = self.new_node(CfgNodeKind.STATEMENT, step, step.location)
+            self.add_edge(latch, head, None)
+        self.connect(out + continues, latch)
+        return head if first is None else first, on_false + breaks
 
 
 def cfg_to_dot(cfg: Cfg) -> str:

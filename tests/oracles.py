@@ -82,6 +82,42 @@ def all_cycles(edges: set[tuple[str, str]]) -> set[tuple[str, ...]]:
     return found
 
 
+def unpruned_cycles(edges, cap: int) -> list[tuple[str, ...]]:
+    """Elementary cycles in the order `threads.elementary_cycles` lists
+    them, by a recursive search over every simple path from each start.
+
+    Exponential even on acyclic graphs; the reference for output order
+    and the `cap` cut.
+    """
+    adjacency: dict[str, list[str]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, []).append(b)
+    for targets in adjacency.values():
+        targets.sort()
+
+    cycles: list[tuple[str, ...]] = []
+
+    def search(start: str, current: str, path: list[str],
+               on_path: set[str]) -> None:
+        if len(cycles) >= cap:
+            return
+        for target in adjacency.get(current, ()):
+            if target == start and len(path) >= 2:
+                cycles.append(tuple(path))
+                if len(cycles) >= cap:
+                    return
+            elif target > start and target not in on_path:
+                on_path.add(target)
+                path.append(target)
+                search(start, target, path, on_path)
+                path.pop()
+                on_path.remove(target)
+
+    for start in sorted(adjacency):
+        search(start, start, [start], {start})
+    return cycles
+
+
 # -- reachability -------------------------------------------------------------
 
 def bfs_reachable(succs: dict[int, list[int]], start: int) -> set[int]:

@@ -1,3 +1,4 @@
+import sys
 import textwrap
 
 import pytest
@@ -80,6 +81,22 @@ def test_if_zero_branch_never_taken():
     assert (2, 3, None) not in edges      # dead() not entered from the test
     assert cfg.preds[3] == ()             # dead() has no predecessors
     assert (3, 4, None) in edges          # but still falls through if reached
+
+
+def test_ids_follow_source_order_in_a_dead_then_branch():
+    cfg = cfg_of("void f() { if (0) a(); else b(); c(); }")
+    nodes, edges = shape(cfg)
+    assert nodes == [
+        (0, "entry", "<entry>"),
+        (1, "exit", "<exit>"),
+        (2, "statement", "0"),
+        (3, "statement", "a();"),
+        (4, "statement", "b();"),
+        (5, "statement", "c();"),
+    ]
+    assert edges == [(0, 2, None), (2, 4, None), (3, 5, None), (4, 5, None),
+                     (5, 1, None)]
+    assert cfg.preds[3] == ()
 
 
 def test_for_loop_continue_goes_to_step():
@@ -302,6 +319,45 @@ def test_reachability_matches_bfs_oracle(source):
                 seen.add(edge.target)
                 stack.append(edge.target)
     assert seen == oracle
+
+
+# -- nesting near the parser's limit ------------------------------------------------
+
+NESTS = {
+    "if": lambda d: "if (c) " * d + "x();",
+    "if/else": lambda d: "if (c) x(); else " * d + "x();",
+    "while": lambda d: "while (c) " * d + "x();",
+    "for": lambda d: "for (i = 0; c; i = 1) " * d + "x();",
+    "block": lambda d: "{ " * d + "x();" + " }" * d,
+    "label": lambda d: "".join(f"l{i}: " for i in range(d)) + "x();",
+}
+
+
+def build_nest(nest, depth):
+    """The unit, or None when the parser rejects it as too deep."""
+    source = f"void f(int c) {{ int i; {NESTS[nest](depth)} }}"
+    try:
+        return build_unit_from_text(source, "t.c")
+    except FrontendError as exc:
+        assert exc.message == "nesting too deep"
+        return None
+
+
+@pytest.mark.parametrize("nest", sorted(NESTS))
+def test_nesting_near_the_parser_limit_builds_or_is_too_deep(nest):
+    # CFG lowering recurses too, but never deeper than the parser did.
+    # Each nesting level costs the parser at least one frame.
+    builds, fails = 1, sys.getrecursionlimit()
+    assert build_nest(nest, builds) is not None
+    assert build_nest(nest, fails) is None
+    while fails - builds > 1:
+        middle = (builds + fails) // 2
+        if build_nest(nest, middle) is None:
+            fails = middle
+        else:
+            builds = middle
+    for depth in range(builds - 3, fails + 3):
+        assert (build_nest(nest, depth) is not None) == (depth <= builds)
 
 
 # -- dot rendering -----------------------------------------------------------------

@@ -203,6 +203,16 @@ def test_dump_ast_of_a_3000_term_sum(tmp_path, capsys):
     assert out.count("(") == out.count(")")
 
 
+def test_dump_cfg_of_a_3000_term_sum(tmp_path, capsys):
+    terms = " + ".join(["x"] * 3000)
+    source = write(tmp_path, "sum.c",
+                   f"int f(int x) {{ x = {terms}; return x; }}\n")
+    assert main(["dump-cfg", source]) == 0
+    out = capsys.readouterr().out
+    assert f'n2 [label="2: x = {terms};"];' in out
+    assert 'n3 [label="3: return x;"];' in out
+
+
 # -- internal errors ---------------------------------------------------------------
 
 def test_internal_error_exits_three_without_traceback(tmp_path, capsys,

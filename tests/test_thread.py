@@ -1,4 +1,5 @@
 import textwrap
+import time
 
 import pytest
 from hypothesis import given
@@ -16,13 +17,15 @@ from cbugscan.checkers.threads import (
     parse_thread_config,
     spawned_entry_name,
 )
+from cbugscan.config import AnalysisJob, SourceDescriptor
+from cbugscan.engine import run_job
 from cbugscan.errors import ConfigError
 from cbugscan.frontend import iter_tree
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
 from cbugscan.patterns import compile_pattern, match_node
 from cbugscan.report import Importance
 
-from oracles import all_cycles
+from oracles import all_cycles, unpruned_cycles
 
 PAIR_CONFIG = 'lock "mtx_lock(%X)" unlock "mtx_unlock(%X)"\n'
 
@@ -356,6 +359,41 @@ def test_cycle_cap_truncates():
 def test_cycles_match_permutation_oracle(edge_set):
     got = set(elementary_cycles(as_graph(edge_set), cap=10**6))
     assert got == all_cycles(edge_set)
+
+
+@given(st.sets(
+    st.tuples(st.sampled_from("abcdefg"), st.sampled_from("abcdefg")),
+    max_size=24,
+), st.sampled_from([1, 2, 3, 1000]))
+def test_cycle_order_and_cap_match_unpruned_search(edge_set, cap):
+    graph = as_graph(edge_set)
+    assert elementary_cycles(graph, cap) == unpruned_cycles(graph, cap)
+
+
+def test_acyclic_ladder_is_fast():
+    # lock i, then lock i+1 or i+2: no cycle, but Fibonacci-many paths
+    names = [f"m{i:02d}" for i in range(61)]
+    edges = {(a, b) for i, a in enumerate(names) for b in names[i + 1:i + 3]}
+    started = time.perf_counter()
+    assert elementary_cycles(as_graph(edges)) == []
+    assert time.perf_counter() - started < 1.0
+
+
+def test_1501_lock_ring_is_one_finding(tmp_path):
+    size = 1501
+    functions = [
+        f"void f{i}(void) {{ mutex_lock(&m{i}); mutex_lock(&m{(i + 1) % size}); "
+        f"mutex_unlock(&m{(i + 1) % size}); mutex_unlock(&m{i}); }}\n"
+        for i in range(size)]
+    source = tmp_path / "ring.c"
+    source.write_text("".join(functions))
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(source))],
+                                 checkers=[("thread", None)]))
+    assert result.diagnostics == []
+    [trace] = result.traces
+    ring = " <- ".join(f"m{i}" for i in [*range(size), 0])
+    assert trace.message == f"circular lock dependency: {ring}"
+    assert len(trace.steps) == 2 * size
 
 
 # -- end-to-end detection ---------------------------------------------------------
