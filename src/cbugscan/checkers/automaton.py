@@ -9,18 +9,33 @@ flagged as errors report a message; states flagged with error-at-exit
 report when an instance can still be in that state when the function
 returns.
 
-The walk is interprocedural: each defined function is analyzed as an
-entry point over its call-expanded graph, and instance keys observed
-inside callees are translated into the entry function's terms where
-the call arguments allow it. Exit-state errors are only evaluated for
-functions nothing else in the unit calls, since for a callee the outer
-context may legitimately complete the protocol.
+The analysis is interprocedural through function summaries, computed
+bottom-up over the unit's call graph (`cbugscan.traverse`). A summary
+maps each instance key in the function's own terms and each entry state
+to the exit states, with witness steps, and to the transition errors
+fired on the way. At a call, the callee's keys are rewritten into the
+caller's terms once per call edge (formals become the actual arguments;
+a key that depends on a callee local keeps the `callee::text` form), and
+the summary is applied to the caller's instances. There is no call-depth
+bound; recursion is solved to a fixpoint.
+
+Every defined function is also analyzed as an entry point from no
+instances, and its transition errors are reported in its own terms.
+Exit-state errors are only evaluated for functions nothing else in the
+unit calls, since for a callee the outer context may legitimately
+complete the protocol.
+
+A witness is the path the worklist reaches first: each function is
+solved by one FIFO worklist over its own CFG, where a call is one step,
+and the callee's part of the witness is the one in its summary for the
+instance's state at the call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
@@ -31,11 +46,15 @@ from cbugscan.checkers.base import (
     read_config,
 )
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, to_text
+from cbugscan.frontend.ast_nodes import (
+    AstNode,
+    SourceLocation,
+    iter_tree,
+    to_text,
+)
 from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
-    Bindings,
     Pattern,
     PatternIndex,
     compile_pattern,
@@ -43,8 +62,9 @@ from cbugscan.patterns import (
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
-    Context,
+    SuperGraph,
     build_supergraph,
+    callee_name,
     map_expression_to_caller,
 )
 
@@ -157,13 +177,49 @@ def render_message(template: str, texts: dict[str, str]) -> str:
 _ABSENT = "<absent>"
 
 
+class _Then:
+    """Two witnesses, one after the other. A witness is `()`, a tuple of
+    trace steps, or a `_Then`, which shares both parts instead of copying
+    them: a path through nested calls may hold exponentially many steps
+    in the call depth, while a summary stays linear. Compared by
+    identity, which is enough because facts keep their first witness."""
+    __slots__ = ("first", "second")
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+
+
+def _then(first, second):
+    """The witness `first` followed by `second`."""
+    if not first:
+        return second
+    if not second:
+        return first
+    return _Then(first, second)
+
+
+def _steps(witness) -> tuple[TraceStep, ...]:
+    """A witness's trace steps, in order."""
+    steps: list[TraceStep] = []
+    pending = [witness]
+    while pending:
+        part = pending.pop()
+        if type(part) is _Then:
+            pending += (part.second, part.first)
+        else:
+            steps.extend(part)
+    return tuple(steps)
+
+
 @dataclass(frozen=True)
 class _Instance:
     texts: dict[str, str]                          # first-sight bindings
-    states: dict[str, tuple[TraceStep, ...]]       # state -> witness steps
+    states: dict[str, tuple | _Then]               # state -> witness
 
 
-_InstMap = dict[tuple[str, ...], _Instance]
+_Key = tuple[str, ...]                             # sorted binding texts
+_InstMap = dict[_Key, _Instance]
 
 
 def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
@@ -190,22 +246,16 @@ def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
     return None if merged == old else merged
 
 
-def map_binding_text(expr: AstNode, frames: Context,
-                     unit: TranslationUnit) -> str:
-    """Render a bound expression in the entry function's terms.
-
-    Walking out of nested calls, formals are replaced by the actuals of
-    each frame. If a level cannot be crossed (the expression depends on
-    a callee local), the key stays local to that function, prefixed
-    with its name so distinct locals never collide across functions.
-    """
-    current = expr
-    for frame in reversed(frames):
-        mapped = map_expression_to_caller(current, frame, unit)
-        if mapped is None:
-            return f"{frame.callee}::{to_text(current)}"
-        current = mapped
-    return to_text(current)
+def map_binding(expr: AstNode, call: AstNode,
+                unit: TranslationUnit) -> tuple[str, AstNode | None]:
+    """A callee's bound expression in the terms of the caller of `call`:
+    its text and its expression. When the expression depends on a callee
+    local, there is none, and the text is prefixed with the callee's
+    name so distinct locals never collide across functions."""
+    mapped = map_expression_to_caller(expr, call, unit)
+    if mapped is None:
+        return f"{callee_name(call)}::{to_text(expr)}", None
+    return to_text(mapped), mapped
 
 
 class AutomatonChecker(Checker):
@@ -217,9 +267,10 @@ class AutomatonChecker(Checker):
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
+        graph = build_supergraph(unit)
         traces: list[ErrorTrace] = []
         for automaton in self.automata:
-            traces.extend(_run_automaton(automaton, unit))
+            traces.extend(_run_automaton(automaton, graph))
         return traces
 
 
@@ -230,13 +281,14 @@ def _is_call_graph_root(unit: TranslationUnit, function: str) -> bool:
 
 
 def _run_automaton(automaton: AutomatonDef,
-                   unit: TranslationUnit) -> list[ErrorTrace]:
+                   graph: SuperGraph) -> list[ErrorTrace]:
+    unit = graph.unit
     traces: list[ErrorTrace] = []
-    emitted: set[tuple[tuple[str, ...], str, str]] = set()
+    emitted: set[tuple[_Key, str, SourceLocation]] = set()
 
-    def emit(key: tuple[str, ...], message: str, location: SourceLocation,
+    def emit(key: _Key, message: str, location: SourceLocation,
              steps: tuple[TraceStep, ...]) -> None:
-        dedup = (key, message, str(location))
+        dedup = (key, message, location)
         if dedup in emitted:
             return
         emitted.add(dedup)
@@ -247,25 +299,23 @@ def _run_automaton(automaton: AutomatonDef,
             steps=steps,
         ))
 
-    # every calling context of a CFG node shares its matches
-    events = node_events(PatternIndex(automaton.patterns), match_node,
-                         lambda *match: match)
+    events = node_events(
+        PatternIndex(automaton.patterns), match_node,
+        lambda pattern, subnode, bindings: (pattern.name, to_text(subnode), {
+            var: (to_text(expr), expr) for var, expr in bindings.items()}))
+    summaries = _Summaries(automaton, graph, events)
     for entry in unit.functions:
-        graph = build_supergraph(unit, entry)
-
-        def transfer(super_key, in_map: _InstMap) -> _InstMap:
-            node = graph.cfg_node(super_key)
-            return _transfer(automaton, unit, node, super_key[0],
-                             events(node), in_map, emit)
-
-        in_maps = forward_fixpoint(
-            graph.entry, {}, lambda super_key: graph.succs.get(super_key, ()),
-            transfer, _merge)
-
+        summary = summaries.base(entry)
+        for key, errors in summary.errors[_ABSENT].items():
+            for error in errors:
+                message = render_message(error.template, error.texts)
+                emit(key, message, error.location, _steps(error.steps)
+                     + (TraceStep(error.location, message),))
         if not _is_call_graph_root(unit, entry):
             continue
-        exit_map = in_maps.get(graph.exit, {})
-        exit_node = graph.cfg_node(graph.exit)
+        exit_map = summary.exits[_ABSENT]
+        cfg = unit.cfgs[entry]
+        exit_node = cfg.nodes[cfg.exit]
         for key in sorted(exit_map):
             inst = exit_map[key]
             for state in list(inst.states):
@@ -273,43 +323,377 @@ def _run_automaton(automaton: AutomatonDef,
                 if template is None:
                     continue
                 message = render_message(template, inst.texts)
-                steps = inst.states[state] + (
+                steps = _steps(inst.states[state]) + (
                     TraceStep(exit_node.location, message),)
                 emit(key, message, exit_node.location, steps)
     return traces
 
 
-def _transfer(automaton: AutomatonDef, unit: TranslationUnit,
-              node: CfgNode, frames: Context,
-              events: list[tuple[Pattern, AstNode, Bindings]],
-              in_map: _InstMap, emit) -> _InstMap:
+# -- function summaries -----------------------------------------------------
+
+# an expression text in some function's terms, and the expression; None
+# for a `callee::text` key, which no caller can rewrite
+_Binding = tuple[str, "AstNode | None"]
+_UNSEEN = {_ABSENT: ()}
+
+
+class _Error(NamedTuple):
+    """A transition error; `steps` is its witness up to the error."""
+    template: str
+    texts: dict[str, str]
+    location: SourceLocation
+    steps: tuple | _Then
+
+
+class _Summary(NamedTuple):
+    """What a call to one function does to the automaton's instances.
+
+    For each entry state of an instance, `_ABSENT` when it does not exist
+    yet, `exits` holds the instances at the function's exit and `errors`
+    the transition errors fired on the way, by instance key, with
+    witnesses that start at the function's entry. The entry state
+    `_ABSENT` is solved from no instances at all, every other state with
+    each key in `keys` (the keys the function touches) in that state.
+    `bindings` gives the expression behind each text of those keys.
+    """
+    returns: bool
+    keys: tuple[_Key, ...]
+    bindings: dict[str, AstNode | None]
+    exits: dict[str, _InstMap]
+    errors: dict[str, dict[_Key, list[_Error]]]
+
+
+# where a recursive component's iteration starts: no call returns yet
+_BOTTOM = _Summary(False, (), {}, {}, {})
+
+
+class _Unsolved(Exception):
+    """A summary of a lower component is needed and not solved yet."""
+
+    def __init__(self, key: tuple, merge: dict[str, _Binding]):
+        super().__init__(key)
+        self.key = key
+        self.merge = merge
+
+
+class _Summaries:
+    """The summaries of one automaton's functions over one unit.
+
+    A summary is in the terms of its function. Base summaries are
+    solved bottom-up over the call graph's components, each function once,
+    a recursive component by iterating until its summaries stop changing.
+    A call that passes one object under two names, so that two of the
+    callee's keys become one key of the caller, gets a summary of the
+    callee with those texts merged (`merge` maps each merged text to the
+    binding that stands for it); such summaries are solved on demand.
+    """
+
+    def __init__(self, automaton: AutomatonDef, graph: SuperGraph,
+                 events: Callable[[CfgNode], list]):
+        self.automaton = automaton
+        self.graph = graph
+        self.events = events
+        self.called = {callee_name(call) for calls in graph.calls.values()
+                       for call in calls}
+        self.solved: dict[tuple, _Summary] = {}
+        # (component index, {summary key: merge}) while iterating a
+        # recursive component
+        self.component: tuple[int, dict] | None = None
+        self.caller_bindings: dict[tuple[AstNode, str], _Binding] = {}
+        for i, scc in enumerate(graph.sccs):
+            self.solve(i, {(fn, ()): {} for fn in scc})
+
+    def base(self, fn: str) -> _Summary:
+        return self.solved[(fn, ())]
+
+    def get(self, fn: str, merge: dict[str, _Binding]) -> _Summary:
+        """A solved summary; in the recursive component being iterated,
+        its current value, which joins the iteration if it is new."""
+        key = (fn, tuple(sorted((text, binding[0])
+                                for text, binding in merge.items())))
+        found = self.solved.get(key)
+        if found is None:
+            if self.component is None or self.component[0] != self.graph.scc_of[fn]:
+                raise _Unsolved(key, merge)
+            self.component[1][key] = merge
+            found = self.solved[key] = _BOTTOM
+        return found
+
+    def solve(self, scc: int, entries: dict) -> None:
+        """Solve `entries`, summaries of the functions of one component,
+        and before them every unsolved summary of a lower component they
+        need, which a first attempt finds; an explicit stack holds the
+        attempts, so long call chains take no recursion."""
+        pending = [(scc, entries)]
+        while pending:
+            scc, entries = pending[-1]
+            try:
+                if self.graph.sccs[scc][0] in self.graph.recursive:
+                    self.iterate(scc, entries)
+                else:
+                    (key, merge), = entries.items()
+                    self.solved[key] = self.summarize(key[0], merge)
+            except _Unsolved as unsolved:
+                pending.append((self.graph.scc_of[unsolved.key[0]],
+                                {unsolved.key: unsolved.merge}))
+            else:
+                pending.pop()
+
+    def iterate(self, scc: int, entries: dict) -> None:
+        """Solve a recursive component from "no call returns" until no
+        summary of it changes; summaries of it that they ask for join in."""
+        self.component = (scc, dict(entries))
+        members = self.component[1]
+        for key in members:
+            self.solved[key] = _BOTTOM
+        try:
+            changed = True
+            while changed:
+                known = len(members)
+                changed = False
+                for key, merge in list(members.items()):
+                    old = self.solved[key]
+                    new = _union(old, self.summarize(key[0], merge))
+                    if new != old:
+                        self.solved[key] = new
+                        changed = True
+                changed = changed or len(members) != known
+        except _Unsolved:
+            for key in members:
+                del self.solved[key]
+            raise
+        finally:
+            self.component = None
+
+    def caller_binding(self, call: AstNode, text: str, expr: AstNode | None,
+                       recursive: bool) -> _Binding:
+        """A callee's binding in the caller's terms, once per call edge.
+        Across a recursive call a binding may not grow, so that a
+        component has finitely many keys and its iteration ends."""
+        found = self.caller_bindings.get((call, text))
+        if found is None:
+            if expr is None:
+                found = (text, None)
+            else:
+                found = map_binding(expr, call, self.graph.unit)
+                if (recursive and found[1] is not None
+                        and _size(found[1]) > _size(expr)):
+                    found = (f"{callee_name(call)}::{text}", None)
+            self.caller_bindings[(call, text)] = found
+        return found
+
+    def at_call(self, fn: str, call: AstNode,
+                merge: dict[str, _Binding]) -> _Summary:
+        """The summary of the function `call` calls, in the terms of `fn`
+        with `merge` applied."""
+        callee = callee_name(call)
+        base = self.get(callee, {})
+        recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
+
+        def outer(text: str, expr: AstNode | None) -> _Binding:
+            binding = self.caller_binding(call, text, expr, recursive)
+            return merge.get(binding[0], binding)
+
+        # callee texts that become one text here are one instance
+        classes: dict[str, list[str]] = {}
+        for text, expr in base.bindings.items():
+            classes.setdefault(outer(text, expr)[0], []).append(text)
+        inner = {text: (members[0], base.bindings[members[0]])
+                 for members in classes.values() for text in members[1:]}
+        summary = self.get(callee, inner) if inner else base
+        return _renamed(summary, {text: outer(text, expr) for text, expr
+                                  in summary.bindings.items()})
+
+    def summarize(self, fn: str, merge: dict[str, _Binding]) -> _Summary:
+        automaton, graph = self.automaton, self.graph
+        cfg = graph.unit.cfgs[fn]
+        keys: dict[_Key, None] = {}
+        bindings: dict[str, AstNode | None] = {}
+        own: dict[int, list] = {}
+        applied: dict[int, list[_Summary]] = {}
+        dead: set[int] = set()
+
+        def own_events(node: CfgNode) -> list:
+            found = own.get(node.id)
+            if found is None:
+                found = own[node.id] = []
+                for name, step, binds in self.events(node):
+                    texts = {}
+                    for var, binding in binds.items():
+                        text, expr = merge.get(binding[0], binding)
+                        texts[var] = text
+                        bindings.setdefault(text, expr)
+                    key = tuple(sorted(texts.values()))
+                    keys[key] = None
+                    found.append((name, step, texts, key))
+            return found
+
+        def callees(node_id: int) -> list[_Summary]:
+            found = applied.get(node_id)
+            if found is None:
+                found = applied[node_id] = []
+                for call in graph.calls.get(node_id, ()):
+                    summary = self.at_call(fn, call, merge)
+                    found.append(summary)
+                    keys.update(dict.fromkeys(summary.keys))
+                    for text, expr in summary.bindings.items():
+                        bindings.setdefault(text, expr)
+                    if not summary.returns:
+                        dead.add(node_id)
+                        break
+            return found
+
+        def run(initial: _InstMap):
+            errors: dict[_Key, list[_Error]] = {}
+            seen: set[tuple[_Key, str, SourceLocation]] = set()
+
+            def record(key: _Key, template: str, texts: dict[str, str],
+                       location: SourceLocation,
+                       steps: tuple | _Then) -> None:
+                dedup = (key, render_message(template, texts), location)
+                if dedup not in seen:
+                    seen.add(dedup)
+                    errors.setdefault(key, []).append(
+                        _Error(template, texts, location, steps))
+
+            def transfer(node_id: int, in_map: _InstMap) -> _InstMap:
+                node = cfg.nodes[node_id]
+                out = _step(automaton, node.location, own_events(node),
+                            in_map, record)
+                for summary in callees(node_id):
+                    out = _apply(summary, out, record)
+                return out
+
+            in_maps = forward_fixpoint(
+                cfg.entry, initial,
+                lambda node_id: () if node_id in dead else graph.succs[node_id],
+                transfer, _merge)
+            return in_maps.get(cfg.exit), errors
+
+        exit_map, errors = run({})
+        exits = {_ABSENT: exit_map or {}}
+        all_errors = {_ABSENT: errors}
+        if fn in self.called:
+            for state in automaton.states:
+                state_exit, all_errors[state] = run(
+                    {key: _Instance({}, {state: ()}) for key in keys})
+                exits[state] = state_exit or {}
+        return _Summary(returns=exit_map is not None, keys=tuple(keys),
+                        bindings=bindings, exits=exits, errors=all_errors)
+
+
+def _size(expr: AstNode) -> int:
+    return sum(1 for _ in iter_tree(expr))
+
+
+def _step(automaton: AutomatonDef, location: SourceLocation, events: list,
+          in_map: _InstMap, record) -> _InstMap:
+    """The instances after a node's own events, in evaluation order."""
     if not events:
         return in_map
     out = dict(in_map)
-    for pattern, subnode, bindings in events:
-        texts = {name: map_binding_text(expr, frames, unit)
-                 for name, expr in bindings.items()}
-        key = tuple(sorted(texts.values()))
+    for pattern_name, step_text, texts, key in events:
         inst = out.get(key)
         if inst is None:
             inst = _Instance(texts, {automaton.start: ()})
-        new_states: dict[str, tuple[TraceStep, ...]] = {}
+        new_states: dict[str, tuple | _Then] = {}
         for state, witness in inst.states.items():
             if state == _ABSENT:
                 # first sight on this path: created in the start state
                 state, witness = automaton.start, ()
-            template = automaton.errors.get((state, pattern.name))
+            template = automaton.errors.get((state, pattern_name))
             if template is not None:
-                message = render_message(template, texts)
-                steps = witness + (TraceStep(node.location, message),)
-                emit(key, message, node.location, steps)
+                record(key, template, texts, location, witness)
                 new_states.setdefault(state, witness)
                 continue
-            target = automaton.transitions.get((state, pattern.name))
+            target = automaton.transitions.get((state, pattern_name))
             if target is not None:
-                step = TraceStep(node.location, to_text(subnode))
-                new_states.setdefault(target, witness + (step,))
+                step = TraceStep(location, step_text)
+                new_states.setdefault(target, _then(witness, (step,)))
             else:
                 new_states.setdefault(state, witness)
         out[key] = _Instance(inst.texts, new_states)
     return out
+
+
+def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
+    """The instances after a call, from those before it; the callee's
+    errors are recorded after each instance's witness so far."""
+    out = dict(in_map)
+    for key in summary.keys:
+        inst = in_map.get(key)
+        new_states: dict[str, tuple | _Then] = {}
+        for state, witness in (_UNSEEN if inst is None else inst.states).items():
+            for error in summary.errors.get(state, {}).get(key, ()):
+                record(key, error.template, error.texts, error.location,
+                       _then(witness, error.steps))
+            after = summary.exits.get(state, {}).get(key)
+            if after is None:  # the call leaves this instance alone
+                new_states.setdefault(state, witness)
+                continue
+            for target, steps in after.states.items():
+                new_states.setdefault(target, _then(witness, steps))
+        if inst is not None:
+            out[key] = _Instance(inst.texts, new_states)
+        elif list(new_states) != [_ABSENT]:
+            out[key] = _Instance(summary.exits[_ABSENT][key].texts, new_states)
+    return out
+
+
+def _renamed(summary: _Summary, mapping: dict[str, _Binding]) -> _Summary:
+    """`summary` with each binding text `t` written as `mapping[t]`."""
+    if all(binding[0] == text for text, binding in mapping.items()):
+        return summary
+    new_text = {text: binding[0] for text, binding in mapping.items()}
+
+    def key_of(key: _Key) -> _Key:
+        return tuple(sorted(new_text[text] for text in key))
+
+    def texts_of(texts: dict[str, str]) -> dict[str, str]:
+        return {var: new_text[text] for var, text in texts.items()}
+
+    return _Summary(
+        returns=summary.returns,
+        keys=tuple(dict.fromkeys(key_of(key) for key in summary.keys)),
+        bindings=dict(mapping.values()),
+        exits={state: {key_of(key): _Instance(texts_of(inst.texts), inst.states)
+                       for key, inst in instances.items()}
+               for state, instances in summary.exits.items()},
+        errors={state: {key_of(key): [error._replace(texts=texts_of(error.texts))
+                                      for error in errors]
+                        for key, errors in by_key.items()}
+                for state, by_key in summary.errors.items()},
+    )
+
+
+def _union(old: _Summary, new: _Summary) -> _Summary:
+    """What either summary holds; what `old` holds keeps its place and
+    witness, so iterating a component only ever adds."""
+    exits = {state: dict(instances) for state, instances in old.exits.items()}
+    for state, instances in new.exits.items():
+        merged = exits.setdefault(state, {})
+        for key, inst in instances.items():
+            mine = merged.get(key)
+            if mine is None:
+                merged[key] = inst
+                continue
+            added = {s: w for s, w in inst.states.items() if s not in mine.states}
+            if added:
+                merged[key] = _Instance(mine.texts, {**mine.states, **added})
+    errors = {state: {key: list(found) for key, found in by_key.items()}
+              for state, by_key in old.errors.items()}
+    for state, by_key in new.errors.items():
+        for key, found in by_key.items():
+            mine = errors.setdefault(state, {}).setdefault(key, [])
+            known = {(render_message(e.template, e.texts), e.location)
+                     for e in mine}
+            mine.extend(e for e in found
+                        if (render_message(e.template, e.texts), e.location)
+                        not in known)
+    return _Summary(
+        returns=old.returns or new.returns,
+        keys=tuple(dict.fromkeys(old.keys + new.keys)),
+        bindings={**new.bindings, **old.bindings},
+        exits=exits,
+        errors=errors,
+    )

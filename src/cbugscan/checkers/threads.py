@@ -1,10 +1,22 @@
 """Deadlock checker: lock-order graphs and cycle detection.
 
-Each thread entry point is walked interprocedurally with a may-hold
-lockset. Acquiring B while A is held records the dependency edge
-A <- B (B depends on A). The per-entry graphs are unioned and every
-elementary cycle in the combined graph is reported: a cycle means two
-orders of acquisition are possible, which is a potential deadlock.
+Each thread entry point is walked with a may-hold lockset. Acquiring
+B while A is held records the dependency edge A <- B (B depends on A).
+The per-entry graphs are unioned and every elementary cycle in the
+combined graph is reported: a cycle means two orders of acquisition are
+possible, which is a potential deadlock.
+
+The walk is interprocedural through function summaries, computed once
+per unit bottom-up over the call graph (`cbugscan.traverse`): the
+lock-order edges a function's body orders and the callees it reaches,
+each lock taken inside with the keys released on every path before it,
+and its lockset change (the locks it may leave held, the keys it
+releases on every path). An entry's edges are those of the functions it
+reaches, itself included. Lock keys
+are the raw text in every function, so a summary applies unchanged at
+every call. The edges are those of every path, so they do not depend on
+the order the worklist visits nodes in. There is no call-depth bound;
+recursion is solved to a fixpoint.
 
 Thread entry points come from spawn-call matches (the argument bound
 by %F), from names listed in the config, or, when neither yields
@@ -14,7 +26,7 @@ anything, every defined function (conservative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
@@ -42,7 +54,7 @@ from cbugscan.patterns import (
     match_node,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-from cbugscan.traverse import build_supergraph
+from cbugscan.traverse import SuperGraph, build_supergraph, callee_name
 
 DEFAULT_SPAWN = 'pthread_create(%A, %B, %F, %D)'
 DEFAULT_MAX_CYCLES = 1000
@@ -161,45 +173,137 @@ def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
     return entries
 
 
+class LockSummary(NamedTuple):
+    """What a call to one function does to the caller's may-hold lockset.
+
+    `edges` are the lock-order edges (held key, taken key, held location,
+    taken location) that the function's own body orders: its own locks
+    after locks taken since its entry, and what its callees take after
+    those. `calls` are the callees it reaches, whose edges count too.
+    `acquires` maps each lock taken inside, (key, location), to the keys
+    released on every path from the function's entry to it: a lock the
+    caller holds orders before it unless its key is among them. `held`
+    are the locks taken inside that may still be held at the exit, and
+    `released` the keys released on every path to the exit. `returns`
+    is False when no path reaches the exit.
+    """
+    returns: bool
+    edges: frozenset
+    calls: frozenset
+    acquires: dict
+    held: frozenset = frozenset()
+    released: frozenset = frozenset()
+
+
+def lock_summaries(graph: SuperGraph,
+                   events: Callable[[CfgNode], list[LockEvent]],
+                   ) -> dict[str, LockSummary]:
+    """Every function's summary, bottom-up over the call graph's
+    components; a recursive component is iterated from "no call
+    returns" until its summaries stop changing."""
+    summaries: dict[str, LockSummary] = {}
+    for scc in graph.sccs:
+        if scc[0] not in graph.recursive:
+            summaries[scc[0]] = _summarize(graph, scc[0], events, summaries)
+            continue
+        # the iteration starts from "no call returns"
+        summaries.update(dict.fromkeys(
+            scc, LockSummary(False, frozenset(), frozenset(), {})))
+        changed = True
+        while changed:
+            changed = False
+            for fn in scc:
+                new = _summarize(graph, fn, events, summaries)
+                if new != summaries[fn]:
+                    summaries[fn] = new
+                    changed = True
+    return summaries
+
+
+def _summarize(graph: SuperGraph, fn: str,
+               events: Callable[[CfgNode], list[LockEvent]],
+               summaries: dict[str, LockSummary]) -> LockSummary:
+    # dataflow value: (locks taken since the entry that may be held, as
+    # (key, location) pairs; keys released on every path from the entry)
+    cfg = graph.unit.cfgs[fn]
+    edges: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
+    calls: set[str] = set()
+    acquires: dict[tuple[str, SourceLocation], frozenset] = {}
+    dead: set[int] = set()
+
+    def acquire(key, location, held, released) -> None:
+        for held_key, held_location in held:
+            if held_key != key:
+                edges.add((held_key, key, held_location, location))
+        before = acquires.get((key, location))
+        acquires[(key, location)] = (
+            released if before is None else before & released)
+
+    def transfer(node_id: int, fact: tuple) -> tuple:
+        found = events(cfg.nodes[node_id])
+        if not found and node_id not in graph.calls:
+            return fact
+        held, released = fact
+        for is_lock, key, location in found:
+            if is_lock:
+                acquire(key, location, held, released)
+                held = held | {(key, location)}
+            else:
+                held = frozenset(pair for pair in held if pair[0] != key)
+                released = released | {key}
+        for call in graph.calls.get(node_id, ()):
+            calls.add(callee_name(call))
+            callee = summaries[callee_name(call)]
+            for (key, location), inside in callee.acquires.items():
+                acquire(key, location,
+                        [pair for pair in held if pair[0] not in inside],
+                        released | inside)
+            if not callee.returns:
+                dead.add(node_id)
+                break
+            held = callee.held | frozenset(
+                pair for pair in held if pair[0] not in callee.released)
+            released = released | callee.released
+        return held, released
+
+    def join(old: tuple, new: tuple) -> tuple | None:
+        if new[0] <= old[0] and old[1] <= new[1]:
+            return None
+        return old[0] | new[0], old[1] & new[1]
+
+    facts = forward_fixpoint(
+        cfg.entry, (frozenset(), frozenset()),
+        lambda node_id: () if node_id in dead else graph.succs[node_id],
+        transfer, join)
+    at_exit = facts.get(cfg.exit)
+    if at_exit is None:
+        return LockSummary(False, frozenset(edges), frozenset(calls), acquires)
+    return LockSummary(True, frozenset(edges), frozenset(calls), acquires,
+                       *at_exit)
+
+
 def build_dependency_graph(
         unit: TranslationUnit, entry: str, config: ThreadConfig,
-        events: Callable[[CfgNode], list[LockEvent]] | None = None,
+        summaries: dict[str, LockSummary] | None = None,
 ) -> LockOrderGraph:
-    """Interprocedural may-hold lockset walk from one entry point.
-
-    `events` is a `lock_events(config)` function to share between the
-    entries of one unit; by default the walk makes its own."""
-    events = events or lock_events(config)
-    graph = build_supergraph(unit, entry)
+    """The lock-order edges of every path from one entry point, which
+    starts holding nothing. `summaries` are the unit's `lock_summaries`,
+    to share between the entries of one unit; by default they are
+    computed here."""
+    if summaries is None:
+        summaries = lock_summaries(build_supergraph(unit), lock_events(config))
+    found: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
+    reached, pending = {entry}, [entry]
+    while pending:
+        summary = summaries[pending.pop()]
+        found |= summary.edges
+        for callee in summary.calls - reached:
+            reached.add(callee)
+            pending.append(callee)
     edges: LockOrderGraph = {}
-    seen: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
-
-    # dataflow value: frozenset of (lock key, acquisition location)
-    def transfer(super_key, in_set: frozenset) -> frozenset:
-        found = events(graph.cfg_node(super_key))
-        if not found:
-            return in_set
-        current = set(in_set)
-        for is_lock, key, location in found:
-            if not is_lock:
-                current = {pair for pair in current if pair[0] != key}
-                continue
-            for held_key, held_loc in sorted(current):
-                if held_key == key:
-                    continue
-                dedup = (held_key, key, held_loc, location)
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                edges.setdefault((held_key, key), []).append(
-                    Witness(entry, held_loc, location))
-            current.add((key, location))
-        return frozenset(current)
-
-    forward_fixpoint(
-        graph.entry, frozenset(),
-        lambda super_key: graph.succs.get(super_key, ()), transfer,
-        lambda old, new: None if new <= old else old | new)
+    for held_key, key, held_location, location in sorted(found):
+        edges.setdefault((held_key, key), []).append(
+            Witness(entry, held_location, location))
     return edges
 
 
@@ -271,35 +375,42 @@ class ThreadChecker(Checker):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         entries = find_thread_entries(unit, self.config, services)
-        events = lock_events(self.config)
-        graphs = [build_dependency_graph(unit, entry, self.config, events)
+        summaries = lock_summaries(build_supergraph(unit),
+                                   lock_events(self.config))
+        graphs = [build_dependency_graph(unit, entry, self.config, summaries)
                   for entry in entries]
-        combined = combine_graphs(graphs)
-        cap = self.config.max_cycles
-        cycles = elementary_cycles(combined, cap + 1)
-        if len(cycles) > cap:
-            del cycles[cap:]
-            services.report_diagnostic(
-                f"{unit.path}: thread checker stopped at max-cycles {cap}; "
-                f"further lock-order cycles are not reported")
-        traces = []
-        for cycle in cycles:
-            chain = " <- ".join(cycle + (cycle[0],))
-            message = f"circular lock dependency: {chain}"
-            steps = []
-            for i, lock_a in enumerate(cycle):
-                lock_b = cycle[(i + 1) % len(cycle)]
-                witness = combined[(lock_a, lock_b)][0]
-                steps.append(TraceStep(
-                    witness.first_location,
-                    f"{lock_a} acquired ({witness.entry})"))
-                steps.append(TraceStep(
-                    witness.second_location,
-                    f"{lock_b} acquired while {lock_a} held ({witness.entry})"))
-            traces.append(ErrorTrace(
-                checker="thread",
-                importance=Importance.ERROR,
-                message=message,
-                steps=tuple(steps),
-            ))
-        return traces
+        return report_cycles(unit, graphs, self.config.max_cycles, services)
+
+
+def report_cycles(unit: TranslationUnit, graphs: list[LockOrderGraph],
+                  cap: int, services: Services) -> list[ErrorTrace]:
+    """One finding per elementary cycle of the entries' combined graph,
+    at most `cap`; a diagnostic says when more were dropped."""
+    combined = combine_graphs(graphs)
+    cycles = elementary_cycles(combined, cap + 1)
+    if len(cycles) > cap:
+        del cycles[cap:]
+        services.report_diagnostic(
+            f"{unit.path}: thread checker stopped at max-cycles {cap}; "
+            f"further lock-order cycles are not reported")
+    traces = []
+    for cycle in cycles:
+        chain = " <- ".join(cycle + (cycle[0],))
+        message = f"circular lock dependency: {chain}"
+        steps = []
+        for i, lock_a in enumerate(cycle):
+            lock_b = cycle[(i + 1) % len(cycle)]
+            witness = combined[(lock_a, lock_b)][0]
+            steps.append(TraceStep(
+                witness.first_location,
+                f"{lock_a} acquired ({witness.entry})"))
+            steps.append(TraceStep(
+                witness.second_location,
+                f"{lock_b} acquired while {lock_a} held ({witness.entry})"))
+        traces.append(ErrorTrace(
+            checker="thread",
+            importance=Importance.ERROR,
+            message=message,
+            steps=tuple(steps),
+        ))
+    return traces

@@ -86,12 +86,16 @@ def iter_tree(node: AstNode) -> Iterator[AstNode]:
 
 
 def structurally_equal(a: AstNode, b: AstNode) -> bool:
-    """Compare kind, text, and children recursively; locations are ignored."""
-    if a.kind is not b.kind or a.text != b.text:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    return all(structurally_equal(x, y) for x, y in zip(a.children, b.children))
+    """Compare kind, text, and children at every depth; locations are
+    ignored. Pairs wait on an explicit stack, so depth costs no frames."""
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if (x.kind is not y.kind or x.text != y.text
+                or len(x.children) != len(y.children)):
+            return False
+        pending.extend(zip(x.children, y.children))
+    return True
 
 
 _LEAF_KINDS = frozenset({NodeKind.IDENTIFIER, NodeKind.INT_LITERAL, NodeKind.STRING_LITERAL})

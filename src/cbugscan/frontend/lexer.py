@@ -23,15 +23,17 @@ KEYWORDS = frozenset({
 
 # Alternatives are tried in order: comments before "/", multi-character
 # operators before their prefixes, and each open_* group only catches
-# what the well-formed class before it rejected. bad_number is a letter
-# glued to a number; eof matches only where nothing else can.
+# what the well-formed class before it rejected. An int is a C decimal,
+# octal or hex literal; bad_number is a letter or digit that cannot
+# continue it (`12ab`, `0x`, `08`). eof matches only where nothing else
+# can.
 _CLASSES = r"""
     (?P<space>[ \t\n\r\f\v]+)
   | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
   | (?P<open_comment>/\*)
   | (?P<directive>\#[^\n]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>0[xX][0-9a-fA-F]*|[0-9]+)(?P<bad_number>[A-Za-z_])?
+  | (?P<int>0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?P<bad_number>[A-Za-z0-9_])?
   | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
   | (?P<open_string>")
   | """
@@ -54,6 +56,14 @@ class Token:
     kind: str  # "ident", "int", "string", "metavar", "eof", or the operator itself
     text: str
     location: SourceLocation
+
+
+def int_value(text: str) -> int:
+    """The value of an int token, by C rules: a leading `0x` means hex,
+    a leading `0` octal."""
+    if text[:2] in ("0x", "0X"):
+        return int(text, 16)
+    return int(text, 8 if text[0] == "0" else 10)
 
 
 def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:

@@ -26,6 +26,7 @@ from cbugscan.frontend.ast_nodes import (
     SourceLocation,
     statement_text,
 )
+from cbugscan.frontend.lexer import int_value
 
 
 class CfgNodeKind(Enum):
@@ -208,7 +209,7 @@ class _CfgBuilder:
         statement node with only the exit it takes."""
         if cond.kind is NodeKind.EMPTY_STATEMENT or cond.kind is NodeKind.INT_LITERAL:
             head = self.new_node(CfgNodeKind.STATEMENT, cond, cond.location)
-            holds = cond.kind is NodeKind.EMPTY_STATEMENT or int(cond.text, 0) != 0
+            holds = cond.kind is NodeKind.EMPTY_STATEMENT or int_value(cond.text) != 0
             taken: _Frontier = [(head, None)]
             on_true, on_false = (taken, []) if holds else ([], taken)
         else:

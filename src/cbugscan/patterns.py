@@ -61,18 +61,23 @@ def match_node(pattern: Pattern | AstNode, node: AstNode) -> Bindings | None:
 
 
 def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
-    if pat.kind is NodeKind.META_VAR:
-        bound = bindings.get(pat.text)
-        if bound is not None:
-            return structurally_equal(bound, node)
-        bindings[pat.text] = node
-        return True
-    if pat.kind is not node.kind or pat.text != node.text:
-        return False
-    if len(pat.children) != len(node.children):
-        return False
-    return all(_match(p, n, bindings)
-               for p, n in zip(pat.children, node.children))
+    """Walk pattern and node together in preorder, left to right, on an
+    explicit stack; metavariables bind in that order."""
+    pending = [(pat, node)]
+    while pending:
+        pat, node = pending.pop()
+        if pat.kind is NodeKind.META_VAR:
+            bound = bindings.get(pat.text)
+            if bound is None:
+                bindings[pat.text] = node
+            elif not structurally_equal(bound, node):
+                return False
+            continue
+        if (pat.kind is not node.kind or pat.text != node.text
+                or len(pat.children) != len(node.children)):
+            return False
+        pending.extend(zip(reversed(pat.children), reversed(node.children)))
+    return True
 
 
 def _signature(node: AstNode) -> tuple:

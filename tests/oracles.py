@@ -10,7 +10,26 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from cbugscan.checkers.automaton import (
+    _ABSENT,
+    _Instance,
+    _is_call_graph_root,
+    _merge,
+    render_message,
+)
+from cbugscan.checkers.base import forward_fixpoint
+from cbugscan.checkers.threads import (
+    Witness,
+    find_thread_entries,
+    lock_events,
+    report_cycles,
+)
+from cbugscan.frontend import iter_tree, to_text
+from cbugscan.ir.callgraph import collect_calls
+from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
+from cbugscan.report import ErrorTrace, Importance, TraceStep
+from cbugscan.traverse import map_expression_to_caller
 
 
 # -- Andersen-style inclusion points-to (worklist solver) --------------------
@@ -116,6 +135,175 @@ def unpruned_cycles(edges, cap: int) -> list[tuple[str, ...]]:
     for start in sorted(adjacency):
         search(start, start, [start], {start})
     return cycles
+
+
+# -- call-string cloning --------------------------------------------------------
+#
+# The interprocedural walk the checkers used before function summaries:
+# each entry's graph holds one copy of a callee per calling context (the
+# tuple of call frames leading to it), and facts are solved over that
+# graph. Without the old call-depth bound it is exact on acyclic call
+# graphs and does not end on recursive ones, so it refuses them.
+
+def cloned_supergraph(unit, entry: str):
+    """(succs, node_function, entry key, exit key) of `entry`'s
+    call-expanded graph; keys are (frames, CFG node id), a frame is
+    (caller, call node id, call, callee)."""
+    def local_calls(node):
+        if node.ast_ref is None:
+            return []
+        return [call for call in collect_calls(node.ast_ref)
+                if call.children[0].text in unit.cfgs]
+
+    succs: dict = {}
+    node_function: dict[int, str] = {}
+    pending = [((), entry)]
+    expanded = set()
+    while pending:
+        frames, fn = pending.pop()
+        if (frames, fn) in expanded:
+            continue
+        expanded.add((frames, fn))
+        cfg = unit.cfgs[fn]
+        node_function.update(dict.fromkeys(cfg.nodes, fn))
+        for node_id, node in cfg.nodes.items():
+            node_succs = succs.setdefault((frames, node_id), [])
+            out = [(frames, e.target) for e in cfg.successors(node_id)]
+            chain = local_calls(node)
+            if not chain:
+                node_succs.extend(out)
+                continue
+            inner = []
+            for call in chain:
+                callee = call.children[0].text
+                if callee == entry or any(f[3] == callee for f in frames):
+                    raise ValueError("cloning needs an acyclic call graph")
+                inner.append(frames + ((fn, node_id, call, callee),))
+                pending.append((inner[-1], callee))
+            cfgs = [unit.cfgs[call.children[0].text] for call in chain]
+            node_succs.append((inner[0], cfgs[0].entry))
+            for i in range(len(chain) - 1):
+                succs.setdefault((inner[i], cfgs[i].exit), []).append(
+                    (inner[i + 1], cfgs[i + 1].entry))
+            succs.setdefault((inner[-1], cfgs[-1].exit), []).extend(out)
+    root = unit.cfgs[entry]
+    return succs, node_function, ((), root.entry), ((), root.exit)
+
+
+def _cloned_text(expr, frames, unit) -> str:
+    """A bound expression in the entry's terms, walking out of the
+    frames; `callee::text` where a callee local blocks the way."""
+    for frame in reversed(frames):
+        mapped = map_expression_to_caller(expr, frame[2], unit)
+        if mapped is None:
+            return f"{frame[3]}::{to_text(expr)}"
+        expr = mapped
+    return to_text(expr)
+
+
+def cloned_automaton_traces(automaton, unit):
+    """The automaton checker's findings by call-string cloning."""
+    traces, emitted = [], set()
+
+    def emit(key, message, location, steps):
+        if (key, message, str(location)) not in emitted:
+            emitted.add((key, message, str(location)))
+            traces.append(ErrorTrace("automaton", Importance.ERROR,
+                                     message, steps))
+
+    for entry in unit.functions:
+        succs, node_function, start, end = cloned_supergraph(unit, entry)
+
+        def cfg_node(key):
+            return unit.cfgs[node_function[key[1]]].nodes[key[1]]
+
+        def transfer(key, in_map):
+            node = cfg_node(key)
+            if node.ast_ref is None:
+                return in_map
+            out = dict(in_map)
+            for subnode in iter_tree(node.ast_ref):
+                for pattern in automaton.patterns:
+                    bindings = match_node(pattern, subnode)
+                    if bindings is None:
+                        continue
+                    texts = {name: _cloned_text(expr, key[0], unit)
+                             for name, expr in bindings.items()}
+                    ikey = tuple(sorted(texts.values()))
+                    inst = out.get(ikey) or _Instance(
+                        texts, {automaton.start: ()})
+                    states = {}
+                    for state, witness in inst.states.items():
+                        if state == _ABSENT:
+                            state, witness = automaton.start, ()
+                        error = automaton.errors.get((state, pattern.name))
+                        if error is not None:
+                            message = render_message(error, texts)
+                            emit(ikey, message, node.location, witness + (
+                                TraceStep(node.location, message),))
+                            states.setdefault(state, witness)
+                            continue
+                        target = automaton.transitions.get(
+                            (state, pattern.name))
+                        if target is None:
+                            states.setdefault(state, witness)
+                        else:
+                            states.setdefault(target, witness + (TraceStep(
+                                node.location, to_text(subnode)),))
+                    out[ikey] = _Instance(inst.texts, states)
+            return out
+
+        in_maps = forward_fixpoint(start, {}, lambda k: succs.get(k, ()),
+                                   transfer, _merge)
+        if not _is_call_graph_root(unit, entry):
+            continue
+        exit_node = cfg_node(end)
+        exit_map = in_maps.get(end, {})
+        for ikey in sorted(exit_map):
+            inst = exit_map[ikey]
+            for state in inst.states:
+                template = automaton.exit_errors.get(state)
+                if template is not None:
+                    message = render_message(template, inst.texts)
+                    emit(ikey, message, exit_node.location,
+                         inst.states[state] + (
+                             TraceStep(exit_node.location, message),))
+    return traces
+
+
+def cloned_lock_graph(unit, entry: str, config):
+    """One entry's lock-order graph by call-string cloning."""
+    events = lock_events(config)
+    succs, node_function, start, _ = cloned_supergraph(unit, entry)
+    edges: dict = {}
+    seen = set()
+
+    def transfer(key, in_set):
+        current = set(in_set)
+        node = unit.cfgs[node_function[key[1]]].nodes[key[1]]
+        for is_lock, lock, location in events(node):
+            if not is_lock:
+                current = {pair for pair in current if pair[0] != lock}
+                continue
+            for held, held_location in current:
+                if held != lock and (held, lock, held_location,
+                                     location) not in seen:
+                    seen.add((held, lock, held_location, location))
+                    edges.setdefault((held, lock), []).append(
+                        Witness(entry, held_location, location))
+            current.add((lock, location))
+        return frozenset(current)
+
+    forward_fixpoint(start, frozenset(), lambda k: succs.get(k, ()), transfer,
+                     lambda old, new: None if new <= old else old | new)
+    return edges
+
+
+def cloned_thread_traces(unit, config, services):
+    """The thread checker's findings by call-string cloning."""
+    graphs = [cloned_lock_graph(unit, entry, config)
+              for entry in find_thread_entries(unit, config, services)]
+    return report_cycles(unit, graphs, config.max_cycles, services)
 
 
 # -- reachability -------------------------------------------------------------

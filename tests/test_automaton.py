@@ -4,16 +4,16 @@ import pytest
 
 from cbugscan.checkers.automaton import (
     AutomatonChecker,
-    map_binding_text,
+    map_binding,
     parse_automaton_file,
     render_message,
 )
 from cbugscan.checkers.base import Services
 from cbugscan.errors import ConfigError
-from cbugscan.frontend import iter_tree, to_text
+from cbugscan.frontend import iter_tree, parse_fragment, to_text
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
 from cbugscan.patterns import match_node
-from cbugscan.traverse import build_supergraph
+from cbugscan.ir.callgraph import collect_calls
 
 from oracles import run_automaton_on_paths
 
@@ -356,12 +356,9 @@ def test_map_binding_text_fallback_is_function_qualified():
         }
         void f() { helper(); }
     """), "t.c")
-    graph = build_supergraph(unit, "f")
-    frames = next(k[0] for k in graph.succs
-                  if k[0] and k[0][-1].callee == "helper")
-    from cbugscan.frontend import parse_fragment
-    text = map_binding_text(parse_fragment("mine", file="t.c"), frames, unit)
-    assert text == "helper::mine"
+    call, = collect_calls(unit.functions["f"])
+    text, expr = map_binding(parse_fragment("mine", file="t.c"), call, unit)
+    assert (text, expr) == ("helper::mine", None)
 
 
 def test_recursive_function_terminates(tmp_path):

@@ -1,8 +1,14 @@
 import textwrap
 
+from hypothesis import given, strategies as st
+
 from cbugscan.frontend import parse_fragment
 from cbugscan.ir import build_unit_from_text
-from cbugscan.ir.callgraph import INDIRECT, collect_calls
+from cbugscan.ir.callgraph import (
+    INDIRECT,
+    collect_calls,
+    strongly_connected_components,
+)
 
 
 def unit_of(source):
@@ -83,3 +89,44 @@ def test_call_nodes_carry_ast_reference():
     edge, = unit.call_graph.by_caller["f"]
     assert edge.call_node.children[0].text == "g"
     assert edge.call_node.location.line == 1
+
+
+def reachable(calls, start):
+    seen, todo = {start}, [start]
+    while todo:
+        for callee in calls[todo.pop()]:
+            if callee not in seen:
+                seen.add(callee)
+                todo.append(callee)
+    return seen
+
+
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda n: st.lists(
+    st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3),
+    min_size=n, max_size=n)))
+def test_components_are_mutual_reachability_callees_first(targets):
+    calls = {f"f{i}": [f"f{t}" for t in ts] for i, ts in enumerate(targets)}
+    unit = unit_of("\n".join(
+        f"void {name}() {{ {' '.join(f'{c}();' for c in callees)} ext(); }}"
+        for name, callees in calls.items()))
+    components = strongly_connected_components(unit.call_graph, list(calls))
+    assert sorted(name for scc in components for name in scc) == sorted(calls)
+    reach = {name: reachable(calls, name) for name in calls}
+    position = {name: i for i, scc in enumerate(components) for name in scc}
+    for a in calls:
+        for b in calls:
+            mutual = b in reach[a] and a in reach[b]
+            assert (position[a] == position[b]) == (a == b or mutual)
+            if b in reach[a] and not mutual:
+                assert position[b] < position[a]  # callees come first
+    for scc in components:
+        assert scc == sorted(scc, key=list(calls).index)
+
+
+def test_long_call_chain_needs_no_recursion():
+    n = 3000
+    unit = unit_of("\n".join(f"void f{i}() {{ f{i + 1}(); }}" for i in range(n))
+                   + f"\nvoid f{n}() {{ }}")
+    components = strongly_connected_components(unit.call_graph,
+                                               list(unit.functions))
+    assert components == [[f"f{i}"] for i in range(n, -1, -1)]

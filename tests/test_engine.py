@@ -119,6 +119,32 @@ def test_too_deep_nesting_is_a_located_diagnostic(tmp_path):
                         r"nesting too deep", result.diagnostics[0])
 
 
+def test_octal_condition_is_analyzed(tmp_path):
+    # 010 is eight: the unlock always runs, so nothing leaks
+    octal = write(tmp_path, "oct.c", """
+        void f(int c) {
+            mutex_lock(&m);
+            if (010) mutex_unlock(&m);
+        }
+    """)
+    result = run_job(job_for(tmp_path, [octal],
+                             checkers=[("automaton", None)]))
+    assert (result.traces, result.diagnostics) == ([], [])
+    zero = write(tmp_path, "zero.c", "void f(void) { mutex_lock(&m); "
+                                     "if (00) mutex_unlock(&m); }\n")
+    result = run_job(job_for(tmp_path, [zero], checkers=[("automaton", None)]))
+    assert [t.message for t in result.traces] == ["lock &m held at exit"]
+
+
+def test_malformed_int_literal_is_a_located_diagnostic(tmp_path):
+    hexa = write(tmp_path, "hex.c", "void f(void) {\n    if (0x) g();\n}\n")
+    octal = write(tmp_path, "oct.c", "void f(void) {\n    x = 08;\n}\n")
+    result = run_job(job_for(tmp_path, [hexa, octal]))
+    assert result.diagnostics == [
+        f"skipping {hexa}: {hexa}:2:9: malformed number near '0x'",
+        f"skipping {octal}: {octal}:2:9: malformed number near '08'"]
+
+
 class CrashingChecker(Checker):
     name = "crash"
 

@@ -122,7 +122,7 @@ _EDGE_CASES = [
     # a newline inside a comment does not start a line
     ("a/*\n*/#z", False, "t.c:2:3: unexpected character '#'"),
     ('"a\\\nb" c', False, [("string", '"a\\\nb"', 1, 1), ("ident", "c", 2, 4)]),
-    ("0x", False, [("int", "0x", 1, 1)]),
+    ("0x", False, "t.c:1:1: malformed number near '0x'"),
     ("12ab", False, "t.c:1:1: malformed number near '12a'"),
     ("0x1G", False, "t.c:1:1: malformed number near '0x1G'"),
     ("a /* open", False, "t.c:1:3: unterminated comment"),
@@ -134,6 +134,11 @@ _EDGE_CASES = [
     ("\tx\r\ny", False, [("ident", "x", 1, 2), ("ident", "y", 2, 1)]),
     ("é", False, "t.c:1:1: unexpected character 'é'"),
     ("a*/", False, [("ident", "a", 1, 1), ("*", "*", 1, 2), ("/", "/", 1, 3)]),
+    # int tokens are C literals: decimal, octal after a 0, hex after 0x
+    ("08", False, "t.c:1:1: malformed number near '08'"),
+    ("x = 0129;", False, "t.c:1:5: malformed number near '0129'"),
+    ("010 0X1f 0 9", False, [("int", "010", 1, 1), ("int", "0X1f", 1, 5),
+                             ("int", "0", 1, 10), ("int", "9", 1, 12)]),
 ]
 
 

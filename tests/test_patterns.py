@@ -64,6 +64,23 @@ def test_repeated_metavar_requires_equal_subtrees():
     assert match_node(pat, expr("p->n = p->n + 1")) is not None
 
 
+def test_repeated_metavar_over_huge_sums_needs_no_recursion():
+    # each side's left spine is deeper than Python's recursion limit
+    total = " + ".join(["s"] * 3000)
+    bindings = match_node(compile_pattern("%X == %X"),
+                          expr(f"{total} == {total}"))
+    assert bindings is not None and to_text(bindings["X"]) == total
+    assert match_node(compile_pattern("%X == %X"),
+                      expr(f"{total} == {total} + s")) is None
+
+
+def test_bindings_follow_preorder():
+    bindings = match_node(compile_pattern("%A(%B, %C) + %D"),
+                          expr("f(x, y + 1) + z"))
+    assert list(bindings) == ["A", "B", "C", "D"]
+    assert [to_text(e) for e in bindings.values()] == ["f", "x", "y + 1", "z"]
+
+
 def test_match_is_at_node_only():
     pat = compile_pattern("g(%X)")
     tree = expr("f(g(1))")

@@ -1,12 +1,13 @@
 import textwrap
-from collections import deque
 
 from hypothesis import given, settings, strategies as st
 
-from cbugscan.frontend import parse_fragment, statement_text, to_text
+from cbugscan.frontend import parse_fragment, to_text
 from cbugscan.ir import build_unit_from_text
+from cbugscan.ir.callgraph import collect_calls
 from cbugscan.traverse import (
     build_supergraph,
+    callee_name,
     map_expression_to_caller,
 )
 
@@ -15,65 +16,14 @@ def unit_of(source):
     return build_unit_from_text(textwrap.dedent(source), "t.c")
 
 
-def function_of(graph, key):
-    return graph.node_function[key[1]]
-
-
-def bfs(graph):
-    """Supergraph keys reachable from the entry, breadth-first."""
-    order, seen, work = [], {graph.entry}, deque([graph.entry])
-    while work:
-        key = work.popleft()
-        order.append(key)
-        for succ in graph.succs[key]:
-            if succ not in seen:
-                seen.add(succ)
-                work.append(succ)
-    return order
+def called(graph, fn):
+    """The callee names of each of `fn`'s nodes that calls some."""
+    return [[callee_name(call) for call in graph.calls[node_id]]
+            for node_id in sorted(graph.unit.cfgs[fn].nodes)
+            if node_id in graph.calls]
 
 
 # -- supergraph --------------------------------------------------------------------
-
-CALLER_CALLEE = """
-    void g() {
-        s();
-    }
-    void f() {
-        g();
-    }
-"""
-
-
-def test_interprocedural_visit_order_inlines_callee():
-    unit = unit_of(CALLER_CALLEE)
-    graph = build_supergraph(unit, "f")
-    labels = []
-    for key in bfs(graph):
-        fn = function_of(graph, key)
-        node = graph.cfg_node(key)
-        if node.id == unit.cfgs[fn].entry:
-            labels.append(f"{fn}.entry")
-        elif node.id == unit.cfgs[fn].exit:
-            labels.append(f"{fn}.exit")
-        else:
-            labels.append(f"{fn}:{statement_text(node.ast_ref)}")
-    assert labels == [
-        "f.entry", "f:g();", "g.entry", "g:s();", "g.exit", "f.exit",
-    ]
-
-
-def test_callee_instance_carries_call_frame():
-    unit = unit_of(CALLER_CALLEE)
-    graph = build_supergraph(unit, "f")
-    callee_keys = [k for k in graph.succs
-                   if function_of(graph, k) == "g" and k[0]]
-    assert callee_keys
-    for key in callee_keys:
-        frame, = key[0]
-        assert frame.caller == "f"
-        assert frame.callee == "g"
-        assert to_text(frame.call) == "g()"
-
 
 def test_two_call_sites_two_instances():
     unit = unit_of("""
@@ -83,10 +33,12 @@ def test_two_call_sites_two_instances():
             g();
         }
     """)
-    graph = build_supergraph(unit, "f")
-    g_entry = unit.cfgs["g"].entry
-    instances = {k[0] for k in graph.succs if k[1] == g_entry}
-    assert len(instances) == 2
+    graph = build_supergraph(unit)
+    # one graph for the unit: g's nodes once, two call sites in f
+    assert sorted(graph.succs) == sorted(
+        node_id for cfg in unit.cfgs.values() for node_id in cfg.nodes)
+    assert called(graph, "f") == [["g"], ["g"]]
+    assert called(graph, "g") == []
 
 
 def test_two_calls_same_statement_chain_in_order():
@@ -95,74 +47,56 @@ def test_two_calls_same_statement_chain_in_order():
         void b() { s2(); }
         void f() { use(a(), b()); }
     """)
-    graph = build_supergraph(unit, "f")
-    order = bfs(graph)
-    fns = [function_of(graph, k) for k in order]
-    # a's instance is fully walked before b's
-    assert fns.index("a") < fns.index("b")
-    a_exit = (order[fns.index("a")][0], unit.cfgs["a"].exit)
-    assert graph.succs[a_exit] == [(order[fns.index("b")][0],
-                                    unit.cfgs["b"].entry)]
-
-
-def test_recursion_descends_once_then_cuts():
-    unit = unit_of("void f() { f(); }")
-    graph = build_supergraph(unit, "f")
-    f_entry = unit.cfgs["f"].entry
-    instances = {k[0] for k in graph.succs if k[1] == f_entry}
-    # the root instance plus exactly one nested expansion
-    assert len(instances) == 2
+    graph = build_supergraph(unit)
+    # evaluation order: a's call before b's
+    assert called(graph, "f") == [["a", "b"]]
+    assert graph.sccs == [["a"], ["b"], ["f"]]
 
 
 def test_mutual_recursion_terminates():
     unit = unit_of("""
         void a() { b(); }
         void b() { a(); }
+        void c() { a(); }
     """)
-    graph = build_supergraph(unit, "a")
-    depths = {len(k[0]) for k in graph.succs}
-    assert max(depths) == 2  # a -> b -> a(cut)
+    graph = build_supergraph(unit)
+    assert graph.sccs == [["a", "b"], ["c"]]
+    assert graph.recursive == {"a", "b"}
+    assert graph.scc_of["a"] == graph.scc_of["b"] != graph.scc_of["c"]
 
 
-def test_max_call_depth_limits_expansion():
-    unit = unit_of("""
-        void d() { s(); }
-        void c() { d(); }
-        void b() { c(); }
-        void a() { b(); }
-    """)
-    graph = build_supergraph(unit, "a", max_call_depth=2)
-    assert max(len(k[0]) for k in graph.succs) == 2
-    deep = build_supergraph(unit, "a")
-    assert max(len(k[0]) for k in deep.succs) == 3
+def test_self_call_is_recursive():
+    graph = build_supergraph(unit_of("void f() { f(); } void g() { f(); }"))
+    assert graph.sccs == [["f"], ["g"]]
+    assert graph.recursive == {"f"}
 
 
 def test_external_calls_not_expanded():
     unit = unit_of("void f() { printf(); }")
-    graph = build_supergraph(unit, "f")
-    assert all(function_of(graph, k) == "f" for k in graph.succs)
+    graph = build_supergraph(unit)
+    assert graph.calls == {}
+    assert sorted(graph.succs) == sorted(unit.cfgs["f"].nodes)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8))
-def test_supergraph_always_finite(n_funcs, depth):
+def test_supergraph_always_finite(n_funcs, calls):
     lines = []
     for i in range(n_funcs):
         callee = (i + 1) % n_funcs
-        lines.append(f"void fn{i}() {{ fn{callee}(); fn{i}(); }}")
+        lines.append(f"void fn{i}() {{ {f'fn{callee}(); ' * calls}fn{i}(); }}")
     unit = unit_of("\n".join(lines))
-    graph = build_supergraph(unit, "fn0", max_call_depth=depth)
-    assert all(len(k[0]) <= depth for k in graph.succs)
+    graph = build_supergraph(unit)
+    # one key per CFG node, however the functions call each other
+    assert len(graph.succs) == sum(len(cfg.nodes) for cfg in unit.cfgs.values())
+    assert graph.sccs == [[f"fn{i}" for i in range(n_funcs)]]
 
 
 # -- expression mapping ----------------------------------------------------------
 
-def frame_for(unit, caller, callee):
-    graph = build_supergraph(unit, caller)
-    for key in graph.succs:
-        if key[0] and key[0][-1].callee == callee:
-            return key[0][-1]
-    raise AssertionError("no frame found")
+def call_for(unit, caller, callee):
+    return next(call for call in collect_calls(unit.functions[caller])
+                if callee_name(call) == callee)
 
 
 MAPPING_UNIT = """
@@ -179,32 +113,32 @@ MAPPING_UNIT = """
 
 def test_map_formal_to_actual():
     unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     mapped = map_expression_to_caller(
-        parse_fragment("p", file="t.c"), frame, unit)
+        parse_fragment("p", file="t.c"), call, unit)
     assert to_text(mapped) == "&dev->lock"
 
 
 def test_map_compound_expression():
     unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     mapped = map_expression_to_caller(
-        parse_fragment("*p + n", file="t.c"), frame, unit)
+        parse_fragment("*p + n", file="t.c"), call, unit)
     assert to_text(mapped) == "*&dev->lock + 5"
 
 
 def test_callee_local_does_not_map():
     unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     assert map_expression_to_caller(
-        parse_fragment("tmp", file="t.c"), frame, unit) is None
+        parse_fragment("tmp", file="t.c"), call, unit) is None
 
 
 def test_global_passes_through():
     unit = unit_of(MAPPING_UNIT)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     mapped = map_expression_to_caller(
-        parse_fragment("shared + n", file="t.c"), frame, unit)
+        parse_fragment("shared + n", file="t.c"), call, unit)
     assert to_text(mapped) == "shared + 5"
 
 
@@ -213,9 +147,9 @@ def test_member_field_name_never_rewritten():
         void callee(struct box *n) { use(n->n); }
         void caller(struct box *b) { callee(b); }
     """)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     mapped = map_expression_to_caller(
-        parse_fragment("n->n", file="t.c"), frame, unit)
+        parse_fragment("n->n", file="t.c"), call, unit)
     assert to_text(mapped) == "b->n"
 
 
@@ -224,6 +158,16 @@ def test_arity_mismatch_maps_to_none():
         void callee(int a, int b) { use(a); }
         void caller() { callee(1); }
     """)
-    frame = frame_for(unit, "caller", "callee")
+    call = call_for(unit, "caller", "callee")
     assert map_expression_to_caller(
-        parse_fragment("a", file="t.c"), frame, unit) is None
+        parse_fragment("a", file="t.c"), call, unit) is None
+
+
+def test_deep_expression_maps_without_recursion():
+    unit = unit_of(MAPPING_UNIT)
+    call = call_for(unit, "caller", "callee")
+    # the sum's left spine is deeper than Python's recursion limit
+    mapped = map_expression_to_caller(
+        parse_fragment(" + ".join(["p"] + ["n"] * 3000), file="t.c"),
+        call, unit)
+    assert to_text(mapped) == " + ".join(["&dev->lock"] + ["5"] * 3000)
