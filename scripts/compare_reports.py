@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Check that two source trees of cbugscan report the same on C files.
 
-    python3 scripts/compare_reports.py OLD_SRC NEW_SRC FILE...
+    python3 scripts/compare_reports.py OLD_SRC NEW_SRC [FILE...]
 
 OLD_SRC and NEW_SRC are each a checkout or its `src` directory. For each
 tree, a fresh interpreter runs all four checkers with their bundled
 configs over every FILE, one job per file, and prints the JSON report
 (findings, witness steps, ids) and the diagnostics. The two outputs are
 compared line by line: on any difference the first differing lines are
-printed and the exit code is 1; otherwise it is 0. Standard library
-only.
+printed and the exit code is 1; otherwise it is 0. Without FILE, the
+files are `tests/corpus/*.c` and the wide, deep and nest workloads of
+seeds 1-10, which `perfbench/workloads.py` writes into a temporary
+directory. Standard library only.
 """
 
 import difflib
+import glob
 import os
 import subprocess
 import sys
+import tempfile
 
 CHILD = r"""
 import sys
@@ -33,6 +37,9 @@ for path in sys.argv[1:]:
 """
 
 SHOWN_LINES = 40
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("wide", "deep", "nest")
+SEEDS = range(1, 11)
 
 
 def package_dir(tree: str) -> str:
@@ -51,11 +58,35 @@ def report(tree: str, files: list[str]) -> list[str]:
     return done.stdout.splitlines()
 
 
+def default_files(directory: str) -> list[str]:
+    """The corpus files, then each workload and seed written into a
+    directory of its own under `directory`."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.dont_write_bytecode = True
+    import workloads
+    files = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.c")))
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            target = os.path.join(directory, f"{workload}{seed}")
+            os.mkdir(target)
+            sources = workloads.generate(workload, seed)
+            workloads.write_workload(sources, target)
+            files += [os.path.join(target, source.name) for source in sources]
+    return files
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) < 3:
+    if len(argv) < 2:
         sys.stderr.write(__doc__)
         return 2
     old_tree, new_tree, *files = argv
+    if not files:
+        with tempfile.TemporaryDirectory() as directory:
+            return compare(old_tree, new_tree, default_files(directory))
+    return compare(old_tree, new_tree, files)
+
+
+def compare(old_tree: str, new_tree: str, files: list[str]) -> int:
     old, new = report(old_tree, files), report(new_tree, files)
     if old == new:
         print(f"identical: {len(files)} files, {len(old)} lines")

@@ -683,8 +683,9 @@ def _union(old: _Summary, new: _Summary) -> _Summary:
     errors = {state: {key: list(found) for key, found in by_key.items()}
               for state, by_key in old.errors.items()}
     for state, by_key in new.errors.items():
+        table = errors.setdefault(state, {})
         for key, found in by_key.items():
-            mine = errors.setdefault(state, {}).setdefault(key, [])
+            mine = table.setdefault(key, [])
             known = {(render_message(e.template, e.texts), e.location)
                      for e in mine}
             mine.extend(e for e in found

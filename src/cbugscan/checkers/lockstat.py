@@ -146,10 +146,8 @@ class LockstatChecker(Checker):
         return frozenset(held)
 
     def _collect_accesses(
-            self, cfg: Cfg,
-            events: Callable[[CfgNode], list[_Event]] | None = None,
+            self, cfg: Cfg, events: Callable[[CfgNode], list[_Event]],
     ) -> list[_Access]:
-        events = events or self._node_events()
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the
         # first set to arrive is taken as it is, later ones narrow it by
         # intersection, which converges to the same fixpoint as

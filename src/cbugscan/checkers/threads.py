@@ -1,10 +1,10 @@
-"""Deadlock checker: lock-order graphs and cycle detection.
+"""Deadlock checker: one lock-order graph per unit and cycle detection.
 
 Each thread entry point is walked with a may-hold lockset. Acquiring
 B while A is held records the dependency edge A <- B (B depends on A).
-The per-entry graphs are unioned and every elementary cycle in the
-combined graph is reported: a cycle means two orders of acquisition are
-possible, which is a potential deadlock.
+The unit has one lock-order graph over all entries, and every
+elementary cycle in it is reported: a cycle means two orders of
+acquisition are possible, which is a potential deadlock.
 
 The walk is interprocedural through function summaries, computed once
 per unit bottom-up over the call graph (`cbugscan.traverse`): the
@@ -12,11 +12,15 @@ lock-order edges a function's body orders and the callees it reaches,
 each lock taken inside with the keys released on every path before it,
 and its lockset change (the locks it may leave held, the keys it
 releases on every path). An entry's edges are those of the functions it
-reaches, itself included. Lock keys
-are the raw text in every function, so a summary applies unchanged at
-every call. The edges are those of every path, so they do not depend on
-the order the worklist visits nodes in. There is no call-depth bound;
-recursion is solved to a fixpoint.
+reaches, itself included. Lock keys are the raw text in every function,
+so a summary applies unchanged at every call. The edges are those of
+every path, so they do not depend on the order the worklist visits
+nodes in. There is no call-depth bound; recursion is solved to a
+fixpoint.
+
+Each edge keeps its least witness (entry, location of the held lock,
+location of the taken lock), which a finding's steps show; each
+function is walked once, for the least entry that reaches it.
 
 Thread entry points come from spawn-call matches (the argument bound
 by %F), from names listed in the config, or, when neither yields
@@ -123,14 +127,14 @@ def spawned_entry_name(binding: AstNode) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     entry: str
     first_location: SourceLocation
     second_location: SourceLocation
 
 
-LockOrderGraph = dict[tuple[str, str], list[Witness]]
+# (held key, taken key) -> the edge's least witness
+LockOrderGraph = dict[tuple[str, str], Witness]
 
 # (is a lock, lock key, location) in evaluation order within a CFG node
 LockEvent = tuple[bool, str, SourceLocation]
@@ -282,39 +286,30 @@ def _summarize(graph: SuperGraph, fn: str,
                        *at_exit)
 
 
-def build_dependency_graph(
-        unit: TranslationUnit, entry: str, config: ThreadConfig,
-        summaries: dict[str, LockSummary] | None = None,
-) -> LockOrderGraph:
-    """The lock-order edges of every path from one entry point, which
-    starts holding nothing. `summaries` are the unit's `lock_summaries`,
-    to share between the entries of one unit; by default they are
-    computed here."""
-    if summaries is None:
-        summaries = lock_summaries(build_supergraph(unit), lock_events(config))
-    found: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
-    reached, pending = {entry}, [entry]
-    while pending:
-        summary = summaries[pending.pop()]
-        found |= summary.edges
-        for callee in summary.calls - reached:
-            reached.add(callee)
-            pending.append(callee)
-    edges: LockOrderGraph = {}
-    for held_key, key, held_location, location in sorted(found):
-        edges.setdefault((held_key, key), []).append(
-            Witness(entry, held_location, location))
-    return edges
+def lock_order_graph(entries: list[str],
+                     summaries: dict[str, LockSummary]) -> LockOrderGraph:
+    """The lock-order edges of every path from the entry points, each of
+    which starts holding nothing, with each edge's least witness.
 
-
-def combine_graphs(graphs: list[LockOrderGraph]) -> LockOrderGraph:
-    combined: LockOrderGraph = {}
-    for graph in graphs:
-        for edge, witnesses in graph.items():
-            combined.setdefault(edge, []).extend(witnesses)
-    for witnesses in combined.values():
-        witnesses.sort(key=lambda w: (w.entry, w.first_location, w.second_location))
-    return combined
+    Each function reached is walked once, for the least entry that
+    reaches it. An edge's two locations do not depend on the entry, so
+    that entry gives the least (entry, first location, second location)
+    of every edge the function orders."""
+    entry_of: dict[str, str] = {}
+    for entry in sorted(entries):
+        pending = [entry]
+        while pending:
+            fn = pending.pop()
+            if fn not in entry_of:
+                entry_of[fn] = entry
+                pending.extend(summaries[fn].calls)
+    graph: LockOrderGraph = {}
+    for fn, entry in entry_of.items():
+        for held_key, key, held_location, location in summaries[fn].edges:
+            edge = (held_key, key)
+            witness = Witness(entry, held_location, location)
+            graph[edge] = min(graph.get(edge, witness), witness)
+    return graph
 
 
 def elementary_cycles(edges: LockOrderGraph,
@@ -377,17 +372,15 @@ class ThreadChecker(Checker):
         entries = find_thread_entries(unit, self.config, services)
         summaries = lock_summaries(build_supergraph(unit),
                                    lock_events(self.config))
-        graphs = [build_dependency_graph(unit, entry, self.config, summaries)
-                  for entry in entries]
-        return report_cycles(unit, graphs, self.config.max_cycles, services)
+        return report_cycles(unit, lock_order_graph(entries, summaries),
+                             self.config.max_cycles, services)
 
 
-def report_cycles(unit: TranslationUnit, graphs: list[LockOrderGraph],
+def report_cycles(unit: TranslationUnit, graph: LockOrderGraph,
                   cap: int, services: Services) -> list[ErrorTrace]:
-    """One finding per elementary cycle of the entries' combined graph,
+    """One finding per elementary cycle of the unit's lock-order graph,
     at most `cap`; a diagnostic says when more were dropped."""
-    combined = combine_graphs(graphs)
-    cycles = elementary_cycles(combined, cap + 1)
+    cycles = elementary_cycles(graph, cap + 1)
     if len(cycles) > cap:
         del cycles[cap:]
         services.report_diagnostic(
@@ -400,7 +393,7 @@ def report_cycles(unit: TranslationUnit, graphs: list[LockOrderGraph],
         steps = []
         for i, lock_a in enumerate(cycle):
             lock_b = cycle[(i + 1) % len(cycle)]
-            witness = combined[(lock_a, lock_b)][0]
+            witness = graph[(lock_a, lock_b)]
             steps.append(TraceStep(
                 witness.first_location,
                 f"{lock_a} acquired ({witness.entry})"))

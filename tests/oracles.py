@@ -300,10 +300,46 @@ def cloned_lock_graph(unit, entry: str, config):
 
 
 def cloned_thread_traces(unit, config, services):
-    """The thread checker's findings by call-string cloning."""
-    graphs = [cloned_lock_graph(unit, entry, config)
-              for entry in find_thread_entries(unit, config, services)]
-    return report_cycles(unit, graphs, config.max_cycles, services)
+    """The thread checker's findings by call-string cloning, each edge
+    with its least witness over the entries."""
+    graph: dict = {}
+    for entry in find_thread_entries(unit, config, services):
+        for edge, witnesses in cloned_lock_graph(unit, entry, config).items():
+            for witness in witnesses:
+                if edge not in graph or witness < graph[edge]:
+                    graph[edge] = witness
+    return report_cycles(unit, graph, config.max_cycles, services)
+
+
+# -- per-entry lock-order graphs ----------------------------------------------
+
+def build_dependency_graph(entry: str, summaries):
+    """One entry's lock-order edges from the unit's lock summaries, every
+    witness of each edge in a list, sorted."""
+    found = set()
+    reached, pending = {entry}, [entry]
+    while pending:
+        summary = summaries[pending.pop()]
+        found |= summary.edges
+        for callee in summary.calls - reached:
+            reached.add(callee)
+            pending.append(callee)
+    edges: dict = {}
+    for held_key, key, held_location, location in sorted(found):
+        edges.setdefault((held_key, key), []).append(
+            Witness(entry, held_location, location))
+    return edges
+
+
+def combine_graphs(graphs):
+    """The per-entry graphs' union, each edge's witnesses sorted."""
+    combined: dict = {}
+    for graph in graphs:
+        for edge, witnesses in graph.items():
+            combined.setdefault(edge, []).extend(witnesses)
+    for witnesses in combined.values():
+        witnesses.sort(key=lambda w: (w.entry, w.first_location, w.second_location))
+    return combined
 
 
 # -- reachability -------------------------------------------------------------

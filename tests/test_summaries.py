@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbugscan.checkers import builtin_registry
 from cbugscan.checkers.base import Services
+from cbugscan.cli import main
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
@@ -161,6 +162,32 @@ def test_lock_order_through_mutual_recursion_is_a_cycle():
         }
     """)
     assert trace.message == "circular lock dependency: a <- b <- a"
+
+
+def test_leak_beside_a_recursion_that_never_returns(tmp_path):
+    # g's component has no errors and no exit; its summary still has a
+    # table for every entry state, so the checker does not crash on it
+    path = tmp_path / "t.c"
+    path.write_text("struct mutex m; void g(void) { g(); } "
+                    "void leak(void) { mutex_lock(&m); }\n")
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(path))],
+                                 checkers=[("automaton", None)]))
+    assert result.diagnostics == []
+    assert [t.message for t in result.traces] == ["lock &m held at exit"]
+    assert main(["check", str(path), "--checker", "automaton"]) == 1
+
+
+def test_mutual_recursion_that_never_returns_is_quiet():
+    diagnostics = []
+    assert check(AUTOMATON, """
+        void a(void) {
+            b();
+        }
+        void b(void) {
+            a();
+        }
+    """, diagnostics) == []
+    assert diagnostics == []
 
 
 def test_recursion_through_a_growing_argument_ends():

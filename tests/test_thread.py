@@ -2,18 +2,20 @@ import textwrap
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbugscan.checkers import builtin_registry
 from cbugscan.checkers.base import Services
 from cbugscan.checkers.threads import (
     DEFAULT_SPAWN,
     ThreadChecker,
-    build_dependency_graph,
-    combine_graphs,
     elementary_cycles,
     find_thread_entries,
+    lock_events,
     lock_key,
+    lock_order_graph,
+    lock_summaries,
     parse_thread_config,
     spawned_entry_name,
 )
@@ -24,8 +26,14 @@ from cbugscan.frontend import iter_tree
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
 from cbugscan.patterns import compile_pattern, match_node
 from cbugscan.report import Importance
+from cbugscan.traverse import build_supergraph
 
-from oracles import all_cycles, unpruned_cycles
+from oracles import (
+    all_cycles,
+    build_dependency_graph,
+    combine_graphs,
+    unpruned_cycles,
+)
 
 PAIR_CONFIG = 'lock "mtx_lock(%X)" unlock "mtx_unlock(%X)"\n'
 
@@ -196,11 +204,15 @@ def test_no_spawns_no_entries_means_every_function():
     assert find_thread_entries(u, config, services()) == ["a", "b"]
 
 
-# -- dependency graphs ------------------------------------------------------------
+# -- the lock-order graph ----------------------------------------------------------
+
+def summaries_for(u, config):
+    return lock_summaries(build_supergraph(u), lock_events(config))
+
 
 def graph_for(source, entry="f", config_text=PAIR_CONFIG):
-    return build_dependency_graph(unit(source), entry,
-                                  parse_thread_config(config_text))
+    config = parse_thread_config(config_text)
+    return lock_order_graph([entry], summaries_for(unit(source), config))
 
 
 def test_nested_acquisition_records_edge():
@@ -213,7 +225,7 @@ def test_nested_acquisition_records_edge():
         }
     """)
     assert set(edges) == {("a", "b")}
-    witness = edges[("a", "b")][0]
+    witness = edges[("a", "b")]
     assert witness.entry == "f"
     assert witness.first_location.line == 3
     assert witness.second_location.line == 4
@@ -270,7 +282,7 @@ def test_interprocedural_ordering_through_call():
         }
     """)
     assert set(edges) == {("outer", "inner")}
-    witness = edges[("outer", "inner")][0]
+    witness = edges[("outer", "inner")]
     assert witness.entry == "f"
     assert witness.first_location.line == 7
     assert witness.second_location.line == 3
@@ -288,10 +300,11 @@ def test_loop_converges_with_single_witness():
         }
     """)
     assert set(edges) == {("a", "b")}
-    assert len(edges[("a", "b")]) == 1
+    witness = edges[("a", "b")]
+    assert (witness.first_location.line, witness.second_location.line) == (4, 5)
 
 
-def test_distinct_sites_each_get_a_witness():
+def test_distinct_sites_keep_the_least_witness():
     edges = graph_for("""
         void f(void) {
             mtx_lock(&a);
@@ -302,28 +315,101 @@ def test_distinct_sites_each_get_a_witness():
             mtx_unlock(&a);
         }
     """)
-    assert len(edges[("a", "b")]) == 2
-    lines = [w.second_location.line for w in edges[("a", "b")]]
-    assert lines == [4, 6]
+    assert set(edges) == {("a", "b")}
+    assert edges[("a", "b")].second_location.line == 4
 
 
-def test_combine_graphs_merges_and_sorts():
-    left = graph_for("""
+def test_lock_order_graph_keeps_the_least_entry():
+    u = unit("""
+        void h(void) {
+            mtx_lock(&c);
+            mtx_lock(&d);
+        }
         void f(void) {
             mtx_lock(&a);
             mtx_lock(&b);
+            mtx_unlock(&b);
+            mtx_unlock(&a);
+            h();
         }
-    """)
-    right = graph_for("""
         void g(void) {
             mtx_lock(&b);
             mtx_lock(&a);
+            mtx_unlock(&a);
+            mtx_unlock(&b);
+            h();
         }
-    """, entry="g")
-    combined = combine_graphs([right, left])
-    assert set(combined) == {("a", "b"), ("b", "a")}
-    assert combined[("a", "b")][0].entry == "f"
-    assert combined[("b", "a")][0].entry == "g"
+    """)
+    graph = lock_order_graph(["g", "f"],
+                             summaries_for(u, parse_thread_config(PAIR_CONFIG)))
+    assert {edge: witness.entry for edge, witness in graph.items()} == {
+        ("a", "b"): "f", ("b", "a"): "g", ("c", "d"): "f"}
+
+
+# programs whose thread entries, spawned or configured, are a strict subset
+# of their functions; calls may go anywhere, recursion included
+@st.composite
+def spawning_programs(draw):
+    functions = draw(st.integers(min_value=2, max_value=6))
+    names = [f"f{i}" for i in range(functions)]
+    entries = draw(st.lists(st.sampled_from(names), min_size=1,
+                            max_size=functions - 1, unique=True))
+    spawned = draw(st.lists(st.sampled_from(entries), unique=True))
+    bodies = {name: [] for name in names}
+    for name in spawned:
+        bodies[draw(st.sampled_from(names))].append(
+            f"pthread_create(&t, 0, {name}, 0);")
+    lock = st.builds("mtx_lock(&{});".format, st.sampled_from("abcd"))
+    statement = st.one_of(
+        lock, lock,
+        st.builds("mtx_unlock(&{});".format, st.sampled_from("abcd")),
+        st.builds("{}();".format, st.sampled_from(names)),
+        st.builds("if (c) {}();".format, st.sampled_from(names)))
+    for name in names:
+        bodies[name] += draw(st.lists(statement, min_size=1, max_size=8))
+        bodies[name] = draw(st.permutations(bodies[name]))
+    source = "\n".join(f"void {name}(void) {{ {' '.join(body)} }}"
+                       for name, body in bodies.items()) + "\n"
+    configured = [name for name in entries if name not in spawned]
+    return source, PAIR_CONFIG + "".join(f"entry {name}\n"
+                                         for name in configured)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spawning_programs())
+def test_lock_order_graph_is_the_per_entry_union_first_witness(program):
+    source, config_text = program
+    u = unit(source)
+    config = parse_thread_config(config_text)
+    entries = find_thread_entries(u, config, services())
+    assert 0 < len(entries) < len(u.functions)
+    summaries = summaries_for(u, config)
+    combined = combine_graphs([build_dependency_graph(entry, summaries)
+                               for entry in entries])
+    assert lock_order_graph(entries, summaries) == {
+        edge: witnesses[0] for edge, witnesses in combined.items()}
+
+
+def chain_150():
+    """f_i locks &m_i and calls f_{i+1} twice, once on p and once on &q;
+    f_150 locks &m_150 and p. Every function is an entry."""
+    return "\n".join(
+        [f"void f{i}(int *p) {{ mutex_lock(&m{i}); f{i + 1}(p); "
+         f"f{i + 1}(&q); mutex_unlock(&m{i}); }}" for i in range(150)]
+        + ["void f150(int *p) { mutex_lock(&m150); mutex_lock(p); }"]) + "\n"
+
+
+def test_chain_150_graph_is_fast():
+    # every function is an entry, so one walk per entry would be quadratic
+    u = unit(chain_150())
+    config = builtin_registry().create("thread").config
+    entries = find_thread_entries(u, config, services())
+    assert len(entries) == 151
+    summaries = summaries_for(u, config)
+    started = time.perf_counter()
+    graph = lock_order_graph(entries, summaries)
+    assert time.perf_counter() - started < 0.5
+    assert len(graph) == 11775
 
 
 # -- cycle enumeration ------------------------------------------------------------
