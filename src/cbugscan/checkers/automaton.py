@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
@@ -52,7 +53,6 @@ from cbugscan.frontend.ast_nodes import (
     iter_tree,
     to_text,
 )
-from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -83,6 +83,11 @@ class AutomatonDef:
 
     def pattern_names(self) -> set[str]:
         return {p.name for p in self.patterns}
+
+    @cached_property
+    def index(self) -> PatternIndex:
+        """The automaton's patterns, indexed once per automaton."""
+        return PatternIndex(self.patterns)
 
     def validate(self, source: str) -> None:
         where = f"{source}: automaton {self.name!r}"
@@ -270,7 +275,7 @@ class AutomatonChecker(Checker):
         graph = build_supergraph(unit)
         traces: list[ErrorTrace] = []
         for automaton in self.automata:
-            traces.extend(_run_automaton(automaton, graph))
+            traces.extend(_run_automaton(automaton, unit, graph))
         return traces
 
 
@@ -280,9 +285,8 @@ def _is_call_graph_root(unit: TranslationUnit, function: str) -> bool:
                for edge in unit.call_graph.by_callee.get(function, []))
 
 
-def _run_automaton(automaton: AutomatonDef,
+def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
                    graph: SuperGraph) -> list[ErrorTrace]:
-    unit = graph.unit
     traces: list[ErrorTrace] = []
     emitted: set[tuple[_Key, str, SourceLocation]] = set()
 
@@ -300,10 +304,10 @@ def _run_automaton(automaton: AutomatonDef,
         ))
 
     events = node_events(
-        PatternIndex(automaton.patterns), match_node,
+        automaton.index, unit, match_node,
         lambda pattern, subnode, bindings: (pattern.name, to_text(subnode), {
             var: (to_text(expr), expr) for var, expr in bindings.items()}))
-    summaries = _Summaries(automaton, graph, events)
+    summaries = _Summaries(automaton, unit, graph, events)
     for entry in unit.functions:
         summary = summaries.base(entry)
         for key, errors in summary.errors[_ABSENT].items():
@@ -388,9 +392,10 @@ class _Summaries:
     binding that stands for it); such summaries are solved on demand.
     """
 
-    def __init__(self, automaton: AutomatonDef, graph: SuperGraph,
-                 events: Callable[[CfgNode], list]):
+    def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
+                 graph: SuperGraph, events: dict[int, list]):
         self.automaton = automaton
+        self.unit = unit
         self.graph = graph
         self.events = events
         self.called = {callee_name(call) for calls in graph.calls.values()
@@ -475,7 +480,7 @@ class _Summaries:
             if expr is None:
                 found = (text, None)
             else:
-                found = map_binding(expr, call, self.graph.unit)
+                found = map_binding(expr, call, self.unit)
                 if (recursive and found[1] is not None
                         and _size(found[1]) > _size(expr)):
                     found = (f"{callee_name(call)}::{text}", None)
@@ -506,18 +511,18 @@ class _Summaries:
 
     def summarize(self, fn: str, merge: dict[str, _Binding]) -> _Summary:
         automaton, graph = self.automaton, self.graph
-        cfg = graph.unit.cfgs[fn]
+        cfg = graph.cfgs[fn]
         keys: dict[_Key, None] = {}
         bindings: dict[str, AstNode | None] = {}
         own: dict[int, list] = {}
         applied: dict[int, list[_Summary]] = {}
         dead: set[int] = set()
 
-        def own_events(node: CfgNode) -> list:
-            found = own.get(node.id)
+        def own_events(node_id: int) -> list:
+            found = own.get(node_id)
             if found is None:
-                found = own[node.id] = []
-                for name, step, binds in self.events(node):
+                found = own[node_id] = []
+                for name, step, binds in self.events.get(node_id, ()):
                     texts = {}
                     for var, binding in binds.items():
                         text, expr = merge.get(binding[0], binding)
@@ -557,9 +562,8 @@ class _Summaries:
                         _Error(template, texts, location, steps))
 
             def transfer(node_id: int, in_map: _InstMap) -> _InstMap:
-                node = cfg.nodes[node_id]
-                out = _step(automaton, node.location, own_events(node),
-                            in_map, record)
+                out = _step(automaton, cfg.nodes[node_id].location,
+                            own_events(node_id), in_map, record)
                 for summary in callees(node_id):
                     out = _apply(summary, out, record)
                 return out

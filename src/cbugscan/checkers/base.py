@@ -17,7 +17,6 @@ from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode
-from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit, UnitManager
 from cbugscan.patterns import Bindings, Pattern, PatternIndex
 from cbugscan.report import ErrorTrace
@@ -70,28 +69,22 @@ def config_lines(text: str,
 
 
 def node_events(
-        index: PatternIndex,
+        index: PatternIndex, unit: TranslationUnit,
         match: Callable[[Pattern, AstNode], Bindings | None],
         event: Callable[[Pattern, AstNode, Bindings], Event],
-) -> Callable[[CfgNode], list[Event]]:
-    """A function giving a CFG node's events, one `event(pattern,
-    subnode, bindings)` per match under the node in evaluation order.
+) -> dict[int, list[Event]]:
+    """Each CFG node's events by node id, one `event(pattern, subnode,
+    bindings)` per match under the node in evaluation order (preorder,
+    then index order); a node without a match has no entry.
 
-    Each node is matched once, however often a fixpoint or a calling
-    context revisits it. Results are keyed by CFG node id, which is
-    unique within a unit, so make one per `check_unit` call. Checkers
-    pass their own module's `match_node`, looked up at the call.
+    The matches are read from the unit's match table, every node's at
+    once, reachable or not, so a fixpoint or a calling context that
+    revisits a node looks its events up. Checkers pass their own
+    module's `match_node`, looked up at the call.
     """
-    memo: dict[int, list[Event]] = {}
-
-    def events(node: CfgNode) -> list[Event]:
-        found = memo.get(node.id)
-        if found is None:
-            found = memo[node.id] = [] if node.ast_ref is None else [
-                event(*hit) for hit in index.matches(node.ast_ref, match)]
-        return found
-
-    return events
+    return {owner: [event(*hit) for hit in hits]
+            for owner, hits in index.matches(unit.match_table, match).items()
+            if owner is not None}
 
 
 def forward_fixpoint(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import cached_property
 
 from cbugscan.checkers.base import (
     Checker,
@@ -26,7 +26,7 @@ from cbugscan.checkers.base import (
 )
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import SourceLocation, to_text
-from cbugscan.ir.cfg import Cfg, CfgNode
+from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -45,6 +45,19 @@ class LockstatConfig:
     unlocks: list[Pattern] = field(default_factory=list)
     threshold: Fraction = Fraction(7, 10)
     min_samples: int = 5
+
+    @cached_property
+    def kinds(self) -> dict[Pattern, str]:
+        """Each pattern's event kind, in config order: accesses, locks,
+        unlocks."""
+        return {**dict.fromkeys(self.accesses, _ACCESS),
+                **dict.fromkeys(self.locks, _LOCK),
+                **dict.fromkeys(self.unlocks, _UNLOCK)}
+
+    @cached_property
+    def index(self) -> PatternIndex:
+        """The patterns of `kinds`, indexed once per config."""
+        return PatternIndex(self.kinds)
 
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
@@ -107,23 +120,19 @@ class LockstatChecker(Checker):
         # Statistics aggregate over the whole unit; the held-set
         # computation itself is per function.
         accesses: list[_Access] = []
-        events = self._node_events()
+        events = self._node_events(unit)
         for name in unit.functions:
             accesses.extend(self._collect_accesses(unit.cfgs[name], events))
         return self._report(accesses)
 
     # -- per-function analysis -------------------------------------------
 
-    def _node_events(self) -> Callable[[CfgNode], list[_Event]]:
-        """Each CFG node's accesses and lock/unlock events, matched once
-        per node: make one per unit (see `checkers.base.node_events`)."""
-        config = self.config
-        # patterns in config order: accesses, locks, unlocks
-        kinds = {**dict.fromkeys(config.accesses, _ACCESS),
-                 **dict.fromkeys(config.locks, _LOCK),
-                 **dict.fromkeys(config.unlocks, _UNLOCK)}
+    def _node_events(self, unit: TranslationUnit) -> dict[int, list[_Event]]:
+        """Each CFG node's accesses and lock/unlock events, by node id
+        (see `checkers.base.node_events`)."""
+        kinds = self.config.kinds
         return node_events(
-            PatternIndex(kinds), match_node,
+            self.config.index, unit, match_node,
             lambda pattern, subnode, bindings: (
                 kinds[pattern],
                 to_text(first_binding(pattern, bindings, subnode)),
@@ -145,9 +154,8 @@ class LockstatChecker(Checker):
                 held.discard(text)
         return frozenset(held)
 
-    def _collect_accesses(
-            self, cfg: Cfg, events: Callable[[CfgNode], list[_Event]],
-    ) -> list[_Access]:
+    def _collect_accesses(self, cfg: Cfg, events: dict[int, list[_Event]],
+                          ) -> list[_Access]:
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the
         # first set to arrive is taken as it is, later ones narrow it by
         # intersection, which converges to the same fixpoint as
@@ -155,12 +163,12 @@ class LockstatChecker(Checker):
         in_sets = forward_fixpoint(
             cfg.entry, frozenset(),
             lambda node_id: [edge.target for edge in cfg.successors(node_id)],
-            lambda node_id, held: self._apply(events(cfg.nodes[node_id]), held),
+            lambda node_id, held: self._apply(events.get(node_id, ()), held),
             lambda old, new: None if old <= new else old & new)
 
         accesses: list[_Access] = []
         for node_id in sorted(in_sets):
-            self._apply(events(cfg.nodes[node_id]), in_sets[node_id],
+            self._apply(events.get(node_id, ()), in_sets[node_id],
                         accesses.append)
         return accesses
 

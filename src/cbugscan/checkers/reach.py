@@ -10,11 +10,14 @@ meant.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from cbugscan.checkers.base import Checker, Services, forward_fixpoint
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind, iter_tree, statement_text
+from cbugscan.frontend.ast_nodes import AstNode, NodeKind, statement_text
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
+from cbugscan.patterns import MatchTable, subnodes_of
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 
@@ -51,23 +54,20 @@ def dead_leaders(cfg: Cfg) -> list[int]:
     return leaders
 
 
-def superfluous_semicolons(root: AstNode) -> list[AstNode]:
-    """EmptyStatement nodes that swallow an `if` or loop body."""
+# (kind, arity) of each statement with a body, and the body's index
+_BODIES = {(NodeKind.IF, 2): 1, (NodeKind.WHILE, 2): 1, (NodeKind.FOR, 4): 3}
+
+
+def superfluous_semicolons(table: MatchTable) -> list[AstNode]:
+    """EmptyStatement nodes that swallow an `if` or loop body, in source
+    order, read from a unit's match table. Such statements lie outside
+    every CFG node's tree, so their positions share one preorder."""
     found = []
-    for node in iter_tree(root):
-        if node.kind is NodeKind.IF and len(node.children) == 2:
-            body = node.children[1]
-            if body.kind is NodeKind.EMPTY_STATEMENT:
-                found.append(body)
-        elif node.kind is NodeKind.WHILE:
-            body = node.children[1]
-            if body.kind is NodeKind.EMPTY_STATEMENT:
-                found.append(body)
-        elif node.kind is NodeKind.FOR:
-            body = node.children[3]
-            if body.kind is NodeKind.EMPTY_STATEMENT:
-                found.append(body)
-    return found
+    for (kind, arity), body in _BODIES.items():
+        for _, position, node in subnodes_of(table, kind, arity):
+            if node.children[body].kind is NodeKind.EMPTY_STATEMENT:
+                found.append((position, node.children[body]))
+    return [body for _, body in sorted(found, key=itemgetter(0))]
 
 
 class ReachChecker(Checker):
@@ -91,7 +91,7 @@ class ReachChecker(Checker):
                     steps=(TraceStep(node.location,
                                      statement_text(node.ast_ref)),),
                 ))
-        for semicolon in superfluous_semicolons(unit.ast):
+        for semicolon in superfluous_semicolons(unit.match_table):
             traces.append(ErrorTrace(
                 checker="reach",
                 importance=Importance.WARNING,

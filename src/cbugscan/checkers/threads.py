@@ -30,7 +30,8 @@ anything, every defined function (conservative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import cached_property
+from typing import NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
@@ -45,10 +46,8 @@ from cbugscan.frontend.ast_nodes import (
     AstNode,
     NodeKind,
     SourceLocation,
-    iter_tree,
     to_text,
 )
-from cbugscan.ir.cfg import CfgNode
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -71,6 +70,16 @@ class ThreadConfig:
     locks: list[Pattern] = field(default_factory=list)
     unlocks: list[Pattern] = field(default_factory=list)
     max_cycles: int = DEFAULT_MAX_CYCLES
+
+    @cached_property
+    def spawn_index(self) -> PatternIndex:
+        """The spawn patterns, indexed once per config."""
+        return PatternIndex(self.spawns)
+
+    @cached_property
+    def lock_index(self) -> PatternIndex:
+        """The lock and unlock patterns, indexed once per config."""
+        return PatternIndex(self.locks + self.unlocks)
 
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
@@ -140,12 +149,13 @@ LockOrderGraph = dict[tuple[str, str], Witness]
 LockEvent = tuple[bool, str, SourceLocation]
 
 
-def lock_events(config: ThreadConfig) -> Callable[[CfgNode], list[LockEvent]]:
-    """Each CFG node's lock events, matched once per node: make one per
-    unit (see `checkers.base.node_events`)."""
+def lock_events(config: ThreadConfig,
+                unit: TranslationUnit) -> dict[int, list[LockEvent]]:
+    """Each CFG node's lock events, by node id (see
+    `checkers.base.node_events`)."""
     locks = set(config.locks)
     return node_events(
-        PatternIndex(config.locks + config.unlocks), match_node,
+        config.lock_index, unit, match_node,
         lambda pattern, subnode, bindings: (
             pattern in locks, lock_key(pattern, bindings, subnode),
             subnode.location))
@@ -153,15 +163,14 @@ def lock_events(config: ThreadConfig) -> Callable[[CfgNode], list[LockEvent]]:
 
 def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
                         services: Services) -> list[str]:
+    """The functions spawn calls start, read from the unit's match table
+    (spawns outside every CFG node, such as at file scope, first, then by
+    CFG node), then the config's entries; every function when there is
+    none."""
     entries: list[str] = []
-    index = PatternIndex(config.spawns)
-    for spawn in config.spawns:
-        for node in iter_tree(unit.ast):
-            if spawn not in index.candidates(node):
-                continue
-            bindings = match_node(spawn, node)
-            if bindings is None:
-                continue
+    found = config.spawn_index.matches(unit.match_table, match_node)
+    for owner in sorted(found, key=lambda owner: -1 if owner is None else owner):
+        for _, _, bindings in found[owner]:
             name = spawned_entry_name(bindings["F"])
             if name is not None and name in unit.functions and name not in entries:
                 entries.append(name)
@@ -199,8 +208,7 @@ class LockSummary(NamedTuple):
     released: frozenset = frozenset()
 
 
-def lock_summaries(graph: SuperGraph,
-                   events: Callable[[CfgNode], list[LockEvent]],
+def lock_summaries(graph: SuperGraph, events: dict[int, list[LockEvent]],
                    ) -> dict[str, LockSummary]:
     """Every function's summary, bottom-up over the call graph's
     components; a recursive component is iterated from "no call
@@ -225,11 +233,11 @@ def lock_summaries(graph: SuperGraph,
 
 
 def _summarize(graph: SuperGraph, fn: str,
-               events: Callable[[CfgNode], list[LockEvent]],
+               events: dict[int, list[LockEvent]],
                summaries: dict[str, LockSummary]) -> LockSummary:
     # dataflow value: (locks taken since the entry that may be held, as
     # (key, location) pairs; keys released on every path from the entry)
-    cfg = graph.unit.cfgs[fn]
+    cfg = graph.cfgs[fn]
     edges: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
     calls: set[str] = set()
     acquires: dict[tuple[str, SourceLocation], frozenset] = {}
@@ -244,7 +252,7 @@ def _summarize(graph: SuperGraph, fn: str,
             released if before is None else before & released)
 
     def transfer(node_id: int, fact: tuple) -> tuple:
-        found = events(cfg.nodes[node_id])
+        found = events.get(node_id, ())
         if not found and node_id not in graph.calls:
             return fact
         held, released = fact
@@ -371,7 +379,7 @@ class ThreadChecker(Checker):
                    services: Services) -> list[ErrorTrace]:
         entries = find_thread_entries(unit, self.config, services)
         summaries = lock_summaries(build_supergraph(unit),
-                                   lock_events(self.config))
+                                   lock_events(self.config, unit))
         return report_cycles(unit, lock_order_graph(entries, summaries),
                              self.config.max_cycles, services)
 

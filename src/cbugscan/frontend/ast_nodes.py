@@ -50,6 +50,10 @@ class NodeKind(Enum):
     STRING_LITERAL = "StringLiteral"
     META_VAR = "MetaVar"
 
+    # Members are singletons compared by identity; the identity hash
+    # spares the Python-level `Enum.__hash__` on every lookup by kind.
+    __hash__ = object.__hash__
+
 
 # UnaryOp.text values and their C spellings.
 UNARY_SYMBOL = {"deref": "*", "addrof": "&", "not": "!", "neg": "-"}

@@ -1,7 +1,8 @@
 """Translation units and the memory-bounded unit cache.
 
 A TranslationUnit bundles everything one source file contributes: its
-AST, per-function CFGs, the call graph, and declaration tables. The
+AST, per-function CFGs, the call graph, declaration tables, and the
+match table every pattern consumer reads (`cbugscan.patterns`). The
 UnitManager builds units on demand through a loader callable and keeps
 at most `budget` of them resident, evicting the least recently used.
 Analyses that fetch units only through the manager produce identical
@@ -14,14 +15,18 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind, iter_tree
+from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.frontend.parser import parse
 from cbugscan.frontend.preprocess import preprocess_source
 from cbugscan.ir.callgraph import CallGraph, build_call_graph
 from cbugscan.ir.cfg import Cfg, build_cfg
+from cbugscan.patterns import MatchTable, build_match_table
+
+if TYPE_CHECKING:
+    from cbugscan.traverse import SuperGraph
 
 
 @dataclass(eq=False)
@@ -34,6 +39,10 @@ class TranslationUnit:
     globals: dict[str, AstNode] = field(default_factory=dict)
     func_params: dict[str, list[str]] = field(default_factory=dict)
     func_locals: dict[str, set[str]] = field(default_factory=dict)
+    # every subnode of `ast` by shape, with the CFG node that holds it
+    match_table: MatchTable = field(default_factory=dict)
+    # filled by `traverse.build_supergraph` on first use
+    supergraph: SuperGraph | None = None
 
 
 def build_unit_from_text(source: str, path: str) -> TranslationUnit:
@@ -49,11 +58,16 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
     for name, func in unit.functions.items():
         params = [p.text for p in func.children[:-1]]
         unit.func_params[name] = params
-        body = func.children[-1]
+        cfg = unit.cfgs[name] = build_cfg(func, ids)
+        # every declaration in the body is a CFG node of its own
         unit.func_locals[name] = set(params) | {
-            node.text for node in iter_tree(body) if node.kind is NodeKind.VAR_DECL}
-        unit.cfgs[name] = build_cfg(func, ids)
+            node.ast_ref.text for node in cfg.nodes.values()
+            if node.ast_ref is not None
+            and node.ast_ref.kind is NodeKind.VAR_DECL}
     unit.call_graph = build_call_graph(unit.functions)
+    unit.match_table = build_match_table(ast, {
+        id(node.ast_ref): node.id for cfg in unit.cfgs.values()
+        for node in cfg.nodes.values() if node.ast_ref is not None})
     return unit
 
 

@@ -5,7 +5,11 @@ into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
 `succs` holds every CFG edge keyed by CFG node id, which is unique
 within a unit; `calls` lists each node's calls to functions the unit
 defines, in evaluation order; `sccs` holds the call graph's strongly
-connected components, callees before callers.
+connected components, callees before callers. The graph is computed on
+the first call for a unit and kept on the unit, which every later call,
+from any checker, returns; it holds the unit's CFGs but no reference
+back to the unit, so a unit and its graph are freed without the cycle
+collector.
 
 Calls are not expanded into the graph. The interprocedural checkers
 compute one summary per function, bottom-up over `sccs`, and apply a
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.ir.callgraph import collect_calls, strongly_connected_components
+from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
+from cbugscan.patterns import subnodes_of
 
 
 @dataclass(eq=False)
@@ -33,9 +39,10 @@ class SuperGraph:
 
     `recursive` names the functions of every component that calls
     itself: a call between two functions of one component (`scc_of`
-    gives a function's index in `sccs`) is a recursive call.
+    gives a function's index in `sccs`) is a recursive call. The unit
+    keeps its graph; the graph holds the unit's CFGs, not the unit.
     """
-    unit: TranslationUnit
+    cfgs: dict[str, Cfg]
     succs: dict[int, list[int]]
     calls: dict[int, list[AstNode]]
     sccs: list[list[str]]
@@ -50,14 +57,27 @@ def callee_name(call: AstNode) -> str:
 
 def build_supergraph(unit: TranslationUnit) -> SuperGraph:
     """The unit's CFGs as one graph, each node's unit-local calls, and
-    the call graph's components in bottom-up order."""
+    the call graph's components in bottom-up order. The first call for a
+    unit computes the graph and keeps it on the unit; later calls, from
+    any checker, return the same graph."""
+    if unit.supergraph is None:
+        unit.supergraph = _supergraph(unit)
+    return unit.supergraph
+
+
+def _supergraph(unit: TranslationUnit) -> SuperGraph:
+    # the CFG nodes whose trees hold a call to a function the unit defines
+    calling = {owner for owner, _, call in subnodes_of(unit.match_table,
+                                                       NodeKind.CALL)
+               if call.children[0].kind is NodeKind.IDENTIFIER
+               and call.children[0].text in unit.cfgs}
     succs: dict[int, list[int]] = {}
     calls: dict[int, list[AstNode]] = {}
     self_calling: set[str] = set()
     for fn, cfg in unit.cfgs.items():
         for node_id, node in cfg.nodes.items():
             succs[node_id] = [edge.target for edge in cfg.successors(node_id)]
-            if node.ast_ref is None:
+            if node_id not in calling:
                 continue
             local = [call for call in collect_calls(node.ast_ref)
                      if call.children[0].kind is NodeKind.IDENTIFIER
@@ -70,7 +90,7 @@ def build_supergraph(unit: TranslationUnit) -> SuperGraph:
     recursive = frozenset(fn for scc in sccs for fn in scc
                           if len(scc) > 1 or scc[0] in self_calling)
     return SuperGraph(
-        unit=unit,
+        cfgs=unit.cfgs,
         succs=succs,
         calls=calls,
         sccs=sccs,

@@ -273,15 +273,14 @@ def cloned_automaton_traces(automaton, unit):
 
 def cloned_lock_graph(unit, entry: str, config):
     """One entry's lock-order graph by call-string cloning."""
-    events = lock_events(config)
-    succs, node_function, start, _ = cloned_supergraph(unit, entry)
+    events = lock_events(config, unit)
+    succs, _, start, _ = cloned_supergraph(unit, entry)
     edges: dict = {}
     seen = set()
 
     def transfer(key, in_set):
         current = set(in_set)
-        node = unit.cfgs[node_function[key[1]]].nodes[key[1]]
-        for is_lock, lock, location in events(node):
+        for is_lock, lock, location in events.get(key[1], ()):
             if not is_lock:
                 current = {pair for pair in current if pair[0] != lock}
                 continue
@@ -340,6 +339,32 @@ def combine_graphs(graphs):
     for witnesses in combined.values():
         witnesses.sort(key=lambda w: (w.entry, w.first_location, w.second_location))
     return combined
+
+
+# -- pattern matching by walking the trees -----------------------------------------
+
+def walked_matches(index, subnodes, match=match_node):
+    """(pattern, subnode, bindings) for every match on `subnodes`, in
+    their order, each subnode's candidates in index order: how a
+    checker matched one CFG node's tree (`iter_tree(root)`) before the
+    match table, once per checker and unit."""
+    for subnode in subnodes:
+        for pattern in index.candidates(subnode):
+            bindings = match(pattern, subnode)
+            if bindings is not None:
+                yield pattern, subnode, bindings
+
+
+def subnodes_outside(root, trees):
+    """The subnodes under `root` in preorder, without the subtrees whose
+    roots are in `trees` (by identity)."""
+    skip = {id(tree) for tree in trees}
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        if id(node) not in skip:
+            yield node
+            pending.extend(reversed(node.children))
 
 
 # -- reachability -------------------------------------------------------------

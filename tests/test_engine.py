@@ -1,5 +1,10 @@
+import gc
+import glob
+import os
 import re
 import textwrap
+
+from conftest import CORPUS_DIR
 
 from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
 from cbugscan.config import AnalysisJob, SourceDescriptor, build_job
@@ -263,3 +268,22 @@ def test_build_job_then_run(tmp_path):
     result = run_job(job)
     assert len(result.traces) == 1
     assert result.traces[0].message == "unreachable code"
+
+
+def test_finished_job_leaves_no_cyclic_garbage():
+    """Units, match tables and supergraphs are freed by reference
+    counting once a job is done: nothing is left for the collector."""
+    job = AnalysisJob(
+        sources=[SourceDescriptor(path) for path in
+                 sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c")))],
+        checkers=[(name, None)
+                  for name in ("automaton", "lockstat", "thread", "reach")])
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_job(job)
+        assert result.traces
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

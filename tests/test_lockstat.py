@@ -468,7 +468,7 @@ def test_held_sets_match_path_enumeration(source, tmp_path):
     config = tmp_path / "lockstat.conf"
     config.write_text(BASIC_CONFIG)
     checker = LockstatChecker(str(config))
-    accesses = checker._collect_accesses(cfg, checker._node_events())
+    accesses = checker._collect_accesses(cfg, checker._node_events(unit))
     assert len(accesses) == len(access_nodes)
     for access in accesses:
         node_id = access_nodes[str(access.location)]

@@ -1,14 +1,16 @@
 """Each lock checker matches a (pattern, AST subnode) pair at most once
-per check_unit, however many calling contexts reach the subnode."""
+per check_unit, however many calling contexts reach the subnode; the
+checkers share one match table and one supergraph per unit."""
 
 import collections
 import textwrap
 
 import pytest
 
+from cbugscan import patterns
 from cbugscan.checkers import automaton, builtin_registry, lockstat, threads
 from cbugscan.checkers.base import Services
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import UnitManager, build_unit_from_text, load_unit, units
 
 
 def fan_out_chain(depth=4, fan_out=3):
@@ -55,3 +57,46 @@ def test_each_pattern_subnode_pair_matched_once(name, monkeypatch):
     repeated = [(p.name, str(n.location), count)
                 for (p, n), count in attempts.items() if count > 1]
     assert repeated == []
+
+
+def services():
+    return Services(unit_manager=UnitManager(load_unit))
+
+
+def test_match_table_is_built_once_per_unit(monkeypatch):
+    builds = []
+    original = patterns.build_match_table
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(patterns, "build_match_table", counted)
+    monkeypatch.setattr(units, "build_match_table", counted)
+    unit = fan_out_chain()
+    assert len(builds) == 1
+    registry = builtin_registry()
+    for name in ("automaton", "lockstat", "thread"):
+        registry.create(name).check_unit(unit, services())
+    thread = registry.create("thread")
+    assert threads.find_thread_entries(unit, thread.config, services())
+    assert len(builds) == 1
+
+
+def test_supergraph_is_computed_once_per_unit(monkeypatch):
+    graphs = []
+    for module in (automaton, threads):
+        original = module.build_supergraph
+
+        def recorded(unit, original=original):
+            graphs.append(original(unit))
+            return graphs[-1]
+
+        monkeypatch.setattr(module, "build_supergraph", recorded)
+    unit = fan_out_chain()
+    registry = builtin_registry()
+    for name in ("automaton", "thread", "automaton"):
+        registry.create(name).check_unit(unit, services())
+    assert len(graphs) == 3  # each check_unit still asks for it
+    assert graphs[0] is graphs[1] is graphs[2]
+    assert graphs[0].calls  # the graph of the chain, with its calls

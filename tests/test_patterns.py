@@ -1,14 +1,17 @@
 import glob
+import importlib.util
 import os
+import sys
 
 import pytest
 
 from conftest import CORPUS_DIR
+from oracles import subnodes_outside, walked_matches
 
 from cbugscan.checkers import builtin_registry
-from cbugscan.errors import PatternError
+from cbugscan.errors import CbugscanError, PatternError
 from cbugscan.frontend import iter_tree, parse_fragment, to_text
-from cbugscan.ir import load_unit
+from cbugscan.ir import build_unit_from_text, load_unit
 from cbugscan.patterns import (
     PatternIndex,
     compile_pattern,
@@ -157,3 +160,100 @@ def test_index_candidates_contain_every_match_in_order():
                     matched += 1
                     assert pattern in candidates, (path, node, pattern.name)
     assert matched and filtered  # the check is not vacuous
+
+
+# -- the match table -----------------------------------------------------------------
+
+WORKLOADS_PY = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "perfbench", "workloads.py")
+
+
+def workload_sources(workload, seed):
+    """The sources the benchmark generates for a workload and seed; its
+    generator is loaded without writing bytecode next to it."""
+    module = sys.modules.get("perfbench_workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", WORKLOADS_PY)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(module)
+        finally:
+            sys.dont_write_bytecode = dont_write
+    return [(source.name, source.text)
+            for source in module.generate(workload, seed)]
+
+
+# file-scope declarations, labels, loops with and without parts, dead
+# branches and nested calls, which neither the corpus nor the workloads have
+SHAPES_SOURCE = """\
+struct lock m;
+int t = pthread_create(0, 0, worker, 0);
+int *p = &m;
+void worker(int a) {
+    int i = a;
+    int j;
+    for (j = 0; j < 3; j = j + 1) { *p = j; }
+    for (;;) { if (i) break; }
+  out: ;
+  empty: {}
+    mutex_lock(&m);
+    while (0) mutex_unlock(&m);
+    if (1) ; else f(g(1), 2);
+    if (i) goto out;
+}
+"""
+
+
+def corpus_sources():
+    sources = [("shapes.c", SHAPES_SOURCE)]
+    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c"))):
+        with open(path, encoding="utf-8") as handle:
+            sources.append((path, handle.read()))
+    return sources
+
+
+@pytest.mark.parametrize("workload, seed", [("corpus", 0)] + [
+    (workload, seed) for workload in ("wide", "deep", "nest")
+    for seed in (1, 2, 3)])
+def test_table_matches_equal_the_walk_of_every_cfg_node(workload, seed):
+    index = PatternIndex(bundled_patterns() + [
+        compile_pattern(t) for t in ("%X", "%F(%A)", "*%P = %E")])
+    sources = (corpus_sources() if workload == "corpus"
+               else workload_sources(workload, seed))
+    built = nodes = matched = outside = 0
+    for name, text in sources:
+        try:
+            unit = build_unit_from_text(text, name)
+        except CbugscanError:
+            continue
+        built += 1
+        found = index.matches(unit.match_table)
+        cfg_nodes = [node for cfg in unit.cfgs.values()
+                     for node in cfg.nodes.values()]
+        for node in cfg_nodes:
+            expected = ([] if node.ast_ref is None else
+                        list(walked_matches(index, iter_tree(node.ast_ref))))
+            assert found.get(node.id, []) == expected, (name, node.id)
+            nodes += 1
+            matched += len(expected)
+        assert set(found) <= {node.id for node in cfg_nodes} | {None}
+        trees = [node.ast_ref for node in cfg_nodes if node.ast_ref is not None]
+        expected = list(walked_matches(
+            index, subnodes_outside(unit.ast, trees)))
+        assert found.get(None, []) == expected, name
+        outside += len(expected)
+    assert built and nodes and matched and outside  # not vacuous
+
+
+def test_file_scope_spawn_is_in_the_table():
+    unit = build_unit_from_text(
+        "void worker(void) { }\n"
+        "int t = pthread_create(0, 0, worker, 0);\n", "t.c")
+    spawn = compile_pattern("pthread_create(%A, %B, %F, %D)")
+    (_, subnode, bindings), = PatternIndex([spawn]).matches(
+        unit.match_table)[None]
+    assert subnode.location.line == 2
+    assert to_text(bindings["F"]) == "worker"

@@ -253,6 +253,6 @@ def test_superfluous_semicolon_helper_finds_nested_bodies():
                 while (b);
         }
     """), "t.c")
-    found = superfluous_semicolons(unit.ast)
+    found = superfluous_semicolons(unit.match_table)
     assert len(found) == 1
     assert found[0].location.line == 4

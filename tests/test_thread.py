@@ -174,6 +174,16 @@ def test_entries_from_spawn_matches():
     assert find_thread_entries(u, config, services()) == ["worker"]
 
 
+def test_spawn_at_file_scope_starts_an_entry():
+    u = unit("""
+        void worker(void) { }
+        int t = pthread_create(0, 0, worker, 0);
+        void f(void) { }
+    """)
+    config = parse_thread_config("")
+    assert find_thread_entries(u, config, services()) == ["worker"]
+
+
 def test_spawn_of_undefined_function_is_ignored():
     u = unit("void f(void) { pthread_create(&t, 0, external_fn, 0); }")
     config = parse_thread_config("")
@@ -207,7 +217,7 @@ def test_no_spawns_no_entries_means_every_function():
 # -- the lock-order graph ----------------------------------------------------------
 
 def summaries_for(u, config):
-    return lock_summaries(build_supergraph(u), lock_events(config))
+    return lock_summaries(build_supergraph(u), lock_events(config, u))
 
 
 def graph_for(source, entry="f", config_text=PAIR_CONFIG):

@@ -19,7 +19,7 @@ def unit_of(source):
 def called(graph, fn):
     """The callee names of each of `fn`'s nodes that calls some."""
     return [[callee_name(call) for call in graph.calls[node_id]]
-            for node_id in sorted(graph.unit.cfgs[fn].nodes)
+            for node_id in sorted(graph.cfgs[fn].nodes)
             if node_id in graph.calls]
 
 
