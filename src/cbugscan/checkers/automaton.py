@@ -22,8 +22,8 @@ bound; recursion is solved to a fixpoint.
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms.
 Exit-state errors are only evaluated for functions nothing else in the
-unit calls, since for a callee the outer context may legitimately
-complete the protocol.
+unit calls from reachable code, since for a callee the outer context
+may legitimately complete the protocol.
 
 A witness is the path the worklist reaches first: each function is
 solved by one FIFO worklist over its own CFG, where a call is one step,
@@ -53,6 +53,7 @@ from cbugscan.frontend.ast_nodes import (
     iter_tree,
     to_text,
 )
+from cbugscan.ir.cfg import reachable_nodes
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -273,20 +274,26 @@ class AutomatonChecker(Checker):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         graph = build_supergraph(unit)
+        roots = _call_graph_roots(unit)
         traces: list[ErrorTrace] = []
         for automaton in self.automata:
-            traces.extend(_run_automaton(automaton, unit, graph))
+            traces.extend(_run_automaton(automaton, unit, graph, roots))
         return traces
 
 
-def _is_call_graph_root(unit: TranslationUnit, function: str) -> bool:
-    """True when no *other* defined function calls this one."""
-    return all(edge.caller == function
-               for edge in unit.call_graph.by_callee.get(function, []))
+def _call_graph_roots(unit: TranslationUnit) -> set[str]:
+    """The defined functions that no *other* defined function calls from
+    a CFG node reachable from its entry."""
+    local = [edge for edge in unit.call_graph.edges
+             if not edge.external and edge.callee != edge.caller]
+    alive = {fn: reachable_nodes(unit.cfgs[fn])
+             for fn in {edge.caller for edge in local}}
+    return set(unit.functions) - {edge.callee for edge in local
+                                  if edge.node_id in alive[edge.caller]}
 
 
 def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
-                   graph: SuperGraph) -> list[ErrorTrace]:
+                   graph: SuperGraph, roots: set[str]) -> list[ErrorTrace]:
     traces: list[ErrorTrace] = []
     emitted: set[tuple[_Key, str, SourceLocation]] = set()
 
@@ -315,7 +322,7 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
                 message = render_message(error.template, error.texts)
                 emit(key, message, error.location, _steps(error.steps)
                      + (TraceStep(error.location, message),))
-        if not _is_call_graph_root(unit, entry):
+        if entry not in roots:
             continue
         exit_map = summary.exits[_ABSENT]
         cfg = unit.cfgs[entry]

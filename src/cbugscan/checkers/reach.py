@@ -12,21 +12,13 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from cbugscan.checkers.base import Checker, Services, forward_fixpoint
+from cbugscan.checkers.base import Checker, Services
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind, statement_text
-from cbugscan.ir.cfg import Cfg
+from cbugscan.ir.cfg import Cfg, reachable_nodes
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import MatchTable, subnodes_of
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-
-
-def reachable_nodes(cfg: Cfg) -> set[int]:
-    # a constant fact that is not None, since None means "no change"
-    return set(forward_fixpoint(
-        cfg.entry, True,
-        lambda node_id: [edge.target for edge in cfg.successors(node_id)],
-        lambda _node_id, fact: fact, lambda _old, _new: None))
 
 
 def dead_leaders(cfg: Cfg) -> list[int]:

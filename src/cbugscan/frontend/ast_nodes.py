@@ -209,13 +209,16 @@ def dump_sexpr(root: AstNode) -> str:
     """Indented s-expression dump: one node per line.
 
     Each line reads `(Kind "text" file:line:col` followed by indented
-    children, closing parentheses accumulating on the last line.
+    children, closing parentheses accumulating on the last line. Past 32
+    levels the indent stops growing and a line shows its depth as
+    `<depth> ` instead, so a deep tree's dump stays linear in size.
     """
     lines: list[str] = []
     stack = [(root, 0, 0)]  # (node, depth, ancestors its last line closes)
     while stack:
         node, depth, closes = stack.pop()
-        head = (f"{'  ' * depth}({node.kind.value} {json.dumps(node.text)} "
+        indent = "  " * depth if depth <= 32 else f"{'  ' * 32}<{depth}> "
+        head = (f"{indent}({node.kind.value} {json.dumps(node.text)} "
                 f"{node.location}")
         children = node.children
         if not children:

@@ -1,13 +1,6 @@
 """Intermediate representation: CFGs, call graphs, translation units."""
 
-from cbugscan.ir.callgraph import (
-    INDIRECT,
-    CallEdge,
-    CallGraph,
-    build_call_graph,
-    call_target,
-    collect_calls,
-)
+from cbugscan.ir.callgraph import INDIRECT, CallEdge, CallGraph, build_call_graph
 from cbugscan.ir.cfg import Cfg, CfgEdge, CfgNode, CfgNodeKind, build_cfg, cfg_to_dot
 from cbugscan.ir.units import TranslationUnit, UnitManager, build_unit_from_text, load_unit
 
@@ -24,8 +17,6 @@ __all__ = [
     "build_call_graph",
     "build_cfg",
     "build_unit_from_text",
-    "call_target",
     "cfg_to_dot",
-    "collect_calls",
     "load_unit",
 ]

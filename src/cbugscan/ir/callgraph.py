@@ -1,10 +1,13 @@
 """Call graph construction over a translation unit.
 
-Call sites are collected in AST post-order, so nested calls appear
-inner-first, matching evaluation order. Calls through anything other
-than a plain identifier are recorded under the `<indirect>` sentinel.
-`strongly_connected_components` orders the defined functions bottom-up
-for analyses that summarize callees before their callers.
+The call sites come from the walk that builds the unit's match table
+(`cbugscan.patterns.build_match_table`); no tree is walked here. Edges
+go by function, then by CFG node id (source order, except that a `for`
+step follows its body), then in evaluation order: nested calls come
+inner-first. Calls through anything other than a plain identifier are
+recorded under the `<indirect>` sentinel. `strongly_connected_components`
+orders the defined functions bottom-up for analyses that summarize
+callees before their callers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
+from cbugscan.ir.cfg import Cfg
 
 INDIRECT = "<indirect>"
 
@@ -19,6 +23,7 @@ INDIRECT = "<indirect>"
 @dataclass(frozen=True)
 class CallEdge:
     caller: str
+    node_id: int  # the caller's CFG node whose tree holds the call
     call_node: AstNode
     callee: str
     external: bool
@@ -28,49 +33,28 @@ class CallEdge:
 class CallGraph:
     edges: list[CallEdge] = field(default_factory=list)
     by_caller: dict[str, list[CallEdge]] = field(default_factory=dict)
-    by_callee: dict[str, list[CallEdge]] = field(default_factory=dict)
-
-    def add(self, edge: CallEdge) -> None:
-        self.edges.append(edge)
-        self.by_caller.setdefault(edge.caller, []).append(edge)
-        self.by_callee.setdefault(edge.callee, []).append(edge)
 
 
-def collect_calls(node: AstNode) -> list[AstNode]:
-    """All Call nodes under `node`, post-order (inner calls first)."""
-    # Children pushed left to right are visited right to left; that
-    # mirrored preorder, reversed, is post-order.
-    found: list[AstNode] = []
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if cur.kind is NodeKind.CALL:
-            found.append(cur)
-        stack.extend(cur.children)
-    found.reverse()
-    return found
-
-
-def call_target(call: AstNode) -> tuple[str, bool]:
-    """(callee name, is_indirect) for a Call node."""
-    target = call.children[0]
-    if target.kind is NodeKind.IDENTIFIER:
-        return target.text, False
-    return INDIRECT, True
-
-
-def build_call_graph(functions: dict[str, AstNode]) -> CallGraph:
-    """Call graph for a unit, given its defined functions by name.
+def build_call_graph(cfgs: dict[str, Cfg],
+                     calls: dict[int, list[AstNode]]) -> CallGraph:
+    """Call graph for a unit, given its CFGs by function name and the
+    calls of each CFG node in evaluation order.
 
     A callee is external when it is not defined in this unit (library
     functions, other units) or when the call is indirect.
     """
     graph = CallGraph()
-    for name, func in functions.items():
-        for call in collect_calls(func):
-            callee, indirect = call_target(call)
-            external = indirect or callee not in functions
-            graph.add(CallEdge(name, call, callee, external))
+    for name, cfg in cfgs.items():
+        for node_id in cfg.nodes:
+            for call in calls.get(node_id, ()):
+                target = call.children[0]
+                if target.kind is NodeKind.IDENTIFIER:
+                    callee, external = target.text, target.text not in cfgs
+                else:
+                    callee, external = INDIRECT, True
+                edge = CallEdge(name, node_id, call, callee, external)
+                graph.edges.append(edge)
+                graph.by_caller.setdefault(name, []).append(edge)
     return graph
 
 

@@ -246,6 +246,19 @@ class _CfgBuilder:
         return head if first is None else first, on_false + breaks
 
 
+def reachable_nodes(cfg: Cfg) -> set[int]:
+    """The ids of the nodes some path from the entry reaches, the
+    entry's included."""
+    seen = {cfg.entry}
+    pending = [cfg.entry]
+    while pending:
+        for edge in cfg.successors(pending.pop()):
+            if edge.target not in seen:
+                seen.add(edge.target)
+                pending.append(edge.target)
+    return seen
+
+
 def cfg_to_dot(cfg: Cfg) -> str:
     """Render one function's CFG as a DOT digraph with true/false edge labels."""
 

@@ -1,8 +1,9 @@
 """Translation units and the memory-bounded unit cache.
 
 A TranslationUnit bundles everything one source file contributes: its
-AST, per-function CFGs, the call graph, declaration tables, and the
-match table every pattern consumer reads (`cbugscan.patterns`). The
+AST, per-function CFGs, declaration tables, the match table every
+pattern consumer reads (`cbugscan.patterns`), and the call graph, built
+from the calls the match table's one walk lists for each CFG node. The
 UnitManager builds units on demand through a loader callable and keeps
 at most `budget` of them resident, evicting the least recently used.
 Analyses that fetch units only through the manager produce identical
@@ -17,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-from cbugscan.errors import ConfigError
+from cbugscan.errors import ConfigError, FrontendError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.frontend.parser import parse
 from cbugscan.frontend.preprocess import preprocess_source
@@ -46,12 +47,16 @@ class TranslationUnit:
 
 
 def build_unit_from_text(source: str, path: str) -> TranslationUnit:
-    """Parse + lower one source text into a complete unit."""
+    """Parse + lower one source text into a complete unit; a function
+    defined twice is a FrontendError."""
     ast = parse(source, path)
     unit = TranslationUnit(path=path, ast=ast)
     ids = itertools.count(0)
     for decl in ast.children:
         if decl.kind is NodeKind.FUNCTION_DEF:
+            if decl.text in unit.functions:
+                raise FrontendError(
+                    f"redefinition of function {decl.text!r}", decl.location)
             unit.functions[decl.text] = decl
         elif decl.kind is NodeKind.VAR_DECL:
             unit.globals[decl.text] = decl
@@ -64,10 +69,10 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
             node.ast_ref.text for node in cfg.nodes.values()
             if node.ast_ref is not None
             and node.ast_ref.kind is NodeKind.VAR_DECL}
-    unit.call_graph = build_call_graph(unit.functions)
-    unit.match_table = build_match_table(ast, {
+    unit.match_table, calls = build_match_table(ast, {
         id(node.ast_ref): node.id for cfg in unit.cfgs.values()
         for node in cfg.nodes.values() if node.ast_ref is not None})
+    unit.call_graph = build_call_graph(unit.cfgs, calls)
     return unit
 
 

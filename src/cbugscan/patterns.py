@@ -11,7 +11,8 @@ once with the unit: one preorder pass that groups every subnode by
 shape, kind and arity first, then text and head. `PatternIndex.matches`
 reads the table and tries each pattern only on the shapes it can
 match, so however many checkers match a unit, its trees are walked
-once.
+once. The same pass lists each CFG node's calls in evaluation order,
+from which `cbugscan.ir.callgraph` builds the unit's call graph.
 """
 
 from __future__ import annotations
@@ -98,16 +99,20 @@ def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
 MatchTable = dict[tuple, dict[tuple, list]]
 
 
-def build_match_table(root: AstNode, owners: dict[int, int]) -> MatchTable:
+def build_match_table(root: AstNode, owners: dict[int, int],
+                      ) -> tuple[MatchTable, dict[int, list[AstNode]]]:
     """Every subnode under `root`, in one preorder pass, grouped by the
-    shape `PatternIndex` looks at.
+    shape `PatternIndex` looks at; and the calls of each CFG node's tree.
 
     `owners` maps the `id()` of each CFG node's tree to the node's id. A
     subnode of such a tree is entered with that id and its preorder
     position in the tree; any other subnode (a file-scope declaration, a
     function header, a compound statement) with None and its preorder
-    position among those."""
+    position among those. Each CFG node's calls, if any, are listed
+    under its id in evaluation order: post-order, so the calls in a
+    call's arguments come before it."""
     table: MatchTable = {}
+    calls: dict[int, list[AstNode]] = {}
     outside = 0
     pending = [root]
     while pending:
@@ -122,14 +127,22 @@ def build_match_table(root: AstNode, owners: dict[int, int]) -> MatchTable:
         else:
             position = 0
         subtree = [top]
+        # the calls whose subtrees are being walked, each with the stack
+        # depth it was popped at; it closes when the stack drops below it
+        open_calls: list[tuple[int, AstNode]] = []
+        closed: list[AstNode] = []
         while subtree:
             node = subtree.pop()
+            while open_calls and open_calls[-1][0] > len(subtree):
+                closed.append(open_calls.pop()[1])
             children = node.children
             if children:
                 head = children[0]
                 rest = (node.text, head.kind, head.text)
                 if owner is not None:
                     subtree.extend(reversed(children))
+                    if node.kind is NodeKind.CALL:
+                        open_calls.append((len(subtree) - len(children), node))
             else:
                 rest = (node.text, None, None)
             shape = (node.kind, len(children))
@@ -142,7 +155,10 @@ def build_match_table(root: AstNode, owners: dict[int, int]) -> MatchTable:
             else:
                 entries += (owner, position, node)
             position += 1
-    return table
+        if open_calls or closed:
+            closed.extend(call for _, call in reversed(open_calls))
+            calls[owner] = closed
+    return table, calls
 
 
 def subnodes_of(table: MatchTable, kind: NodeKind, arity: int | None = None,

@@ -5,11 +5,13 @@ into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
 `succs` holds every CFG edge keyed by CFG node id, which is unique
 within a unit; `calls` lists each node's calls to functions the unit
 defines, in evaluation order; `sccs` holds the call graph's strongly
-connected components, callees before callers. The graph is computed on
-the first call for a unit and kept on the unit, which every later call,
-from any checker, returns; it holds the unit's CFGs but no reference
-back to the unit, so a unit and its graph are freed without the cycle
-collector.
+connected components, callees before callers. `calls`, `recursive` and
+the components are read off the edges of the unit's call graph, which
+holds the call sites the match-table pass found: no tree is walked
+here. The graph is computed on the first call for a unit and kept on
+the unit, which every later call, from any checker, returns; it holds
+the unit's CFGs but no reference back to the unit, so a unit and its
+graph are freed without the cycle collector.
 
 Calls are not expanded into the graph. The interprocedural checkers
 compute one summary per function, bottom-up over `sccs`, and apply a
@@ -27,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
-from cbugscan.ir.callgraph import collect_calls, strongly_connected_components
+from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
-from cbugscan.patterns import subnodes_of
 
 
 @dataclass(eq=False)
@@ -66,36 +67,22 @@ def build_supergraph(unit: TranslationUnit) -> SuperGraph:
 
 
 def _supergraph(unit: TranslationUnit) -> SuperGraph:
-    # the CFG nodes whose trees hold a call to a function the unit defines
-    calling = {owner for owner, _, call in subnodes_of(unit.match_table,
-                                                       NodeKind.CALL)
-               if call.children[0].kind is NodeKind.IDENTIFIER
-               and call.children[0].text in unit.cfgs}
-    succs: dict[int, list[int]] = {}
+    local = [edge for edge in unit.call_graph.edges if not edge.external]
     calls: dict[int, list[AstNode]] = {}
-    self_calling: set[str] = set()
-    for fn, cfg in unit.cfgs.items():
-        for node_id, node in cfg.nodes.items():
-            succs[node_id] = [edge.target for edge in cfg.successors(node_id)]
-            if node_id not in calling:
-                continue
-            local = [call for call in collect_calls(node.ast_ref)
-                     if call.children[0].kind is NodeKind.IDENTIFIER
-                     and call.children[0].text in unit.cfgs]
-            if local:
-                calls[node_id] = local
-                if any(callee_name(call) == fn for call in local):
-                    self_calling.add(fn)
+    for edge in local:
+        calls.setdefault(edge.node_id, []).append(edge.call_node)
     sccs = strongly_connected_components(unit.call_graph, list(unit.cfgs))
-    recursive = frozenset(fn for scc in sccs for fn in scc
-                          if len(scc) > 1 or scc[0] in self_calling)
+    scc_of = {fn: i for i, scc in enumerate(sccs) for fn in scc}
     return SuperGraph(
         cfgs=unit.cfgs,
-        succs=succs,
+        succs={node_id: [edge.target for edge in cfg.successors(node_id)]
+               for cfg in unit.cfgs.values() for node_id in cfg.nodes},
         calls=calls,
         sccs=sccs,
-        scc_of={fn: i for i, scc in enumerate(sccs) for fn in scc},
-        recursive=recursive,
+        scc_of=scc_of,
+        recursive=frozenset(fn for edge in local
+                            if scc_of[edge.caller] == scc_of[edge.callee]
+                            for fn in sccs[scc_of[edge.caller]]),
     )
 
 

@@ -13,7 +13,6 @@ from collections import deque
 from cbugscan.checkers.automaton import (
     _ABSENT,
     _Instance,
-    _is_call_graph_root,
     _merge,
     render_message,
 )
@@ -24,8 +23,7 @@ from cbugscan.checkers.threads import (
     lock_events,
     report_cycles,
 )
-from cbugscan.frontend import iter_tree, to_text
-from cbugscan.ir.callgraph import collect_calls
+from cbugscan.frontend import NodeKind, iter_tree, to_text
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
 from cbugscan.report import ErrorTrace, Importance, TraceStep
@@ -211,6 +209,7 @@ def cloned_automaton_traces(automaton, unit):
             traces.append(ErrorTrace("automaton", Importance.ERROR,
                                      message, steps))
 
+    roots = walked_roots(unit)
     for entry in unit.functions:
         succs, node_function, start, end = cloned_supergraph(unit, entry)
 
@@ -255,7 +254,7 @@ def cloned_automaton_traces(automaton, unit):
 
         in_maps = forward_fixpoint(start, {}, lambda k: succs.get(k, ()),
                                    transfer, _merge)
-        if not _is_call_graph_root(unit, entry):
+        if entry not in roots:
             continue
         exit_node = cfg_node(end)
         exit_map = in_maps.get(end, {})
@@ -365,6 +364,41 @@ def subnodes_outside(root, trees):
         if id(node) not in skip:
             yield node
             pending.extend(reversed(node.children))
+
+
+# -- call sites by walking the trees ---------------------------------------------
+
+def collect_calls(node):
+    """All Call nodes under `node`, post-order (inner calls first): how
+    the call graph found call sites before the match-table pass did."""
+    # Children pushed left to right are visited right to left; that
+    # mirrored preorder, reversed, is post-order.
+    found = []
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur.kind is NodeKind.CALL:
+            found.append(cur)
+        stack.extend(cur.children)
+    found.reverse()
+    return found
+
+
+def walked_roots(unit) -> set[str]:
+    """The defined functions that no other defined function calls from
+    a node its entry reaches, by a breadth-first search of each CFG and
+    a walk of each reached node's tree."""
+    called = set()
+    for fn, cfg in unit.cfgs.items():
+        succs = {n: [e.target for e in cfg.successors(n)] for n in cfg.nodes}
+        for node_id in bfs_reachable(succs, cfg.entry):
+            tree = cfg.nodes[node_id].ast_ref
+            for call in collect_calls(tree) if tree is not None else ():
+                target = call.children[0]
+                if (target.kind is NodeKind.IDENTIFIER
+                        and target.text in unit.cfgs and target.text != fn):
+                    called.add(target.text)
+    return set(unit.cfgs) - called
 
 
 # -- reachability -------------------------------------------------------------

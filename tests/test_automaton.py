@@ -13,9 +13,8 @@ from cbugscan.errors import ConfigError
 from cbugscan.frontend import iter_tree, parse_fragment, to_text
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
 from cbugscan.patterns import match_node
-from cbugscan.ir.callgraph import collect_calls
 
-from oracles import run_automaton_on_paths
+from oracles import collect_calls, run_automaton_on_paths
 
 LOCK_CONFIG = """
 automaton locks
@@ -324,6 +323,18 @@ def test_root_exit_error_reported_through_call(tmp_path):
         }
     """, tmp_path=tmp_path)
     assert [t.message for t in traces] == ["lock &m held at exit"]
+
+
+def test_call_from_dead_code_does_not_make_a_caller(tmp_path):
+    # f returns before it calls g, so nothing completes g's protocol:
+    # g is judged at its exit, as when nothing calls it at all
+    for f_body in ("return; g();", "return;"):
+        traces = run(f"""
+            int m;
+            void g(void) {{ mutex_lock(&m); }}
+            void f(void) {{ {f_body} }}
+        """, tmp_path=tmp_path)
+        assert [t.message for t in traces] == ["lock &m held at exit"]
 
 
 def test_callee_local_key_does_not_collide(tmp_path):

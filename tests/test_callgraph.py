@@ -1,14 +1,14 @@
+import itertools
+import re
 import textwrap
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cbugscan.frontend import parse_fragment
+from cbugscan.frontend import NodeKind, parse_fragment
 from cbugscan.ir import build_unit_from_text
-from cbugscan.ir.callgraph import (
-    INDIRECT,
-    collect_calls,
-    strongly_connected_components,
-)
+from cbugscan.ir.callgraph import INDIRECT, strongly_connected_components
+
+from oracles import collect_calls
 
 
 def unit_of(source):
@@ -49,7 +49,7 @@ def test_callers_of_inverse_index():
         void a() { shared(); }
         void b() { shared(); }
     """)
-    edges = unit.call_graph.by_callee["shared"]
+    edges = [e for e in unit.call_graph.edges if e.callee == "shared"]
     assert [e.caller for e in edges] == ["a", "b"]
 
 
@@ -70,6 +70,65 @@ def test_call_in_condition_and_initializer():
     """)
     assert callees(unit, "f") == [
         "make", "check", "use", "more", "step"]
+
+
+def test_for_step_calls_follow_the_body():
+    # edges follow the CFG, where a `for` step comes after the body
+    unit = unit_of("void f(int i) { for (i = a(); b(); c()) d(); }")
+    assert callees(unit, "f") == ["a", "b", "d", "c"]
+
+
+CALLEES = ["f0", "f1", "g", "h", "(*fp)"]
+
+expressions = st.recursive(
+    st.sampled_from(["x", "1"]),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(CALLEES), st.lists(inner, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"),
+        st.tuples(inner, inner).map(" + ".join)),
+    max_leaves=8)
+
+# "@" marks a label; each gets a name of its own before parsing
+statements = st.recursive(
+    st.one_of(expressions.map("x = {};".format),
+              expressions.map("g({});".format),
+              expressions.map("int y = {};".format),
+              expressions.map("return {};".format)),
+    lambda inner: st.one_of(
+        st.tuples(expressions, inner).map(lambda t: "if ({}) {}".format(*t)),
+        st.tuples(expressions, inner, inner).map(
+            lambda t: "if ({}) {} else {}".format(*t)),
+        st.tuples(expressions, inner).map(lambda t: "while ({}) {}".format(*t)),
+        st.tuples(expressions, expressions, expressions, inner).map(
+            lambda t: "for (x = {}; {}; x = {}) {}".format(*t)),
+        st.lists(inner, max_size=3).map(lambda body: f"{{ {' '.join(body)} }}"),
+        inner.map("@: {}".format)),
+    max_leaves=6)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(statements, max_size=4), min_size=1, max_size=2))
+def test_call_sites_agree_with_a_walk_of_the_trees(bodies):
+    labels = itertools.count()
+    unit = unit_of(re.sub("@", lambda _: f"L{next(labels)}", "\n".join(
+        f"int f{i}(int x, int *fp) {{ {' '.join(body)} }}"
+        for i, body in enumerate(bodies))))
+    for name, cfg in unit.cfgs.items():
+        edges = unit.call_graph.by_caller.get(name, [])
+        for node_id, node in cfg.nodes.items():
+            tree = node.ast_ref
+            expected = [] if tree is None else collect_calls(tree)
+            assert [e.call_node for e in edges if e.node_id == node_id] \
+                == expected  # evaluation order included
+        assert [e.node_id for e in edges] == sorted(e.node_id for e in edges)
+        assert sorted(id(e.call_node) for e in edges) == sorted(
+            id(call) for call in collect_calls(unit.functions[name]))
+        for edge in edges:
+            target = edge.call_node.children[0]
+            callee = target.text if target.kind is NodeKind.IDENTIFIER \
+                else INDIRECT
+            assert (edge.callee, edge.external) == (
+                callee, callee not in unit.cfgs)
 
 
 def test_no_calls_no_edges():

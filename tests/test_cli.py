@@ -201,6 +201,7 @@ def test_dump_ast_of_a_3000_term_sum(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count('(BinaryOp "+"') == 2999
     assert out.count("(") == out.count(")")
+    assert len(out.encode()) < 1_000_000
 
 
 def test_dump_cfg_of_a_3000_term_sum(tmp_path, capsys):

@@ -124,6 +124,20 @@ def test_too_deep_nesting_is_a_located_diagnostic(tmp_path):
                         r"nesting too deep", result.diagnostics[0])
 
 
+def test_redefined_function_is_a_located_diagnostic(tmp_path):
+    twice = write(tmp_path, "twice.c", """\
+        int m;
+        void f(void) { mutex_lock(&m); }
+        void f(void) { }
+    """)
+    good = write(tmp_path, "good.c", DEAD_CODE)
+    result = run_job(job_for(tmp_path, [twice, good],
+                             checkers=[("automaton", None), ("reach", None)]))
+    assert [t.steps[0].location.file for t in result.traces] == [good]
+    assert result.diagnostics == [
+        f"skipping {twice}: {twice}:3:1: redefinition of function 'f'"]
+
+
 def test_octal_condition_is_analyzed(tmp_path):
     # 010 is eight: the unlock always runs, so nothing leaks
     octal = write(tmp_path, "oct.c", """

@@ -4,12 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from cbugscan.frontend import parse_fragment, to_text
 from cbugscan.ir import build_unit_from_text
-from cbugscan.ir.callgraph import collect_calls
 from cbugscan.traverse import (
     build_supergraph,
     callee_name,
     map_expression_to_caller,
 )
+
+from oracles import collect_calls
 
 
 def unit_of(source):

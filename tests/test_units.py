@@ -43,6 +43,14 @@ def test_unit_builds_for_a_3000_term_sum():
     assert [e.callee for e in unit.call_graph.by_caller["f"]] == ["h", "g"]
 
 
+def test_second_definition_of_a_function_is_an_error():
+    # the first body would otherwise be dropped without a word
+    with pytest.raises(FrontendError) as info:
+        build_unit_from_text("int m;\nvoid f(void) { mutex_lock(&m); }\n"
+                             "void f(void) { }\n", "t.c")
+    assert str(info.value) == "t.c:3:1: redefinition of function 'f'"
+
+
 def test_load_unit_reads_file(tmp_path):
     p = tmp_path / "m.c"
     p.write_text("void hello() {}\n")
