@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from cbugscan.checkers.base import (
@@ -51,13 +50,12 @@ from cbugscan.frontend.ast_nodes import (
     AstNode,
     SourceLocation,
     iter_tree,
-    to_text,
+    statement_text,
 )
 from cbugscan.ir.cfg import reachable_nodes
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
-    PatternIndex,
     compile_pattern,
     match_node,
 )
@@ -84,11 +82,6 @@ class AutomatonDef:
 
     def pattern_names(self) -> set[str]:
         return {p.name for p in self.patterns}
-
-    @cached_property
-    def index(self) -> PatternIndex:
-        """The automaton's patterns, indexed once per automaton."""
-        return PatternIndex(self.patterns)
 
     def validate(self, source: str) -> None:
         where = f"{source}: automaton {self.name!r}"
@@ -260,8 +253,8 @@ def map_binding(expr: AstNode, call: AstNode,
     name so distinct locals never collide across functions."""
     mapped = map_expression_to_caller(expr, call, unit)
     if mapped is None:
-        return f"{callee_name(call)}::{to_text(expr)}", None
-    return to_text(mapped), mapped
+        return f"{callee_name(call)}::{statement_text(expr)}", None
+    return statement_text(mapped), mapped
 
 
 class AutomatonChecker(Checker):
@@ -311,9 +304,11 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
         ))
 
     events = node_events(
-        automaton.index, unit, match_node,
-        lambda pattern, subnode, bindings: (pattern.name, to_text(subnode), {
-            var: (to_text(expr), expr) for var, expr in bindings.items()}))
+        automaton.patterns, unit, match_node,
+        lambda pattern, subnode, bindings: (
+            pattern.name, statement_text(subnode), {
+                var: (statement_text(expr), expr)
+                for var, expr in bindings.items()}))
     summaries = _Summaries(automaton, unit, graph, events)
     for entry in unit.functions:
         summary = summaries.base(entry)

@@ -3,7 +3,9 @@
 A checker examines one translation unit at a time and returns error
 traces. Checkers hold no cross-unit mutable state, which is what lets
 the engine stream units through a bounded cache without changing any
-checker's output.
+checker's output. What they share is kept on the unit: `matches`
+matches each pattern once per unit, whichever checker asks, and keeps
+its hits there by the pattern's shape.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import shlex
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode
 from cbugscan.ir.units import TranslationUnit, UnitManager
-from cbugscan.patterns import Bindings, Pattern, PatternIndex
+from cbugscan.patterns import Bindings, Pattern, pattern_hits
 from cbugscan.report import ErrorTrace
 
 Event = TypeVar("Event")
@@ -68,22 +71,47 @@ def config_lines(text: str,
             yield lineno, raw.strip(), words
 
 
+def matches(patterns: list[Pattern], unit: TranslationUnit,
+            match: Callable[[Pattern, AstNode], Bindings | None],
+            ) -> dict[int | None, list[tuple[Pattern, AstNode, Bindings]]]:
+    """Every match of `patterns` in a unit, as (pattern, subnode,
+    bindings), by the id of the CFG node whose tree holds the subnode
+    (None outside every CFG node): subnodes in preorder, each subnode's
+    patterns in list order.
+
+    A pattern's hits are read from the unit's match table once
+    (`patterns.pattern_hits`) and kept on the unit by `Pattern.shape`,
+    so a pattern is matched once per unit, however many checkers or
+    configs name it; `match` is called only for shapes not yet kept."""
+    found: dict[int | None, list] = {}
+    for order, pattern in enumerate(patterns):
+        hits = unit.hits_by_shape.get(pattern.shape)
+        if hits is None:
+            hits = unit.hits_by_shape[pattern.shape] = pattern_hits(
+                unit.match_table, pattern, match)
+        for owner, position, subnode, bindings in hits:
+            found.setdefault(owner, []).append(
+                (position, order, pattern, subnode, bindings))
+    return {owner: [hit[2:] for hit in sorted(hits, key=itemgetter(0, 1))]
+            for owner, hits in found.items()}
+
+
 def node_events(
-        index: PatternIndex, unit: TranslationUnit,
+        patterns: list[Pattern], unit: TranslationUnit,
         match: Callable[[Pattern, AstNode], Bindings | None],
         event: Callable[[Pattern, AstNode, Bindings], Event],
 ) -> dict[int, list[Event]]:
     """Each CFG node's events by node id, one `event(pattern, subnode,
     bindings)` per match under the node in evaluation order (preorder,
-    then index order); a node without a match has no entry.
+    then list order); a node without a match has no entry.
 
-    The matches are read from the unit's match table, every node's at
-    once, reachable or not, so a fixpoint or a calling context that
-    revisits a node looks its events up. Checkers pass their own
-    module's `match_node`, looked up at the call.
+    The matches come from `matches`, every node's at once, reachable or
+    not, so a fixpoint or a calling context that revisits a node looks
+    its events up. Checkers pass their own module's `match_node`, looked
+    up at the call.
     """
     return {owner: [event(*hit) for hit in hits]
-            for owner, hits in index.matches(unit.match_table, match).items()
+            for owner, hits in matches(patterns, unit, match).items()
             if owner is not None}
 
 

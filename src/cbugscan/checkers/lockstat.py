@@ -25,12 +25,11 @@ from cbugscan.checkers.base import (
     read_config,
 )
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import SourceLocation, to_text
+from cbugscan.frontend.ast_nodes import SourceLocation, statement_text
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
-    PatternIndex,
     compile_pattern,
     first_binding,
     match_node,
@@ -53,11 +52,6 @@ class LockstatConfig:
         return {**dict.fromkeys(self.accesses, _ACCESS),
                 **dict.fromkeys(self.locks, _LOCK),
                 **dict.fromkeys(self.unlocks, _UNLOCK)}
-
-    @cached_property
-    def index(self) -> PatternIndex:
-        """The patterns of `kinds`, indexed once per config."""
-        return PatternIndex(self.kinds)
 
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
@@ -132,10 +126,10 @@ class LockstatChecker(Checker):
         (see `checkers.base.node_events`)."""
         kinds = self.config.kinds
         return node_events(
-            self.config.index, unit, match_node,
+            list(kinds), unit, match_node,
             lambda pattern, subnode, bindings: (
                 kinds[pattern],
-                to_text(first_binding(pattern, bindings, subnode)),
+                statement_text(first_binding(pattern, bindings, subnode)),
                 subnode.location))
 
     @staticmethod

@@ -30,7 +30,6 @@ anything, every defined function (conservative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from cbugscan.checkers.base import (
@@ -38,6 +37,7 @@ from cbugscan.checkers.base import (
     Services,
     config_lines,
     forward_fixpoint,
+    matches,
     node_events,
     read_config,
 )
@@ -46,12 +46,11 @@ from cbugscan.frontend.ast_nodes import (
     AstNode,
     NodeKind,
     SourceLocation,
-    to_text,
+    statement_text,
 )
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
-    PatternIndex,
     compile_pattern,
     first_binding,
     match_node,
@@ -70,16 +69,6 @@ class ThreadConfig:
     locks: list[Pattern] = field(default_factory=list)
     unlocks: list[Pattern] = field(default_factory=list)
     max_cycles: int = DEFAULT_MAX_CYCLES
-
-    @cached_property
-    def spawn_index(self) -> PatternIndex:
-        """The spawn patterns, indexed once per config."""
-        return PatternIndex(self.spawns)
-
-    @cached_property
-    def lock_index(self) -> PatternIndex:
-        """The lock and unlock patterns, indexed once per config."""
-        return PatternIndex(self.locks + self.unlocks)
 
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
@@ -123,7 +112,7 @@ def lock_key(pattern: Pattern, bindings: dict[str, AstNode],
     expr = first_binding(pattern, bindings, node)
     if expr.kind is NodeKind.UNARY_OP and expr.text == "addrof":
         expr = expr.children[0]
-    return to_text(expr)
+    return statement_text(expr)
 
 
 def spawned_entry_name(binding: AstNode) -> str | None:
@@ -155,7 +144,7 @@ def lock_events(config: ThreadConfig,
     `checkers.base.node_events`)."""
     locks = set(config.locks)
     return node_events(
-        config.lock_index, unit, match_node,
+        config.locks + config.unlocks, unit, match_node,
         lambda pattern, subnode, bindings: (
             pattern in locks, lock_key(pattern, bindings, subnode),
             subnode.location))
@@ -168,7 +157,7 @@ def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
     CFG node), then the config's entries; every function when there is
     none."""
     entries: list[str] = []
-    found = config.spawn_index.matches(unit.match_table, match_node)
+    found = matches(config.spawns, unit, match_node)
     for owner in sorted(found, key=lambda owner: -1 if owner is None else owner):
         for _, _, bindings in found[owner]:
             name = spawned_entry_name(bindings["F"])

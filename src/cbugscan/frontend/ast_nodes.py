@@ -175,7 +175,8 @@ def to_text(node: AstNode) -> str:
 
 
 def statement_text(node: AstNode) -> str:
-    """One-line rendering of a statement or condition, for CFG labels."""
+    """One-line rendering of a statement, or of an expression exactly as
+    `to_text` gives it: CFG labels and the text of pattern matches."""
     kind = node.kind
     if kind is NodeKind.EXPR_STATEMENT:
         return to_text(node.children[0]) + ";"

@@ -153,7 +153,7 @@ class _Parser:
 
     def var_decl_tail(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
         if self.accept("["):
-            size = self.expect("int")
+            size = self.expect("number")
             self.expect("]")
             ctype += f"[{size.text}]"
         init: tuple[AstNode, ...] = ()
@@ -335,7 +335,7 @@ class _Parser:
         if tok.kind == "ident":
             self.pos += 1
             return AstNode(NodeKind.IDENTIFIER, tok.location, text=tok.text)
-        if tok.kind == "int":
+        if tok.kind == "number":
             self.pos += 1
             return AstNode(NodeKind.INT_LITERAL, tok.location, text=tok.text)
         if tok.kind == "string":

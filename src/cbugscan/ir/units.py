@@ -3,7 +3,10 @@
 A TranslationUnit bundles everything one source file contributes: its
 AST, per-function CFGs, declaration tables, the match table every
 pattern consumer reads (`cbugscan.patterns`), and the call graph, built
-from the calls the match table's one walk lists for each CFG node. The
+from the calls the match table's one walk lists for each CFG node. It
+also keeps what checkers work out from those once for all of them: each
+pattern's hits by pattern shape (`checkers.base.matches`) and the
+supergraph (`traverse.build_supergraph`). The
 UnitManager builds units on demand through a loader callable and keeps
 at most `budget` of them resident, evicting the least recently used.
 Analyses that fetch units only through the manager produce identical
@@ -24,7 +27,7 @@ from cbugscan.frontend.parser import parse
 from cbugscan.frontend.preprocess import preprocess_source
 from cbugscan.ir.callgraph import CallGraph, build_call_graph
 from cbugscan.ir.cfg import Cfg, build_cfg
-from cbugscan.patterns import MatchTable, build_match_table
+from cbugscan.patterns import Hit, MatchTable, build_match_table
 
 if TYPE_CHECKING:
     from cbugscan.traverse import SuperGraph
@@ -42,6 +45,9 @@ class TranslationUnit:
     func_locals: dict[str, set[str]] = field(default_factory=dict)
     # every subnode of `ast` by shape, with the CFG node that holds it
     match_table: MatchTable = field(default_factory=dict)
+    # each pattern's hits in `match_table` by `Pattern.shape`, filled by
+    # `checkers.base.matches` as checkers ask
+    hits_by_shape: dict[tuple, list[Hit]] = field(default_factory=dict)
     # filled by `traverse.build_supergraph` on first use
     supergraph: SuperGraph | None = None
 

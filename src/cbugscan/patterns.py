@@ -8,19 +8,20 @@ equal subtrees each time.
 
 A unit is matched through its match table (`build_match_table`), built
 once with the unit: one preorder pass that groups every subnode by
-shape, kind and arity first, then text and head. `PatternIndex.matches`
-reads the table and tries each pattern only on the shapes it can
-match, so however many checkers match a unit, its trees are walked
-once. The same pass lists each CFG node's calls in evaluation order,
-from which `cbugscan.ir.callgraph` builds the unit's call graph.
+shape, kind and arity first, then text and head. `pattern_hits` reads
+the table and tries a pattern only on the subnodes its root's shape
+allows, so however many checkers match a unit, its trees are walked
+once; `checkers.base.matches` keeps each pattern's hits on the unit by
+`Pattern.shape`, so a pattern is matched once per unit, whichever
+checker asks. The same pass lists each CFG node's calls in evaluation
+order, from which `cbugscan.ir.callgraph` builds the unit's call graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from cbugscan.errors import PatternError
 from cbugscan.frontend.ast_nodes import (
@@ -43,6 +44,14 @@ class Pattern:
     def metavar_names(self) -> list[str]:
         """Metavariable names in first-occurrence order."""
         return list(self._metavar_names)
+
+    @cached_property
+    def shape(self) -> tuple:
+        """(kind, text, arity) of each node of the tree, in preorder,
+        metavariable names included: all that `match_node` compares, so
+        patterns of equal shape match the same subnodes, binding alike."""
+        return tuple((node.kind, node.text, len(node.children))
+                     for node in iter_tree(self.tree))
 
     @cached_property
     def _metavar_names(self) -> tuple[str, ...]:
@@ -102,7 +111,7 @@ MatchTable = dict[tuple, dict[tuple, list]]
 def build_match_table(root: AstNode, owners: dict[int, int],
                       ) -> tuple[MatchTable, dict[int, list[AstNode]]]:
     """Every subnode under `root`, in one preorder pass, grouped by the
-    shape `PatternIndex` looks at; and the calls of each CFG node's tree.
+    shape `pattern_hits` looks at; and the calls of each CFG node's tree.
 
     `owners` maps the `id()` of each CFG node's tree to the node's id. A
     subnode of such a tree is entered with that id and its preorder
@@ -173,88 +182,41 @@ def subnodes_of(table: MatchTable, kind: NodeKind, arity: int | None = None,
                 yield from zip(triples, triples, triples)
 
 
-def _signature(node: AstNode) -> tuple:
-    """A node's shape, as `build_match_table` keys it: kind, arity, text,
-    and the kind and text of its first child."""
-    if not node.children:
-        return (node.kind, 0, node.text, None, None)
-    head = node.children[0]
-    return (node.kind, len(node.children), node.text, head.kind, head.text)
+# a pattern's match on a unit: (CFG node id or None, position, subnode,
+# bindings), as the match table lists the subnode
+Hit = tuple[int | None, int, AstNode, Bindings]
 
 
-def _root_may_match(tree: AstNode, signature: tuple) -> bool:
+def pattern_hits(table: MatchTable, pattern: Pattern,
+                 match: Callable[[Pattern, AstNode], Bindings | None] = match_node,
+                 ) -> list[Hit]:
+    """Every match of one pattern in a unit's match table. `match` is
+    tried only on the subnodes whose shape the pattern's root allows: a
+    metavariable root on every subnode; a root whose head (first child)
+    is a metavariable on the subnodes of its kind, arity and text; any
+    other root on the one group of its kind, arity, text and head."""
+    tree = pattern.tree
     if tree.kind is NodeKind.META_VAR:
-        return True
-    if signature[:3] != (tree.kind, len(tree.children), tree.text):
-        return False
-    head = tree.children[0] if tree.children else None
-    return (head is None or head.kind is NodeKind.META_VAR
-            or signature[3:] == (head.kind, head.text))
-
-
-# a match: (pattern, subnode, bindings)
-Hit = tuple[Pattern, AstNode, Bindings]
-
-
-class PatternIndex:
-    """Patterns prefiltered by the shape of the node they are tried on.
-
-    `candidates(node)` keeps, in the given order, the patterns that can
-    match `node`: a metavariable root matches anything; otherwise the
-    root's kind, text and arity must agree, and so must the head (first
-    child, e.g. the callee name) unless it is a metavariable. Every
-    pattern that `match_node` accepts on a node is among its candidates.
-    `matches` reads a unit's `MatchTable` and tries each pattern only on
-    the shapes it can match. Build one index per set of patterns and
-    keep it: the candidates of each shape are worked out once.
-    """
-
-    def __init__(self, patterns: Iterable[Pattern]):
-        self.patterns = list(patterns)
-        # (index order, pattern) pairs by node signature
-        self._by_signature: dict[tuple, list[tuple[int, Pattern]]] = {}
-        # the (kind, arity) shapes the roots can match; None for every one
-        self._shapes: set[tuple] | None = {
-            (p.tree.kind, len(p.tree.children)) for p in self.patterns}
-        if any(p.tree.kind is NodeKind.META_VAR for p in self.patterns):
-            self._shapes = None
-
-    def _candidates(self, signature: tuple) -> list[tuple[int, Pattern]]:
-        found = self._by_signature.get(signature)
-        if found is None:
-            found = self._by_signature[signature] = [
-                (order, p) for order, p in enumerate(self.patterns)
-                if _root_may_match(p.tree, signature)]
-        return found
-
-    def candidates(self, node: AstNode) -> list[Pattern]:
-        return [p for _, p in self._candidates(_signature(node))]
-
-    def matches(self, table: MatchTable,
-                match: Callable[[Pattern, AstNode], Bindings | None] = match_node,
-                ) -> dict[int | None, list[Hit]]:
-        """Every match in a unit's table, by the id of the CFG node whose
-        tree holds the subnode (None outside every CFG node): subnodes in
-        preorder, each subnode's patterns in index order. `match` is
-        called once per (pattern, subnode) pair whose shapes agree,
-        whether the CFG node is reachable or not."""
-        shapes = table if self._shapes is None else {
-            shape: table[shape] for shape in self._shapes if shape in table}
-        found: dict[int | None, list] = {}
-        for shape, by_rest in shapes.items():
-            for rest, entries in by_rest.items():
-                candidates = self._candidates(shape + rest)
-                if not candidates:
-                    continue
-                triples = iter(entries)
-                for owner, position, subnode in zip(triples, triples, triples):
-                    for order, pattern in candidates:
-                        bindings = match(pattern, subnode)
-                        if bindings is not None:
-                            found.setdefault(owner, []).append(
-                                (position, order, pattern, subnode, bindings))
-        return {owner: [hit[2:] for hit in sorted(hits, key=itemgetter(0, 1))]
-                for owner, hits in found.items()}
+        groups = [entries for by_rest in table.values()
+                  for entries in by_rest.values()]
+    else:
+        by_rest = table.get((tree.kind, len(tree.children)), {})
+        head = tree.children[0] if tree.children else None
+        if head is not None and head.kind is NodeKind.META_VAR:
+            groups = [entries for rest, entries in by_rest.items()
+                      if rest[0] == tree.text]
+        else:
+            rest = ((tree.text, None, None) if head is None
+                    else (tree.text, head.kind, head.text))
+            groups = [by_rest.get(rest, ())]
+    hits: list[Hit] = []
+    for entries in groups:
+        triples = iter(entries)
+        for owner, position, subnode in zip(triples, triples, triples):
+            bindings = match(pattern, subnode)
+            if bindings is not None:
+                hits.append((owner, position, subnode, bindings))
+    return hits
 
 
 def first_binding(pattern: Pattern, bindings: Bindings,

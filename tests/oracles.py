@@ -342,13 +342,13 @@ def combine_graphs(graphs):
 
 # -- pattern matching by walking the trees -----------------------------------------
 
-def walked_matches(index, subnodes, match=match_node):
+def walked_matches(patterns, subnodes, match=match_node):
     """(pattern, subnode, bindings) for every match on `subnodes`, in
-    their order, each subnode's candidates in index order: how a
-    checker matched one CFG node's tree (`iter_tree(root)`) before the
-    match table, once per checker and unit."""
+    their order, each subnode's patterns in list order: every pattern is
+    tried on every subnode, with no shape rule, as a checker matched one
+    CFG node's tree (`iter_tree(root)`) before the match table."""
     for subnode in subnodes:
-        for pattern in index.candidates(subnode):
+        for pattern in patterns:
             bindings = match(pattern, subnode)
             if bindings is not None:
                 yield pattern, subnode, bindings

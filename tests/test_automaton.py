@@ -149,6 +149,30 @@ def test_lock_held_at_exit(tmp_path):
     assert "mutex_lock(&m)" in traces[0].steps[0].description
 
 
+def test_statement_patterns_render_as_statements(tmp_path):
+    config = """
+    automaton rets
+    states U L
+    start U
+    pattern lock "mutex_lock(%X);"
+    pattern unlock "mutex_unlock(%X);"
+    pattern ret "return %R;"
+    transition U lock -> L
+    transition L unlock -> U
+    error U ret "returns %R"
+    error-at-exit L "lock %X held at exit"
+    """
+    traces = run("""
+        int f(int a) {
+            mutex_lock(&m);
+            return a;
+        }
+    """, config_text=config, tmp_path=tmp_path)
+    assert [t.message for t in traces] == [
+        "returns a", "lock &m held at exit"]
+    assert traces[1].steps[0].description == "mutex_lock(&m);"
+
+
 def test_distinct_locks_tracked_independently(tmp_path):
     traces = run("""
         void f() {

@@ -18,7 +18,7 @@ def test_simple_statement():
     toks = tokenize("x = y + 1;", "t.c")
     assert [(t.kind, t.text) for t in toks] == [
         ("ident", "x"), ("=", "="), ("ident", "y"), ("+", "+"),
-        ("int", "1"), (";", ";"), ("eof", ""),
+        ("number", "1"), (";", ";"), ("eof", ""),
     ]
 
 
@@ -65,7 +65,7 @@ def test_line_markers_set_the_next_line_and_file():
 def test_hex_and_decimal_literals():
     toks = tokenize("0x1F 42 0", "t.c")
     assert [(t.kind, t.text) for t in toks[:-1]] == [
-        ("int", "0x1F"), ("int", "42"), ("int", "0"),
+        ("number", "0x1F"), ("number", "42"), ("number", "0"),
     ]
 
 
@@ -130,15 +130,15 @@ _EDGE_CASES = [
     ('"abc', False, "t.c:1:1: unterminated string literal"),
     ('"abc\nd"', False, "t.c:1:1: unterminated string literal"),
     ('"\\', False, "t.c:1:1: unterminated string literal"),
-    ("%1", True, [("%", "%", 1, 1), ("int", "1", 1, 2)]),
+    ("%1", True, [("%", "%", 1, 1), ("number", "1", 1, 2)]),
     ("\tx\r\ny", False, [("ident", "x", 1, 2), ("ident", "y", 2, 1)]),
     ("é", False, "t.c:1:1: unexpected character 'é'"),
     ("a*/", False, [("ident", "a", 1, 1), ("*", "*", 1, 2), ("/", "/", 1, 3)]),
-    # int tokens are C literals: decimal, octal after a 0, hex after 0x
+    # number tokens are C literals: decimal, octal after a 0, hex after 0x
     ("08", False, "t.c:1:1: malformed number near '08'"),
     ("x = 0129;", False, "t.c:1:5: malformed number near '0129'"),
-    ("010 0X1f 0 9", False, [("int", "010", 1, 1), ("int", "0X1f", 1, 5),
-                             ("int", "0", 1, 10), ("int", "9", 1, 12)]),
+    ("010 0X1f 0 9", False, [("number", "010", 1, 1), ("number", "0X1f", 1, 5),
+                             ("number", "0", 1, 10), ("number", "9", 1, 12)]),
 ]
 
 

@@ -344,6 +344,21 @@ def test_access_pattern_without_metavar_uses_node_text(tmp_path):
     assert traces[0].message.startswith("variable g_count ")
 
 
+def test_statement_patterns_key_by_statement_text(tmp_path):
+    config = """
+    access "%V = %E;"
+    lock "big_lock();" unlock "big_unlock();"
+    """
+    locked = "".join(f"void f{i}(void) {{ big_lock(); x = {i}; big_unlock(); }}\n"
+                     for i in range(8))
+    traces = run(locked + "void g(void) { x = 9; }\n", tmp_path,
+                 config_text=config)
+    assert [t.message for t in traces] == [
+        "variable x accessed without lock big_lock(); held; "
+        "big_lock(); held at 8 of 9 accesses"]
+    assert traces[0].steps[0].location.line == 9
+
+
 def test_branch_join_drops_uncertain_locks(tmp_path):
     # The lock is taken on only one branch, so after the join it does
     # not count as held and all five accesses are unlocked: no minority

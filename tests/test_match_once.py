@@ -1,6 +1,8 @@
 """Each lock checker matches a (pattern, AST subnode) pair at most once
-per check_unit, however many calling contexts reach the subnode; the
-checkers share one match table and one supergraph per unit."""
+per check_unit, however many calling contexts reach the subnode, and a
+pattern shape is matched on a subnode once per unit, however many
+checkers name it; the checkers share one match table and one
+supergraph per unit."""
 
 import collections
 import textwrap
@@ -10,6 +12,7 @@ import pytest
 from cbugscan import patterns
 from cbugscan.checkers import automaton, builtin_registry, lockstat, threads
 from cbugscan.checkers.base import Services
+from cbugscan.frontend import iter_tree
 from cbugscan.ir import UnitManager, build_unit_from_text, load_unit, units
 
 
@@ -56,6 +59,30 @@ def test_each_pattern_subnode_pair_matched_once(name, monkeypatch):
     assert attempts  # the checker did match something
     repeated = [(p.name, str(n.location), count)
                 for (p, n), count in attempts.items() if count > 1]
+    assert repeated == []
+
+
+def test_each_shape_subnode_pair_matched_once_across_checkers(monkeypatch):
+    attempts = collections.Counter()
+    for module in (automaton, threads, lockstat):
+        original = module.match_node
+
+        def counted(pattern, node, original=original):
+            shape = tuple((sub.kind, sub.text, len(sub.children))
+                          for sub in iter_tree(pattern.tree))
+            attempts[shape, node] += 1
+            return original(pattern, node)
+
+        monkeypatch.setattr(module, "match_node", counted)
+
+    unit = fan_out_chain()
+    registry = builtin_registry()
+    for name in ("automaton", "thread", "lockstat"):
+        registry.create(name).check_unit(
+            unit, Services(unit_manager=UnitManager(load_unit)))
+    assert attempts  # the checkers did match something
+    repeated = [(str(n.location), count)
+                for (_, n), count in attempts.items() if count > 1]
     assert repeated == []
 
 

@@ -196,6 +196,29 @@ def test_global_variables():
     assert unit.children[0].kind is NodeKind.VAR_DECL
 
 
+@pytest.mark.parametrize("body, expression", [
+    ("1;", "1"),
+    ("1 + x;", "1 + x"),
+    ("if (x) x = 2; else 1;", "1"),
+])
+def test_literal_starts_an_expression_statement(body, expression):
+    unit = parse_src(f"void f(int x) {{ {body} }}")
+    stmt = unit.children[0].children[-1].children[0]
+    last = stmt.children[-1] if stmt.kind is NodeKind.IF else stmt
+    assert last.kind is NodeKind.EXPR_STATEMENT
+    assert to_text(last.children[0]) == expression
+
+
+@pytest.mark.parametrize("source, location, message", [
+    ("void f(int x) {\n  1 x;\n}", "t.c:2:5", "expected ';', found 'x'"),
+    ("int a[int];", "t.c:1:7", "expected 'number', found 'int'"),
+])
+def test_literal_and_keyword_are_not_confused(source, location, message):
+    with pytest.raises(FrontendError) as caught:
+        parse(source, "t.c")
+    assert str(caught.value) == f"{location}: {message}"
+
+
 # -- rejected constructs ------------------------------------------------------
 
 @pytest.mark.parametrize("source,hint", [

@@ -8,15 +8,15 @@ import pytest
 from conftest import CORPUS_DIR
 from oracles import subnodes_outside, walked_matches
 
-from cbugscan.checkers import builtin_registry
+from cbugscan.checkers import base, builtin_registry
 from cbugscan.errors import CbugscanError, PatternError
-from cbugscan.frontend import iter_tree, parse_fragment, to_text
-from cbugscan.ir import build_unit_from_text, load_unit
+from cbugscan.frontend import iter_tree, parse_fragment, statement_text, to_text
+from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import (
-    PatternIndex,
     compile_pattern,
     first_binding,
     match_node,
+    pattern_hits,
 )
 
 
@@ -121,7 +121,7 @@ def test_first_binding_follows_first_occurrence_else_node():
     assert first_binding(plain, match_node(plain, node), node) is node
 
 
-# -- prefiltering by root shape ---------------------------------------------------
+# -- trying patterns by root shape ------------------------------------------------
 
 def bundled_patterns():
     registry = builtin_registry()
@@ -133,33 +133,54 @@ def bundled_patterns():
             + thread.spawns + thread.locks + thread.unlocks)
 
 
-def test_index_keeps_patterns_whose_root_agrees():
-    lock, unlock, assign, anything, call = patterns = [
-        compile_pattern(t) for t in ("mutex_lock(%X)", "mutex_unlock(%X)",
-                                     "%V = %E", "%X", "%F(%A)")]
-    index = PatternIndex(patterns)
-    assert index.candidates(expr("mutex_lock(&m)")) == [lock, anything, call]
-    assert index.candidates(expr("mutex_lock(&m, 1)")) == [anything]
-    assert index.candidates(expr("x = mutex_unlock(&m)")) == [assign, anything]
-    assert index.candidates(expr("m")) == [anything]
+SHAPE_RULE_SOURCE = """\
+void f(int m, struct dev *d) {
+    mutex_lock(&m);
+    mutex_lock(&m, 1);
+    m = mutex_unlock(&m);
+    m = d->lock + 1;
+    m = d.lock - 1;
+}
+"""
 
 
-def test_index_candidates_contain_every_match_in_order():
-    patterns = bundled_patterns() + [
-        compile_pattern(t) for t in ("%X", "%F(%A)", "*%P = %E", "%V = %E")]
-    index = PatternIndex(patterns)
-    matched = filtered = 0
-    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c"))):
-        for node in iter_tree(load_unit(path).ast):
-            candidates = index.candidates(node)
-            positions = [patterns.index(p) for p in candidates]
-            assert positions == sorted(positions), path
-            filtered += len(patterns) - len(candidates)
-            for pattern in patterns:
-                if match_node(pattern, node) is not None:
-                    matched += 1
-                    assert pattern in candidates, (path, node, pattern.name)
-    assert matched and filtered  # the check is not vacuous
+def tried(unit, template):
+    """The subnodes `pattern_hits` tries a template's pattern on, and
+    the texts of its hits."""
+    seen = []
+
+    def match(pattern, node):
+        seen.append(node)
+        return match_node(pattern, node)
+
+    hits = pattern_hits(unit.match_table, compile_pattern(template), match)
+    return seen, [statement_text(subnode) for _, _, subnode, _ in hits]
+
+
+def test_pattern_hits_tries_only_subnodes_of_the_root_shape():
+    unit = build_unit_from_text(SHAPE_RULE_SOURCE, "t.c")
+
+    def texts(template):
+        seen, hits = tried(unit, template)
+        return sorted(statement_text(node) for node in seen), sorted(hits)
+
+    # any other root: its kind, arity, text and head
+    assert texts("mutex_lock(%X)") == (["mutex_lock(&m)"], ["mutex_lock(&m)"])
+    assert texts("mutex_lock(&m);") == (
+        ["mutex_lock(&m);", "mutex_lock(&m, 1);"], ["mutex_lock(&m);"])
+    assert texts("m") == (["m"] * 6, ["m"] * 6)
+    # a metavariable head: its kind, arity and text
+    assert texts("%F(%A)") == (["mutex_lock(&m)", "mutex_unlock(&m)"],
+                               ["mutex_lock(&m)", "mutex_unlock(&m)"])
+    assert texts("%P->lock") == (["d->lock"], ["d->lock"])
+    assert texts("%A + 2") == (["d->lock + 1"], [])
+    assert texts("%V = %E") == (
+        ["m = d->lock + 1", "m = d.lock - 1", "m = mutex_unlock(&m)"],
+        ["m = d->lock + 1", "m = d.lock - 1", "m = mutex_unlock(&m)"])
+    # a metavariable root: every subnode
+    seen, hits = tried(unit, "%X")
+    assert sorted(map(id, seen)) == sorted(map(id, iter_tree(unit.ast)))
+    assert len(hits) == len(seen)
 
 
 # -- the match table -----------------------------------------------------------------
@@ -219,8 +240,8 @@ def corpus_sources():
     (workload, seed) for workload in ("wide", "deep", "nest")
     for seed in (1, 2, 3)])
 def test_table_matches_equal_the_walk_of_every_cfg_node(workload, seed):
-    index = PatternIndex(bundled_patterns() + [
-        compile_pattern(t) for t in ("%X", "%F(%A)", "*%P = %E")])
+    patterns = bundled_patterns() + [
+        compile_pattern(t) for t in ("%X", "%F(%A)", "*%P = %E")]
     sources = (corpus_sources() if workload == "corpus"
                else workload_sources(workload, seed))
     built = nodes = matched = outside = 0
@@ -230,19 +251,19 @@ def test_table_matches_equal_the_walk_of_every_cfg_node(workload, seed):
         except CbugscanError:
             continue
         built += 1
-        found = index.matches(unit.match_table)
+        found = base.matches(patterns, unit, match_node)
         cfg_nodes = [node for cfg in unit.cfgs.values()
                      for node in cfg.nodes.values()]
         for node in cfg_nodes:
             expected = ([] if node.ast_ref is None else
-                        list(walked_matches(index, iter_tree(node.ast_ref))))
+                        list(walked_matches(patterns, iter_tree(node.ast_ref))))
             assert found.get(node.id, []) == expected, (name, node.id)
             nodes += 1
             matched += len(expected)
         assert set(found) <= {node.id for node in cfg_nodes} | {None}
         trees = [node.ast_ref for node in cfg_nodes if node.ast_ref is not None]
         expected = list(walked_matches(
-            index, subnodes_outside(unit.ast, trees)))
+            patterns, subnodes_outside(unit.ast, trees)))
         assert found.get(None, []) == expected, name
         outside += len(expected)
     assert built and nodes and matched and outside  # not vacuous
@@ -253,7 +274,6 @@ def test_file_scope_spawn_is_in_the_table():
         "void worker(void) { }\n"
         "int t = pthread_create(0, 0, worker, 0);\n", "t.c")
     spawn = compile_pattern("pthread_create(%A, %B, %F, %D)")
-    (_, subnode, bindings), = PatternIndex([spawn]).matches(
-        unit.match_table)[None]
+    (_, subnode, bindings), = base.matches([spawn], unit, match_node)[None]
     assert subnode.location.line == 2
     assert to_text(bindings["F"]) == "worker"

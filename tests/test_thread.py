@@ -523,6 +523,34 @@ def test_opposite_orders_report_a_cycle(tmp_path):
     assert [step.location.line for step in trace.steps] == [3, 4, 9, 10]
 
 
+def test_statement_lock_pattern_reports_the_cycle(tmp_path):
+    source = tmp_path / "t.c"
+    source.write_text(textwrap.dedent("""\
+        void g(void) {
+            big_lock();
+            mutex_lock(&m);
+            mutex_unlock(&m);
+            big_unlock();
+        }
+        void h(void) {
+            mutex_lock(&m);
+            big_lock();
+            big_unlock();
+            mutex_unlock(&m);
+        }
+    """))
+    config = tmp_path / "thread.conf"
+    config.write_text('lock "mutex_lock(%X)" unlock "mutex_unlock(%X)"\n'
+                      'lock "big_lock();" unlock "big_unlock();"\n')
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(source))],
+                                 checkers=[("thread", str(config))]))
+    assert result.diagnostics == []
+    assert [t.message for t in result.traces] == [
+        "circular lock dependency: big_lock(); <- m <- big_lock();"]
+    assert [step.location.line for step in result.traces[0].steps] == [
+        2, 3, 8, 9]
+
+
 def test_three_lock_ring_reports_one_cycle(tmp_path):
     traces = run("""
         void t1(void) {
