@@ -9,15 +9,16 @@ flagged as errors report a message; states flagged with error-at-exit
 report when an instance can still be in that state when the function
 returns.
 
-The analysis is interprocedural through function summaries, computed
-bottom-up over the unit's call graph (`cbugscan.traverse`). A summary
-maps each instance key in the function's own terms and each entry state
-to the exit states, with witness steps, and to the transition errors
-fired on the way. At a call, the callee's keys are rewritten into the
-caller's terms once per call edge (formals become the actual arguments;
-a key that depends on a callee local keeps the `callee::text` form), and
-the summary is applied to the caller's instances. There is no call-depth
-bound; recursion is solved to a fixpoint.
+The analysis is interprocedural through function summaries, solved
+callees first by `traverse.solve_summaries` and joined by `_union`. A
+summary maps each instance key in the function's own terms and each
+entry state to the exit states, with witness steps, and to the
+transition errors fired on the way. At a call, the callee's keys are
+rewritten into the caller's terms once per call edge (formals become the
+actual arguments; a key that depends on a callee local keeps the
+`callee::text` form), and the summary is applied to the caller's
+instances. There is no call-depth bound; recursion is solved to a
+fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms.
@@ -65,6 +66,7 @@ from cbugscan.traverse import (
     build_supergraph,
     callee_name,
     map_expression_to_caller,
+    solve_summaries,
 )
 
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
@@ -311,7 +313,7 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
                 for var, expr in bindings.items()}))
     summaries = _Summaries(automaton, unit, graph, events)
     for entry in unit.functions:
-        summary = summaries.base(entry)
+        summary = summaries.solved[entry, ()]
         for key, errors in summary.errors[_ABSENT].items():
             for error in errors:
                 message = render_message(error.template, error.texts)
@@ -373,25 +375,16 @@ class _Summary(NamedTuple):
 _BOTTOM = _Summary(False, (), {}, {}, {})
 
 
-class _Unsolved(Exception):
-    """A summary of a lower component is needed and not solved yet."""
-
-    def __init__(self, key: tuple, merge: dict[str, _Binding]):
-        super().__init__(key)
-        self.key = key
-        self.merge = merge
-
-
 class _Summaries:
-    """The summaries of one automaton's functions over one unit.
+    """The summaries of one automaton's functions over one unit, solved
+    by `traverse.solve_summaries` and joined with `_union`.
 
-    A summary is in the terms of its function. Base summaries are
-    solved bottom-up over the call graph's components, each function once,
-    a recursive component by iterating until its summaries stop changing.
-    A call that passes one object under two names, so that two of the
-    callee's keys become one key of the caller, gets a summary of the
-    callee with those texts merged (`merge` maps each merged text to the
-    binding that stands for it); such summaries are solved on demand.
+    A summary is in the terms of its function. A call that passes one
+    object under two names, so that two of the callee's keys become one
+    key of the caller, gets a variant summary of the callee with those
+    texts merged (`merges` maps each merged text to the binding that
+    stands for it, as the first call to ask gave it); the solver solves
+    such variants on demand.
     """
 
     def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
@@ -402,75 +395,9 @@ class _Summaries:
         self.events = events
         self.called = {callee_name(call) for calls in graph.calls.values()
                        for call in calls}
-        self.solved: dict[tuple, _Summary] = {}
-        # (component index, {summary key: merge}) while iterating a
-        # recursive component
-        self.component: tuple[int, dict] | None = None
+        self.merges: dict[tuple, dict[str, _Binding]] = {}
         self.caller_bindings: dict[tuple[AstNode, str], _Binding] = {}
-        for i, scc in enumerate(graph.sccs):
-            self.solve(i, {(fn, ()): {} for fn in scc})
-
-    def base(self, fn: str) -> _Summary:
-        return self.solved[(fn, ())]
-
-    def get(self, fn: str, merge: dict[str, _Binding]) -> _Summary:
-        """A solved summary; in the recursive component being iterated,
-        its current value, which joins the iteration if it is new."""
-        key = (fn, tuple(sorted((text, binding[0])
-                                for text, binding in merge.items())))
-        found = self.solved.get(key)
-        if found is None:
-            if self.component is None or self.component[0] != self.graph.scc_of[fn]:
-                raise _Unsolved(key, merge)
-            self.component[1][key] = merge
-            found = self.solved[key] = _BOTTOM
-        return found
-
-    def solve(self, scc: int, entries: dict) -> None:
-        """Solve `entries`, summaries of the functions of one component,
-        and before them every unsolved summary of a lower component they
-        need, which a first attempt finds; an explicit stack holds the
-        attempts, so long call chains take no recursion."""
-        pending = [(scc, entries)]
-        while pending:
-            scc, entries = pending[-1]
-            try:
-                if self.graph.sccs[scc][0] in self.graph.recursive:
-                    self.iterate(scc, entries)
-                else:
-                    (key, merge), = entries.items()
-                    self.solved[key] = self.summarize(key[0], merge)
-            except _Unsolved as unsolved:
-                pending.append((self.graph.scc_of[unsolved.key[0]],
-                                {unsolved.key: unsolved.merge}))
-            else:
-                pending.pop()
-
-    def iterate(self, scc: int, entries: dict) -> None:
-        """Solve a recursive component from "no call returns" until no
-        summary of it changes; summaries of it that they ask for join in."""
-        self.component = (scc, dict(entries))
-        members = self.component[1]
-        for key in members:
-            self.solved[key] = _BOTTOM
-        try:
-            changed = True
-            while changed:
-                known = len(members)
-                changed = False
-                for key, merge in list(members.items()):
-                    old = self.solved[key]
-                    new = _union(old, self.summarize(key[0], merge))
-                    if new != old:
-                        self.solved[key] = new
-                        changed = True
-                changed = changed or len(members) != known
-        except _Unsolved:
-            for key in members:
-                del self.solved[key]
-            raise
-        finally:
-            self.component = None
+        self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
 
     def caller_binding(self, call: AstNode, text: str, expr: AstNode | None,
                        recursive: bool) -> _Binding:
@@ -489,12 +416,12 @@ class _Summaries:
             self.caller_bindings[(call, text)] = found
         return found
 
-    def at_call(self, fn: str, call: AstNode,
-                merge: dict[str, _Binding]) -> _Summary:
+    def at_call(self, fn: str, call: AstNode, merge: dict[str, _Binding],
+                summary_of) -> _Summary:
         """The summary of the function `call` calls, in the terms of `fn`
         with `merge` applied."""
         callee = callee_name(call)
-        base = self.get(callee, {})
+        base = summary_of(callee)
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
         def outer(text: str, expr: AstNode | None) -> _Binding:
@@ -507,18 +434,21 @@ class _Summaries:
             classes.setdefault(outer(text, expr)[0], []).append(text)
         inner = {text: (members[0], base.bindings[members[0]])
                  for members in classes.values() for text in members[1:]}
-        summary = self.get(callee, inner) if inner else base
+        variant = tuple(sorted((text, binding[0])
+                               for text, binding in inner.items()))
+        self.merges.setdefault((callee, variant), inner)
+        summary = summary_of(callee, variant)
         return _renamed(summary, {text: outer(text, expr) for text, expr
                                   in summary.bindings.items()})
 
-    def summarize(self, fn: str, merge: dict[str, _Binding]) -> _Summary:
+    def summarize(self, fn: str, variant: tuple, summary_of) -> _Summary:
         automaton, graph = self.automaton, self.graph
+        merge = self.merges.get((fn, variant), {})
         cfg = graph.cfgs[fn]
         keys: dict[_Key, None] = {}
         bindings: dict[str, AstNode | None] = {}
         own: dict[int, list] = {}
         applied: dict[int, list[_Summary]] = {}
-        dead: set[int] = set()
 
         def own_events(node_id: int) -> list:
             found = own.get(node_id)
@@ -540,13 +470,12 @@ class _Summaries:
             if found is None:
                 found = applied[node_id] = []
                 for call in graph.calls.get(node_id, ()):
-                    summary = self.at_call(fn, call, merge)
+                    summary = self.at_call(fn, call, merge, summary_of)
                     found.append(summary)
                     keys.update(dict.fromkeys(summary.keys))
                     for text, expr in summary.bindings.items():
                         bindings.setdefault(text, expr)
                     if not summary.returns:
-                        dead.add(node_id)
                         break
             return found
 
@@ -563,17 +492,17 @@ class _Summaries:
                     errors.setdefault(key, []).append(
                         _Error(template, texts, location, steps))
 
-            def transfer(node_id: int, in_map: _InstMap) -> _InstMap:
+            def transfer(node_id: int, in_map: _InstMap) -> _InstMap | None:
                 out = _step(automaton, cfg.nodes[node_id].location,
                             own_events(node_id), in_map, record)
                 for summary in callees(node_id):
                     out = _apply(summary, out, record)
+                    if not summary.returns:
+                        return None
                 return out
 
-            in_maps = forward_fixpoint(
-                cfg.entry, initial,
-                lambda node_id: () if node_id in dead else graph.succs[node_id],
-                transfer, _merge)
+            in_maps = forward_fixpoint(cfg.entry, initial, graph.succs.get,
+                                       transfer, _merge)
             return in_maps.get(cfg.exit), errors
 
         exit_map, errors = run({})

@@ -118,20 +118,24 @@ def node_events(
 def forward_fixpoint(
         start: Key, initial: Fact,
         successors: Callable[[Key], Iterable[Key]],
-        transfer: Callable[[Key, Fact], Fact],
+        transfer: Callable[[Key, Fact], Fact | None],
         join: Callable[[Fact, Fact], Fact | None],
 ) -> dict[Key, Fact]:
     """The in-fact of every key reachable from `start`, by one FIFO
     worklist (Kildall, POPL'73). `transfer(key, in_fact)` is the key's
-    out-fact. The first fact to reach a key is stored as it is; later
-    ones go through `join(old, incoming)`, which returns the joined fact
-    or None when `incoming` adds nothing, and only a joined fact queues
-    the key again. Facts are never mutated, so keys may share one."""
+    out-fact, or None when no path leaves the key (a call that never
+    returns): its successors are then reached only through other keys.
+    The first fact to reach a key is stored as it is; later ones go
+    through `join(old, incoming)`, which returns the joined fact or None
+    when `incoming` adds nothing, and only a joined fact queues the key
+    again. Facts are never mutated, so keys may share one."""
     facts = {start: initial}
     work = deque([start])
     while work:
         key = work.popleft()
         out = transfer(key, facts[key])
+        if out is None:
+            continue
         for succ in successors(key):
             if succ not in facts:
                 facts[succ] = out

@@ -6,17 +6,16 @@ The unit has one lock-order graph over all entries, and every
 elementary cycle in it is reported: a cycle means two orders of
 acquisition are possible, which is a potential deadlock.
 
-The walk is interprocedural through function summaries, computed once
-per unit bottom-up over the call graph (`cbugscan.traverse`): the
-lock-order edges a function's body orders and the callees it reaches,
-each lock taken inside with the keys released on every path before it,
-and its lockset change (the locks it may leave held, the keys it
-releases on every path). An entry's edges are those of the functions it
-reaches, itself included. Lock keys are the raw text in every function,
-so a summary applies unchanged at every call. The edges are those of
-every path, so they do not depend on the order the worklist visits
-nodes in. There is no call-depth bound; recursion is solved to a
-fixpoint.
+The walk is interprocedural through function summaries, solved once per
+unit, callees first, by `traverse.solve_summaries`: the lock-order edges
+a function's body orders and the callees it reaches, each lock taken
+inside with the keys released on every path before it, and its lockset
+change (the locks it may leave held, the keys it releases on every
+path). An entry's edges are those of the functions it reaches, itself
+included. Lock keys are the raw text in every function, so a summary
+applies unchanged at every call. The edges are those of every path, so
+they do not depend on the order the worklist visits nodes in. There is
+no call-depth bound; recursion is solved to a fixpoint.
 
 Each edge keeps its least witness (entry, location of the held lock,
 location of the taken lock), which a finding's steps show; each
@@ -30,7 +29,7 @@ anything, every defined function (conservative).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
@@ -56,7 +55,12 @@ from cbugscan.patterns import (
     match_node,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-from cbugscan.traverse import SuperGraph, build_supergraph, callee_name
+from cbugscan.traverse import (
+    SuperGraph,
+    build_supergraph,
+    callee_name,
+    solve_summaries,
+)
 
 DEFAULT_SPAWN = 'pthread_create(%A, %B, %F, %D)'
 DEFAULT_MAX_CYCLES = 1000
@@ -199,38 +203,25 @@ class LockSummary(NamedTuple):
 
 def lock_summaries(graph: SuperGraph, events: dict[int, list[LockEvent]],
                    ) -> dict[str, LockSummary]:
-    """Every function's summary, bottom-up over the call graph's
-    components; a recursive component is iterated from "no call
-    returns" until its summaries stop changing."""
-    summaries: dict[str, LockSummary] = {}
-    for scc in graph.sccs:
-        if scc[0] not in graph.recursive:
-            summaries[scc[0]] = _summarize(graph, scc[0], events, summaries)
-            continue
-        # the iteration starts from "no call returns"
-        summaries.update(dict.fromkeys(
-            scc, LockSummary(False, frozenset(), frozenset(), {})))
-        changed = True
-        while changed:
-            changed = False
-            for fn in scc:
-                new = _summarize(graph, fn, events, summaries)
-                if new != summaries[fn]:
-                    summaries[fn] = new
-                    changed = True
-    return summaries
+    """Every function's summary, by `traverse.solve_summaries`: a
+    recursive component is iterated from "no call returns", each round's
+    summaries replacing the last, until they stop changing."""
+    solved = solve_summaries(
+        graph, lambda fn, _variant, summary_of: _summarize(
+            graph, fn, events, summary_of),
+        lambda _old, new: new, LockSummary(False, frozenset(), frozenset(), {}))
+    return {fn: summary for (fn, _), summary in solved.items()}
 
 
 def _summarize(graph: SuperGraph, fn: str,
                events: dict[int, list[LockEvent]],
-               summaries: dict[str, LockSummary]) -> LockSummary:
+               summary_of: Callable[[str], LockSummary]) -> LockSummary:
     # dataflow value: (locks taken since the entry that may be held, as
     # (key, location) pairs; keys released on every path from the entry)
     cfg = graph.cfgs[fn]
     edges: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
     calls: set[str] = set()
     acquires: dict[tuple[str, SourceLocation], frozenset] = {}
-    dead: set[int] = set()
 
     def acquire(key, location, held, released) -> None:
         for held_key, held_location in held:
@@ -240,7 +231,7 @@ def _summarize(graph: SuperGraph, fn: str,
         acquires[(key, location)] = (
             released if before is None else before & released)
 
-    def transfer(node_id: int, fact: tuple) -> tuple:
+    def transfer(node_id: int, fact: tuple) -> tuple | None:
         found = events.get(node_id, ())
         if not found and node_id not in graph.calls:
             return fact
@@ -254,14 +245,13 @@ def _summarize(graph: SuperGraph, fn: str,
                 released = released | {key}
         for call in graph.calls.get(node_id, ()):
             calls.add(callee_name(call))
-            callee = summaries[callee_name(call)]
+            callee = summary_of(callee_name(call))
             for (key, location), inside in callee.acquires.items():
                 acquire(key, location,
                         [pair for pair in held if pair[0] not in inside],
                         released | inside)
             if not callee.returns:
-                dead.add(node_id)
-                break
+                return None
             held = callee.held | frozenset(
                 pair for pair in held if pair[0] not in callee.released)
             released = released | callee.released
@@ -272,10 +262,8 @@ def _summarize(graph: SuperGraph, fn: str,
             return None
         return old[0] | new[0], old[1] & new[1]
 
-    facts = forward_fixpoint(
-        cfg.entry, (frozenset(), frozenset()),
-        lambda node_id: () if node_id in dead else graph.succs[node_id],
-        transfer, join)
+    facts = forward_fixpoint(cfg.entry, (frozenset(), frozenset()),
+                             graph.succs.get, transfer, join)
     at_exit = facts.get(cfg.exit)
     if at_exit is None:
         return LockSummary(False, frozenset(edges), frozenset(calls), acquires)

@@ -14,10 +14,12 @@ the unit's CFGs but no reference back to the unit, so a unit and its
 graph are freed without the cycle collector.
 
 Calls are not expanded into the graph. The interprocedural checkers
-compute one summary per function, bottom-up over `sccs`, and apply a
-callee's summary at each node that calls it: the functional approach of
-Sharir & Pnueli (1981). So there is no call-depth bound, and a recursive
-component is solved by iterating its summaries until they stop changing.
+compute one summary per function and apply a callee's summary at each
+node that calls it: the functional approach of Sharir & Pnueli (1981).
+`solve_summaries` is the one solver: it solves `sccs` callees first and
+iterates a recursive component until its summaries stop changing, so
+there is no call-depth bound; a checker only says how to summarize one
+function, how to join two summaries, and where iteration starts.
 
 Expressions observed inside a callee can be translated into the caller's
 terms (formals become the actual argument expressions), which lets
@@ -27,11 +29,14 @@ checkers track one object across call boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Hashable, TypeVar
 
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
+
+Summary = TypeVar("Summary")
 
 
 @dataclass(eq=False)
@@ -84,6 +89,78 @@ def _supergraph(unit: TranslationUnit) -> SuperGraph:
                             if scc_of[edge.caller] == scc_of[edge.callee]
                             for fn in sccs[scc_of[edge.caller]]),
     )
+
+
+# -- summaries, bottom-up ----------------------------------------------------------
+
+class _Unsolved(Exception):
+    """A summary of a lower component is asked for and not solved yet."""
+
+
+def solve_summaries(graph: SuperGraph,
+                    summarize: Callable[[str, Hashable, Callable], Summary],
+                    join: Callable[[Summary, Summary], Summary],
+                    bottom: Summary) -> dict[tuple[str, Hashable], Summary]:
+    """Every function's summary by (function, variant), the base variant
+    `()` and every other one asked for; `summarize(fn, variant, summary_of)`
+    computes one, reading a callee's as `summary_of(callee, variant=())`.
+
+    Components are solved callees first. A recursive one starts from
+    `bottom` and its summaries become `join(old, summarize(...))` until
+    none changes; a summary of it that is asked for joins in. A summary
+    of a lower component that is asked for and not solved yet is solved
+    first, then the asking attempt is made again; attempts wait on an
+    explicit stack, so long chains of requests take no recursion."""
+    solved: dict[tuple[str, Hashable], Summary] = {}
+    members: dict = {}  # the keys of the recursive component iterated
+    current = -1        # and its index
+
+    def summary_of(fn: str, variant: Hashable = ()) -> Summary:
+        found = solved.get((fn, variant))
+        if found is None:
+            if graph.scc_of[fn] != current:
+                raise _Unsolved((fn, variant))
+            members[fn, variant] = None
+            found = solved[fn, variant] = bottom
+        return found
+
+    def solve(keys: list[tuple[str, Hashable]]) -> None:
+        nonlocal current
+        if keys[0][0] not in graph.recursive:
+            solved[keys[0]] = summarize(*keys[0], summary_of)
+            return
+        current = graph.scc_of[keys[0][0]]
+        members.update(dict.fromkeys(keys))
+        solved.update(dict.fromkeys(keys, bottom))
+        try:
+            changed = True
+            while changed:
+                known = len(members)
+                changed = False
+                for key in list(members):
+                    new = join(solved[key], summarize(*key, summary_of))
+                    if new != solved[key]:
+                        solved[key] = new
+                        changed = True
+                changed = changed or len(members) != known
+        except _Unsolved:
+            for key in members:
+                del solved[key]
+            raise
+        finally:
+            current = -1
+            members.clear()
+
+    for scc in graph.sccs:
+        pending = [[(fn, ()) for fn in scc]]
+        while pending:
+            try:
+                solve(pending[-1])
+            except _Unsolved as unsolved:
+                pending.append(list(unsolved.args))
+            else:
+                pending.pop()
+    return solved
 
 
 # -- expression mapping across call boundaries --------------------------------
