@@ -3,10 +3,12 @@
 
     python3 scripts/compare_reports.py OLD_SRC NEW_SRC [FILE...]
 
-OLD_SRC and NEW_SRC are each a checkout or its `src` directory. For each
-tree, a fresh interpreter runs all four checkers with their bundled
-configs over every FILE, one job per file, and prints the JSON report
-(findings, witness steps, ids) and the diagnostics. The two outputs are
+OLD_SRC and NEW_SRC are each a checkout, its `src` directory, or a git
+revision of this repository (such as `HEAD`), which is exported with
+`git archive` into a temporary directory. For each tree, a fresh
+interpreter runs all four checkers with their bundled configs over
+every FILE, one job per file, and prints the JSON report (findings,
+witness steps, ids) and the diagnostics. The two outputs are
 compared line by line: on any difference the first differing lines are
 printed and the exit code is 1; otherwise it is 0. Without FILE, the
 files are `tests/corpus/*.c` and the wide, deep and nest workloads of
@@ -16,9 +18,11 @@ directory. Standard library only.
 
 import difflib
 import glob
+import io
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 CHILD = r"""
@@ -46,6 +50,23 @@ def package_dir(tree: str) -> str:
     """The directory holding the `cbugscan` package of a tree."""
     src = os.path.join(tree, "src")
     return src if os.path.isdir(os.path.join(src, "cbugscan")) else tree
+
+
+def checkout(tree: str, directory: str) -> str:
+    """`tree` itself when it is a directory; else the git revision
+    `tree`, exported into a new directory under `directory`."""
+    if os.path.isdir(tree):
+        return tree
+    archive = subprocess.run(["git", "-C", ROOT, "archive", tree],
+                             capture_output=True)
+    if archive.returncode != 0:
+        sys.stderr.write(f"{tree}: not a directory or a git revision\n"
+                         + archive.stderr.decode(errors="replace"))
+        raise SystemExit(2)
+    target = tempfile.mkdtemp(dir=directory)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(target, filter="data")
+    return target
 
 
 def report(tree: str, files: list[str]) -> list[str]:
@@ -80,14 +101,15 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(__doc__)
         return 2
     old_tree, new_tree, *files = argv
-    if not files:
-        with tempfile.TemporaryDirectory() as directory:
-            return compare(old_tree, new_tree, default_files(directory))
-    return compare(old_tree, new_tree, files)
+    with tempfile.TemporaryDirectory() as directory:
+        return compare(old_tree, new_tree, directory,
+                       files or default_files(directory))
 
 
-def compare(old_tree: str, new_tree: str, files: list[str]) -> int:
-    old, new = report(old_tree, files), report(new_tree, files)
+def compare(old_tree: str, new_tree: str, directory: str,
+            files: list[str]) -> int:
+    old = report(checkout(old_tree, directory), files)
+    new = report(checkout(new_tree, directory), files)
     if old == new:
         print(f"identical: {len(files)} files, {len(old)} lines")
         return 0

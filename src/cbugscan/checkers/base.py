@@ -5,7 +5,8 @@ traces. Checkers hold no cross-unit mutable state, which is what lets
 the engine stream units through a bounded cache without changing any
 checker's output. What they share is kept on the unit: `matches`
 matches each pattern once per unit, whichever checker asks, and keeps
-its hits there by the pattern's shape.
+its hits there by the pattern's shape. The lock checkers read their
+lock lines with one parser, `LockLines`.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import importlib.resources
 import shlex
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode
 from cbugscan.ir.units import TranslationUnit, UnitManager
-from cbugscan.patterns import Bindings, Pattern, pattern_hits
+from cbugscan.patterns import Bindings, Pattern, compile_pattern, pattern_hits
 from cbugscan.report import ErrorTrace
 
 Event = TypeVar("Event")
@@ -69,6 +70,42 @@ def config_lines(text: str,
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
         if words:
             yield lineno, raw.strip(), words
+
+
+@dataclass
+class LockLines:
+    """The patterns of a config's lock lines, which lockstat and thread
+    share: `lock P unlock Q`, `lock P` and `unlock Q`. On a pair line
+    where neither pattern has metavariables, nothing is bound to name
+    the lock by, so Q releases P's lock: both are keyed by P's text."""
+    locks: list[Pattern] = field(default_factory=list)
+    unlocks: list[Pattern] = field(default_factory=list)
+    releases: dict[Pattern, Pattern] = field(default_factory=dict)
+
+    def read_lock_line(self, words: list[str]) -> bool:
+        """Take a config line's words if they are a lock line."""
+        if words[0] == "lock" and len(words) == 4 and words[2] == "unlock":
+            lock, unlock = compile_pattern(words[1]), compile_pattern(words[3])
+            self.locks.append(lock)
+            self.unlocks.append(unlock)
+            if not lock.metavar_names() and not unlock.metavar_names():
+                self.releases[unlock] = lock
+        elif words[0] == "lock" and len(words) == 2:
+            self.locks.append(compile_pattern(words[1]))
+        elif words[0] == "unlock" and len(words) == 2:
+            self.unlocks.append(compile_pattern(words[1]))
+        else:
+            return False
+        return True
+
+    def keyed_as(self, pattern: Pattern, bindings: Bindings, node: AstNode,
+                 ) -> tuple[Pattern, Bindings, AstNode]:
+        """The match whose key a match of `pattern` at `node` takes: the
+        match itself, or for an unlock that releases its line's lock,
+        that lock matching its own tree."""
+        lock = self.releases.get(pattern)
+        return (pattern, bindings, node) if lock is None else (
+            lock, {}, lock.tree)
 
 
 def matches(patterns: list[Pattern], unit: TranslationUnit,

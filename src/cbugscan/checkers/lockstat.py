@@ -18,6 +18,7 @@ from functools import cached_property
 
 from cbugscan.checkers.base import (
     Checker,
+    LockLines,
     Services,
     config_lines,
     forward_fixpoint,
@@ -38,10 +39,8 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 
 @dataclass
-class LockstatConfig:
+class LockstatConfig(LockLines):
     accesses: list[Pattern] = field(default_factory=list)
-    locks: list[Pattern] = field(default_factory=list)
-    unlocks: list[Pattern] = field(default_factory=list)
     threshold: Fraction = Fraction(7, 10)
     min_samples: int = 5
 
@@ -58,11 +57,10 @@ def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConf
     config = LockstatConfig()
     for lineno, line, parts in config_lines(text, source):
         directive = parts[0]
+        if config.read_lock_line(parts):
+            continue
         if directive == "access" and len(parts) == 2:
             config.accesses.append(compile_pattern(parts[1]))
-        elif directive == "lock" and len(parts) == 4 and parts[2] == "unlock":
-            config.locks.append(compile_pattern(parts[1]))
-            config.unlocks.append(compile_pattern(parts[3]))
         elif directive == "threshold" and len(parts) == 2:
             try:
                 config.threshold = Fraction(parts[1])
@@ -75,6 +73,9 @@ def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConf
                 config.min_samples = int(parts[1])
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: bad min-samples") from exc
+            if config.min_samples < 1:
+                raise ConfigError(
+                    f"{source}:{lineno}: min-samples must be at least 1")
         else:
             raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
     if not config.accesses:
@@ -129,7 +130,8 @@ class LockstatChecker(Checker):
             list(kinds), unit, match_node,
             lambda pattern, subnode, bindings: (
                 kinds[pattern],
-                statement_text(first_binding(pattern, bindings, subnode)),
+                statement_text(first_binding(
+                    *self.config.keyed_as(pattern, bindings, subnode))),
                 subnode.location))
 
     @staticmethod

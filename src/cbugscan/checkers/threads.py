@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 
 from cbugscan.checkers.base import (
     Checker,
+    LockLines,
     Services,
     config_lines,
     forward_fixpoint,
@@ -67,11 +68,9 @@ DEFAULT_MAX_CYCLES = 1000
 
 
 @dataclass
-class ThreadConfig:
+class ThreadConfig(LockLines):
     spawns: list[Pattern] = field(default_factory=list)
     entries: list[str] = field(default_factory=list)
-    locks: list[Pattern] = field(default_factory=list)
-    unlocks: list[Pattern] = field(default_factory=list)
     max_cycles: int = DEFAULT_MAX_CYCLES
 
 
@@ -79,6 +78,8 @@ def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
     for lineno, line, parts in config_lines(text, source):
         directive = parts[0]
+        if config.read_lock_line(parts):
+            continue
         if directive == "spawn" and len(parts) == 2:
             pattern = compile_pattern(parts[1])
             if "F" not in pattern.metavar_names():
@@ -87,13 +88,6 @@ def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
             config.spawns.append(pattern)
         elif directive == "entry" and len(parts) == 2:
             config.entries.append(parts[1])
-        elif directive == "lock" and len(parts) == 4 and parts[2] == "unlock":
-            config.locks.append(compile_pattern(parts[1]))
-            config.unlocks.append(compile_pattern(parts[3]))
-        elif directive == "lock" and len(parts) == 2:
-            config.locks.append(compile_pattern(parts[1]))
-        elif directive == "unlock" and len(parts) == 2:
-            config.unlocks.append(compile_pattern(parts[1]))
         elif directive == "max-cycles" and len(parts) == 2:
             try:
                 config.max_cycles = int(parts[1])
@@ -150,7 +144,8 @@ def lock_events(config: ThreadConfig,
     return node_events(
         config.locks + config.unlocks, unit, match_node,
         lambda pattern, subnode, bindings: (
-            pattern in locks, lock_key(pattern, bindings, subnode),
+            pattern in locks,
+            lock_key(*config.keyed_as(pattern, bindings, subnode)),
             subnode.location))
 
 

@@ -69,14 +69,13 @@ def compile_pattern(template: str, name: str = "") -> Pattern:
     return Pattern(name=name or template, template=template, tree=tree)
 
 
-def match_node(pattern: Pattern | AstNode, node: AstNode) -> Bindings | None:
+def match_node(pattern: Pattern, node: AstNode) -> Bindings | None:
     """Match a pattern against `node` itself (not its descendants).
 
     Returns the metavariable bindings on success, None on mismatch.
     """
-    tree = pattern.tree if isinstance(pattern, Pattern) else pattern
     bindings: Bindings = {}
-    if _match(tree, node, bindings):
+    if _match(pattern.tree, node, bindings):
         return bindings
     return None
 

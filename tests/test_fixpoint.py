@@ -111,3 +111,18 @@ def test_a_joined_fact_queues_the_key_again():
         lambda old, new: None if new <= old else old | new)
     assert transferred == [0, 1, 2, 1, 2]
     assert facts == {0: frozenset(), 1: {0, 1, 2}, 2: {0, 1, 2}}
+
+
+def test_transfer_none_stops_at_the_key():
+    # 1 never lets a path leave: 2 is reached through 3 alone, 4 not at all
+    succs = {0: [1, 3], 1: [2, 4], 3: [2]}
+
+    def transfer(node, paths):
+        return None if node == 1 else frozenset(path + (node,) for path in paths)
+
+    facts = forward_fixpoint(
+        0, frozenset({()}), lambda node: succs.get(node, []), transfer,
+        lambda old, new: None if new <= old else old | new)
+    assert set(facts) == {0, 1, 2, 3}
+    assert facts[1] == {(0,)}
+    assert facts[2] == {(0, 3)}

@@ -66,6 +66,8 @@ def test_defaults():
     'access "use(%V)"\nthreshold abc',
     'access "use(%V)"\nthreshold 7/0',
     'access "use(%V)"\nmin-samples many',
+    'access "use(%V)"\nmin-samples -4',
+    'access "use(%V)"\nmin-samples 0',
     'access "use(%V)"\nlock "l(%X)" "u(%X)"',
     'access "use(%V)"\nfrobnicate 1',
     'access "use(%V)"\naccess "oops',
@@ -357,6 +359,35 @@ def test_statement_patterns_key_by_statement_text(tmp_path):
         "variable x accessed without lock big_lock(); held; "
         "big_lock(); held at 8 of 9 accesses"]
     assert traces[0].steps[0].location.line == 9
+
+
+def test_metavariable_free_unlock_releases_its_lines_lock(tmp_path):
+    config = """
+    access "%V = %E;"
+    lock "big_lock();" unlock "big_unlock();"
+    threshold 0.5
+    min-samples 1
+    """
+    traces = run("""
+        void a(void) { big_lock(); x = 1; big_unlock(); }
+        void b(void) { big_lock(); big_unlock(); x = 2; }
+    """, tmp_path, config_text=config)
+    assert [t.message for t in traces] == [
+        "variable x accessed without lock big_lock(); held; "
+        "big_lock(); held at 1 of 2 accesses"]
+    assert traces[0].steps[0].location.line == 3
+
+
+def test_lone_lock_and_unlock_lines(tmp_path):
+    config = parse_lockstat_config(
+        'access "use(%V)"\nlock "lock(%L)"\nunlock "unlock(%L)"\n')
+    assert len(config.locks) == 1 and len(config.unlocks) == 1
+    traces = run("""
+        void f(void) { lock(&m); use(v); use(v); use(v); use(v); unlock(&m);
+                       use(v); }
+    """, tmp_path, config_text='access "use(%V)"\nlock "lock(%L)"\n'
+                               'unlock "unlock(%L)"\n')
+    assert [t.steps[0].location.line for t in traces] == [3]
 
 
 def test_branch_join_drops_uncertain_locks(tmp_path):

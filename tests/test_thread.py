@@ -1,3 +1,4 @@
+import importlib.resources
 import textwrap
 import time
 
@@ -549,6 +550,32 @@ def test_statement_lock_pattern_reports_the_cycle(tmp_path):
         "circular lock dependency: big_lock(); <- m <- big_lock();"]
     assert [step.location.line for step in result.traces[0].steps] == [
         2, 3, 8, 9]
+
+
+def test_metavariable_free_unlock_releases_its_lines_lock(tmp_path):
+    source = tmp_path / "t.c"
+    source.write_text(textwrap.dedent("""\
+        void g(void) {
+            big_lock();
+            big_unlock();
+            mutex_lock(&m);
+            mutex_unlock(&m);
+        }
+        void h(void) {
+            mutex_lock(&m);
+            big_lock();
+            big_unlock();
+            mutex_unlock(&m);
+        }
+    """))
+    bundled = importlib.resources.files("cbugscan.configs") / "thread.conf"
+    config = tmp_path / "thread.conf"
+    config.write_text(bundled.read_text()
+                      + 'lock "big_lock();" unlock "big_unlock();"\n')
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(source))],
+                                 checkers=[("thread", str(config))]))
+    assert result.diagnostics == []
+    assert result.traces == []
 
 
 def test_three_lock_ring_reports_one_cycle(tmp_path):

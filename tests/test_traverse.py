@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 from cbugscan.frontend import parse_fragment, to_text
 from cbugscan.ir import build_unit_from_text
 from cbugscan.traverse import (
+    SuperGraph,
     build_supergraph,
     callee_name,
     map_expression_to_caller,
+    solve_summaries,
 )
 
-from oracles import collect_calls
+from oracles import bfs_reachable, collect_calls
 
 
 def unit_of(source):
@@ -91,6 +93,88 @@ def test_supergraph_always_finite(n_funcs, calls):
     # one key per CFG node, however the functions call each other
     assert len(graph.succs) == sum(len(cfg.nodes) for cfg in unit.cfgs.values())
     assert graph.sccs == [[f"fn{i}" for i in range(n_funcs)]]
+
+
+# -- summaries ---------------------------------------------------------------------
+
+def callees_of(graph, fn):
+    return {callee_name(call) for node_id in graph.cfgs[fn].nodes
+            for call in graph.calls.get(node_id, ())}
+
+
+@st.composite
+def _call_graphs(draw):
+    """Up to 8 functions, each calling any of them, itself included."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    return {f"fn{i}": draw(st.lists(st.sampled_from(
+        [f"fn{j}" for j in range(n)]), max_size=3)) for i in range(n)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_call_graphs())
+def test_solved_summaries_equal_the_closure_oracle(calls):
+    # toy summary: the functions each one reaches through one call or more
+    unit = unit_of("\n".join(
+        f"void {fn}(void) {{ {''.join(f'{callee}(); ' for callee in callees)}}}"
+        for fn, callees in calls.items()))
+    graph = build_supergraph(unit)
+
+    def summarize(fn, variant, summary_of):
+        assert variant == ()
+        return frozenset().union(*(summary_of(callee) | {callee}
+                                   for callee in callees_of(graph, fn)))
+
+    solved = solve_summaries(graph, summarize, frozenset.union, frozenset())
+    assert solved == {
+        (fn, ()): frozenset().union(*(bfs_reachable(calls, callee)
+                                      for callee in callees))
+        for fn, callees in calls.items()}
+
+
+def chain_graph(n):
+    """f0 calls f1, ..., f(n-2) calls f(n-1); no recursion."""
+    names = [f"f{i}" for i in range(n)]
+    return SuperGraph(cfgs={}, succs={}, calls={},
+                      sccs=[[fn] for fn in reversed(names)],
+                      scc_of={fn: n - 1 - i for i, fn in enumerate(names)},
+                      recursive=frozenset())
+
+
+def test_a_lower_variant_is_solved_once_before_its_asker():
+    graph = chain_graph(2)
+    attempts = []
+
+    def summarize(fn, variant, summary_of):
+        attempts.append((fn, variant))
+        if fn == "f0":
+            return ("f0", summary_of("f1", "merged"))
+        return (fn, variant)
+
+    solved = solve_summaries(graph, summarize, None, None)
+    # the attempt that asked is made again once the variant is solved
+    assert attempts == [("f1", ()), ("f0", ()), ("f1", "merged"), ("f0", ())]
+    assert solved == {("f1", ()): ("f1", ()),
+                      ("f1", "merged"): ("f1", "merged"),
+                      ("f0", ()): ("f0", ("f1", "merged"))}
+
+
+def test_a_long_chain_of_variant_requests_takes_no_recursion():
+    # only f0's base asks for a variant, and each variant asks for the
+    # next function's: solving f0 waits on 1,999 requests at once
+    n = 2000
+    graph = chain_graph(n)
+
+    def summarize(fn, variant, summary_of):
+        i = int(fn[1:])
+        if i == n - 1:
+            return 0
+        if fn == "f0" or variant:
+            return summary_of(f"f{i + 1}", "v") + 1
+        return summary_of(f"f{i + 1}")
+
+    solved = solve_summaries(graph, summarize, None, None)
+    assert solved["f0", ()] == n - 1
+    assert len(solved) == 2 * n - 1
 
 
 # -- expression mapping ----------------------------------------------------------
