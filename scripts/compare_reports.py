@@ -11,15 +11,19 @@ every FILE, one job per file, and prints the JSON report (findings,
 witness steps, ids) and the diagnostics. The two outputs are
 compared line by line: on any difference the first differing lines are
 printed and the exit code is 1; otherwise it is 0. Without FILE, the
-files are `tests/corpus/*.c` and the wide, deep and nest workloads of
+files are `tests/corpus/*.c`, the wide, deep and nest workloads of
 seeds 1-10, which `perfbench/workloads.py` writes into a temporary
-directory. Standard library only.
+directory, and, when `cpp` is on PATH, each corpus file as `cpp`
+writes it, line markers kept, so the lexer's line-marker path is
+compared too; without `cpp` that set is skipped, and a line says so.
+Standard library only.
 """
 
 import difflib
 import glob
 import io
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -81,11 +85,13 @@ def report(tree: str, files: list[str]) -> list[str]:
 
 def default_files(directory: str) -> list[str]:
     """The corpus files, then each workload and seed written into a
-    directory of its own under `directory`."""
+    directory of its own under `directory`, then the corpus files as
+    `cpp` writes them, into `directory/cpp`."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     import workloads
-    files = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.c")))
+    corpus = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.c")))
+    files = list(corpus)
     for workload in WORKLOADS:
         for seed in SEEDS:
             target = os.path.join(directory, f"{workload}{seed}")
@@ -93,7 +99,24 @@ def default_files(directory: str) -> list[str]:
             sources = workloads.generate(workload, seed)
             workloads.write_workload(sources, target)
             files += [os.path.join(target, source.name) for source in sources]
-    return files
+    return files + preprocessed(corpus, os.path.join(directory, "cpp"))
+
+
+def preprocessed(sources: list[str], target: str) -> list[str]:
+    """Each source run through `cpp` into `target`, its line markers
+    kept (they name the source by its path from the repository root);
+    none when `cpp` is not on PATH."""
+    if shutil.which("cpp") is None:
+        print("skipped: cpp is not on PATH, so no line-marker files")
+        return []
+    os.mkdir(target)
+    outputs = []
+    for source in sources:
+        output = os.path.join(target, os.path.basename(source))
+        subprocess.run(["cpp", os.path.relpath(source, ROOT), "-o", output],
+                       cwd=ROOT, check=True)
+        outputs.append(output)
+    return outputs
 
 
 def main(argv: list[str]) -> int:

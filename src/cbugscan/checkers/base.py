@@ -6,7 +6,8 @@ the engine stream units through a bounded cache without changing any
 checker's output. What they share is kept on the unit: `matches`
 matches each pattern once per unit, whichever checker asks, and keeps
 its hits there by the pattern's shape. The lock checkers read their
-lock lines with one parser, `LockLines`.
+lock lines with one parser, `LockLines`, which also keys their lock
+events.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def config_lines(text: str,
 class LockLines:
     """The patterns of a config's lock lines, which lockstat and thread
     share: `lock P unlock Q`, `lock P` and `unlock Q`. On a pair line
-    where neither pattern has metavariables, nothing is bound to name
-    the lock by, so Q releases P's lock: both are keyed by P's text."""
+    where Q has no metavariables, nothing is bound to name the lock by,
+    so Q releases every lock that P took in the unit."""
     locks: list[Pattern] = field(default_factory=list)
     unlocks: list[Pattern] = field(default_factory=list)
     releases: dict[Pattern, Pattern] = field(default_factory=dict)
@@ -88,7 +89,7 @@ class LockLines:
             lock, unlock = compile_pattern(words[1]), compile_pattern(words[3])
             self.locks.append(lock)
             self.unlocks.append(unlock)
-            if not lock.metavar_names() and not unlock.metavar_names():
+            if not unlock.metavar_names():
                 self.releases[unlock] = lock
         elif words[0] == "lock" and len(words) == 2:
             self.locks.append(compile_pattern(words[1]))
@@ -98,14 +99,34 @@ class LockLines:
             return False
         return True
 
-    def keyed_as(self, pattern: Pattern, bindings: Bindings, node: AstNode,
-                 ) -> tuple[Pattern, Bindings, AstNode]:
-        """The match whose key a match of `pattern` at `node` takes: the
-        match itself, or for an unlock that releases its line's lock,
-        that lock matching its own tree."""
-        lock = self.releases.get(pattern)
-        return (pattern, bindings, node) if lock is None else (
-            lock, {}, lock.tree)
+    def node_events(
+            self, patterns: list[Pattern], unit: TranslationUnit,
+            match: Callable[[Pattern, AstNode], Bindings | None],
+            key: Callable[[Pattern, Bindings, AstNode], str],
+            event: Callable[[Pattern, str, AstNode], Event],
+    ) -> dict[int, list[Event]]:
+        """Each CFG node's events by node id, as `node_events` gives
+        them, but one `event(pattern, lock key, subnode)` per lock key:
+        a match's key is `key(pattern, bindings, subnode)`, except that an
+        unlock releasing its line's lock has every key that lock took at
+        a CFG node of the unit, in sorted order."""
+        found = {owner: hits for owner, hits in
+                 matches(patterns, unit, match).items() if owner is not None}
+        taken: dict[Pattern, set[str]] = {
+            lock: set() for lock in self.releases.values()}
+        for hits in found.values():
+            for pattern, subnode, bindings in hits:
+                if pattern in taken:
+                    taken[pattern].add(key(pattern, bindings, subnode))
+        events: dict[int, list[Event]] = {}
+        for owner, hits in found.items():
+            out = events[owner] = []
+            for pattern, subnode, bindings in hits:
+                lock = self.releases.get(pattern)
+                keys = (sorted(taken[lock]) if lock is not None
+                        else (key(pattern, bindings, subnode),))
+                out.extend(event(pattern, each, subnode) for each in keys)
+        return events
 
 
 def matches(patterns: list[Pattern], unit: TranslationUnit,

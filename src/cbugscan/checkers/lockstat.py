@@ -22,7 +22,6 @@ from cbugscan.checkers.base import (
     Services,
     config_lines,
     forward_fixpoint,
-    node_events,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -124,15 +123,14 @@ class LockstatChecker(Checker):
 
     def _node_events(self, unit: TranslationUnit) -> dict[int, list[_Event]]:
         """Each CFG node's accesses and lock/unlock events, by node id
-        (see `checkers.base.node_events`)."""
+        (see `checkers.base.LockLines.node_events`)."""
         kinds = self.config.kinds
-        return node_events(
+        return self.config.node_events(
             list(kinds), unit, match_node,
-            lambda pattern, subnode, bindings: (
-                kinds[pattern],
-                statement_text(first_binding(
-                    *self.config.keyed_as(pattern, bindings, subnode))),
-                subnode.location))
+            lambda pattern, bindings, subnode: statement_text(
+                first_binding(pattern, bindings, subnode)),
+            lambda pattern, key, subnode: (
+                kinds[pattern], key, subnode.location))
 
     @staticmethod
     def _apply(events: list[_Event], in_set: frozenset[str],

@@ -38,7 +38,6 @@ from cbugscan.checkers.base import (
     config_lines,
     forward_fixpoint,
     matches,
-    node_events,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -139,14 +138,12 @@ LockEvent = tuple[bool, str, SourceLocation]
 def lock_events(config: ThreadConfig,
                 unit: TranslationUnit) -> dict[int, list[LockEvent]]:
     """Each CFG node's lock events, by node id (see
-    `checkers.base.node_events`)."""
+    `checkers.base.LockLines.node_events`)."""
     locks = set(config.locks)
-    return node_events(
-        config.locks + config.unlocks, unit, match_node,
-        lambda pattern, subnode, bindings: (
-            pattern in locks,
-            lock_key(*config.keyed_as(pattern, bindings, subnode)),
-            subnode.location))
+    return config.node_events(
+        config.locks + config.unlocks, unit, match_node, lock_key,
+        lambda pattern, key, subnode: (
+            pattern in locks, key, subnode.location))
 
 
 def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     file: str
     line: int
     column: int

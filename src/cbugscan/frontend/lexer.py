@@ -1,7 +1,13 @@
 """Tokenizer for the C subset and for pattern templates.
 
 One master regular expression, with one named group per token class,
-splits the source; lines and columns come from the offsets of newlines.
+splits the source, and the same pass counts lines. A newline can sit
+only in whitespace, in a block comment or in a string continued by a
+backslash-newline, so only such a match moves the physical line on (by
+its count of newlines) and the offset where that line starts (after its
+last newline); a token's column is its offset minus that start. No
+table of line starts is built and no line is found by bisection. Tokens
+and their locations are named tuples (`Token`, `SourceLocation`).
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -10,8 +16,7 @@ the `%` stays a modulo operator.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from cbugscan.errors import FrontendError
 from cbugscan.frontend.ast_nodes import SourceLocation
@@ -51,8 +56,7 @@ _LINE_MARKER = re.compile(
     r'#[ \t]*(?:line[ \t]+)?([0-9]+)(?:[ \t]+"((?:[^"\\]|\\.)*)")?(?:[ \t]|$)')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     # "ident", "number", "string", "metavar", "eof", or a keyword's or
     # an operator's own text
     kind: str
@@ -76,45 +80,48 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     expects preprocessed input; a line marker among them (`# N "FILE"`
     or `#line N ["FILE"]`) makes the next line line N of FILE.
     """
-    line_starts = [0]
-    line_starts.extend(m.end() for m in re.finditer("\n", source))
-    shift = 0  # logical minus physical line number, set by line markers
+    line = 1        # physical line of the current match
+    line_start = 0  # offset where that line starts
+    shift = 0       # logical minus physical line number, set by line markers
     tokens: list[Token] = []
+    append = tokens.append
+    new = tuple.__new__  # builds a record without NamedTuple's Python-level __new__
     at_line_start = True
     regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
     for m in regex.finditer(source):
         kind = m.lastgroup
         text = m[0]
+        start = m.start()
         if kind == "space":
             at_line_start = at_line_start or "\n" in text
-            continue
-        if kind == "comment":
-            continue
-        if kind == "directive" and at_line_start:
+        elif kind == "directive" and at_line_start:
             marker = _LINE_MARKER.match(text)
             if marker:
-                shift = int(marker[1]) - bisect_right(line_starts, m.start()) - 1
+                shift = int(marker[1]) - line - 1
                 if marker[2] is not None:
                     file = re.sub(r"\\(.)", r"\1", marker[2])
-            continue
-        at_line_start = False
-        start = m.start()
-        row = bisect_right(line_starts, start)
-        where = SourceLocation(file, row + shift, start - line_starts[row - 1] + 1)
-        if kind == "ident":
-            tokens.append(Token(text if text in KEYWORDS else "ident", text, where))
-        elif kind == "punct":
-            tokens.append(Token(text, text, where))
-        elif kind in ("number", "string", "eof"):
-            tokens.append(Token(kind, text, where))
-        elif kind == "metavar":
-            tokens.append(Token("metavar", text[1:], where))
-        elif kind == "open_comment":
-            raise FrontendError("unterminated comment", where)
-        elif kind == "open_string":
-            raise FrontendError("unterminated string literal", where)
-        elif kind == "bad_number":
-            raise FrontendError(f"malformed number near {text!r}", where)
-        else:
-            raise FrontendError(f"unexpected character {text[0]!r}", where)
+        elif kind != "comment":
+            at_line_start = False
+            where = new(SourceLocation, (file, line + shift, start - line_start + 1))
+            if kind == "ident":
+                append(new(Token, (text if text in KEYWORDS else "ident", text, where)))
+            elif kind == "punct":
+                append(new(Token, (text, text, where)))
+            elif kind in ("number", "string", "eof"):
+                append(new(Token, (kind, text, where)))
+            elif kind == "metavar":
+                append(new(Token, ("metavar", text[1:], where)))
+            elif kind == "open_comment":
+                raise FrontendError("unterminated comment", where)
+            elif kind == "open_string":
+                raise FrontendError("unterminated string literal", where)
+            elif kind == "bad_number":
+                raise FrontendError(f"malformed number near {text!r}", where)
+            else:
+                raise FrontendError(f"unexpected character {text[0]!r}", where)
+        if "\n" in text:
+            # only space, a block comment or a string continued by a
+            # backslash-newline spans lines
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
     return tokens

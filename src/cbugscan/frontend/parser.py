@@ -58,13 +58,18 @@ class _Parser:
     def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]  # the current token, tokens[pos]
         self.file = file
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.pos]
+    def advance(self) -> None:
+        """Move to the next token; past the final eof the cursor stays on it."""
+        self.pos += 1
+        try:
+            self.tok = self.tokens[self.pos]
+        except IndexError:
+            pass
 
     def peek(self, offset: int = 1) -> Token:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
@@ -73,18 +78,18 @@ class _Parser:
         return self.tok.kind == kind
 
     def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            tok = self.tok
-            self.pos += 1
-            return tok
-        return None
+        tok = self.tok
+        if tok.kind != kind:
+            return None
+        self.advance()
+        return tok
 
     def expect(self, kind: str) -> Token:
-        if not self.at(kind):
-            got = self.tok.text or self.tok.kind
-            raise FrontendError(f"expected {kind!r}, found {got!r}", self.tok.location)
         tok = self.tok
-        self.pos += 1
+        if tok.kind != kind:
+            raise FrontendError(
+                f"expected {kind!r}, found {tok.text or tok.kind!r}", tok.location)
+        self.advance()
         return tok
 
     def fail(self, message: str) -> FrontendError:
@@ -104,10 +109,10 @@ class _Parser:
         the location of the type."""
         tok = self.tok
         if tok.kind in ("int", "void", "char"):
-            self.pos += 1
+            self.advance()
             ctype = tok.text
         elif tok.kind == "struct":
-            self.pos += 1
+            self.advance()
             ctype = f"struct {self.expect('ident').text}"
             if self.at("{"):
                 self.fail("struct definitions are not supported; declare variables of 'struct NAME' type instead")
@@ -133,7 +138,7 @@ class _Parser:
         if self.at(")"):
             pass
         elif self.at("void") and self.peek().kind == ")":
-            self.pos += 1
+            self.advance()
         else:
             params.append(self.param_decl())
             while self.accept(","):
@@ -183,7 +188,7 @@ class _Parser:
         if kind == "{":
             return self.block()
         if kind == ";":
-            self.pos += 1
+            self.advance()
             return AstNode(NodeKind.EMPTY_STATEMENT, tok.location)
         if kind == "if":
             return self.if_statement()
@@ -192,29 +197,30 @@ class _Parser:
         if kind == "for":
             return self.for_statement()
         if kind == "return":
-            self.pos += 1
+            self.advance()
             value: tuple[AstNode, ...] = ()
             if not self.at(";"):
                 value = (self.expression(),)
             self.expect(";")
             return AstNode(NodeKind.RETURN, tok.location, children=value)
         if kind == "goto":
-            self.pos += 1
+            self.advance()
             label = self.expect("ident")
             self.expect(";")
             return AstNode(NodeKind.GOTO, tok.location, text=label.text)
         if kind == "break":
-            self.pos += 1
+            self.advance()
             self.expect(";")
             return AstNode(NodeKind.BREAK, tok.location)
         if kind == "continue":
-            self.pos += 1
+            self.advance()
             self.expect(";")
             return AstNode(NodeKind.CONTINUE, tok.location)
         if kind in _TYPE_STARTERS:
             return self.var_decl_tail(*self.declarator())
         if kind == "ident" and self.peek().kind == ":":
-            self.pos += 2
+            self.advance()
+            self.advance()
             inner = self.statement()
             return AstNode(NodeKind.LABEL, tok.location, text=tok.text, children=(inner,))
         if kind == "else":
@@ -272,7 +278,7 @@ class _Parser:
     def assignment(self) -> AstNode:
         left = self.binary(1)  # every binary operator binds tighter than '='
         if self.at("="):
-            self.pos += 1
+            self.advance()
             right = self.assignment()
             return AstNode(NodeKind.ASSIGN, left.location, text="=", children=(left, right))
         return left
@@ -284,7 +290,7 @@ class _Parser:
         left = self.unary()
         while (prec := BINARY_PRECEDENCE.get(self.tok.kind, 0)) >= min_prec:
             op = self.tok
-            self.pos += 1
+            self.advance()
             right = self.binary(prec + 1)
             left = AstNode(NodeKind.BINARY_OP, left.location, text=op.text,
                            children=(left, right))
@@ -295,7 +301,7 @@ class _Parser:
     def unary(self) -> AstNode:
         tok = self.tok
         if tok.kind in self._UNARY_NAME:
-            self.pos += 1
+            self.advance()
             operand = self.unary()
             return AstNode(NodeKind.UNARY_OP, tok.location,
                            text=self._UNARY_NAME[tok.kind], children=(operand,))
@@ -306,7 +312,7 @@ class _Parser:
         while True:
             tok = self.tok
             if tok.kind == "(":
-                self.pos += 1
+                self.advance()
                 args = []
                 if not self.at(")"):
                     args.append(self.assignment())
@@ -316,12 +322,12 @@ class _Parser:
                 node = AstNode(NodeKind.CALL, node.location,
                                children=(node, *args))
             elif tok.kind == "[":
-                self.pos += 1
+                self.advance()
                 index = self.expression()
                 self.expect("]")
                 node = AstNode(NodeKind.INDEX, node.location, children=(node, index))
             elif tok.kind in ("->", "."):
-                self.pos += 1
+                self.advance()
                 field = self.expect("ident")
                 field_node = AstNode(NodeKind.IDENTIFIER, field.location, text=field.text)
                 node = AstNode(NodeKind.MEMBER, node.location,
@@ -333,19 +339,19 @@ class _Parser:
     def primary(self) -> AstNode:
         tok = self.tok
         if tok.kind == "ident":
-            self.pos += 1
+            self.advance()
             return AstNode(NodeKind.IDENTIFIER, tok.location, text=tok.text)
         if tok.kind == "number":
-            self.pos += 1
+            self.advance()
             return AstNode(NodeKind.INT_LITERAL, tok.location, text=tok.text)
         if tok.kind == "string":
-            self.pos += 1
+            self.advance()
             return AstNode(NodeKind.STRING_LITERAL, tok.location, text=tok.text)
         if tok.kind == "metavar":
-            self.pos += 1
+            self.advance()
             return AstNode(NodeKind.META_VAR, tok.location, text=tok.text)
         if tok.kind == "(":
-            self.pos += 1
+            self.advance()
             expr = self.expression()
             self.expect(")")
             return expr

@@ -8,6 +8,8 @@ between the two is meaningful evidence rather than a tautology.
 from __future__ import annotations
 
 import itertools
+import re
+from bisect import bisect_right
 from collections import deque
 
 from cbugscan.checkers.automaton import (
@@ -23,7 +25,14 @@ from cbugscan.checkers.threads import (
     lock_events,
     report_cycles,
 )
-from cbugscan.frontend import NodeKind, iter_tree, to_text
+from cbugscan.errors import FrontendError
+from cbugscan.frontend import NodeKind, SourceLocation, iter_tree, to_text
+from cbugscan.frontend.lexer import (
+    _LINE_MARKER,
+    _SOURCE_TOKEN,
+    _TEMPLATE_TOKEN,
+    KEYWORDS,
+)
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
 from cbugscan.report import ErrorTrace, Importance, TraceStep
@@ -399,6 +408,59 @@ def walked_roots(unit) -> set[str]:
                         and target.text in unit.cfgs and target.text != fn):
                     called.add(target.text)
     return set(unit.cfgs) - called
+
+
+# -- token locations by bisection ---------------------------------------------
+
+def bisected_tokens(source: str, file: str, metavars: bool = False,
+                    ) -> list[tuple[str, str, str, int, int]]:
+    """(kind, text, file, line, column) of every token, eof included, as
+    the lexer located them before it counted lines while lexing: a token's
+    physical line is a `bisect_right` over the offsets where lines start,
+    found by a pass over the newlines first, and a line marker's shift is
+    N minus the marker's physical line minus one. Raises the lexer's
+    FrontendError for a bad character."""
+    line_starts = [0]
+    line_starts.extend(m.end() for m in re.finditer("\n", source))
+    shift = 0
+    tokens = []
+    at_line_start = True
+    regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
+    for m in regex.finditer(source):
+        kind = m.lastgroup
+        text = m[0]
+        if kind == "space":
+            at_line_start = at_line_start or "\n" in text
+            continue
+        if kind == "comment":
+            continue
+        if kind == "directive" and at_line_start:
+            marker = _LINE_MARKER.match(text)
+            if marker:
+                shift = int(marker[1]) - bisect_right(line_starts, m.start()) - 1
+                if marker[2] is not None:
+                    file = re.sub(r"\\(.)", r"\1", marker[2])
+            continue
+        at_line_start = False
+        start = m.start()
+        row = bisect_right(line_starts, start)
+        where = SourceLocation(file, row + shift, start - line_starts[row - 1] + 1)
+        if kind == "ident":
+            kind = text if text in KEYWORDS else "ident"
+        elif kind == "punct":
+            kind = text
+        elif kind == "metavar":
+            text = text[1:]
+        elif kind == "open_comment":
+            raise FrontendError("unterminated comment", where)
+        elif kind == "open_string":
+            raise FrontendError("unterminated string literal", where)
+        elif kind == "bad_number":
+            raise FrontendError(f"malformed number near {text!r}", where)
+        elif kind not in ("number", "string", "eof"):
+            raise FrontendError(f"unexpected character {text[0]!r}", where)
+        tokens.append((kind, text, *where))
+    return tokens
 
 
 # -- reachability -------------------------------------------------------------

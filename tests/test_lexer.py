@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import tokenize
 from cbugscan.frontend.lexer import KEYWORDS
+
+from oracles import bisected_tokens
 
 
 def kinds(source):
@@ -153,3 +155,33 @@ def test_edge_cases(source, metavars, expected):
     assert toks[-1].kind == "eof"
     assert [(t.kind, t.text, t.location.line, t.location.column)
             for t in toks[:-1]] == expected
+
+
+# Pieces of a source for the location property; every gap between two
+# pieces holds some whitespace, so markers land at line start only when
+# the gap or the piece itself starts a line.
+_marker_file = st.sampled_from(["a.c", "dir/b.h", "x\\\\y.c"])
+_piece = st.one_of(
+    _ident,
+    st.sampled_from(list(KEYWORDS)),
+    st.from_regex(r"0|[1-9][0-9]{0,4}|0x[0-9a-f]{1,3}", fullmatch=True),
+    st.sampled_from(["(", ")", "{", "}", ";", ",", "&&", "->", "==", "*", "/", "%"]),
+    st.from_regex(r"// [a-z *#/]{0,8}\n", fullmatch=True),
+    st.from_regex(r"/\* ?[a-z#]{0,4}(\n[a-z ]{0,4}){0,3} ?\*/", fullmatch=True),
+    st.from_regex(r'"[a-z ]{0,3}(\\\n[a-z ]{0,3}){0,2}"', fullmatch=True),
+    st.builds(lambda n, f, lead: f'{lead}# {n} "{f}" 2\n',
+              st.integers(1, 500), _marker_file, st.sampled_from(["\n", "\n/* c */ "])),
+    st.builds(lambda n, lead: f"{lead}#line {n}\n",
+              st.integers(1, 500), st.sampled_from(["\n", "\n\t/* c */"])),
+    st.builds(lambda n, f: f'\n#line {n} "{f}"\n', st.integers(1, 500), _marker_file),
+)
+_gap = st.sampled_from([" ", "\t", "\n", "\r\n", "  \t", "\n\n"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_piece, _gap), max_size=30))
+def test_locations_equal_the_bisection_oracle(parts):
+    source = "".join(piece + gap for piece, gap in parts)
+    assert [(t.kind, t.text, *t.location)
+            for t in tokenize(source, "t.c")] == bisected_tokens(source, "t.c")
+

@@ -378,6 +378,24 @@ def test_metavariable_free_unlock_releases_its_lines_lock(tmp_path):
     assert traces[0].steps[0].location.line == 3
 
 
+def test_metavariable_free_unlock_releases_every_key_its_lock_took(tmp_path):
+    config = """
+    access "%V = %E;"
+    lock "spin_lock(%X)" unlock "unlock_all()"
+    lock "lock(%L)" unlock "unlock(%L)"
+    threshold 0.5
+    min-samples 1
+    """
+    traces = run("""
+        void a(void) { lock(&m); spin_lock(&s); spin_lock(&t); x = 1; unlock_all(); unlock(&m); }
+        void b(void) { lock(&m); spin_lock(&s); spin_lock(&t); unlock_all(); x = 2; unlock(&m); }
+    """, tmp_path, config_text=config)
+    assert [t.message for t in traces] == [
+        "variable x accessed without lock &s held; &s held at 1 of 2 accesses",
+        "variable x accessed without lock &t held; &t held at 1 of 2 accesses"]
+    assert [t.steps[0].location.line for t in traces] == [3, 3]
+
+
 def test_lone_lock_and_unlock_lines(tmp_path):
     config = parse_lockstat_config(
         'access "use(%V)"\nlock "lock(%L)"\nunlock "unlock(%L)"\n')

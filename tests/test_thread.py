@@ -578,6 +578,40 @@ def test_metavariable_free_unlock_releases_its_lines_lock(tmp_path):
     assert result.traces == []
 
 
+SPIN_ALL_CONFIG = 'lock "spin_lock(%X)" unlock "unlock_all()"\n'
+
+
+@pytest.mark.parametrize("drop", ["unlock_all();", "drop();"])
+def test_metavariable_free_unlock_releases_every_key_its_lock_took(
+        tmp_path, drop):
+    # unlock_all() names no lock; it releases whatever spin_lock took,
+    # also when a callee calls it
+    source = tmp_path / "t.c"
+    source.write_text(textwrap.dedent(f"""\
+        void drop(void) {{ unlock_all(); }}
+        void g(void) {{ spin_lock(&a); {drop} mutex_lock(&m); mutex_unlock(&m); }}
+        void h(void) {{ mutex_lock(&m); spin_lock(&a); {drop} mutex_unlock(&m); }}
+    """))
+    bundled = importlib.resources.files("cbugscan.configs") / "thread.conf"
+    config = tmp_path / "thread.conf"
+    config.write_text(bundled.read_text() + SPIN_ALL_CONFIG)
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(source))],
+                                 checkers=[("thread", str(config))]))
+    assert result.diagnostics == []
+    assert result.traces == []
+
+
+def test_metavariable_free_unlock_keeps_other_lines_locks(tmp_path):
+    # unlock_all() releases a, which spin_lock took, but not m
+    traces = run("""
+        void g(void) { mutex_lock(&m); unlock_all(); spin_lock(&a); }
+        void h(void) { spin_lock(&a); mutex_lock(&m); }
+    """, tmp_path, config_text=PAIR_CONFIG.replace("mtx", "mutex")
+        + SPIN_ALL_CONFIG)
+    assert [t.message for t in traces] == [
+        "circular lock dependency: a <- m <- a"]
+
+
 def test_three_lock_ring_reports_one_cycle(tmp_path):
     traces = run("""
         void t1(void) {
