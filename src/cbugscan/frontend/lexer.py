@@ -80,9 +80,8 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     expects preprocessed input; a line marker among them (`# N "FILE"`
     or `#line N ["FILE"]`) makes the next line line N of FILE.
     """
-    line = 1        # physical line of the current match
-    line_start = 0  # offset where that line starts
-    shift = 0       # logical minus physical line number, set by line markers
+    line = 1        # line number of the current match, as markers set it
+    line_start = 0  # offset where its physical line starts
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # builds a record without NamedTuple's Python-level __new__
@@ -91,18 +90,18 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     for m in regex.finditer(source):
         kind = m.lastgroup
         text = m[0]
-        start = m.start()
         if kind == "space":
             at_line_start = at_line_start or "\n" in text
         elif kind == "directive" and at_line_start:
             marker = _LINE_MARKER.match(text)
             if marker:
-                shift = int(marker[1]) - line - 1
+                # the marker's own line counts as line N - 1
+                line = int(marker[1]) - 1
                 if marker[2] is not None:
                     file = re.sub(r"\\(.)", r"\1", marker[2])
         elif kind != "comment":
             at_line_start = False
-            where = new(SourceLocation, (file, line + shift, start - line_start + 1))
+            where = new(SourceLocation, (file, line, m.start() - line_start + 1))
             if kind == "ident":
                 append(new(Token, (text if text in KEYWORDS else "ident", text, where)))
             elif kind == "punct":
@@ -123,5 +122,5 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
             # only space, a block comment or a string continued by a
             # backslash-newline spans lines
             line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
+            line_start = m.start() + text.rindex("\n") + 1
     return tokens
