@@ -5,9 +5,9 @@ splits the source, and the same pass counts lines. A newline can sit
 only in whitespace, in a block comment or in a string continued by a
 backslash-newline, so only such a match moves the physical line on (by
 its count of newlines) and the offset where that line starts (after its
-last newline); a token's column is its offset minus that start. No
-table of line starts is built and no line is found by bisection. Tokens
-and their locations are named tuples (`Token`, `SourceLocation`).
+last newline); a token's column is its offset minus that start, and
+no table of line starts is built or searched. Tokens and their
+locations are named tuples (`Token`, `SourceLocation`).
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -84,7 +84,9 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     line_start = 0  # offset where its physical line starts
     tokens: list[Token] = []
     append = tokens.append
-    new = tuple.__new__  # builds a record without NamedTuple's Python-level __new__
+    # tuple.__new__ builds a record without the NamedTuple's Python-level
+    # __new__, which would be one more call per token
+    new = tuple.__new__
     at_line_start = True
     regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
     for m in regex.finditer(source):
@@ -103,7 +105,8 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
             at_line_start = False
             where = new(SourceLocation, (file, line, m.start() - line_start + 1))
             if kind == "ident":
-                append(new(Token, (text if text in KEYWORDS else "ident", text, where)))
+                append(new(Token, (text if text in KEYWORDS else "ident",
+                                   text, where)))
             elif kind == "punct":
                 append(new(Token, (text, text, where)))
             elif kind in ("number", "string", "eof"):
