@@ -30,7 +30,6 @@ from cbugscan.frontend import NodeKind, SourceLocation, iter_tree, to_text
 from cbugscan.frontend.lexer import (
     _LINE_MARKER,
     _SOURCE_TOKEN,
-    _TEMPLATE_TOKEN,
     KEYWORDS,
 )
 from cbugscan.patterns import match_node
@@ -412,8 +411,8 @@ def walked_roots(unit) -> set[str]:
 
 # -- token locations by bisection ---------------------------------------------
 
-def bisected_tokens(source: str, file: str, metavars: bool = False,
-                    ) -> list[tuple[str, str, str, int, int]]:
+def bisected_tokens(source: str,
+                    file: str) -> list[tuple[str, str, str, int, int]]:
     """(kind, text, file, line, column) of every token, eof included, as
     the lexer located them before it counted lines while lexing: a token's
     physical line is a `bisect_right` over the offsets where lines start,
@@ -425,8 +424,7 @@ def bisected_tokens(source: str, file: str, metavars: bool = False,
     shift = 0
     tokens = []
     at_line_start = True
-    regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
-    for m in regex.finditer(source):
+    for m in _SOURCE_TOKEN.finditer(source):
         kind = m.lastgroup
         text = m[0]
         if kind == "space":
@@ -449,8 +447,6 @@ def bisected_tokens(source: str, file: str, metavars: bool = False,
             kind = text if text in KEYWORDS else "ident"
         elif kind == "punct":
             kind = text
-        elif kind == "metavar":
-            text = text[1:]
         elif kind == "open_comment":
             raise FrontendError("unterminated comment", where)
         elif kind == "open_string":
