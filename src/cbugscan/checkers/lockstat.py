@@ -155,8 +155,7 @@ class LockstatChecker(Checker):
         # intersection, which converges to the same fixpoint as
         # initializing every non-entry node to the full lock universe.
         in_sets = forward_fixpoint(
-            cfg.entry, frozenset(),
-            lambda node_id: [edge.target for edge in cfg.successors(node_id)],
+            cfg.entry, frozenset(), cfg.succs.get,
             lambda node_id, held: self._apply(events.get(node_id, ()), held),
             lambda old, new: None if old <= new else old & new)
 

@@ -37,7 +37,7 @@ def dead_leaders(cfg: Cfg) -> list[int]:
     leaders = []
     for node_id in dead:
         preds = cfg.preds.get(node_id, ())
-        if len(preds) == 1 and len(cfg.successors(preds[0])) == 1:
+        if len(preds) == 1 and len(cfg.succs[preds[0]]) == 1:
             continue
         leaders.append(node_id)
     if not leaders:

@@ -16,17 +16,20 @@ def preprocess_source(path: str, flags: tuple[str, ...] = (),
 
     Without a command the file is read verbatim. With one, it runs
     `command + flags + [path]` and returns its stdout; a nonzero exit
-    is a frontend error carrying the command's stderr.
+    is a frontend error carrying the command's stderr. Either text is
+    read as UTF-8 with universal newlines, a leading byte order mark
+    dropped and each byte that is not UTF-8 replaced by U+FFFD.
     """
     if not command:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig", errors="replace") as handle:
                 return handle.read()
         except OSError as err:
             raise FrontendError(f"cannot read source file {path!r}: {err}")
     argv = shlex.split(command) + list(flags) + [path]
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, check=False)
+        proc = subprocess.run(argv, capture_output=True, encoding="utf-8-sig",
+                              errors="replace", check=False)
     except OSError as err:
         raise FrontendError(f"cannot run preprocessor {argv[0]!r}: {err}")
     if proc.returncode != 0:

@@ -1,7 +1,7 @@
 """Intermediate representation: CFGs, call graphs, translation units."""
 
 from cbugscan.ir.callgraph import INDIRECT, CallEdge, CallGraph, build_call_graph
-from cbugscan.ir.cfg import Cfg, CfgEdge, CfgNode, CfgNodeKind, build_cfg, cfg_to_dot
+from cbugscan.ir.cfg import Cfg, CfgNode, CfgNodeKind, build_cfg, cfg_to_dot
 from cbugscan.ir.units import TranslationUnit, UnitManager, build_unit_from_text, load_unit
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "CallEdge",
     "CallGraph",
     "Cfg",
-    "CfgEdge",
     "CfgNode",
     "CfgNodeKind",
     "TranslationUnit",

@@ -11,6 +11,10 @@ deciding node with its true and false exits. A literal integer condition
 (`while (1)`, `if (0)`) or the missing condition of `for (;;)` becomes a
 statement node with only the exit it takes, so genuine condition nodes
 always carry exactly one true and one false edge.
+
+`succs` lists each node's successor ids, `preds` inverts it, and `nodes`
+is in id order. A condition node's list is always `[true, false]`,
+whichever exit is connected first; no other edge has a label.
 """
 
 from __future__ import annotations
@@ -36,12 +40,6 @@ class CfgNodeKind(Enum):
     CONDITION = "condition"
 
 
-@dataclass(frozen=True)
-class CfgEdge:
-    target: int
-    label: str | None = None  # "true"/"false" on condition edges
-
-
 @dataclass(eq=False)
 class CfgNode:
     id: int
@@ -56,19 +54,12 @@ class Cfg:
     entry: int
     exit: int
     nodes: dict[int, CfgNode] = field(default_factory=dict)
-    succs: dict[int, list[CfgEdge]] = field(default_factory=dict)
+    succs: dict[int, list[int]] = field(default_factory=dict)
     preds: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
-    def successors(self, node_id: int) -> list[CfgEdge]:
-        return self.succs.get(node_id, [])
 
-    def iter_nodes(self) -> Iterator[CfgNode]:
-        for node_id in sorted(self.nodes):
-            yield self.nodes[node_id]
-
-
-# Dangling edge sources produced while lowering: (node id, edge label).
-_Frontier = list[tuple[int, "str | None"]]
+# Dangling edge sources produced while lowering: (node id, is a true exit).
+_Frontier = list[tuple[int, bool]]
 
 # Statements that lower to one node of their own.
 _SINGLE_NODE = frozenset({
@@ -89,7 +80,7 @@ class _CfgBuilder:
         self.func = func
         self.ids = ids
         self.nodes: dict[int, CfgNode] = {}
-        self.succs: dict[int, list[CfgEdge]] = {}
+        self.succs: dict[int, list[int]] = {}
         self.labels: dict[str, int] = {}
         self.gotos: list[tuple[int, str, SourceLocation]] = []
         # dangling break/continue edges of the innermost loop, None outside
@@ -104,18 +95,18 @@ class _CfgBuilder:
         exit_id = self.new_node(CfgNodeKind.EXIT, None, end_loc)
         self.exit_id = exit_id
 
-        _, out = self.lower(body, [(entry, None)])
+        _, out = self.lower(body, [(entry, False)])
         self.connect(out, exit_id)
         for node_id, label, loc in self.gotos:
             target = self.labels.get(label)
             if target is None:
                 raise FrontendError(f"goto to undefined label {label!r}", loc)
-            self.add_edge(node_id, target, None)
+            self.succs[node_id].append(target)
 
         preds: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for src, edges in self.succs.items():
-            for edge in edges:
-                preds[edge.target].append(src)
+        for src, targets in self.succs.items():
+            for target in targets:
+                preds[target].append(src)
         for node_id, node in self.nodes.items():
             if node.kind is CfgNodeKind.CONDITION and len(self.succs[node_id]) != 2:
                 raise AssertionError("condition node without two successors")
@@ -137,12 +128,9 @@ class _CfgBuilder:
         self.succs[node_id] = []
         return node_id
 
-    def add_edge(self, src: int, dst: int, label: str | None) -> None:
-        self.succs[src].append(CfgEdge(dst, label))
-
     def connect(self, frontier: _Frontier, target: int) -> None:
-        for src, label in frontier:
-            self.add_edge(src, target, label)
+        for src, on_true in frontier:  # a true exit goes first
+            self.succs[src].insert(0 if on_true else len(self.succs[src]), target)
 
     # -- statement lowering ----------------------------------------------
     # Returns (head node id or None, fall-through frontier). A None head
@@ -154,7 +142,7 @@ class _CfgBuilder:
             node = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
             self.connect(preds, node)
             if kind is NodeKind.RETURN:
-                self.add_edge(node, self.exit_id, None)
+                self.succs[node].append(self.exit_id)
             elif kind is NodeKind.GOTO:
                 self.gotos.append((node, stmt.text, stmt.location))
             elif kind is NodeKind.BREAK or kind is NodeKind.CONTINUE:
@@ -162,9 +150,9 @@ class _CfgBuilder:
                 if jumps is None:
                     raise FrontendError(
                         f"{kind.value.lower()!r} outside of a loop", stmt.location)
-                jumps.append((node, None))
+                jumps.append((node, False))
             else:
-                return node, [(node, None)]
+                return node, [(node, False)]
             return node, []
 
         if kind is NodeKind.BLOCK:
@@ -194,7 +182,7 @@ class _CfgBuilder:
             if head is None:
                 head = self.new_node(CfgNodeKind.STATEMENT, stmt, stmt.location)
                 self.connect(preds, head)
-                out = [(head, None)]
+                out = [(head, False)]
             if stmt.text in self.labels:
                 raise FrontendError(f"duplicate label {stmt.text!r}", stmt.location)
             self.labels[stmt.text] = head
@@ -210,11 +198,11 @@ class _CfgBuilder:
         if cond.kind is NodeKind.EMPTY_STATEMENT or cond.kind is NodeKind.INT_LITERAL:
             head = self.new_node(CfgNodeKind.STATEMENT, cond, cond.location)
             holds = cond.kind is NodeKind.EMPTY_STATEMENT or int_value(cond.text) != 0
-            taken: _Frontier = [(head, None)]
+            taken: _Frontier = [(head, False)]
             on_true, on_false = (taken, []) if holds else ([], taken)
         else:
             head = self.new_node(CfgNodeKind.CONDITION, cond, cond.location)
-            on_true, on_false = [(head, "true")], [(head, "false")]
+            on_true, on_false = [(head, True)], [(head, False)]
         self.connect(preds, head)
         return head, on_true, on_false
 
@@ -241,7 +229,7 @@ class _CfgBuilder:
         latch = head
         if step is not None and step.kind is not NodeKind.EMPTY_STATEMENT:
             latch = self.new_node(CfgNodeKind.STATEMENT, step, step.location)
-            self.add_edge(latch, head, None)
+            self.succs[latch].append(head)
         self.connect(out + continues, latch)
         return head if first is None else first, on_false + breaks
 
@@ -252,21 +240,22 @@ def reachable_nodes(cfg: Cfg) -> set[int]:
     seen = {cfg.entry}
     pending = [cfg.entry]
     while pending:
-        for edge in cfg.successors(pending.pop()):
-            if edge.target not in seen:
-                seen.add(edge.target)
-                pending.append(edge.target)
+        for target in cfg.succs[pending.pop()]:
+            if target not in seen:
+                seen.add(target)
+                pending.append(target)
     return seen
 
 
 def cfg_to_dot(cfg: Cfg) -> str:
-    """Render one function's CFG as a DOT digraph with true/false edge labels."""
+    """Render one function's CFG as a DOT digraph; a condition node's
+    edges are labeled true and false, in that order."""
 
     def esc(text: str) -> str:
         return text.replace("\\", "\\\\").replace('"', '\\"')
 
     lines = [f'digraph "{esc(cfg.function_name)}" {{']
-    for node in cfg.iter_nodes():
+    for node in cfg.nodes.values():
         if node.kind is CfgNodeKind.ENTRY:
             label = f"{node.id}: <entry>"
         elif node.kind is CfgNodeKind.EXIT:
@@ -274,11 +263,10 @@ def cfg_to_dot(cfg: Cfg) -> str:
         else:
             label = f"{node.id}: {statement_text(node.ast_ref)}"
         lines.append(f'  n{node.id} [label="{esc(label)}"];')
-    for node in cfg.iter_nodes():
-        for edge in cfg.successors(node.id):
-            if edge.label:
-                lines.append(f'  n{node.id} -> n{edge.target} [label="{edge.label}"];')
-            else:
-                lines.append(f"  n{node.id} -> n{edge.target};")
+    for node_id, targets in cfg.succs.items():
+        condition = cfg.nodes[node_id].kind is CfgNodeKind.CONDITION
+        for i, target in enumerate(targets):
+            label = f' [label="{("true", "false")[i]}"]' if condition else ""
+            lines.append(f"  n{node_id} -> n{target}{label};")
     lines.append("}")
     return "\n".join(lines)

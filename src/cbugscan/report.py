@@ -230,13 +230,16 @@ class TriageDb:
     def record(self, trace_id: str, status: Triage) -> None:
         stamp = datetime.now(timezone.utc).isoformat()
         line = f"{trace_id}\t{status.value}\t{stamp}\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(line)
-                handle.flush()
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        try:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+                try:
+                    handle.write(line)
+                    handle.flush()
+                finally:
+                    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
 
     def entries(self) -> dict[str, Triage]:
         verdicts: dict[str, Triage] = {}
@@ -258,6 +261,8 @@ class TriageDb:
                             f"{parts[1]!r}") from exc
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise ConfigError(f"cannot read {self.path}: {exc}") from exc
         return verdicts
 
     def apply(self, traces: list[ErrorTrace]) -> list[ErrorTrace]:

@@ -2,10 +2,10 @@
 
 `build_supergraph(unit)` joins the CFGs of every function a unit defines
 into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
-`succs` holds every CFG edge keyed by CFG node id, which is unique
-within a unit; `calls` lists each node's calls to functions the unit
-defines, in evaluation order; `sccs` holds the call graph's strongly
-connected components, callees before callers. `calls`, `recursive` and
+`succs` maps every CFG node id, which is unique within a unit, to its
+CFG's own successor list, not a copy; `calls` lists each node's calls
+to functions the unit defines, in evaluation order; `sccs` holds the
+call graph's strongly connected components, callees before callers. `calls`, `recursive` and
 the components are read off the edges of the unit's call graph, which
 holds the call sites the match-table pass found: no tree is walked
 here. The graph is computed on the first call for a unit and kept on
@@ -80,8 +80,8 @@ def _supergraph(unit: TranslationUnit) -> SuperGraph:
     scc_of = {fn: i for i, scc in enumerate(sccs) for fn in scc}
     return SuperGraph(
         cfgs=unit.cfgs,
-        succs={node_id: [edge.target for edge in cfg.successors(node_id)]
-               for cfg in unit.cfgs.values() for node_id in cfg.nodes},
+        succs={node_id: targets for cfg in unit.cfgs.values()
+               for node_id, targets in cfg.succs.items()},
         calls=calls,
         sccs=sccs,
         scc_of=scc_of,

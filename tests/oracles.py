@@ -174,7 +174,7 @@ def cloned_supergraph(unit, entry: str):
         node_function.update(dict.fromkeys(cfg.nodes, fn))
         for node_id, node in cfg.nodes.items():
             node_succs = succs.setdefault((frames, node_id), [])
-            out = [(frames, e.target) for e in cfg.successors(node_id)]
+            out = [(frames, target) for target in cfg.succs[node_id]]
             chain = local_calls(node)
             if not chain:
                 node_succs.extend(out)
@@ -398,8 +398,7 @@ def walked_roots(unit) -> set[str]:
     a walk of each reached node's tree."""
     called = set()
     for fn, cfg in unit.cfgs.items():
-        succs = {n: [e.target for e in cfg.successors(n)] for n in cfg.nodes}
-        for node_id in bfs_reachable(succs, cfg.entry):
+        for node_id in bfs_reachable(cfg.succs, cfg.entry):
             tree = cfg.nodes[node_id].ast_ref
             for call in collect_calls(tree) if tree is not None else ():
                 target = call.children[0]
@@ -531,11 +530,9 @@ def run_automaton_on_paths(automaton, cfg, node_events) -> set[tuple[str, str]]:
     """
     from cbugscan.checkers.automaton import render_message
 
-    succs = {nid: [e.target for e in cfg.successors(nid)]
-             for nid in cfg.nodes}
     errors: set[tuple[str, str]] = set()
 
-    for path in enumerate_paths(succs, cfg.entry, cfg.exit):
+    for path in enumerate_paths(cfg.succs, cfg.entry, cfg.exit):
         states: dict[tuple, str] = {}
         texts_of: dict[tuple, dict[str, str]] = {}
         for node_id in path:

@@ -26,7 +26,7 @@ from cbugscan.cli import main
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import make_loader, run_job
 from cbugscan.frontend import iter_tree, to_text
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import CfgNodeKind, UnitManager, build_unit_from_text, load_unit
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import (
     collect_constraints,
@@ -88,7 +88,7 @@ def reaches_exit_avoiding(cfg, start, forbidden):
         seen.add(node)
         if node == cfg.exit:
             return True
-        stack.extend(edge.target for edge in cfg.successors(node))
+        stack.extend(cfg.succs[node])
     return False
 
 
@@ -114,17 +114,16 @@ def test_criterion_01_exit_state_error():
     # while the false edge cannot avoid it.
     unit = load_unit(corpus("a01_lock_held_at_exit.c"))
     cfg = unit.cfgs["set_lock_status"]
-    unlock_node, = [n.id for n in cfg.iter_nodes()
+    unlock_node, = [n.id for n in cfg.nodes.values()
                     if n.ast_ref is not None
                     and any(sub.kind.value == "Identifier"
                             and sub.text == "mutex_unlock"
                             for sub in iter_tree(n.ast_ref))]
-    guard, = [n for n in cfg.iter_nodes()
-              if n.location.line == 13 and cfg.successors(n.id)
-              and cfg.successors(n.id)[0].label is not None]
-    branch = {e.label: e.target for e in cfg.successors(guard.id)}
-    assert reaches_exit_avoiding(cfg, branch["true"], unlock_node)
-    assert not reaches_exit_avoiding(cfg, branch["false"], unlock_node)
+    guard, = [n for n in cfg.nodes.values()
+              if n.location.line == 13 and n.kind is CfgNodeKind.CONDITION]
+    on_true, on_false = cfg.succs[guard.id]
+    assert reaches_exit_avoiding(cfg, on_true, unlock_node)
+    assert not reaches_exit_avoiding(cfg, on_false, unlock_node)
 
     assert balanced == []
     assert elapsed < 1.0

@@ -6,7 +6,7 @@ import pytest
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import statement_text
 from cbugscan.ir import build_unit_from_text
-from cbugscan.ir.cfg import CfgNodeKind, cfg_to_dot
+from cbugscan.ir.cfg import CfgNodeKind, cfg_to_dot, reachable_nodes
 
 from oracles import bfs_reachable
 
@@ -19,7 +19,7 @@ def cfg_of(source, name="f"):
 def shape(cfg):
     """(node descriptions, labeled edges) in id order, for golden checks."""
     nodes = []
-    for node in cfg.iter_nodes():
+    for node in cfg.nodes.values():
         if node.kind is CfgNodeKind.ENTRY:
             text = "<entry>"
         elif node.kind is CfgNodeKind.EXIT:
@@ -28,9 +28,11 @@ def shape(cfg):
             text = statement_text(node.ast_ref)
         nodes.append((node.id, node.kind.name.lower(), text))
     edges = []
-    for node in cfg.iter_nodes():
-        for edge in cfg.successors(node.id):
-            edges.append((node.id, edge.target, edge.label))
+    for node in cfg.nodes.values():
+        labels = (("true", "false") if node.kind is CfgNodeKind.CONDITION
+                  else (None,) * len(cfg.succs[node.id]))
+        edges.extend((node.id, target, label)
+                     for target, label in zip(cfg.succs[node.id], labels))
     return nodes, edges
 
 
@@ -157,14 +159,27 @@ def test_while_zero_skips_body():
 
 def test_condition_nodes_have_exactly_two_successors_true_first():
     cfg = cfg_of("""
-        void f(int a, int b) {
+        void f(int a, int b, int c) {
             if (a) { while (b) { b = b - 1; } } else { g(); }
+            if (c) {} else { g(); }
+            h();
         }
     """)
-    for node in cfg.iter_nodes():
-        if node.kind is CfgNodeKind.CONDITION:
-            labels = [e.label for e in cfg.successors(node.id)]
-            assert labels == ["true", "false"]
+
+    def at(line, text):
+        node_id, = [node.id for node in cfg.nodes.values()
+                    if node.location.line == line and node.ast_ref is not None
+                    and statement_text(node.ast_ref) == text]
+        return node_id
+
+    conditions = [node.id for node in cfg.nodes.values()
+                  if node.kind is CfgNodeKind.CONDITION]
+    assert conditions == [at(3, "a"), at(3, "b"), at(4, "c")]
+    assert cfg.succs[at(3, "a")] == [at(3, "b"), at(3, "g();")]
+    assert cfg.succs[at(3, "b")] == [at(3, "b = b - 1;"), at(4, "c")]
+    # the empty then-block's true exit is connected after the else
+    # branch's false exit, and still comes first
+    assert cfg.succs[at(4, "c")] == [at(5, "h();"), at(4, "g();")]
 
 
 def test_every_statement_gets_a_node():
@@ -176,7 +191,7 @@ def test_every_statement_gets_a_node():
             g(a);
         }
     """)
-    stmts = [n for n in cfg.iter_nodes()
+    stmts = [n for n in cfg.nodes.values()
              if n.kind is CfgNodeKind.STATEMENT]
     assert [statement_text(n.ast_ref) for n in stmts] == [
         "int a;", ";", "a = 1;", "g(a);",
@@ -198,12 +213,12 @@ def test_preds_are_inverse_of_succs():
             while (c) c = c - 1;
         }
     """)
-    for node in cfg.iter_nodes():
-        for edge in cfg.successors(node.id):
-            assert node.id in cfg.preds[edge.target]
+    for node_id, targets in cfg.succs.items():
+        for target in targets:
+            assert node_id in cfg.preds[target]
     for node_id, preds in cfg.preds.items():
         for p in preds:
-            assert any(e.target == node_id for e in cfg.successors(p))
+            assert node_id in cfg.succs[p]
 
 
 def test_shared_id_counter_across_functions():
@@ -306,19 +321,7 @@ def test_continue_outside_loop_rejected():
 ])
 def test_reachability_matches_bfs_oracle(source):
     cfg = cfg_of(source)
-    succs = {nid: [e.target for e in cfg.successors(nid)]
-             for nid in cfg.nodes}
-    oracle = bfs_reachable(succs, cfg.entry)
-    # compare against a fresh BFS done through the public API
-    seen = {cfg.entry}
-    stack = [cfg.entry]
-    while stack:
-        node = stack.pop()
-        for edge in cfg.successors(node):
-            if edge.target not in seen:
-                seen.add(edge.target)
-                stack.append(edge.target)
-    assert seen == oracle
+    assert reachable_nodes(cfg) == bfs_reachable(cfg.succs, cfg.entry)
 
 
 # -- nesting near the parser's limit ------------------------------------------------

@@ -246,6 +246,47 @@ def test_cpp_line_markers_keep_original_locations(tmp_path, capsys):
         (source, 3), (source, 4)]
 
 
+# Twins of an ASCII file that gcc accepts as well: one starts with a
+# UTF-8 byte order mark, one holds a Latin-1 byte in a comment.
+ASCII_TWIN = (b"void f(void) { mutex_lock(&m); mutex_lock(&m); }\n"
+              b"void g(void) {\n    /* cafe */ mutex_lock(&m);\n}\n")
+ENCODED_TWINS = {
+    "bom": b"\xef\xbb\xbf" + ASCII_TWIN,
+    "latin1": ASCII_TWIN.replace(b"cafe", b"caf\xe9"),
+}
+
+
+def finding_positions(tmp_path, name, data, extra):
+    source = tmp_path / name
+    source.write_bytes(data)
+    out_path = tmp_path / (name + ".json")
+    assert main(["check", str(source), "--checker", "automaton", *extra,
+                 "--format", "json", "--output", str(out_path)]) == 1
+    return [(t["message"], [(s["line"], s["column"]) for s in t["steps"]])
+            for t in json.loads(out_path.read_text())]
+
+
+@pytest.mark.parametrize("extra", [[], ["--preprocess", "cat"]])
+@pytest.mark.parametrize("twin", sorted(ENCODED_TWINS))
+def test_bom_and_non_utf8_sources_report_like_their_ascii_twin(
+        tmp_path, capsys, twin, extra):
+    expected = finding_positions(tmp_path, "ascii.c", ASCII_TWIN, extra)
+    assert [message for message, _ in expected] == [
+        "double lock of &m", "lock &m held at exit", "lock &m held at exit"]
+    assert finding_positions(tmp_path, "twin.c", ENCODED_TWINS[twin],
+                             extra) == expected
+    assert "skipping" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("twin", sorted(ENCODED_TWINS))
+def test_dump_commands_read_bom_and_non_utf8_sources(tmp_path, capsys, twin):
+    source = tmp_path / "twin.c"
+    source.write_bytes(ENCODED_TWINS[twin])
+    assert main(["dump-ast", str(source)]) == 0
+    assert main(["dump-cfg", str(source)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # -- report and triage -------------------------------------------------------------------
 
 def check_to_json(tmp_path, source_text, name="a.c"):
@@ -313,6 +354,17 @@ def test_report_missing_traces_file(tmp_path, capsys):
     db = tmp_path / "triage.db"
     assert main(["report", str(db), "--traces", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_triage_into_missing_directory_exits_two(tmp_path, capsys):
+    db = tmp_path / "nodir" / "db.tsv"
+    assert main(["triage", str(db), "abc", "real"]) == 2
+    assert f"cannot write {db}" in capsys.readouterr().err
+
+
+def test_report_on_a_directory_exits_two(tmp_path, capsys):
+    assert main(["report", str(tmp_path)]) == 2
+    assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
 
 def test_report_empty_journal(tmp_path, capsys):

@@ -510,8 +510,6 @@ USE_PATTERN = compile_pattern("use(%V)")
 def test_held_sets_match_path_enumeration(source, tmp_path):
     unit = build_unit_from_text(textwrap.dedent(source), "t.c")
     cfg = unit.cfgs["f"]
-    succs = {nid: [e.target for e in cfg.successors(nid)]
-             for nid in cfg.nodes}
 
     events = {}
     access_nodes = {}
@@ -527,7 +525,7 @@ def test_held_sets_match_path_enumeration(source, tmp_path):
                     events.setdefault(nid, []).append((op, key))
             if match_node(USE_PATTERN, sub) is not None:
                 access_nodes[str(sub.location)] = nid
-    oracle_held = must_held_by_paths(succs, cfg.entry, cfg.exit, events)
+    oracle_held = must_held_by_paths(cfg.succs, cfg.entry, cfg.exit, events)
 
     config = tmp_path / "lockstat.conf"
     config.write_text(BASIC_CONFIG)

@@ -10,6 +10,14 @@ def test_mode_none_reads_verbatim(tmp_path):
     assert preprocess_source(str(src)) == "int x;\n"
 
 
+@pytest.mark.parametrize("command", [None, "cat"])
+def test_bom_is_dropped_and_non_utf8_bytes_are_replaced(tmp_path, command):
+    src = tmp_path / "a.c"
+    src.write_bytes(b"\xef\xbb\xbfint x; /* caf\xe9 */\r\nint y;\n")
+    assert (preprocess_source(str(src), command=command)
+            == "int x; /* caf\ufffd */\nint y;\n")
+
+
 def test_mode_none_missing_file(tmp_path):
     with pytest.raises(FrontendError) as err:
         preprocess_source(str(tmp_path / "gone.c"))
