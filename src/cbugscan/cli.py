@@ -135,7 +135,7 @@ def _cmd_report(argv: list[str]) -> int:
     try:
         with open(args.traces, encoding="utf-8") as handle:
             traces = traces_from_json(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.traces}: {exc}") from exc
     traces = db.apply(traces)
     sys.stdout.write(format_statistics(traces))
@@ -153,7 +153,7 @@ def _cmd_triage(argv: list[str]) -> int:
         try:
             with open(args.report, encoding="utf-8") as handle:
                 traces = traces_from_json(handle.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.report}: {exc}") from exc
         if all(t.id != args.error_id for t in traces):
             sys.stderr.write(

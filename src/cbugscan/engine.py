@@ -7,6 +7,7 @@ behaves exactly like an unlimited one apart from peak residency.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 from cbugscan.checkers import builtin_registry
@@ -39,42 +40,55 @@ def make_loader(job: AnalysisJob):
 def run_job(job: AnalysisJob,
             registry: CheckerRegistry | None = None,
             unit_manager: UnitManager | None = None) -> JobResult:
-    registry = registry or builtin_registry()
-    manager = unit_manager or UnitManager(make_loader(job), job.memory_units)
-    result = JobResult()
+    """Run the job's checkers over its sources.
 
-    checkers = [(name, registry.create(name, config_path))
-                for name, config_path in job.checkers]
+    The cyclic garbage collector is off while the job runs, and back on
+    afterwards only if it was on at entry. No unit, match table,
+    supergraph or trace is in a reference cycle, so reference counting
+    frees them all and a collection would only walk them.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        registry = registry or builtin_registry()
+        manager = unit_manager or UnitManager(make_loader(job), job.memory_units)
+        result = JobResult()
 
-    services = Services(
-        unit_manager=manager,
-        report_diagnostic=result.diagnostics.append,
-    )
+        checkers = [(name, registry.create(name, config_path))
+                    for name, config_path in job.checkers]
 
-    for descriptor in job.sources:
-        try:
-            unit = manager.get(descriptor.path)
-        except FrontendError as exc:
-            result.diagnostics.append(f"skipping {descriptor.path}: {exc}")
-            continue
-        except Exception as exc:  # isolate crashes while building a unit
-            result.diagnostics.append(
-                f"skipping {descriptor.path}: internal error: "
-                f"{type(exc).__name__}: {exc}")
-            continue
-        for name, checker in checkers:
+        services = Services(
+            unit_manager=manager,
+            report_diagnostic=result.diagnostics.append,
+        )
+
+        for descriptor in job.sources:
             try:
-                result.traces.extend(checker.check_unit(unit, services))
-            except CbugscanError as exc:
+                unit = manager.get(descriptor.path)
+            except FrontendError as exc:
+                result.diagnostics.append(f"skipping {descriptor.path}: {exc}")
+                continue
+            except Exception as exc:  # isolate crashes while building a unit
                 result.diagnostics.append(
-                    f"checker {name} failed on {descriptor.path}: {exc}")
-            except Exception as exc:  # isolate checker crashes
-                result.diagnostics.append(
-                    f"checker {name} crashed on {descriptor.path}: "
+                    f"skipping {descriptor.path}: internal error: "
                     f"{type(exc).__name__}: {exc}")
+                continue
+            for name, checker in checkers:
+                try:
+                    result.traces.extend(checker.check_unit(unit, services))
+                except CbugscanError as exc:
+                    result.diagnostics.append(
+                        f"checker {name} failed on {descriptor.path}: {exc}")
+                except Exception as exc:  # isolate checker crashes
+                    result.diagnostics.append(
+                        f"checker {name} crashed on {descriptor.path}: "
+                        f"{type(exc).__name__}: {exc}")
 
-    if job.min_importance is Importance.ERROR:
-        result.traces = [t for t in result.traces
-                         if t.importance is Importance.ERROR]
-    result.traces = normalize(result.traces)
-    return result
+        if job.min_importance is Importance.ERROR:
+            result.traces = [t for t in result.traces
+                             if t.importance is Importance.ERROR]
+        result.traces = normalize(result.traces)
+        return result
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,13 +1,16 @@
 """Tokenizer for the C subset and for pattern templates.
 
 One master regular expression, with one named group per token class,
-splits the source, and the same pass counts lines. A newline can sit
-only in whitespace, in a block comment or in a string continued by a
-backslash-newline, so only such a match moves the physical line on (by
-its count of newlines) and the offset where that line starts (after its
-last newline); a token's column is its offset minus that start, and
-no table of line starts is built or searched. Tokens and their
-locations are named tuples (`Token`, `SourceLocation`).
+splits the source into one match per token (a comment or a directive
+counts as one): the blank run before a token is the match's prefix, so
+blanks cost no match of their own. The same pass counts lines. A
+newline can sit only in a blank run, in a block comment or in a string
+continued by a backslash-newline, so only those move the physical line
+on (by their count of newlines) and the offset where that line starts
+(after their last newline); a token's column is its offset, the end of
+its blank prefix, minus that start, and no table of line starts is
+built or searched. Tokens and their locations are named tuples
+(`Token`, `SourceLocation`).
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -26,15 +29,17 @@ KEYWORDS = frozenset({
     "return", "struct", "void", "while",
 })
 
-# Alternatives are tried in order: comments before "/", multi-character
+# Every match is a blank run (group 1, maybe empty) and then one token.
+# Its alternatives are tried in order: comments before "/", multi-character
 # operators before their prefixes, and each open_* group only catches
 # what the well-formed class before it rejected. A number is a C
 # decimal, octal or hex integer literal, a kind apart from the `int`
 # keyword; bad_number is a letter or digit that cannot continue it
 # (`12ab`, `0x`, `08`). eof matches only where nothing else can.
 _CLASSES = r"""
-    (?P<space>[ \t\n\r\f\v]+)
-  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
+    (?P<blank>[ \t\n\r\f\v]*)
+  (?:
+    (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
   | (?P<open_comment>/\*)
   | (?P<directive>\#[^\n]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
@@ -47,6 +52,7 @@ _OPERATORS = r"""
     (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
   | (?P<other>.)
   | (?P<eof>\Z)
+  )
 """
 _SOURCE_TOKEN = re.compile(_CLASSES + _OPERATORS, re.VERBOSE)
 _TEMPLATE_TOKEN = re.compile(_CLASSES + _METAVAR + _OPERATORS, re.VERBOSE)
@@ -90,40 +96,51 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     at_line_start = True
     regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
     for m in regex.finditer(source):
+        blank = m[1]
+        if "\n" in blank:
+            at_line_start = True
+            line += blank.count("\n")
+            line_start = m.start() + blank.rindex("\n") + 1
         kind = m.lastgroup
-        text = m[0]
-        if kind == "space":
-            at_line_start = at_line_start or "\n" in text
-        elif kind == "directive" and at_line_start:
+        text = m[kind]
+        if kind == "directive" and at_line_start:
             marker = _LINE_MARKER.match(text)
             if marker:
                 # the marker's own line counts as line N - 1
                 line = int(marker[1]) - 1
                 if marker[2] is not None:
                     file = re.sub(r"\\(.)", r"\1", marker[2])
-        elif kind != "comment":
+            continue
+        start = m.end(1)
+        if kind != "comment":
             at_line_start = False
-            where = new(SourceLocation, (file, line, m.start() - line_start + 1))
+            where = new(SourceLocation, (file, line, start - line_start + 1))
             if kind == "ident":
                 append(new(Token, (text if text in KEYWORDS else "ident",
                                    text, where)))
             elif kind == "punct":
                 append(new(Token, (text, text, where)))
-            elif kind in ("number", "string", "eof"):
+            elif kind in ("number", "string"):
                 append(new(Token, (kind, text, where)))
             elif kind == "metavar":
                 append(new(Token, ("metavar", text[1:], where)))
+            elif kind == "eof":
+                # after a trailing blank run the end would match again,
+                # empty, and make a second eof
+                append(new(Token, ("eof", text, where)))
+                break
             elif kind == "open_comment":
                 raise FrontendError("unterminated comment", where)
             elif kind == "open_string":
                 raise FrontendError("unterminated string literal", where)
             elif kind == "bad_number":
-                raise FrontendError(f"malformed number near {text!r}", where)
+                raise FrontendError(
+                    f"malformed number near {source[start:m.end()]!r}", where)
             else:
                 raise FrontendError(f"unexpected character {text[0]!r}", where)
         if "\n" in text:
-            # only space, a block comment or a string continued by a
+            # only a block comment or a string continued by a
             # backslash-newline spans lines
             line += text.count("\n")
-            line_start = m.start() + text.rindex("\n") + 1
+            line_start = start + text.rindex("\n") + 1
     return tokens

@@ -21,13 +21,15 @@ def parse(source: str, file: str) -> AstNode:
     """Parse a whole translation unit; returns the TranslationUnitRoot.
 
     Nesting deeper than Python's recursion limit is a FrontendError at
-    the token where the parser ran out of stack.
+    the first token of the declaration being parsed, so the location does
+    not depend on how much stack the caller used; whether a file near the
+    limit is rejected still does.
     """
     parser = _Parser(tokenize(source, file), file)
     try:
         return parser.translation_unit()
     except RecursionError:
-        raise FrontendError("nesting too deep", parser.tok.location) from None
+        raise FrontendError("nesting too deep", parser.decl.location) from None
 
 
 def parse_fragment(source: str, file: str = "<pattern>") -> AstNode:
@@ -59,6 +61,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.tok = tokens[0]  # the current token, tokens[pos]
+        self.decl = self.tok  # the first token of the current declaration
         self.file = file
 
     # -- token plumbing ----------------------------------------------------
@@ -125,6 +128,7 @@ class _Parser:
                 tok.location)
 
     def top_level(self) -> AstNode:
+        self.decl = self.tok
         if self.tok.kind not in _TYPE_STARTERS:
             self.fail("expected a declaration or function definition")
         name, ctype, loc = self.declarator()

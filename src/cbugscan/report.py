@@ -261,7 +261,7 @@ class TriageDb:
                             f"{parts[1]!r}") from exc
         except FileNotFoundError:
             pass
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {self.path}: {exc}") from exc
         return verdicts
 

@@ -27,11 +27,7 @@ from cbugscan.checkers.threads import (
 )
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import NodeKind, SourceLocation, iter_tree, to_text
-from cbugscan.frontend.lexer import (
-    _LINE_MARKER,
-    _SOURCE_TOKEN,
-    KEYWORDS,
-)
+from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
 from cbugscan.report import ErrorTrace, Importance, TraceStep
@@ -410,6 +406,23 @@ def walked_roots(unit) -> set[str]:
 
 # -- token locations by bisection ---------------------------------------------
 
+# One match per token or per blank run, in the lexer's token classes: the
+# lexer's own expression folds each blank run into the token after it.
+_ONE_TOKEN = re.compile(r"""
+    (?P<space>[ \t\n\r\f\v]+)
+  | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
+  | (?P<open_comment>/\*)
+  | (?P<directive>\#[^\n]*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<number>0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?P<bad_number>[A-Za-z0-9_])?
+  | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
+  | (?P<open_string>")
+  | (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
+  | (?P<other>.)
+  | (?P<eof>\Z)
+""", re.VERBOSE)
+
+
 def bisected_tokens(source: str,
                     file: str) -> list[tuple[str, str, str, int, int]]:
     """(kind, text, file, line, column) of every token, eof included, as
@@ -423,7 +436,7 @@ def bisected_tokens(source: str,
     shift = 0
     tokens = []
     at_line_start = True
-    for m in _SOURCE_TOKEN.finditer(source):
+    for m in _ONE_TOKEN.finditer(source):
         kind = m.lastgroup
         text = m[0]
         if kind == "space":

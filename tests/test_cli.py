@@ -367,6 +367,30 @@ def test_report_on_a_directory_exits_two(tmp_path, capsys):
     assert f"cannot read {tmp_path}" in capsys.readouterr().err
 
 
+def test_report_journal_not_utf8_exits_two(tmp_path, capsys):
+    db = tmp_path / "bad.tsv"
+    db.write_bytes(b"abc\treal\t2026\n\xe9\treal\n")
+    assert main(["report", str(db)]) == 2
+    assert f"cannot read {db}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_report_traces_not_utf8_exits_two(tmp_path, capsys):
+    traces = tmp_path / "bad.json"
+    traces.write_bytes(b'[{"id": "\xe9"}]')
+    assert main(["report", str(tmp_path / "triage.db"),
+                 "--traces", str(traces)]) == 2
+    assert f"cannot read {traces}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_triage_report_not_utf8_exits_two(tmp_path, capsys):
+    report = tmp_path / "bad.json"
+    report.write_bytes(b'[{"id": "\xe9"}]')
+    db = tmp_path / "triage.db"
+    assert main(["triage", str(db), "abc", "real", "--report", str(report)]) == 2
+    assert f"cannot read {report}: 'utf-8' codec" in capsys.readouterr().err
+    assert not db.exists()
+
+
 def test_report_empty_journal(tmp_path, capsys):
     assert main(["report", str(tmp_path / "triage.db")]) == 0
     assert capsys.readouterr().out == \

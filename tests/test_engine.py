@@ -4,6 +4,8 @@ import os
 import re
 import textwrap
 
+import pytest
+
 from conftest import CORPUS_DIR
 
 from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
@@ -284,20 +286,164 @@ def test_build_job_then_run(tmp_path):
     assert result.traces[0].message == "unreachable code"
 
 
-def test_finished_job_leaves_no_cyclic_garbage():
-    """Units, match tables and supergraphs are freed by reference
-    counting once a job is done: nothing is left for the collector."""
-    job = AnalysisJob(
+# -- the cyclic garbage collector ---------------------------------------------------
+# run_job turns the collector off, which is safe only while no job object
+# is in a reference cycle: these tests keep that an invariant.
+
+ALL_CHECKERS = [(name, None)
+                for name in ("automaton", "lockstat", "thread", "reach")]
+
+
+def corpus_job(**kwargs):
+    return AnalysisJob(
         sources=[SourceDescriptor(path) for path in
                  sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c")))],
-        checkers=[(name, None)
-                  for name in ("automaton", "lockstat", "thread", "reach")])
+        checkers=list(ALL_CHECKERS), **kwargs)
+
+
+def cyclic_garbage(job, registry=None):
+    """The job's trace count and diagnostics, and the number of objects a
+    collection frees once the job, run with the collector off, is done."""
     gc.collect()
     gc.disable()
     try:
-        result = run_job(job)
-        assert result.traces
+        result = run_job(job, registry=registry)
+        found, diagnostics = len(result.traces), result.diagnostics
         del result
-        assert gc.collect() == 0
+        return found, diagnostics, gc.collect()
     finally:
         gc.enable()
+
+
+def test_finished_job_leaves_no_cyclic_garbage():
+    """Units, match tables and supergraphs are freed by reference
+    counting once a job is done: nothing is left for the collector."""
+    found, diagnostics, garbage = cyclic_garbage(corpus_job())
+    assert found and diagnostics == []
+    assert garbage == 0
+
+
+def _deep_if(depth):
+    return ("void f(int c) {\n" + "if (c) {\n" * depth + "step();\n"
+            + "}\n" * depth + "}\n").encode()
+
+
+def _deep_parens(depth):
+    return ("void f(int x) {\n    x = " + "(" * depth + "x" + ")" * depth
+            + ";\n}\n").encode()
+
+
+# name: (source bytes or None for a missing file, job options, a piece of
+# the one diagnostic the job gives, or None for none)
+_GARBAGE_PATHS = {
+    "parse_error": (b"void broken( {", {}, "expected"),
+    "prototype": (b"void f(void);\n", {}, "prototypes are not supported"),
+    "if_400": (_deep_if(400), {}, "nesting too deep"),
+    "parens_600": (_deep_parens(600), {}, "nesting too deep"),
+    "missing_file": (None, {}, "cannot read source file"),
+    "bom": (b"\xef\xbb\xbf" + DEAD_CODE.encode(), {}, None),
+    "not_utf8": (b"/* \xe9 */" + DEAD_CODE.encode(), {}, None),
+    "preprocess_cat": (DEAD_CODE.encode(), {"preprocess_command": "cat"}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GARBAGE_PATHS))
+def test_job_path_leaves_no_cyclic_garbage(tmp_path, name):
+    source, options, diagnostic = _GARBAGE_PATHS[name]
+    path = tmp_path / "a.c"
+    if source is not None:
+        path.write_bytes(source)
+    job = job_for(tmp_path, [str(path)], checkers=ALL_CHECKERS, **options)
+    found, diagnostics, garbage = cyclic_garbage(job)
+    if diagnostic is None:
+        assert found and diagnostics == []
+    else:
+        assert len(diagnostics) == 1 and diagnostic in diagnostics[0]
+    assert garbage == 0
+
+
+def test_crashing_checker_leaves_no_cyclic_garbage(tmp_path):
+    source = write(tmp_path, "a.c", DEAD_CODE)
+    registry = registry_with(CheckerDescriptor("crash", CrashingChecker),
+                             CheckerDescriptor("fail", FailingChecker))
+    job = job_for(tmp_path, [source],
+                  checkers=[("crash", None), ("fail", None)])
+    _, diagnostics, garbage = cyclic_garbage(job, registry)
+    assert len(diagnostics) == 2
+    assert garbage == 0
+
+
+def test_one_resident_unit_leaves_no_cyclic_garbage():
+    found, diagnostics, garbage = cyclic_garbage(corpus_job(memory_units=1))
+    assert found and diagnostics == []
+    assert garbage == 0
+
+
+def test_no_collection_starts_inside_a_job():
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    job = corpus_job()
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        result = run_job(job)
+    finally:
+        gc.callbacks.remove(count)
+    assert result.traces
+    assert starts == []
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_job_restores_the_collector_state(tmp_path, enabled):
+    during = []
+
+    class Probe(Checker):
+        name = "probe"
+
+        def __init__(self, config_path):
+            pass
+
+        def check_unit(self, unit, services):
+            during.append(gc.isenabled())
+            return []
+
+    source = write(tmp_path, "a.c", CLEAN)
+    registry = registry_with(CheckerDescriptor("probe", Probe))
+    was_enabled = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        run_job(job_for(tmp_path, [source], checkers=[("probe", None)]),
+                registry=registry)
+        after_run = gc.isenabled()
+        with pytest.raises(ConfigError):
+            run_job(job_for(tmp_path, [source], checkers=[("nope", None)]),
+                    registry=registry)
+        after_raise = gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert during == [False]
+    assert after_run is after_raise is enabled
+
+
+def test_nesting_too_deep_location_does_not_depend_on_the_callers_stack(tmp_path):
+    deep = tmp_path / "deep.c"
+    deep.write_bytes(b"int m;\n" + _deep_if(400))
+    job = job_for(tmp_path, [str(deep)])
+
+    def diagnostics_under(frames):
+        if frames:
+            return diagnostics_under(frames - 1)
+        return run_job(job).diagnostics
+
+    assert diagnostics_under(0) == diagnostics_under(50) == [
+        f"skipping {deep}: {deep}:2:1: nesting too deep"]

@@ -141,6 +141,14 @@ _EDGE_CASES = [
     ("x = 0129;", False, "t.c:1:5: malformed number near '0129'"),
     ("010 0X1f 0 9", False, [("number", "010", 1, 1), ("number", "0X1f", 1, 5),
                              ("number", "0", 1, 10), ("number", "9", 1, 12)]),
+    # each match is a token with the blanks before it: trailing blanks
+    # still end in exactly one eof, and columns skip the blanks
+    ("goto ", False, [("goto", "goto", 1, 1)]),
+    ("x\n\n", False, [("ident", "x", 1, 1)]),
+    ("  12ab", False, "t.c:1:3: malformed number near '12a'"),
+    ('x\n  # 5 "f.c"\ny', False, [("ident", "x", 1, 1), ("ident", "y", 5, 1)]),
+    ("a\f\vb", False, [("ident", "a", 1, 1), ("ident", "b", 1, 4)]),
+    ("x \r\n#line 9\ny", False, [("ident", "x", 1, 1), ("ident", "y", 9, 1)]),
 ]
 
 
@@ -152,6 +160,7 @@ def test_edge_cases(source, metavars, expected):
         assert str(err.value) == expected
         return
     toks = tokenize(source, "t.c", metavars)
+    assert [t.kind for t in toks].count("eof") == 1
     assert toks[-1].kind == "eof"
     assert [(t.kind, t.text, t.location.line, t.location.column)
             for t in toks[:-1]] == expected
