@@ -1,14 +1,14 @@
 """AST node and source location types for the C-subset frontend.
 
 Nodes are plain trees: a kind tag, an optional token text, an ordered
-child tuple, and the source location of the node's first token.
-Structural operations (equality, matching, printing) ignore locations.
+child tuple, and the source location of the node's first token. A node
+is a `__slots__` object equal only to itself; structural operations
+(`structurally_equal`, matching, printing) ignore locations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -64,16 +64,24 @@ EXPRESSION_KINDS = frozenset({
 })
 
 
-@dataclass(eq=False)
 class AstNode:
-    kind: NodeKind
-    location: SourceLocation
-    text: str = ""
-    children: tuple["AstNode", ...] = ()
-    # Declared type spelling for FunctionDef/ParamDecl/VarDecl; informational.
-    ctype: str = ""
-    # Closing-brace location for Block nodes; the CFG exit node borrows it.
-    end_location: SourceLocation | None = None
+    """One tree node, compared and hashed by identity, so tables may key
+    nodes by `id()`. A unit builds about one per token, so it is a
+    plain `__slots__` class, and the parser passes fields by position."""
+
+    __slots__ = ("kind", "location", "text", "children", "ctype", "end_location")
+
+    def __init__(self, kind: NodeKind, location: SourceLocation, text: str = "",
+                 children: tuple[AstNode, ...] = (), ctype: str = "",
+                 end_location: SourceLocation | None = None) -> None:
+        self.kind = kind
+        self.location = location
+        self.text = text
+        self.children = children
+        # Declared type spelling for FunctionDef/ParamDecl/VarDecl; informational.
+        self.ctype = ctype
+        # Closing-brace location for Block nodes; the CFG exit node borrows it.
+        self.end_location = end_location
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.kind.value} {self.text!r} at {self.location}>"

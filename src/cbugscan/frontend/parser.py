@@ -15,6 +15,10 @@ from cbugscan.frontend.ast_nodes import (
 from cbugscan.frontend.lexer import Token, tokenize
 
 _TYPE_STARTERS = ("int", "void", "char", "struct")
+_UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
+# the token kinds that are an expression on their own
+_LEAF_KIND = {"ident": NodeKind.IDENTIFIER, "number": NodeKind.INT_LITERAL,
+              "string": NodeKind.STRING_LITERAL, "metavar": NodeKind.META_VAR}
 
 
 def parse(source: str, file: str) -> AstNode:
@@ -105,7 +109,7 @@ class _Parser:
         root_loc = SourceLocation(self.file, 1, 1)
         while not self.at("eof"):
             items.append(self.top_level())
-        return AstNode(NodeKind.TRANSLATION_UNIT, root_loc, children=tuple(items))
+        return AstNode(NodeKind.TRANSLATION_UNIT, root_loc, "", tuple(items))
 
     def declarator(self) -> tuple[Token, str, SourceLocation]:
         """`TYPE *... NAME`: the name token, the declared type spelling and
@@ -153,12 +157,12 @@ class _Parser:
         if not self.at("{"):
             self.fail("expected function body")
         body = self.block()
-        return AstNode(NodeKind.FUNCTION_DEF, loc, text=name.text,
-                       children=tuple(params) + (body,), ctype=ctype)
+        return AstNode(NodeKind.FUNCTION_DEF, loc, name.text,
+                       tuple(params) + (body,), ctype)
 
     def param_decl(self) -> AstNode:
         name, ctype, loc = self.declarator()
-        return AstNode(NodeKind.PARAM_DECL, loc, text=name.text, ctype=ctype)
+        return AstNode(NodeKind.PARAM_DECL, loc, name.text, (), ctype)
 
     def var_decl_tail(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
         if self.accept("["):
@@ -171,7 +175,7 @@ class _Parser:
         if self.at(","):
             self.fail("multiple declarators per declaration are not supported")
         self.expect(";")
-        return AstNode(NodeKind.VAR_DECL, loc, text=name.text, children=init, ctype=ctype)
+        return AstNode(NodeKind.VAR_DECL, loc, name.text, init, ctype)
 
     # -- statements --------------------------------------------------------
 
@@ -183,8 +187,8 @@ class _Parser:
                 raise FrontendError("unexpected end of input inside block", self.tok.location)
             stmts.append(self.statement())
         close = self.expect("}")
-        return AstNode(NodeKind.BLOCK, open_tok.location, children=tuple(stmts),
-                       end_location=close.location)
+        return AstNode(NodeKind.BLOCK, open_tok.location, "", tuple(stmts), "",
+                       close.location)
 
     def statement(self) -> AstNode:
         tok = self.tok
@@ -206,12 +210,12 @@ class _Parser:
             if not self.at(";"):
                 value = (self.expression(),)
             self.expect(";")
-            return AstNode(NodeKind.RETURN, tok.location, children=value)
+            return AstNode(NodeKind.RETURN, tok.location, "", value)
         if kind == "goto":
             self.advance()
             label = self.expect("ident")
             self.expect(";")
-            return AstNode(NodeKind.GOTO, tok.location, text=label.text)
+            return AstNode(NodeKind.GOTO, tok.location, label.text)
         if kind == "break":
             self.advance()
             self.expect(";")
@@ -226,12 +230,12 @@ class _Parser:
             self.advance()
             self.advance()
             inner = self.statement()
-            return AstNode(NodeKind.LABEL, tok.location, text=tok.text, children=(inner,))
+            return AstNode(NodeKind.LABEL, tok.location, tok.text, (inner,))
         if kind == "else":
             self.fail("'else' without a matching 'if'")
         expr = self.expression()
         self.expect(";")
-        return AstNode(NodeKind.EXPR_STATEMENT, expr.location, children=(expr,))
+        return AstNode(NodeKind.EXPR_STATEMENT, expr.location, "", (expr,))
 
     def if_statement(self) -> AstNode:
         tok = self.expect("if")
@@ -241,8 +245,8 @@ class _Parser:
         then = self.statement()
         if self.accept("else"):
             els = self.statement()
-            return AstNode(NodeKind.IF, tok.location, children=(cond, then, els))
-        return AstNode(NodeKind.IF, tok.location, children=(cond, then))
+            return AstNode(NodeKind.IF, tok.location, "", (cond, then, els))
+        return AstNode(NodeKind.IF, tok.location, "", (cond, then))
 
     def while_statement(self) -> AstNode:
         tok = self.expect("while")
@@ -250,7 +254,7 @@ class _Parser:
         cond = self.expression()
         self.expect(")")
         body = self.statement()
-        return AstNode(NodeKind.WHILE, tok.location, children=(cond, body))
+        return AstNode(NodeKind.WHILE, tok.location, "", (cond, body))
 
     def for_statement(self) -> AstNode:
         tok = self.expect("for")
@@ -262,7 +266,7 @@ class _Parser:
                 return AstNode(NodeKind.EMPTY_STATEMENT, here)
             expr = self.expression()
             if wrap:
-                return AstNode(NodeKind.EXPR_STATEMENT, expr.location, children=(expr,))
+                return AstNode(NodeKind.EXPR_STATEMENT, expr.location, "", (expr,))
             return expr
 
         init = clause(";", wrap=True)
@@ -272,7 +276,7 @@ class _Parser:
         step = clause(")", wrap=True)
         self.expect(")")
         body = self.statement()
-        return AstNode(NodeKind.FOR, tok.location, children=(init, cond, step, body))
+        return AstNode(NodeKind.FOR, tok.location, "", (init, cond, step, body))
 
     # -- expressions -------------------------------------------------------
 
@@ -280,39 +284,55 @@ class _Parser:
         return self.assignment()
 
     def assignment(self) -> AstNode:
-        left = self.binary(1)  # every binary operator binds tighter than '='
+        left = self.binary()
         if self.at("="):
             self.advance()
             right = self.assignment()
-            return AstNode(NodeKind.ASSIGN, left.location, text="=", children=(left, right))
+            return AstNode(NodeKind.ASSIGN, left.location, "=", (left, right))
         return left
 
-    def binary(self, min_prec: int) -> AstNode:
-        """Operators binding at least as tight as min_prec, by precedence
-        climbing over BINARY_PRECEDENCE (Pratt, POPL'73); operators of
-        equal precedence associate to the left."""
-        left = self.unary()
-        while (prec := BINARY_PRECEDENCE.get(self.tok.kind, 0)) >= min_prec:
-            op = self.tok
+    def binary(self) -> AstNode:
+        """A chain of operands joined by BINARY_PRECEDENCE operators, by
+        precedence climbing (Pratt, POPL'73) on two explicit stacks,
+        operands and (precedence, operator): before an operator is
+        pushed, every operator on top that binds at least as tightly is
+        reduced, so operators of equal precedence associate to the left.
+        Each operand costs one `unary()` call and no frame of its own."""
+        operands = [self.unary()]
+        operators: list[tuple[int, str]] = []
+        while True:
+            prec = BINARY_PRECEDENCE.get(self.tok.kind, 0)
+            while operators and operators[-1][0] >= prec:
+                right = operands.pop()
+                left = operands[-1]
+                operands[-1] = AstNode(NodeKind.BINARY_OP, left.location,
+                                       operators.pop()[1], (left, right))
+            if not prec:  # not an operator: the chain ends here
+                return operands[0]
+            operators.append((prec, self.tok.text))
             self.advance()
-            right = self.binary(prec + 1)
-            left = AstNode(NodeKind.BINARY_OP, left.location, text=op.text,
-                           children=(left, right))
-        return left
-
-    _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
+            operands.append(self.unary())
 
     def unary(self) -> AstNode:
         tok = self.tok
-        if tok.kind in self._UNARY_NAME:
+        name = _UNARY_NAME.get(tok.kind)
+        if name is not None:
             self.advance()
-            operand = self.unary()
-            return AstNode(NodeKind.UNARY_OP, tok.location,
-                           text=self._UNARY_NAME[tok.kind], children=(operand,))
+            return AstNode(NodeKind.UNARY_OP, tok.location, name, (self.unary(),))
         return self.postfix()
 
     def postfix(self) -> AstNode:
-        node = self.primary()
+        tok = self.tok
+        kind = _LEAF_KIND.get(tok.kind)
+        if kind is not None:
+            self.advance()
+            node = AstNode(kind, tok.location, tok.text)
+        elif tok.kind == "(":
+            self.advance()
+            node = self.expression()
+            self.expect(")")
+        else:
+            raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
         while True:
             tok = self.tok
             if tok.kind == "(":
@@ -323,40 +343,18 @@ class _Parser:
                     while self.accept(","):
                         args.append(self.assignment())
                 self.expect(")")
-                node = AstNode(NodeKind.CALL, node.location,
-                               children=(node, *args))
+                node = AstNode(NodeKind.CALL, node.location, "", (node, *args))
             elif tok.kind == "[":
                 self.advance()
                 index = self.expression()
                 self.expect("]")
-                node = AstNode(NodeKind.INDEX, node.location, children=(node, index))
+                node = AstNode(NodeKind.INDEX, node.location, "", (node, index))
             elif tok.kind in ("->", "."):
                 self.advance()
                 field = self.expect("ident")
-                field_node = AstNode(NodeKind.IDENTIFIER, field.location, text=field.text)
+                field_node = AstNode(NodeKind.IDENTIFIER, field.location, field.text)
                 node = AstNode(NodeKind.MEMBER, node.location,
-                               text="arrow" if tok.kind == "->" else "dot",
-                               children=(node, field_node))
+                               "arrow" if tok.kind == "->" else "dot",
+                               (node, field_node))
             else:
                 return node
-
-    def primary(self) -> AstNode:
-        tok = self.tok
-        if tok.kind == "ident":
-            self.advance()
-            return AstNode(NodeKind.IDENTIFIER, tok.location, text=tok.text)
-        if tok.kind == "number":
-            self.advance()
-            return AstNode(NodeKind.INT_LITERAL, tok.location, text=tok.text)
-        if tok.kind == "string":
-            self.advance()
-            return AstNode(NodeKind.STRING_LITERAL, tok.location, text=tok.text)
-        if tok.kind == "metavar":
-            self.advance()
-            return AstNode(NodeKind.META_VAR, tok.location, text=tok.text)
-        if tok.kind == "(":
-            self.advance()
-            expr = self.expression()
-            self.expect(")")
-            return expr
-        raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")

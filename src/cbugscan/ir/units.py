@@ -43,7 +43,7 @@ class TranslationUnit:
     globals: dict[str, AstNode] = field(default_factory=dict)
     func_params: dict[str, list[str]] = field(default_factory=dict)
     func_locals: dict[str, set[str]] = field(default_factory=dict)
-    # every subnode of `ast` by shape, with the CFG node that holds it
+    # every subnode of `ast` by kind, with the CFG node that holds it
     match_table: MatchTable = field(default_factory=dict)
     # each pattern's hits in `match_table` by `Pattern.shape`, filled by
     # `checkers.base.matches` as checkers ask

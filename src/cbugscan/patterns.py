@@ -7,14 +7,15 @@ A metavariable repeated within one pattern must bind structurally
 equal subtrees each time.
 
 A unit is matched through its match table (`build_match_table`), built
-once with the unit: one preorder pass that groups every subnode by
-shape, kind and arity first, then text and head. `pattern_hits` reads
-the table and tries a pattern only on the subnodes its root's shape
-allows, so however many checkers match a unit, its trees are walked
-once; `checkers.base.matches` keeps each pattern's hits on the unit by
-`Pattern.shape`, so a pattern is matched once per unit, whichever
-checker asks. The same pass lists each CFG node's calls in evaluation
-order, from which `cbugscan.ir.callgraph` builds the unit's call graph.
+once with the unit: one preorder pass that lists every subnode under
+its kind. `pattern_hits` scans the list of the pattern's root kind and
+tries the pattern only on the subnodes whose arity, text and head (the
+first child) the root allows, so however many checkers match a unit,
+its trees are walked once; `checkers.base.matches` keeps each
+pattern's hits on the unit by `Pattern.shape`, so a pattern is matched
+once per unit, whichever checker asks. The same pass lists each CFG
+node's calls in evaluation order, from which `cbugscan.ir.callgraph`
+builds the unit's call graph.
 """
 
 from __future__ import annotations
@@ -100,17 +101,16 @@ def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
     return True
 
 
-# A unit's subnodes grouped by shape: (kind, arity) -> (text, head kind,
-# head text) -> the triples (CFG node id or None, position, subnode),
-# flattened into one list in preorder of the unit. The head is the first
-# child, e.g. a call's callee.
-MatchTable = dict[tuple, dict[tuple, list]]
+# A unit's subnodes grouped by kind: for every kind, its triples (CFG
+# node id or None, position, subnode), flattened into one list in
+# preorder of the unit.
+MatchTable = dict[NodeKind, list]
 
 
 def build_match_table(root: AstNode, owners: dict[int, int],
                       ) -> tuple[MatchTable, dict[int, list[AstNode]]]:
-    """Every subnode under `root`, in one preorder pass, grouped by the
-    shape `pattern_hits` looks at; and the calls of each CFG node's tree.
+    """Every subnode under `root`, in one preorder pass, grouped by
+    kind; and the calls of each CFG node's tree.
 
     `owners` maps the `id()` of each CFG node's tree to the node's id. A
     subnode of such a tree is entered with that id and its preorder
@@ -119,7 +119,7 @@ def build_match_table(root: AstNode, owners: dict[int, int],
     position among those. Each CFG node's calls, if any, are listed
     under its id in evaluation order: post-order, so the calls in a
     call's arguments come before it."""
-    table: MatchTable = {}
+    table: MatchTable = {kind: [] for kind in NodeKind}
     calls: dict[int, list[AstNode]] = {}
     outside = 0
     pending = [root]
@@ -143,25 +143,13 @@ def build_match_table(root: AstNode, owners: dict[int, int],
             node = subtree.pop()
             while open_calls and open_calls[-1][0] > len(subtree):
                 closed.append(open_calls.pop()[1])
+            kind = node.kind
             children = node.children
-            if children:
-                head = children[0]
-                rest = (node.text, head.kind, head.text)
-                if owner is not None:
-                    subtree.extend(reversed(children))
-                    if node.kind is NodeKind.CALL:
-                        open_calls.append((len(subtree) - len(children), node))
-            else:
-                rest = (node.text, None, None)
-            shape = (node.kind, len(children))
-            by_rest = table.get(shape)
-            if by_rest is None:
-                by_rest = table[shape] = {}
-            entries = by_rest.get(rest)
-            if entries is None:
-                by_rest[rest] = [owner, position, node]
-            else:
-                entries += (owner, position, node)
+            if children and owner is not None:
+                subtree.extend(reversed(children))
+                if kind is NodeKind.CALL:
+                    open_calls.append((len(subtree) - len(children), node))
+            table[kind].extend((owner, position, node))
             position += 1
         if open_calls or closed:
             closed.extend(call for _, call in reversed(open_calls))
@@ -172,13 +160,11 @@ def build_match_table(root: AstNode, owners: dict[int, int],
 def subnodes_of(table: MatchTable, kind: NodeKind, arity: int | None = None,
                 ) -> Iterator[tuple[int | None, int, AstNode]]:
     """(CFG node id or None, position, subnode) for each subnode of one
-    kind in a match table, of one arity or of any; preorder holds within
-    each (text, head) group, not across them."""
-    for (shape_kind, shape_arity), by_rest in table.items():
-        if shape_kind is kind and arity in (None, shape_arity):
-            for entries in by_rest.values():
-                triples = iter(entries)
-                yield from zip(triples, triples, triples)
+    kind in a match table, of one arity or of any, in preorder."""
+    triples = iter(table.get(kind, ()))
+    for triple in zip(triples, triples, triples):
+        if arity is None or len(triple[2].children) == arity:
+            yield triple
 
 
 # a pattern's match on a unit: (CFG node id or None, position, subnode,
@@ -191,27 +177,30 @@ def pattern_hits(table: MatchTable, pattern: Pattern,
                  ) -> list[Hit]:
     """Every match of one pattern in a unit's match table. `match` is
     tried only on the subnodes whose shape the pattern's root allows: a
-    metavariable root on every subnode; a root whose head (first child)
-    is a metavariable on the subnodes of its kind, arity and text; any
-    other root on the one group of its kind, arity, text and head."""
+    metavariable root on every subnode; any other root on the subnodes
+    of its kind, and of its arity and text, and, unless its head (first
+    child) is a metavariable, of its head's kind and text. The kind
+    picks one list of the table; the rest is checked here, inline."""
     tree = pattern.tree
     if tree.kind is NodeKind.META_VAR:
-        groups = [entries for by_rest in table.values()
-                  for entries in by_rest.values()]
+        lists, arity = table.values(), None
     else:
-        by_rest = table.get((tree.kind, len(tree.children)), {})
-        head = tree.children[0] if tree.children else None
+        lists, arity = [table.get(tree.kind, ())], len(tree.children)
+        text = tree.text
+        head = tree.children[0] if arity else None
         if head is not None and head.kind is NodeKind.META_VAR:
-            groups = [entries for rest, entries in by_rest.items()
-                      if rest[0] == tree.text]
-        else:
-            rest = ((tree.text, None, None) if head is None
-                    else (tree.text, head.kind, head.text))
-            groups = [by_rest.get(rest, ())]
+            head = None
     hits: list[Hit] = []
-    for entries in groups:
+    for entries in lists:
         triples = iter(entries)
         for owner, position, subnode in zip(triples, triples, triples):
+            if arity is not None:
+                children = subnode.children
+                if len(children) != arity or subnode.text != text:
+                    continue
+                if head is not None and (children[0].kind is not head.kind
+                                         or children[0].text != head.text):
+                    continue
             bindings = match(pattern, subnode)
             if bindings is not None:
                 hits.append((owner, position, subnode, bindings))

@@ -26,8 +26,17 @@ from cbugscan.checkers.threads import (
     report_cycles,
 )
 from cbugscan.errors import FrontendError
-from cbugscan.frontend import NodeKind, SourceLocation, iter_tree, to_text
+from cbugscan.frontend import (
+    AstNode,
+    NodeKind,
+    SourceLocation,
+    iter_tree,
+    to_text,
+    tokenize,
+)
+from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, UNARY_SYMBOL
 from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS
+from cbugscan.frontend.parser import _Parser
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
 from cbugscan.report import ErrorTrace, Importance, TraceStep
@@ -370,6 +379,25 @@ def subnodes_outside(root, trees):
             pending.extend(reversed(node.children))
 
 
+def all_pattern_hits(unit, pattern, match=match_node):
+    """(CFG node id or None, position, subnode, bindings) for every
+    match of `pattern` in `unit`, with no table and no shape rule: the
+    pattern is tried on every subnode of each CFG node's tree
+    (`iter_tree`), positioned in that tree, and on every subnode outside
+    those trees, positioned in their shared preorder."""
+    trees = [(node.id, node.ast_ref) for cfg in unit.cfgs.values()
+             for node in cfg.nodes.values() if node.ast_ref is not None]
+    owned = [(owner, iter_tree(tree)) for owner, tree in trees]
+    owned.append((None, subnodes_outside(unit.ast, [t for _, t in trees])))
+    hits = []
+    for owner, subnodes in owned:
+        for position, subnode in enumerate(subnodes):
+            bindings = match(pattern, subnode)
+            if bindings is not None:
+                hits.append((owner, position, subnode, bindings))
+    return hits
+
+
 # -- call sites by walking the trees ---------------------------------------------
 
 def collect_calls(node):
@@ -402,6 +430,107 @@ def walked_roots(unit) -> set[str]:
                         and target.text in unit.cfgs and target.text != fn):
                     called.add(target.text)
     return set(unit.cfgs) - called
+
+
+# -- expressions by recursive precedence climbing ------------------------------
+
+class RecursiveExpressionParser(_Parser):
+    """The parser with its expression layer as it was before `binary`
+    became a loop: precedence climbing by recursion (one `binary` frame
+    per operand) and leaf tokens built in `primary`. Token plumbing and
+    statements are the parser's own."""
+
+    _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
+
+    def assignment(self) -> AstNode:
+        left = self.binary(1)  # every binary operator binds tighter than '='
+        if self.at("="):
+            self.advance()
+            right = self.assignment()
+            return AstNode(NodeKind.ASSIGN, left.location, text="=", children=(left, right))
+        return left
+
+    def binary(self, min_prec: int) -> AstNode:
+        left = self.unary()
+        while (prec := BINARY_PRECEDENCE.get(self.tok.kind, 0)) >= min_prec:
+            op = self.tok
+            self.advance()
+            right = self.binary(prec + 1)
+            left = AstNode(NodeKind.BINARY_OP, left.location, text=op.text,
+                           children=(left, right))
+        return left
+
+    def unary(self) -> AstNode:
+        tok = self.tok
+        if tok.kind in self._UNARY_NAME:
+            self.advance()
+            operand = self.unary()
+            return AstNode(NodeKind.UNARY_OP, tok.location,
+                           text=self._UNARY_NAME[tok.kind], children=(operand,))
+        return self.postfix()
+
+    def postfix(self) -> AstNode:
+        node = self.primary()
+        while True:
+            tok = self.tok
+            if tok.kind == "(":
+                self.advance()
+                args = []
+                if not self.at(")"):
+                    args.append(self.assignment())
+                    while self.accept(","):
+                        args.append(self.assignment())
+                self.expect(")")
+                node = AstNode(NodeKind.CALL, node.location,
+                               children=(node, *args))
+            elif tok.kind == "[":
+                self.advance()
+                index = self.expression()
+                self.expect("]")
+                node = AstNode(NodeKind.INDEX, node.location, children=(node, index))
+            elif tok.kind in ("->", "."):
+                self.advance()
+                field = self.expect("ident")
+                field_node = AstNode(NodeKind.IDENTIFIER, field.location, text=field.text)
+                node = AstNode(NodeKind.MEMBER, node.location,
+                               text="arrow" if tok.kind == "->" else "dot",
+                               children=(node, field_node))
+            else:
+                return node
+
+    def primary(self) -> AstNode:
+        tok = self.tok
+        if tok.kind == "ident":
+            self.advance()
+            return AstNode(NodeKind.IDENTIFIER, tok.location, text=tok.text)
+        if tok.kind == "number":
+            self.advance()
+            return AstNode(NodeKind.INT_LITERAL, tok.location, text=tok.text)
+        if tok.kind == "string":
+            self.advance()
+            return AstNode(NodeKind.STRING_LITERAL, tok.location, text=tok.text)
+        if tok.kind == "metavar":
+            self.advance()
+            return AstNode(NodeKind.META_VAR, tok.location, text=tok.text)
+        if tok.kind == "(":
+            self.advance()
+            expr = self.expression()
+            self.expect(")")
+            return expr
+        raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
+
+
+def recursive_parse(source: str, file: str = "<pattern>",
+                    fragment: bool = True) -> AstNode:
+    """One expression (`fragment`, metavariables enabled, the whole
+    input) or a whole translation unit, by `RecursiveExpressionParser`."""
+    parser = RecursiveExpressionParser(
+        tokenize(source, file, metavars=fragment), file)
+    if not fragment:
+        return parser.translation_unit()
+    expr = parser.expression()
+    parser.expect("eof")
+    return expr
 
 
 # -- token locations by bisection ---------------------------------------------

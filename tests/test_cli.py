@@ -399,12 +399,23 @@ def test_report_empty_journal(tmp_path, capsys):
 
 # -- installed entry point -----------------------------------------------------------
 
-def test_console_script_help():
-    # the fresh interpreter imports the same cbugscan this test did
+def run_fresh(*args):
+    """`python -m ARGS` in a fresh interpreter that imports the same
+    cbugscan this test did."""
     src = os.path.dirname(os.path.dirname(cbugscan.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "cbugscan.cli", "help"],
+    return subprocess.run([sys.executable, "-m", *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_script_help():
+    proc = run_fresh("cbugscan.cli", "help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: cbugscan COMMAND")
+
+
+def test_package_runs_as_a_module():
+    proc = run_fresh("cbugscan", "--help")
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: cbugscan COMMAND")

@@ -1,11 +1,18 @@
+import glob
+import os
 import textwrap
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from conftest import CORPUS_DIR
+from oracles import recursive_parse
 
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import (
+    AstNode,
     NodeKind,
+    SourceLocation,
     dump_sexpr,
     iter_tree,
     parse,
@@ -13,6 +20,9 @@ from cbugscan.frontend import (
     structurally_equal,
     to_text,
 )
+from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, EXPRESSION_KINDS
+from cbugscan.ir import build_unit_from_text, units
+from cbugscan.traverse import map_expression_to_caller
 
 
 def parse_src(source):
@@ -300,3 +310,157 @@ def test_parse_to_text_reparse_is_stable(source):
     tree = expr(source)
     rendered = to_text(tree)
     assert structurally_equal(tree, parse_fragment(rendered, file="t.c"))
+
+
+# -- the operator loop against recursive precedence climbing -------------------
+
+_leaves = st.sampled_from(["a", "b", "x1", "ptr", "0", "7", "0x1f", '"s"'])
+
+
+def _wrap(tokens, level, most):
+    """The tokens of an expression as an operand that allows at most
+    `most` (0 postfix, 1 unary, 2 binary): parenthesized if it is looser."""
+    return tokens if level <= most else ["(", *tokens, ")"]
+
+
+def _grow(operands):
+    """One operator over expressions drawn from `operands`, each drawn
+    as (tokens, level): 0 for a leaf or a postfix expression, 1 for a
+    unary, 2 for a binary chain."""
+    binary = st.tuples(operands, st.sampled_from(sorted(BINARY_PRECEDENCE)),
+                       operands).map(
+        lambda t: ([*t[0][0], t[1], *t[2][0]], 2))
+    unary = st.tuples(st.sampled_from("*&!-"), operands).map(
+        lambda t: ([t[0], *_wrap(*t[1], 1)], 1))
+    call = st.tuples(operands, st.lists(operands, max_size=3)).map(
+        lambda t: ([*_wrap(*t[0], 0), "(",
+                    *[tok for i, arg in enumerate(t[1])
+                      for tok in ([","] if i else []) + arg[0]], ")"], 0))
+    index = st.tuples(operands, operands).map(
+        lambda t: ([*_wrap(*t[0], 0), "[", *t[1][0], "]"], 0))
+    member = st.tuples(operands, st.sampled_from(["->", "."]),
+                       st.sampled_from(["f", "next"])).map(
+        lambda t: ([*_wrap(*t[0], 0), t[1], t[2]], 0))
+    parens = operands.map(lambda t: (["(", *t[0], ")"], 0))
+    return st.one_of(binary, unary, call, index, member, parens)
+
+
+_expressions = st.recursive(_leaves.map(lambda leaf: ([leaf], 0)), _grow,
+                            max_leaves=24)
+
+
+@st.composite
+def _laid_out(draw):
+    """An expression's source, its tokens apart by blanks and newlines,
+    so that every node's location is pinned."""
+    tokens, _ = draw(_expressions)
+    gaps = draw(st.lists(st.sampled_from([" ", "  ", "\n", "\n\t "]),
+                         min_size=len(tokens), max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+def assert_same_dump(got, want):
+    """The s-expression dumps of two trees are equal, locations included.
+    A difference is shown as its first line: pytest's own diff of two
+    long dumps takes minutes."""
+    got, want = dump_sexpr(got).splitlines(), dump_sexpr(want).splitlines()
+    if got != want:
+        line = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                    min(len(got), len(want)))
+        pytest.fail(f"dumps differ at line {line + 1}: "
+                    f"{got[line:line + 1]} != {want[line:line + 1]}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laid_out())
+def test_expressions_parse_as_by_recursive_precedence_climbing(source):
+    assert_same_dump(parse_fragment(source), recursive_parse(source))
+
+
+def test_a_3000_term_sum_file_parses_as_by_recursive_climbing():
+    # the shape of the benchmark's hostile nx_sum.c: one long left spine
+    source = ("void leak(int v) {\n    mutex_lock(&mx);\n    g(v);\n}\n"
+              "void sum(int x) {\n    x = " + " + ".join(["x"] * 3000)
+              + ";\n}\n")
+    tree = parse(source, "nx_sum.c")
+    assert_same_dump(tree, recursive_parse(source, "nx_sum.c", fragment=False))
+    spine = first(tree, NodeKind.ASSIGN).children[1]
+    for term in range(2999, 0, -1):
+        assert spine.kind is NodeKind.BINARY_OP
+        assert spine.children[1].location.column == 9 + 4 * term
+        spine = spine.children[0]
+    assert spine.kind is NodeKind.IDENTIFIER
+    assert spine.location == SourceLocation("nx_sum.c", 6, 9)
+
+
+# -- the node contract ------------------------------------------------------------
+
+NODE_FIELDS = ("kind", "location", "text", "children", "ctype", "end_location")
+
+
+def test_structurally_equal_nodes_are_distinct():
+    a, b = expr("f(x)"), expr("f(x)")
+    assert structurally_equal(a, b)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+def test_a_node_has_only_its_fields():
+    node = expr("x")
+    assert not hasattr(node, "__dict__")
+    assert AstNode.__slots__ == NODE_FIELDS
+    with pytest.raises(AttributeError):
+        node.extra = 1
+
+
+def test_positional_and_keyword_construction_agree():
+    loc, end = SourceLocation("t.c", 1, 2), SourceLocation("t.c", 3, 1)
+    leaf = AstNode(NodeKind.IDENTIFIER, loc, "x")
+    by_position = AstNode(NodeKind.BLOCK, loc, "t", (leaf,), "int", end)
+    by_keyword = AstNode(kind=NodeKind.BLOCK, location=loc, text="t",
+                         children=(leaf,), ctype="int", end_location=end)
+    assert ([getattr(by_position, name) for name in NODE_FIELDS]
+            == [getattr(by_keyword, name) for name in NODE_FIELDS])
+    assert [getattr(leaf, name) for name in NODE_FIELDS] == [
+        NodeKind.IDENTIFIER, loc, "x", (), "", None]
+
+
+def _corpus():
+    for path in sorted(glob.glob(os.path.join(CORPUS_DIR, "*.c"))):
+        with open(path, encoding="utf-8") as handle:
+            yield path, handle.read()
+
+
+def test_corpus_trees_equal_those_of_recursive_climbing(monkeypatch):
+    """Trees of the corpus, and what `structurally_equal`, `to_text`
+    and `map_expression_to_caller` make of them, are those of the
+    recursive expression parser."""
+    mapped = 0
+    for path, source in _corpus():
+        new = build_unit_from_text(source, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(units, "parse", lambda text, file: recursive_parse(
+                text, file, fragment=False))
+            old = build_unit_from_text(source, path)
+        assert_same_dump(new.ast, old.ast)
+        assert structurally_equal(new.ast, old.ast)
+        pairs = list(zip(iter_tree(new.ast), iter_tree(old.ast)))
+        for a, b in pairs:
+            if a.kind in EXPRESSION_KINDS:
+                assert to_text(a) == to_text(b)
+        calls = [(a, b) for a, b in pairs if a.kind is NodeKind.CALL
+                 and a.children[0].text in new.functions]
+        for call, old_call in calls:
+            callee = call.children[0].text
+            body = zip(iter_tree(new.functions[callee]),
+                       iter_tree(old.functions[callee]))
+            for a, b in body:
+                if a.kind not in EXPRESSION_KINDS:
+                    continue
+                got = map_expression_to_caller(a, call, new)
+                want = map_expression_to_caller(b, old_call, old)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert_same_dump(got, want)
+                    mapped += 1
+    assert mapped  # not vacuous

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import CORPUS_DIR
-from oracles import subnodes_outside, walked_matches
+from oracles import all_pattern_hits, subnodes_outside, walked_matches
 
 from cbugscan.checkers import base, builtin_registry
 from cbugscan.errors import CbugscanError, PatternError
@@ -267,6 +267,28 @@ def test_table_matches_equal_the_walk_of_every_cfg_node(workload, seed):
         assert found.get(None, []) == expected, name
         outside += len(expected)
     assert built and nodes and matched and outside  # not vacuous
+
+
+def hit_set(hits):
+    """Hits by identity: (CFG node id or None, position, subnode id,
+    bound subnode ids by name)."""
+    return {(owner, position, id(subnode),
+             tuple((name, id(bound)) for name, bound in bindings.items()))
+            for owner, position, subnode, bindings in hits}
+
+
+@pytest.mark.parametrize("template", ["mutex_lock(%X)", "%V = %E", "%X"])
+def test_pattern_hits_equal_a_walk_of_every_subnode(template):
+    # a plain root, a metavariable head and a bare metavariable root
+    pattern = compile_pattern(template)
+    found = 0
+    for name, text in corpus_sources():
+        unit = build_unit_from_text(text, name)
+        hits = pattern_hits(unit.match_table, pattern)
+        assert len(hit_set(hits)) == len(hits)
+        assert hit_set(hits) == hit_set(all_pattern_hits(unit, pattern)), name
+        found += len(hits)
+    assert found  # not vacuous
 
 
 def test_file_scope_spawn_is_in_the_table():
