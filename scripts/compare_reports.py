@@ -7,21 +7,28 @@ OLD_SRC and NEW_SRC are each a checkout, its `src` directory, or a git
 revision of this repository (such as `HEAD`), which is exported with
 `git archive` into a temporary directory. For each tree, a fresh
 interpreter runs all four checkers with their bundled configs over
-every FILE, one job per file, and prints the JSON report (findings,
-witness steps, ids) and the diagnostics. The two outputs are
-compared line by line: on any difference the first differing lines are
-printed and the exit code is 1; otherwise it is 0. Without FILE, the
-files are `tests/corpus/*.c`, the wide, deep and nest workloads of
-seeds 1-10, which `perfbench/workloads.py` writes into a temporary
-directory, and, when `cpp` is on PATH, each corpus file as `cpp`
-writes it, line markers kept, so the lexer's line-marker path is
-compared too; without `cpp` that set is skipped, and a line says so.
+every FILE, one job per file, and then over each group of files as one
+multi-file job, and prints the JSON report (findings, witness steps,
+ids) and the diagnostics of every job. Where more than one CPU is
+usable, the engine splits a multi-file job into shards that forked
+workers check, so the groups exercise the shards. The two outputs are
+compared line by line: on any difference the first differing lines
+are printed and the exit code is 1; otherwise it is 0. Given FILEs
+form one group. Without FILE, the files are `tests/corpus/*.c`, the
+wide, deep and nest workloads of seeds 1-10, which
+`perfbench/workloads.py` writes into a directory per workload and seed
+under a temporary directory, and, when `cpp` is on PATH, each corpus
+file as `cpp` writes it, line markers kept, so the lexer's line-marker
+path is compared too; without `cpp` that set is skipped, and a line
+says so. The groups are then the corpus, each workload directory and
+the `cpp` set.
 Standard library only.
 """
 
 import difflib
 import glob
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -30,16 +37,17 @@ import tarfile
 import tempfile
 
 CHILD = r"""
+import json
 import sys
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
 from cbugscan.report import export_json
 
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
-for path in sys.argv[1:]:
-    result = run_job(AnalysisJob(sources=[SourceDescriptor(path)],
+for paths in json.load(sys.stdin):
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(p) for p in paths],
                                  checkers=checkers))
-    sys.stdout.write(f"== {path}\n" + export_json(result.traces))
+    sys.stdout.write(f"== {' '.join(paths)}\n" + export_json(result.traces))
     for diagnostic in result.diagnostics:
         sys.stdout.write(f"diagnostic: {diagnostic}\n")
 """
@@ -73,33 +81,36 @@ def checkout(tree: str, directory: str) -> str:
     return target
 
 
-def report(tree: str, files: list[str]) -> list[str]:
+def report(tree: str, jobs: list[list[str]]) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(package_dir(tree)))
-    done = subprocess.run([sys.executable, "-c", CHILD, *files], env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env,
+                          input=json.dumps(jobs), capture_output=True,
+                          text=True)
     if done.returncode != 0:
         sys.stderr.write(f"{tree}: exit {done.returncode}\n{done.stderr}")
         raise SystemExit(2)
     return done.stdout.splitlines()
 
 
-def default_files(directory: str) -> list[str]:
+def default_groups(directory: str) -> list[list[str]]:
     """The corpus files, then each workload and seed written into a
     directory of its own under `directory`, then the corpus files as
-    `cpp` writes them, into `directory/cpp`."""
+    `cpp` writes them, into `directory/cpp`: one group each."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     import workloads
     corpus = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.c")))
-    files = list(corpus)
+    groups = [corpus]
     for workload in WORKLOADS:
         for seed in SEEDS:
             target = os.path.join(directory, f"{workload}{seed}")
             os.mkdir(target)
             sources = workloads.generate(workload, seed)
             workloads.write_workload(sources, target)
-            files += [os.path.join(target, source.name) for source in sources]
-    return files + preprocessed(corpus, os.path.join(directory, "cpp"))
+            groups.append([os.path.join(target, source.name)
+                           for source in sources])
+    cpp = preprocessed(corpus, os.path.join(directory, "cpp"))
+    return groups + [cpp] if cpp else groups
 
 
 def preprocessed(sources: list[str], target: str) -> list[str]:
@@ -126,15 +137,20 @@ def main(argv: list[str]) -> int:
     old_tree, new_tree, *files = argv
     with tempfile.TemporaryDirectory() as directory:
         return compare(old_tree, new_tree, directory,
-                       files or default_files(directory))
+                       [files] if files else default_groups(directory))
 
 
 def compare(old_tree: str, new_tree: str, directory: str,
-            files: list[str]) -> int:
-    old = report(checkout(old_tree, directory), files)
-    new = report(checkout(new_tree, directory), files)
+            groups: list[list[str]]) -> int:
+    """Each file of `groups` as a job of its own, then each group of
+    more than one file as one job."""
+    jobs = [[path] for group in groups for path in group]
+    jobs += [group for group in groups if len(group) > 1]
+    old = report(checkout(old_tree, directory), jobs)
+    new = report(checkout(new_tree, directory), jobs)
     if old == new:
-        print(f"identical: {len(files)} files, {len(old)} lines")
+        print(f"identical: {sum(map(len, groups))} files in {len(jobs)} "
+              f"jobs, {len(old)} lines")
         return 0
     diff = list(difflib.unified_diff(old, new, old_tree, new_tree, lineterm=""))
     print("\n".join(diff[:SHOWN_LINES]))

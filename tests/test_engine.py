@@ -2,18 +2,24 @@ import gc
 import glob
 import os
 import re
+import signal
 import textwrap
+import threading
+import time
 
 import pytest
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, workload_sources
 
+from cbugscan import cli, engine
 from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
+from cbugscan.checkers.reach import ReachChecker
 from cbugscan.config import AnalysisJob, SourceDescriptor, build_job
 from cbugscan.engine import JobResult, make_loader, run_job
 from cbugscan.errors import ConfigError
 from cbugscan.ir import UnitManager, units
-from cbugscan.report import ErrorTrace, Importance, TraceStep, export_json
+from cbugscan.report import (ErrorTrace, Importance, TraceStep, export_json,
+                             traces_from_json)
 
 DEAD_CODE = """
 void f(void) {
@@ -48,6 +54,15 @@ def job_for(tmp_path, sources, checkers=(("reach", None),), **kwargs):
         checkers=list(checkers),
         **kwargs,
     )
+
+
+@pytest.fixture(autouse=True)
+def cpus_kept():
+    """No test leaves this process allowed on fewer CPUs than before."""
+    allowed = getattr(os, "sched_getaffinity", lambda pid: None)
+    before = allowed(0)
+    yield
+    assert allowed(0) == before
 
 
 # -- the basic loop -----------------------------------------------------------------
@@ -447,3 +462,268 @@ def test_nesting_too_deep_location_does_not_depend_on_the_callers_stack(tmp_path
 
     assert diagnostics_under(0) == diagnostics_under(50) == [
         f"skipping {deep}: {deep}:2:1: nesting too deep"]
+
+
+# -- forked workers -----------------------------------------------------------------
+# These tests set the engine's list of usable CPUs, so they force two or
+# three workers on any host; placing a worker on a CPU the host lacks
+# fails quietly.
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="workers are forked only where the CPU set can be read")
+
+
+def with_cpus(monkeypatch, count):
+    monkeypatch.setattr(engine, "usable_cpus", lambda: list(range(count)))
+
+
+def count_forks(monkeypatch):
+    """The list that grows by one at each `os.fork` from now on."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_shards_are_contiguous_nonempty_and_about_equal():
+    assert engine.shard_bounds([10, 10, 10, 10], 2) == [0, 2, 4]
+    assert engine.shard_bounds([10, 10, 10, 10], 3) == [0, 1, 3, 4]
+    # the cut nearest the half, not the first past it
+    assert engine.shard_bounds([9, 10, 10, 10, 11, 10], 2) == [0, 3, 6]
+    assert engine.shard_bounds([10, 10, 10, 11, 10], 2) == [0, 3, 5]
+    assert engine.shard_bounds([100, 1, 1, 1], 2) == [0, 1, 4]
+    assert engine.shard_bounds([1, 1, 1, 100], 2) == [0, 3, 4]
+    assert engine.shard_bounds([1, 1, 100], 3) == [0, 1, 2, 3]
+    assert engine.shard_bounds([0, 0, 0], 3) == [0, 1, 2, 3]
+    assert engine.shard_bounds([5, 6, 7], 1) == [0, 3]
+    assert engine.shard_bounds([], 1) == [0, 0]
+
+
+def workload_paths(tmp_path, workload, seed):
+    directory = tmp_path / f"{workload}{seed}"
+    directory.mkdir()
+    for name, text in workload_sources(workload, seed, small=True):
+        (directory / name).write_text(text, encoding="utf-8")
+    return sorted(str(path) for path in directory.iterdir())
+
+
+@needs_fork
+@pytest.mark.parametrize("workload,seed", [("corpus", None)] + [
+    (workload, seed) for workload in ("wide", "deep", "nest")
+    for seed in (1, 2, 3)])
+def test_workers_report_what_one_process_reports(tmp_path, monkeypatch,
+                                                 workload, seed):
+    job = (corpus_job() if workload == "corpus" else
+           job_for(tmp_path, workload_paths(tmp_path, workload, seed),
+                   checkers=ALL_CHECKERS))
+    mask = os.sched_getaffinity(0)
+    reports = {}
+    for cpus in (1, 2, 3):
+        with_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        result = run_job(job)
+        assert len(forks) == min(cpus, len(job.sources)) - 1
+        assert_nothing_left(mask)
+        reports[cpus] = export_json(result.traces), result.diagnostics
+    assert reports[1][0]
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+
+
+@needs_fork
+@pytest.mark.parametrize("case", ["one source", "one CPU", "caller's manager",
+                                  "live thread", "one memory unit"])
+def test_in_process_jobs_fork_nothing(tmp_path, monkeypatch, case):
+    sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(4)]
+    with_cpus(monkeypatch, 1 if case == "one CPU" else 2)
+    forks = count_forks(monkeypatch)
+    job = job_for(tmp_path, sources[:1] if case == "one source" else sources,
+                  memory_units=1 if case == "one memory unit" else None)
+    manager = UnitManager(make_loader(job)) if case == "caller's manager" \
+        else None
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "live thread":
+        thread.start()
+    try:
+        result = run_job(job, unit_manager=manager)
+    finally:
+        release.set()
+        if case == "live thread":
+            thread.join()
+    assert forks == []
+    assert len(result.traces) == len(job.sources)
+
+
+@needs_fork
+def test_config_error_is_raised_before_any_fork(tmp_path, monkeypatch):
+    sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(4)]
+    with_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    with pytest.raises(ConfigError):
+        run_job(job_for(tmp_path, sources, checkers=[("nope", None)]))
+    assert forks == []
+
+
+@needs_fork
+def test_memory_budget_is_shared_out_between_workers(tmp_path, monkeypatch):
+    sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(6)]
+    managers = []
+
+    def unit_manager(*args):
+        managers.append(UnitManager(*args))
+        return managers[-1]
+
+    monkeypatch.setattr(engine, "UnitManager", unit_manager)
+    with_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    result = run_job(job_for(tmp_path, sources, memory_units=4))
+    assert len(forks) == 2 and len(result.traces) == 6
+    manager, = managers
+    assert manager.budget == 1
+    # the workers' loads are counted here too, and their peaks add up
+    assert manager.total_loads == 6
+    assert sorted(manager.load_counts) == sorted(sources)
+    assert manager.max_resident == 3
+
+
+# -- worker failures: each costs its own shard, and nothing is left behind ----------
+
+def found(unit):
+    return [ErrorTrace(checker="probe", importance=Importance.ERROR,
+                       message="found",
+                       steps=(TraceStep(unit.ast.location, "here"),))]
+
+
+def probe_registry(on_unit):
+    """A registry whose one checker, `probe`, calls `on_unit(path,
+    in_worker)` for each unit and reports one finding unless that
+    returns traces of its own."""
+    parent = os.getpid()
+
+    class Probe(Checker):
+        name = "probe"
+
+        def __init__(self, config_path):
+            pass
+
+        def check_unit(self, unit, services):
+            return on_unit(unit.path, os.getpid() != parent) or found(unit)
+
+    return registry_with(CheckerDescriptor("probe", Probe))
+
+
+def two_shards(tmp_path, monkeypatch):
+    """Four files of one size and two workers: this process checks a.c
+    and b.c, the worker c.c and d.c."""
+    with_cpus(monkeypatch, 2)
+    return [write(tmp_path, f"{name}.c", CLEAN) for name in "abcd"]
+
+
+def assert_nothing_left(mask):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+    assert gc.isenabled()
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+def test_killed_worker_costs_only_its_shard(tmp_path, monkeypatch, capfd):
+    mask = os.sched_getaffinity(0)
+    a, b, c, d = two_shards(tmp_path, monkeypatch)
+
+    def on_unit(path, in_worker):
+        if in_worker and path == d:
+            kill_self()
+
+    result = run_job(job_for(tmp_path, [a, b, c, d],
+                             checkers=[("probe", None)]),
+                     registry=probe_registry(on_unit))
+    assert [t.primary_location.file for t in result.traces] == [a, b]
+    assert result.diagnostics == [
+        f"skipping {path}: internal error: worker killed by signal "
+        f"{int(signal.SIGKILL)}" for path in (c, d)]
+    assert capfd.readouterr().err == ""
+    assert_nothing_left(mask)
+
+
+@needs_fork
+def test_unpicklable_worker_result_costs_only_its_shard(tmp_path, monkeypatch,
+                                                        capfd):
+    mask = os.sched_getaffinity(0)
+    a, b, c, d = two_shards(tmp_path, monkeypatch)
+
+    def on_unit(path, in_worker):
+        if in_worker and path == d:
+            return [ErrorTrace(checker="probe", importance=Importance.ERROR,
+                               message=lambda: "found", steps=())]
+        return None
+
+    result = run_job(job_for(tmp_path, [a, b, c, d],
+                             checkers=[("probe", None)]),
+                     registry=probe_registry(on_unit))
+    assert [t.primary_location.file for t in result.traces] == [a, b]
+    assert len(result.diagnostics) == 2
+    for path, diagnostic in zip((c, d), result.diagnostics):
+        assert diagnostic.startswith(f"skipping {path}: internal error: ")
+        assert "pickle" in diagnostic
+    assert capfd.readouterr().err == ""
+    assert_nothing_left(mask)
+
+
+class Stop(BaseException):
+    """Escapes the engine's isolation of checker crashes."""
+
+
+@needs_fork
+def test_worker_is_reaped_when_this_process_raises(tmp_path, monkeypatch):
+    mask = os.sched_getaffinity(0)
+    a, b, c, d = two_shards(tmp_path, monkeypatch)
+
+    def on_unit(path, in_worker):
+        if not in_worker:  # raise once the worker is blocked writing
+            time.sleep(0.3)
+            raise Stop
+        # a result larger than a pipe holds
+        return [ErrorTrace(checker="probe", importance=Importance.ERROR,
+                           message="x" * 2 ** 20, steps=())]
+
+    with pytest.raises(Stop):
+        run_job(job_for(tmp_path, [a, b, c, d], checkers=[("probe", None)]),
+                registry=probe_registry(on_unit))
+    assert_nothing_left(mask)
+
+
+@needs_fork
+def test_killed_worker_keeps_the_exit_code(tmp_path, monkeypatch, capsys):
+    mask = os.sched_getaffinity(0)
+    with_cpus(monkeypatch, 2)
+    a, b, c, d = [write(tmp_path, f"{name}.c", DEAD_CODE) for name in "abcd"]
+    check_unit = ReachChecker.check_unit
+    parent = os.getpid()
+
+    def killing_check_unit(self, unit, services):
+        if os.getpid() != parent and unit.path == d:
+            kill_self()
+        return check_unit(self, unit, services)
+
+    monkeypatch.setattr(ReachChecker, "check_unit", killing_check_unit)
+    code = cli.main(["check", a, b, c, d, "--checker", "reach",
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert [t.primary_location.file for t in traces_from_json(out)] == [a, b]
+    assert err.splitlines() == [
+        f"cbugscan: skipping {path}: internal error: worker killed by "
+        f"signal {int(signal.SIGKILL)}" for path in (c, d)]
+    assert_nothing_left(mask)

@@ -1,11 +1,9 @@
 import glob
-import importlib.util
 import os
-import sys
 
 import pytest
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, workload_sources
 from oracles import all_pattern_hits, subnodes_outside, walked_matches
 
 from cbugscan.checkers import base, builtin_registry
@@ -184,28 +182,6 @@ def test_pattern_hits_tries_only_subnodes_of_the_root_shape():
 
 
 # -- the match table -----------------------------------------------------------------
-
-WORKLOADS_PY = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                            "perfbench", "workloads.py")
-
-
-def workload_sources(workload, seed):
-    """The sources the benchmark generates for a workload and seed; its
-    generator is loaded without writing bytecode next to it."""
-    module = sys.modules.get("perfbench_workloads")
-    if module is None:
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", WORKLOADS_PY)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module
-        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-        try:
-            spec.loader.exec_module(module)
-        finally:
-            sys.dont_write_bytecode = dont_write
-    return [(source.name, source.text)
-            for source in module.generate(workload, seed)]
-
 
 # file-scope declarations, labels, loops with and without parts, dead
 # branches and nested calls, which neither the corpus nor the workloads have
