@@ -9,9 +9,11 @@ revision of this repository (such as `HEAD`), which is exported with
 interpreter runs all four checkers with their bundled configs over
 every FILE, one job per file, and then over each group of files as one
 multi-file job, and prints the JSON report (findings, witness steps,
-ids) and the diagnostics of every job. Where more than one CPU is
-usable, the engine splits a multi-file job into shards that forked
-workers check, so the groups exercise the shards. The two outputs are
+ids), the console report and the diagnostics of every job; the console
+report is rendered without reading an id, the path of a check that is
+not exported. Where more than one CPU is usable, the engine splits a
+multi-file job into shards that forked workers check, so the groups
+exercise the shards. The two outputs are
 compared line by line: on any difference the first differing lines
 are printed and the exit code is 1; otherwise it is 0. Given FILEs
 form one group. Without FILE, the files are `tests/corpus/*.c`, the
@@ -41,13 +43,14 @@ import json
 import sys
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
-from cbugscan.report import export_json
+from cbugscan.report import export_console, export_json
 
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
 for paths in json.load(sys.stdin):
     result = run_job(AnalysisJob(sources=[SourceDescriptor(p) for p in paths],
                                  checkers=checkers))
-    sys.stdout.write(f"== {' '.join(paths)}\n" + export_json(result.traces))
+    sys.stdout.write(f"== {' '.join(paths)}\n" + export_json(result.traces)
+                     + export_console(result.traces))
     for diagnostic in result.diagnostics:
         sys.stdout.write(f"diagnostic: {diagnostic}\n")
 """

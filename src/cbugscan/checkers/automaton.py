@@ -74,6 +74,7 @@ _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
 
 @dataclass
 class AutomatonDef:
+    """A parsed automaton config: states, patterns, transitions, errors."""
     name: str
     states: list[str] = field(default_factory=list)
     start: str = ""
@@ -215,6 +216,7 @@ def _steps(witness) -> tuple[TraceStep, ...]:
 
 @dataclass(frozen=True)
 class _Instance:
+    """A binding instance: first-sight texts and states with witnesses."""
     texts: dict[str, str]                          # first-sight bindings
     states: dict[str, tuple | _Then]               # state -> witness
 

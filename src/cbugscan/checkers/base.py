@@ -12,7 +12,7 @@ events.
 
 from __future__ import annotations
 
-import importlib.resources
+import os
 import shlex
 from abc import ABC, abstractmethod
 from collections import deque
@@ -206,11 +206,16 @@ def forward_fixpoint(
     return facts
 
 
+# the bundled configs: files in the package's `configs` directory
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs")
+
+
 @dataclass(frozen=True)
 class CheckerDescriptor:
+    """A checker's name, how to create it, and its bundled config."""
     name: str
     factory: Callable[[str | None], Checker]
-    default_config: str | None = None  # bundled resource name, if any
+    default_config: str | None = None  # a file name in CONFIGS, if any
 
 
 class CheckerRegistry:
@@ -232,6 +237,5 @@ class CheckerRegistry:
             known = ", ".join(self.names())
             raise ConfigError(f"unknown checker {name!r} (known: {known})")
         if config_path is None and descriptor.default_config is not None:
-            resource = importlib.resources.files("cbugscan.configs")
-            config_path = str(resource / descriptor.default_config)
+            config_path = os.path.join(CONFIGS, descriptor.default_config)
         return descriptor.factory(config_path)

@@ -39,6 +39,7 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 
 @dataclass
 class LockstatConfig(LockLines):
+    """lockstat's config: lock lines, access patterns, the threshold."""
     accesses: list[Pattern] = field(default_factory=list)
     threshold: Fraction = Fraction(7, 10)
     min_samples: int = 5
@@ -92,6 +93,7 @@ def should_report(locked: int, total: int, threshold: Fraction,
 
 @dataclass
 class _Access:
+    """A variable access and the locks held there."""
     variable: str
     location: SourceLocation
     held: frozenset[str]

@@ -68,6 +68,7 @@ DEFAULT_MAX_CYCLES = 1000
 
 @dataclass
 class ThreadConfig(LockLines):
+    """thread's config: lock lines, spawns, extra entries, the cycle cap."""
     spawns: list[Pattern] = field(default_factory=list)
     entries: list[str] = field(default_factory=list)
     max_cycles: int = DEFAULT_MAX_CYCLES

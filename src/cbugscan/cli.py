@@ -7,9 +7,19 @@ other exception, reported as `cbugscan: internal error: TYPE: message`.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 
-from cbugscan.config import CliParser, build_job
+from cbugscan.checkers import builtin_registry
+from cbugscan.config import (
+    AnalysisJob,
+    SourceDescriptor,
+    expand_directory,
+    load_compilation_database,
+    parse_checker_spec,
+    read_list_file,
+)
 from cbugscan.engine import run_job
 from cbugscan.errors import CbugscanError, ConfigError
 from cbugscan.frontend.ast_nodes import dump_sexpr
@@ -19,6 +29,7 @@ from cbugscan.ir.cfg import cfg_to_dot
 from cbugscan.ir.units import load_unit
 from cbugscan.report import (
     EXPORTERS,
+    Importance,
     Triage,
     TriageDb,
     format_statistics,
@@ -42,6 +53,93 @@ commands:
   triage DB ID real|false-positive [--report FILE]
                          record a triage verdict for one finding
 """
+
+
+class CliParser(argparse.ArgumentParser):
+    """argparse that reports errors as exceptions instead of exiting."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def check_arg_parser() -> argparse.ArgumentParser:
+    parser = CliParser(prog="cbugscan check", add_help=False)
+    parser.add_argument("files", nargs="*", metavar="FILE")
+    parser.add_argument("--dir", action="append", default=[])
+    parser.add_argument("--list", action="append", default=[])
+    parser.add_argument("--compdb", action="append", default=[])
+    parser.add_argument("--checker", action="append", default=[],
+                        metavar="NAME[:CONFIG]")
+    parser.add_argument("--memory-units", type=int, default=None)
+    parser.add_argument("--format", choices=["json", "xml", "console"],
+                        default="console")
+    parser.add_argument("--output", default=None)
+    parser.add_argument("--preprocess", default=None, metavar="CMD")
+    parser.add_argument("--recursive", action="store_true")
+    parser.add_argument("--min-importance", choices=["warning", "error"],
+                        default="warning")
+    return parser
+
+
+def build_job(argv: list[str]) -> AnalysisJob:
+    """Turn `check ...` command-line arguments into a validated job."""
+    if not argv or argv[0] != "check":
+        raise ConfigError("build_job expects a 'check' command line")
+    args = check_arg_parser().parse_args(argv[1:])
+
+    sources: list[SourceDescriptor] = []
+    seen_paths: set[str] = set()
+
+    def add(descriptor: SourceDescriptor) -> None:
+        if descriptor.path not in seen_paths:
+            seen_paths.add(descriptor.path)
+            sources.append(descriptor)
+
+    for path in args.files:
+        add(SourceDescriptor(path))
+    for directory in args.dir:
+        for path in expand_directory(directory, args.recursive):
+            add(SourceDescriptor(path))
+    for list_path in args.list:
+        for path in read_list_file(list_path):
+            add(SourceDescriptor(path))
+    for compdb_path in args.compdb:
+        for descriptor in load_compilation_database(compdb_path):
+            add(descriptor)
+
+    if not sources:
+        raise ConfigError("no source files given")
+    for descriptor in sources:
+        if not os.path.isfile(descriptor.path):
+            raise ConfigError(f"no such source file: {descriptor.path}")
+
+    if not args.checker:
+        raise ConfigError("at least one --checker is required")
+    registry = builtin_registry()
+    checkers: list[tuple[str, str | None]] = []
+    for spec in args.checker:
+        name, config_path = parse_checker_spec(spec)
+        if name not in registry.names():
+            known = ", ".join(registry.names())
+            raise ConfigError(f"unknown checker {name!r} (known: {known})")
+        if any(existing == name for existing, _ in checkers):
+            raise ConfigError(f"checker {name!r} listed twice")
+        if config_path is not None and not os.path.isfile(config_path):
+            raise ConfigError(f"unreadable checker config: {config_path}")
+        checkers.append((name, config_path))
+
+    if args.memory_units is not None and args.memory_units < 1:
+        raise ConfigError("--memory-units must be at least 1")
+
+    return AnalysisJob(
+        sources=sources,
+        checkers=checkers,
+        memory_units=args.memory_units,
+        output_format=args.format,
+        output_path=args.output,
+        preprocess_command=args.preprocess,
+        min_importance=Importance(args.min_importance),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

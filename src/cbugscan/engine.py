@@ -23,12 +23,14 @@ from cbugscan.checkers import builtin_registry
 from cbugscan.checkers.base import CheckerRegistry, Services
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.errors import CbugscanError, FrontendError
+from cbugscan.frontend.preprocess import command_words
 from cbugscan.ir.units import TranslationUnit, UnitManager, load_unit
 from cbugscan.report import ErrorTrace, Importance, normalize
 
 
 @dataclass
 class JobResult:
+    """A job's findings, in report order, and its diagnostics."""
     traces: list[ErrorTrace] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
@@ -84,6 +86,8 @@ def run_job(job: AnalysisJob,
     makes forking unsafe. Otherwise the workers are as many as the
     smallest of the usable CPUs, the sources and `job.memory_units`,
     and each worker's unit budget is its share of `job.memory_units`.
+    A preprocessor command that `command_words` rejects is a
+    ConfigError, raised before any file is read.
 
     The cyclic garbage collector is off while the job runs, and back on
     afterwards only if it was on at entry. No unit, match table,
@@ -96,6 +100,8 @@ def run_job(job: AnalysisJob,
         registry = registry or builtin_registry()
         checkers = [(name, registry.create(name, config_path))
                     for name, config_path in job.checkers]
+        if job.preprocess_command is not None:
+            command_words(job.preprocess_command)  # a bad one fails the job
 
         cpus = usable_cpus()
         workers = min(len(cpus), len(job.sources) or 1,

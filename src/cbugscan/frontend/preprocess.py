@@ -5,9 +5,21 @@ external command (a real C preprocessor, a stub, a filter).
 from __future__ import annotations
 
 import shlex
-import subprocess
 
-from cbugscan.errors import FrontendError
+from cbugscan.errors import ConfigError, FrontendError
+
+
+def command_words(command: str) -> list[str]:
+    """The words of a preprocessor command line, split as a shell would;
+    a ConfigError when a quote is left open or there is no word."""
+    try:
+        words = shlex.split(command)
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad preprocessor command {command!r}: {exc}") from exc
+    if not words:
+        raise ConfigError(f"bad preprocessor command {command!r}: no words")
+    return words
 
 
 def preprocess_source(path: str, flags: tuple[str, ...] = (),
@@ -16,17 +28,20 @@ def preprocess_source(path: str, flags: tuple[str, ...] = (),
 
     Without a command the file is read verbatim. With one, it runs
     `command + flags + [path]` and returns its stdout; a nonzero exit
-    is a frontend error carrying the command's stderr. Either text is
+    is a frontend error carrying the command's stderr, and a command
+    that `command_words` rejects a ConfigError. Either text is
     read as UTF-8 with universal newlines, a leading byte order mark
     dropped and each byte that is not UTF-8 replaced by U+FFFD.
     """
-    if not command:
+    if command is None:
         try:
             with open(path, encoding="utf-8-sig", errors="replace") as handle:
                 return handle.read()
         except OSError as err:
             raise FrontendError(f"cannot read source file {path!r}: {err}")
-    argv = shlex.split(command) + list(flags) + [path]
+    import subprocess
+
+    argv = command_words(command) + list(flags) + [path]
     try:
         proc = subprocess.run(argv, capture_output=True, encoding="utf-8-sig",
                               errors="replace", check=False)

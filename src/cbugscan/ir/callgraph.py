@@ -22,6 +22,7 @@ INDIRECT = "<indirect>"
 
 @dataclass(frozen=True)
 class CallEdge:
+    """One call site: caller, CFG node, call expression and callee."""
     caller: str
     node_id: int  # the caller's CFG node whose tree holds the call
     call_node: AstNode
@@ -31,6 +32,7 @@ class CallEdge:
 
 @dataclass
 class CallGraph:
+    """A unit's call edges, in order and by caller."""
     edges: list[CallEdge] = field(default_factory=list)
     by_caller: dict[str, list[CallEdge]] = field(default_factory=dict)
 

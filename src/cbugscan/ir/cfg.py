@@ -42,6 +42,7 @@ class CfgNodeKind(Enum):
 
 @dataclass(eq=False)
 class CfgNode:
+    """One CFG node: id, kind, location and the tree it stands for."""
     id: int
     kind: CfgNodeKind
     location: SourceLocation
@@ -50,6 +51,7 @@ class CfgNode:
 
 @dataclass(eq=False)
 class Cfg:
+    """One function's control flow graph, edges by node id."""
     function_name: str
     entry: int
     exit: int

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
 
 @dataclass(eq=False)
 class TranslationUnit:
+    """Everything one source file gives the checkers."""
     path: str
     ast: AstNode
     functions: dict[str, AstNode] = field(default_factory=dict)

@@ -38,6 +38,7 @@ Bindings = dict[str, AstNode]
 
 @dataclass(eq=False)
 class Pattern:
+    """A compiled pattern: its name, template and tree."""
     name: str
     template: str
     tree: AstNode

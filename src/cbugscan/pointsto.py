@@ -32,6 +32,7 @@ class ConstraintKind(Enum):
 
 @dataclass(frozen=True)
 class Constraint:
+    """One points-to constraint between two names."""
     kind: ConstraintKind
     lhs: str
     rhs: str

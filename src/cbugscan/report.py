@@ -4,18 +4,21 @@ A finding is an ErrorTrace: an ordered list of source steps ending at
 the error location, plus a stable content-derived id. Ids survive
 reordering and re-running, which is what lets triage verdicts recorded
 against one report carry over to the next run.
+
+An id is a hash, computed only when read: by JSON and XML export, by
+triage, and by `normalize` for findings that tie on location, checker
+and message. So a check rendered for the console loads `hashlib` only
+for such a tie. XML export imports `xml.etree`, and the triage journal
+`datetime` and `fcntl`, where they are used.
 """
 
 from __future__ import annotations
 
-import fcntl
-import hashlib
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from itertools import groupby
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import SourceLocation
@@ -34,12 +37,14 @@ class Triage(Enum):
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One step of a witness: where it is and what happens there."""
     location: SourceLocation
     description: str
 
 
 @dataclass(frozen=True)
 class ErrorTrace:
+    """A finding: a checker's message and its witness steps."""
     checker: str
     importance: Importance
     message: str
@@ -48,6 +53,8 @@ class ErrorTrace:
 
     @property
     def id(self) -> str:
+        import hashlib
+
         payload = "|".join(
             [self.checker, self.message]
             + [str(step.location) for step in self.steps])
@@ -59,15 +66,21 @@ class ErrorTrace:
 
 
 def normalize(traces: list[ErrorTrace]) -> list[ErrorTrace]:
-    """Deterministic report order, independent of discovery order."""
-    return sorted(traces, key=lambda t: (
-        t.primary_location.file,
-        t.primary_location.line,
-        t.primary_location.column,
-        t.checker,
-        t.message,
-        t.id,
-    ))
+    """Deterministic report order, independent of discovery order: by
+    primary location, checker and message, and by id where findings tie
+    on all of those, so ids are computed only for such ties."""
+    ordered: list[ErrorTrace] = []
+    for _, tied in groupby(sorted(traces, key=_order_key), _order_key):
+        tied = list(tied)
+        if len(tied) > 1:  # sorting even one item would compute its id
+            tied.sort(key=lambda t: t.id)
+        ordered += tied
+    return ordered
+
+
+def _order_key(trace: ErrorTrace) -> tuple:
+    loc = trace.primary_location
+    return loc.file, loc.line, loc.column, trace.checker, trace.message
 
 
 # -- serialization ---------------------------------------------------------
@@ -124,6 +137,8 @@ def traces_from_json(text: str) -> list[ErrorTrace]:
 
 
 def export_xml(traces: list[ErrorTrace]) -> str:
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("errors")
     for trace in traces:
         err = ET.SubElement(root, "error", {
@@ -168,6 +183,7 @@ EXPORTERS = {
 
 @dataclass
 class CheckerStats:
+    """One checker's findings, counted by triage verdict."""
     found: int = 0
     real: int = 0
     false_positive: int = 0
@@ -228,6 +244,9 @@ class TriageDb:
         self.path = path
 
     def record(self, trace_id: str, status: Triage) -> None:
+        import fcntl
+        from datetime import datetime, timezone
+
         stamp = datetime.now(timezone.utc).isoformat()
         line = f"{trace_id}\t{status.value}\t{stamp}\n"
         try:

@@ -43,6 +43,21 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import map_expression_to_caller
 
 
+# -- report order ---------------------------------------------------------------
+
+def full_key_normalize(traces: list[ErrorTrace]) -> list[ErrorTrace]:
+    """Report order by one stable sort on the full key: primary
+    location, checker, message and the id of every finding."""
+    return sorted(traces, key=lambda t: (
+        t.primary_location.file,
+        t.primary_location.line,
+        t.primary_location.column,
+        t.checker,
+        t.message,
+        t.id,
+    ))
+
+
 # -- Andersen-style inclusion points-to (worklist solver) --------------------
 
 def andersen(constraints: list[Constraint]) -> dict[str, set[str]]:

@@ -143,6 +143,17 @@ def test_check_multiple_checkers_combined(tmp_path, capsys):
     assert "unreachable code" in out
 
 
+@pytest.mark.parametrize("command", ['cat "', " "])
+def test_check_with_a_bad_preprocessor_command_exits_two(tmp_path, capsys,
+                                                         command):
+    source = write(tmp_path, "a.c", DEAD_CODE)
+    assert main(["check", source, "--checker", "reach",
+                 "--preprocess", command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cbugscan: bad preprocessor command")
+
+
 def test_check_unwritable_output_exits_two(tmp_path, capsys):
     source = write(tmp_path, "a.c", CLEAN)
     code = main(["check", source, "--checker", "reach",

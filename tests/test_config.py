@@ -2,9 +2,9 @@ import json
 
 import pytest
 
+from cbugscan.cli import build_job
 from cbugscan.config import (
     SourceDescriptor,
-    build_job,
     expand_directory,
     load_compilation_database,
     parse_checker_spec,

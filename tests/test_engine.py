@@ -1,8 +1,11 @@
 import gc
 import glob
+import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import textwrap
 import threading
 import time
@@ -14,7 +17,8 @@ from conftest import CORPUS_DIR, workload_sources
 from cbugscan import cli, engine
 from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
 from cbugscan.checkers.reach import ReachChecker
-from cbugscan.config import AnalysisJob, SourceDescriptor, build_job
+from cbugscan.cli import build_job
+from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import JobResult, make_loader, run_job
 from cbugscan.errors import ConfigError
 from cbugscan.ir import UnitManager, units
@@ -572,6 +576,20 @@ def test_config_error_is_raised_before_any_fork(tmp_path, monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("command", ['cat "', " ", ""])
+def test_bad_preprocessor_command_is_raised_before_any_read_or_fork(
+        tmp_path, monkeypatch, command):
+    sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(4)]
+    with_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    loads = []
+    monkeypatch.setattr(engine, "load_unit", lambda *args: loads.append(args))
+    with pytest.raises(ConfigError, match="bad preprocessor command"):
+        run_job(job_for(tmp_path, sources, preprocess_command=command))
+    assert forks == [] and loads == []
+
+
+@needs_fork
 def test_memory_budget_is_shared_out_between_workers(tmp_path, monkeypatch):
     sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(6)]
     managers = []
@@ -727,3 +745,35 @@ def test_killed_worker_keeps_the_exit_code(tmp_path, monkeypatch, capsys):
         f"cbugscan: skipping {path}: internal error: worker killed by "
         f"signal {int(signal.SIGKILL)}" for path in (c, d)]
     assert_nothing_left(mask)
+
+
+# -- what a check imports -------------------------------------------------------------
+
+CHECK_IN_A_FRESH_INTERPRETER = """
+import glob, json, sys
+from cbugscan.config import AnalysisJob, SourceDescriptor
+from cbugscan.engine import run_job
+from cbugscan.report import export_console
+job = AnalysisJob(
+    sources=[SourceDescriptor(p) for p in sorted(glob.glob(sys.argv[1]))],
+    checkers=[(name, None)
+              for name in ("automaton", "lockstat", "thread", "reach")])
+text = export_console(run_job(job).traces)
+print(json.dumps([text.count("ERROR ["), sorted(sys.modules)]))
+"""
+
+
+def test_a_console_check_loads_no_export_triage_or_cli_module():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        # -S: no site, so no installed .pth file imports anything first
+        [sys.executable, "-S", "-c", CHECK_IN_A_FRESH_INTERPRETER,
+         os.path.join(CORPUS_DIR, "*.c")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    errors, modules = json.loads(proc.stdout)
+    assert errors > 0
+    assert "cbugscan.engine" in modules
+    assert not {"hashlib", "_hashlib", "xml.etree.ElementTree", "datetime",
+                "fcntl", "subprocess", "argparse"} & set(modules)

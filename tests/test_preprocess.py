@@ -1,6 +1,6 @@
 import pytest
 
-from cbugscan.errors import FrontendError
+from cbugscan.errors import ConfigError, FrontendError
 from cbugscan.frontend import preprocess_source
 
 
@@ -58,3 +58,12 @@ def test_missing_preprocessor_binary(tmp_path):
     with pytest.raises(FrontendError) as err:
         preprocess_source(str(src), command="/nonexistent/cpp-binary")
     assert "cannot run" in str(err.value)
+
+
+@pytest.mark.parametrize("command", ["", " ", 'cat "'])
+def test_a_command_with_no_word_or_an_open_quote_is_a_config_error(tmp_path,
+                                                                   command):
+    src = tmp_path / "a.c"
+    src.write_text("x\n")
+    with pytest.raises(ConfigError, match="bad preprocessor command"):
+        preprocess_source(str(src), command=command)

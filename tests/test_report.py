@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from oracles import full_key_normalize
 
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import SourceLocation
@@ -92,6 +95,48 @@ def test_normalize_is_input_order_independent(order):
               make_trace(message="another", line=2)]
     shuffled = [traces[i] for i in order]
     assert normalize(shuffled) == normalize(traces)
+
+
+locations = st.builds(SourceLocation, st.sampled_from(["a.c", "b.c"]),
+                      st.integers(1, 3), st.integers(1, 2))
+trace_steps = st.builds(TraceStep, locations, st.sampled_from(["x", "y"]))
+traces = st.builds(
+    ErrorTrace, checker=st.sampled_from(["reach", "thread"]),
+    importance=st.sampled_from(Importance),
+    message=st.sampled_from(["m", "n"]),
+    steps=st.lists(trace_steps, min_size=1, max_size=3).map(tuple))
+
+
+@st.composite
+def traces_with_ties(draw):
+    """Traces, some of which tie with an earlier one on location,
+    checker and message while their other steps differ."""
+    drawn = draw(st.lists(traces, min_size=1, max_size=8))
+    for tied in draw(st.lists(st.sampled_from(drawn), max_size=6)):
+        earlier = draw(st.lists(trace_steps, max_size=2))
+        drawn.append(replace(tied, steps=(*earlier, tied.steps[-1]),
+                             importance=draw(st.sampled_from(Importance))))
+    return draw(st.permutations(drawn))
+
+
+@given(traces_with_ties())
+def test_normalize_orders_as_the_full_key_does(drawn):
+    assert normalize(drawn) == full_key_normalize(drawn)
+
+
+def test_normalize_reads_ids_only_of_ties(monkeypatch):
+    alone = [make_trace(line=2), make_trace(checker="x"), make_trace(line=1)]
+    # both end at a.c:4:5 and differ in their first step
+    tied = [make_trace(description="a"),
+            replace(make_trace(), steps=make_trace().steps[1:])]
+    read = []
+    real_id = ErrorTrace.id
+    monkeypatch.setattr(ErrorTrace, "id", property(
+        lambda trace: read.append(trace) or real_id.fget(trace)))
+    assert normalize(alone) == [alone[2], alone[0], alone[1]]
+    assert read == []
+    normalize(alone + tied)
+    assert sorted(map(id, read)) == sorted(map(id, tied))
 
 
 # -- JSON -------------------------------------------------------------------------
