@@ -88,11 +88,12 @@ def build_job(argv: list[str]) -> AnalysisJob:
     args = check_arg_parser().parse_args(argv[1:])
 
     sources: list[SourceDescriptor] = []
-    seen_paths: set[str] = set()
+    seen_paths: set[str] = set()  # absolute, so `a.c` and `./a.c` are one
 
     def add(descriptor: SourceDescriptor) -> None:
-        if descriptor.path not in seen_paths:
-            seen_paths.add(descriptor.path)
+        path = os.path.abspath(descriptor.path)
+        if path not in seen_paths:
+            seen_paths.add(path)
             sources.append(descriptor)
 
     for path in args.files:

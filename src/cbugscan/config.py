@@ -33,8 +33,9 @@ class AnalysisJob:
 def load_compilation_database(path: str) -> list[SourceDescriptor]:
     """Read a JSON array of {file, flags} entries.
 
-    Duplicate files keep their first position in the list but take the
-    last entry's flags.
+    Duplicate files (by absolute path, so `a.c` and `./a.c` are one)
+    keep their first position and spelling but take the last entry's
+    flags.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -53,8 +54,9 @@ def load_compilation_database(path: str) -> list[SourceDescriptor]:
                 or not all(isinstance(f, str) for f in entry["flags"])):
             raise ConfigError(
                 f"{path}: entry {i} needs a string 'file' and a string list 'flags'")
-        by_file[entry["file"]] = SourceDescriptor(
-            entry["file"], tuple(entry["flags"]))
+        key = os.path.abspath(entry["file"])
+        spelling = by_file[key].path if key in by_file else entry["file"]
+        by_file[key] = SourceDescriptor(spelling, tuple(entry["flags"]))
     return list(by_file.values())
 
 

@@ -1,16 +1,17 @@
 """Tokenizer for the C subset and for pattern templates.
 
-One master regular expression, with one named group per token class,
-splits the source into one match per token (a comment or a directive
-counts as one): the blank run before a token is the match's prefix, so
-blanks cost no match of their own. The same pass counts lines. A
-newline can sit only in a blank run, in a block comment or in a string
-continued by a backslash-newline, so only those move the physical line
-on (by their count of newlines) and the offset where that line starts
-(after their last newline); a token's column is its offset, the end of
-its blank prefix, minus that start, and no table of line starts is
-built or searched. Tokens and their locations are named tuples
-(`Token`, `SourceLocation`).
+One master regular expression splits the source into one match per token
+(a comment or a directive counts as one), and a match is two strings:
+the blank run before the token, so blanks cost no match of their own,
+and the token's text. An operator or a keyword is its own kind; any
+other token's kind is read off its first character. Texts with no kind
+are decided off that path: comments, directives, strings, metavariables,
+and the empty text matched at the end or where no token can start (an
+unterminated comment or string, a malformed number, a stray character).
+The same pass counts lines: only a blank run, a block comment or a
+string continued by a backslash-newline holds newlines, so only those
+move the line on and set the offset of the newline before the line,
+from which a token's column follows.
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -19,6 +20,7 @@ the `%` stays a modulo operator.
 from __future__ import annotations
 
 import re
+import string
 from typing import NamedTuple
 
 from cbugscan.errors import FrontendError
@@ -28,34 +30,32 @@ KEYWORDS = frozenset({
     "break", "char", "continue", "else", "for", "goto", "if", "int",
     "return", "struct", "void", "while",
 })
+_OPERATORS = "&& || == != <= >= -> - ( ) { } [ ] ; , = < > + * / % & ! . :".split()
 
-# Every match is a blank run (group 1, maybe empty) and then one token.
-# Its alternatives are tried in order: comments before "/", multi-character
-# operators before their prefixes, and each open_* group only catches
-# what the well-formed class before it rejected. A number is a C
-# decimal, octal or hex integer literal, a kind apart from the `int`
-# keyword; bad_number is a letter or digit that cannot continue it
-# (`12ab`, `0x`, `08`). eof matches only where nothing else can.
-_CLASSES = r"""
-    (?P<blank>[ \t\n\r\f\v]*)
-  (?:
-    (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
-  | (?P<open_comment>/\*)
-  | (?P<directive>\#[^\n]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?P<bad_number>[A-Za-z0-9_])?
-  | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
-  | (?P<open_string>")
-  | """
-_METAVAR = r"(?P<metavar>%[A-Za-z_][A-Za-z0-9_]*) | "
-_OPERATORS = r"""
-    (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
-  | (?P<other>.)
-  | (?P<eof>\Z)
-  )
-"""
-_SOURCE_TOKEN = re.compile(_CLASSES + _OPERATORS, re.VERBOSE)
-_TEMPLATE_TOKEN = re.compile(_CLASSES + _METAVAR + _OPERATORS, re.VERBOSE)
+# Every match is a blank run (group 1, maybe empty) and then one token's
+# text (group 2). Its alternatives are tried in order: comments before
+# "/", and multi-character operators before their prefixes. A number is
+# a C decimal, octal or hex integer literal, a kind apart from the `int`
+# keyword, and no letter or digit may follow it (`12ab`, `0x`, `08`).
+# The last alternative is empty.
+_NUMBER = r"(?:0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)"
+_BLANK_AND_TOKEN = r"""
+    ([ \t\n\r\f\v]*)
+    ( //[^\n]* | /\*(?s:.*?)\*/ | \#[^\n]* | [A-Za-z_][A-Za-z0-9_]*
+    | """ + _NUMBER + r"""(?![A-Za-z0-9_]) | "(?:[^"\\\n]|\\(?s:.))*"
+    | """
+_METAVAR = r"%[A-Za-z_][A-Za-z0-9_]* | "
+_OPERATOR = r"&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*%&!.:]|/(?!\*) | )"
+_SOURCE_TOKENS = re.compile(_BLANK_AND_TOKEN + _OPERATOR, re.VERBOSE).findall
+_TEMPLATE_TOKENS = re.compile(
+    _BLANK_AND_TOKEN + _METAVAR + _OPERATOR, re.VERBOSE).findall
+_BAD_NUMBER = re.compile(_NUMBER + "[A-Za-z0-9_]")
+
+_KIND_OF_TEXT = {text: text for text in (*_OPERATORS, *KEYWORDS)}
+# the kind of any other text, by its first character; "" decides off path
+_KIND_OF_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "ident"),
+                  **dict.fromkeys(string.digits, "number"),
+                  **dict.fromkeys(("/", "#", '"', "%", ""), "")}
 
 # `# N "FILE" flags...` (cpp output) and `#line N "FILE"`.
 _LINE_MARKER = re.compile(
@@ -86,61 +86,61 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     expects preprocessed input; a line marker among them (`# N "FILE"`
     or `#line N ["FILE"]`) makes the next line line N of FILE.
     """
-    line = 1        # line number of the current match, as markers set it
-    line_start = 0  # offset where its physical line starts
+    line = 1       # line number of the current token, as markers set it
+    newline = -1   # offset of the newline before its physical line
+    start = 0      # offset of the current token
     tokens: list[Token] = []
+    line_first = 0  # len(tokens) at the start of the current line
     append = tokens.append
     # tuple.__new__ builds a record without the NamedTuple's Python-level
     # __new__, which would be one more call per token
     new = tuple.__new__
-    at_line_start = True
-    regex = _TEMPLATE_TOKEN if metavars else _SOURCE_TOKEN
-    for m in regex.finditer(source):
-        blank = m[1]
-        if "\n" in blank:
-            at_line_start = True
-            line += blank.count("\n")
-            line_start = m.start() + blank.rindex("\n") + 1
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "directive" and at_line_start:
+    kind_of_text = _KIND_OF_TEXT
+    kind_of_first = _KIND_OF_FIRST
+    for blank, text in (_TEMPLATE_TOKENS if metavars else _SOURCE_TOKENS)(source):
+        if blank:
+            if "\n" in blank:
+                line += blank.count("\n")
+                newline = start + blank.rindex("\n")
+                line_first = len(tokens)
+            start += len(blank)
+        kind = kind_of_text.get(text) or kind_of_first[text[:1]]
+        if kind:
+            append(new(Token, (kind, text, new(
+                SourceLocation, (file, line, start - newline)))))
+            start += len(text)
+            continue
+        where = new(SourceLocation, (file, line, start - newline))
+        if not text:
+            if start < len(source):  # no token starts here
+                number = _BAD_NUMBER.match(source, start)
+                raise FrontendError(
+                    f"malformed number near {number[0]!r}" if number
+                    else "unterminated comment" if source.startswith("/*", start)
+                    else "unterminated string literal" if source[start] == '"'
+                    else f"unexpected character {source[start]!r}", where)
+            append(new(Token, ("eof", text, where)))
+            # after a trailing blank run the end matches again, empty
+            break
+        lead = text[0]
+        if lead == "#":
+            if line_first != len(tokens):
+                raise FrontendError("unexpected character '#'", where)
             marker = _LINE_MARKER.match(text)
             if marker:
                 # the marker's own line counts as line N - 1
                 line = int(marker[1]) - 1
                 if marker[2] is not None:
                     file = re.sub(r"\\(.)", r"\1", marker[2])
-            continue
-        start = m.end(1)
-        if kind != "comment":
-            at_line_start = False
-            where = new(SourceLocation, (file, line, start - line_start + 1))
-            if kind == "ident":
-                append(new(Token, (text if text in KEYWORDS else "ident",
-                                   text, where)))
-            elif kind == "punct":
-                append(new(Token, (text, text, where)))
-            elif kind in ("number", "string"):
-                append(new(Token, (kind, text, where)))
-            elif kind == "metavar":
-                append(new(Token, ("metavar", text[1:], where)))
-            elif kind == "eof":
-                # after a trailing blank run the end would match again,
-                # empty, and make a second eof
-                append(new(Token, ("eof", text, where)))
-                break
-            elif kind == "open_comment":
-                raise FrontendError("unterminated comment", where)
-            elif kind == "open_string":
-                raise FrontendError("unterminated string literal", where)
-            elif kind == "bad_number":
-                raise FrontendError(
-                    f"malformed number near {source[start:m.end()]!r}", where)
-            else:
-                raise FrontendError(f"unexpected character {text[0]!r}", where)
-        if "\n" in text:
-            # only a block comment or a string continued by a
-            # backslash-newline spans lines
-            line += text.count("\n")
-            line_start = start + text.rindex("\n") + 1
+        elif lead == "%":
+            append(new(Token, ("metavar", text[1:], where)))
+        else:
+            if lead == '"':
+                append(new(Token, ("string", text, where)))
+            if "\n" in text:
+                # only a block comment or a string continued by a
+                # backslash-newline spans lines
+                line += text.count("\n")
+                newline = start + text.rindex("\n")
+        start += len(text)
     return tokens

@@ -5,6 +5,13 @@ fixed-size array declarators, function definitions, the usual structured
 statements plus goto/label, and expressions down to unary * & ! - with
 calls, member access, and indexing. Anything outside the subset is a
 loud parse error; no construct is silently dropped.
+
+A statement's rule is looked up in one table by the kind of its first
+token. An expression is an assignment over one loop, `binary`, that
+reads every operand itself (its unary prefixes, a leaf or parenthesized
+expression, and its calls, indexes and member accesses) and joins the
+operands by precedence climbing; only brackets nest calls, so long
+operator chains and stacked prefixes cost no stack.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
 # the token kinds that are an expression on their own
 _LEAF_KIND = {"ident": NodeKind.IDENTIFIER, "number": NodeKind.INT_LITERAL,
               "string": NodeKind.STRING_LITERAL, "metavar": NodeKind.META_VAR}
+# the operators after an operand, each with its node's text
+_POSTFIX = {"(": "", "[": "", "->": "arrow", ".": "dot"}
 
 
 def parse(source: str, file: str) -> AstNode:
@@ -182,8 +191,8 @@ class _Parser:
     def block(self) -> AstNode:
         open_tok = self.expect("{")
         stmts = []
-        while not self.at("}"):
-            if self.at("eof"):
+        while self.tok.kind != "}":
+            if self.tok.kind == "eof":
                 raise FrontendError("unexpected end of input inside block", self.tok.location)
             stmts.append(self.statement())
         close = self.expect("}")
@@ -191,51 +200,35 @@ class _Parser:
                        close.location)
 
     def statement(self) -> AstNode:
-        tok = self.tok
-        kind = tok.kind
-        if kind == "{":
-            return self.block()
-        if kind == ";":
-            self.advance()
-            return AstNode(NodeKind.EMPTY_STATEMENT, tok.location)
-        if kind == "if":
-            return self.if_statement()
-        if kind == "while":
-            return self.while_statement()
-        if kind == "for":
-            return self.for_statement()
-        if kind == "return":
-            self.advance()
-            value: tuple[AstNode, ...] = ()
-            if not self.at(";"):
-                value = (self.expression(),)
-            self.expect(";")
-            return AstNode(NodeKind.RETURN, tok.location, "", value)
-        if kind == "goto":
-            self.advance()
-            label = self.expect("ident")
-            self.expect(";")
-            return AstNode(NodeKind.GOTO, tok.location, label.text)
-        if kind == "break":
-            self.advance()
-            self.expect(";")
-            return AstNode(NodeKind.BREAK, tok.location)
-        if kind == "continue":
-            self.advance()
-            self.expect(";")
-            return AstNode(NodeKind.CONTINUE, tok.location)
-        if kind in _TYPE_STARTERS:
-            return self.var_decl_tail(*self.declarator())
-        if kind == "ident" and self.peek().kind == ":":
-            self.advance()
-            self.advance()
-            inner = self.statement()
-            return AstNode(NodeKind.LABEL, tok.location, tok.text, (inner,))
-        if kind == "else":
-            self.fail("'else' without a matching 'if'")
+        """One statement, by the rule that its first token's kind selects."""
+        return _STATEMENTS.get(self.tok.kind, _Parser.expression_statement)(self)
+
+    def expression_statement(self) -> AstNode:
         expr = self.expression()
         self.expect(";")
         return AstNode(NodeKind.EXPR_STATEMENT, expr.location, "", (expr,))
+
+    def label_or_expression(self) -> AstNode:
+        tok = self.tok
+        if self.peek().kind != ":":
+            return self.expression_statement()
+        self.advance()
+        self.advance()
+        return AstNode(NodeKind.LABEL, tok.location, tok.text, (self.statement(),))
+
+    def simple_statement(self) -> AstNode:
+        """`;`, `break;`, `continue;`, `goto LABEL;` or `return [VALUE];`."""
+        tok = self.tok
+        self.advance()
+        if tok.kind == ";":
+            return AstNode(NodeKind.EMPTY_STATEMENT, tok.location)
+        label, value = "", ()
+        if tok.kind == "goto":
+            label = self.expect("ident").text
+        elif tok.kind == "return" and not self.at(";"):
+            value = (self.expression(),)
+        self.expect(";")
+        return AstNode(_JUMPS[tok.kind], tok.location, label, value)
 
     def if_statement(self) -> AstNode:
         tok = self.expect("if")
@@ -285,10 +278,8 @@ class _Parser:
 
     def assignment(self) -> AstNode:
         left = self.binary()
-        if self.at("="):
-            self.advance()
-            right = self.assignment()
-            return AstNode(NodeKind.ASSIGN, left.location, "=", (left, right))
+        if self.accept("="):
+            return AstNode(NodeKind.ASSIGN, left.location, "=", (left, self.assignment()))
         return left
 
     def binary(self) -> AstNode:
@@ -297,11 +288,50 @@ class _Parser:
         operands and (precedence, operator): before an operator is
         pushed, every operator on top that binds at least as tightly is
         reduced, so operators of equal precedence associate to the left.
-        Each operand costs one `unary()` call and no frame of its own."""
-        operands = [self.unary()]
+        The loop reads each operand itself: its unary prefixes, a leaf or
+        parenthesized expression, its calls, indexes and member accesses,
+        and then applies the prefixes, innermost first."""
+        operands: list[AstNode] = []
         operators: list[tuple[int, str]] = []
         while True:
-            prec = BINARY_PRECEDENCE.get(self.tok.kind, 0)
+            tok = self.tok
+            prefixes = ()  # innermost first
+            if tok.kind in _UNARY_NAME:
+                first = self.pos
+                while self.tok.kind in _UNARY_NAME:
+                    self.advance()
+                prefixes, tok = self.tokens[first:self.pos][::-1], self.tok
+            leaf = _LEAF_KIND.get(tok.kind)
+            if leaf is not None:
+                self.advance()
+                node = AstNode(leaf, tok.location, tok.text)
+            elif tok.kind == "(":
+                self.advance()
+                node = self.expression()
+                self.expect(")")
+            else:
+                raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
+            kind = self.tok.kind
+            while kind in _POSTFIX:
+                self.advance()
+                if kind == "(":
+                    args = [] if self.at(")") else [self.assignment()]
+                    while args and self.accept(","):
+                        args.append(self.assignment())
+                    self.expect(")")
+                    node = AstNode(NodeKind.CALL, node.location, "", (node, *args))
+                elif kind == "[":
+                    node = AstNode(NodeKind.INDEX, node.location, "", (node, self.expression()))
+                    self.expect("]")
+                else:
+                    field = self.expect("ident")
+                    node = AstNode(NodeKind.MEMBER, node.location, _POSTFIX[kind], (
+                        node, AstNode(NodeKind.IDENTIFIER, field.location, field.text)))
+                kind = self.tok.kind
+            for tok in prefixes:
+                node = AstNode(NodeKind.UNARY_OP, tok.location, _UNARY_NAME[tok.kind], (node,))
+            operands.append(node)
+            prec = BINARY_PRECEDENCE.get(kind, 0)
             while operators and operators[-1][0] >= prec:
                 right = operands.pop()
                 left = operands[-1]
@@ -311,50 +341,16 @@ class _Parser:
                 return operands[0]
             operators.append((prec, self.tok.text))
             self.advance()
-            operands.append(self.unary())
 
-    def unary(self) -> AstNode:
-        tok = self.tok
-        name = _UNARY_NAME.get(tok.kind)
-        if name is not None:
-            self.advance()
-            return AstNode(NodeKind.UNARY_OP, tok.location, name, (self.unary(),))
-        return self.postfix()
 
-    def postfix(self) -> AstNode:
-        tok = self.tok
-        kind = _LEAF_KIND.get(tok.kind)
-        if kind is not None:
-            self.advance()
-            node = AstNode(kind, tok.location, tok.text)
-        elif tok.kind == "(":
-            self.advance()
-            node = self.expression()
-            self.expect(")")
-        else:
-            raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
-        while True:
-            tok = self.tok
-            if tok.kind == "(":
-                self.advance()
-                args = []
-                if not self.at(")"):
-                    args.append(self.assignment())
-                    while self.accept(","):
-                        args.append(self.assignment())
-                self.expect(")")
-                node = AstNode(NodeKind.CALL, node.location, "", (node, *args))
-            elif tok.kind == "[":
-                self.advance()
-                index = self.expression()
-                self.expect("]")
-                node = AstNode(NodeKind.INDEX, node.location, "", (node, index))
-            elif tok.kind in ("->", "."):
-                self.advance()
-                field = self.expect("ident")
-                field_node = AstNode(NodeKind.IDENTIFIER, field.location, field.text)
-                node = AstNode(NodeKind.MEMBER, node.location,
-                               "arrow" if tok.kind == "->" else "dot",
-                               (node, field_node))
-            else:
-                return node
+_JUMPS = {"break": NodeKind.BREAK, "continue": NodeKind.CONTINUE,
+          "goto": NodeKind.GOTO, "return": NodeKind.RETURN}
+_STATEMENTS = {
+    "{": _Parser.block, "if": _Parser.if_statement,
+    "while": _Parser.while_statement, "for": _Parser.for_statement,
+    "ident": _Parser.label_or_expression,
+    "else": lambda parser: parser.fail("'else' without a matching 'if'"),
+    **dict.fromkeys((";", *_JUMPS), _Parser.simple_statement),
+    **dict.fromkeys(_TYPE_STARTERS, lambda parser: parser.var_decl_tail(
+        *parser.declarator())),
+}

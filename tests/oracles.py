@@ -451,8 +451,9 @@ def walked_roots(unit) -> set[str]:
 
 class RecursiveExpressionParser(_Parser):
     """The parser with its expression layer as it was before `binary`
-    became a loop: precedence climbing by recursion (one `binary` frame
-    per operand) and leaf tokens built in `primary`. Token plumbing and
+    became a loop that reads its operands itself: precedence climbing by
+    recursion (one `binary` frame per operand), one `unary` frame per
+    prefix, and leaf tokens built in `primary`. Token plumbing and
     statements are the parser's own."""
 
     _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
@@ -551,8 +552,9 @@ def recursive_parse(source: str, file: str = "<pattern>",
 # -- token locations by bisection ---------------------------------------------
 
 # One match per token or per blank run, in the lexer's token classes: the
-# lexer's own expression folds each blank run into the token after it.
-_ONE_TOKEN = re.compile(r"""
+# lexer's own expression folds each blank run into the token after it and
+# reads a token's kind from its text.
+_ONE_TOKEN = r"""
     (?P<space>[ \t\n\r\f\v]+)
   | (?P<comment>//[^\n]*|/\*(?s:.*?)\*/)
   | (?P<open_comment>/\*)
@@ -561,26 +563,35 @@ _ONE_TOKEN = re.compile(r"""
   | (?P<number>0[xX][0-9a-fA-F]+|0[0-7]*|[1-9][0-9]*)(?P<bad_number>[A-Za-z0-9_])?
   | (?P<string>"(?:[^"\\\n]|\\(?s:.))*")
   | (?P<open_string>")
-  | (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
+  | """
+_ONE_METAVAR = r"(?P<metavar>%[A-Za-z_][A-Za-z0-9_]*) | "
+_ONE_OPERATOR = r"""
+    (?P<punct>&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*/%&!.:])
   | (?P<other>.)
   | (?P<eof>\Z)
-""", re.VERBOSE)
+"""
+_ONE_SOURCE_TOKEN = re.compile(_ONE_TOKEN + _ONE_OPERATOR, re.VERBOSE)
+_ONE_TEMPLATE_TOKEN = re.compile(_ONE_TOKEN + _ONE_METAVAR + _ONE_OPERATOR,
+                                 re.VERBOSE)
 
 
-def bisected_tokens(source: str,
-                    file: str) -> list[tuple[str, str, str, int, int]]:
+def bisected_tokens(source: str, file: str, metavars: bool = False
+                    ) -> list[tuple[str, str, str, int, int]]:
     """(kind, text, file, line, column) of every token, eof included, as
     the lexer located them before it counted lines while lexing: a token's
     physical line is a `bisect_right` over the offsets where lines start,
     found by a pass over the newlines first, and a line marker's shift is
-    N minus the marker's physical line minus one. Raises the lexer's
-    FrontendError for a bad character."""
+    N minus the marker's physical line minus one. Each token class is a
+    named group, as in the lexer before a kind was read from the text.
+    `metavars` lexes `%NAME` as one metavariable token, as in a pattern
+    template. Raises the lexer's FrontendError for a bad character."""
     line_starts = [0]
     line_starts.extend(m.end() for m in re.finditer("\n", source))
     shift = 0
     tokens = []
     at_line_start = True
-    for m in _ONE_TOKEN.finditer(source):
+    regex = _ONE_TEMPLATE_TOKEN if metavars else _ONE_SOURCE_TOKEN
+    for m in regex.finditer(source):
         kind = m.lastgroup
         text = m[0]
         if kind == "space":
@@ -603,6 +614,8 @@ def bisected_tokens(source: str,
             kind = text if text in KEYWORDS else "ident"
         elif kind == "punct":
             kind = text
+        elif kind == "metavar":
+            text = text[1:]
         elif kind == "open_comment":
             raise FrontendError("unterminated comment", where)
         elif kind == "open_string":

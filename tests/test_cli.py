@@ -225,6 +225,27 @@ def test_dump_cfg_of_a_3000_term_sum(tmp_path, capsys):
     assert 'n3 [label="3: return x;"];' in out
 
 
+# 3,000 stacked unary prefixes: the parser collects them in a loop, so
+# the tree is 3,000 deep but the parse takes no frame per prefix
+_PREFIXED = {"neg": "- " * 3000 + "1", "deref": "*" * 3000 + "p"}
+
+
+@pytest.mark.parametrize("shape", sorted(_PREFIXED))
+def test_3000_unary_prefixes_are_checked_and_dumped(tmp_path, capsys, shape):
+    source = write(tmp_path, "prefixed.c",
+                   "void leak(int v) {\n    mutex_lock(&mx);\n    g(v);\n}\n"
+                   f"void f(int x, int *p) {{\n    x = {_PREFIXED[shape]};\n}}\n")
+    checkers = ["--checker", "automaton", "--checker", "lockstat",
+                "--checker", "thread", "--checker", "reach"]
+    assert main(["check", source, *checkers]) == 1
+    out, err = capsys.readouterr()
+    assert "lock &mx held at exit" in out and err == ""
+    assert main(["dump-ast", source]) == 0
+    assert capsys.readouterr().out.count(f'(UnaryOp "{shape}"') == 3000
+    assert main(["dump-cfg", source, "--function", "f"]) == 0
+    assert capsys.readouterr().out.count(" = ") == 1
+
+
 # -- internal errors ---------------------------------------------------------------
 
 def test_internal_error_exits_three_without_traceback(tmp_path, capsys,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,7 +83,8 @@ def test_compilation_database_duplicate_keeps_position_takes_last_flags(tmp_path
     db.write_text(json.dumps([
         {"file": "a.c", "flags": ["-DOLD"]},
         {"file": "b.c", "flags": []},
-        {"file": "a.c", "flags": ["-DNEW"]},
+        {"file": "a.c", "flags": ["-DMID"]},
+        {"file": "./a.c", "flags": ["-DNEW"]},
     ]))
     assert load_compilation_database(str(db)) == [
         SourceDescriptor("a.c", ("-DNEW",)),
@@ -97,12 +99,13 @@ def test_compilation_database_duplicate_keeps_position_takes_last_flags(tmp_path
     '[{"file": 3, "flags": []}]',
     '[{"file": "a.c", "flags": "-DX"}]',
     '[{"file": "a.c", "flags": [1]}]',
+    '[{"file": "a.c", "flags": []}, {"file": "b.c"}]',
     "not json",
 ])
 def test_compilation_database_validation(tmp_path, payload):
     db = tmp_path / "compile.json"
     db.write_text(payload)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape(str(db))):
         load_compilation_database(str(db))
 
 
@@ -149,13 +152,17 @@ def test_build_job_gathers_sources_in_input_group_order(tmp_path):
     assert job.sources[-1].flags == ("-DX",)
 
 
-def test_duplicate_sources_keep_first_entry(tmp_path):
-    source = touch(tmp_path / "a.c")
+def test_duplicate_sources_keep_first_entry(tmp_path, monkeypatch):
+    (tmp_path / "dir").mkdir()
+    source = touch(tmp_path / "dir" / "a.c")
     db = tmp_path / "compile.json"
     db.write_text(json.dumps([{"file": source, "flags": ["-DX"]}]))
-    job = build_job(["check", source, source, "--compdb", str(db),
+    monkeypatch.chdir(tmp_path)
+    job = build_job(["check", "dir/a.c", "dir/a.c", "./dir/a.c", "dir//a.c",
+                     source, "--dir", "dir", "--compdb", str(db),
                      "--checker", "reach"])
-    assert job.sources == [SourceDescriptor(source)]  # compdb flags not reached
+    # the first spelling is kept; compdb flags are not reached
+    assert job.sources == [SourceDescriptor("dir/a.c")]
 
 
 def test_build_job_options(tmp_path):

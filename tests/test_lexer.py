@@ -168,7 +168,9 @@ def test_edge_cases(source, metavars, expected):
 
 # Pieces of a source for the location property; every gap between two
 # pieces holds some whitespace, so markers land at line start only when
-# the gap or the piece itself starts a line.
+# the gap or the piece itself starts a line. A source may hold one bad
+# piece: a comment or string left open, a malformed number, a character
+# no token starts with, or a `#` that is not first on its line.
 _marker_file = st.sampled_from(["a.c", "dir/b.h", "x\\\\y.c"])
 _piece = st.one_of(
     _ident,
@@ -183,14 +185,26 @@ _piece = st.one_of(
     st.builds(lambda n, lead: f"{lead}#line {n}\n",
               st.integers(1, 500), st.sampled_from(["\n", "\n\t/* c */"])),
     st.builds(lambda n, f: f'\n#line {n} "{f}"\n', st.integers(1, 500), _marker_file),
+    st.from_regex(r"%[A-Za-z_][a-z0-9]{0,3}", fullmatch=True),
 )
+_bad_piece = st.sampled_from(["/*", '"', "08", "0x", "12ab", "@", "'", "é", "#"])
 _gap = st.sampled_from([" ", "\t", "\n", "\r\n", "  \t", "\n\n"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_piece, _gap), max_size=30))
-def test_locations_equal_the_bisection_oracle(parts):
-    source = "".join(piece + gap for piece, gap in parts)
-    assert [(t.kind, t.text, *t.location)
-            for t in tokenize(source, "t.c")] == bisected_tokens(source, "t.c")
+def outcome(lex):
+    """What `lex()` gives: its tokens, or its error's message and location."""
+    try:
+        return lex()
+    except FrontendError as err:
+        return err.message, err.location
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_piece, _gap), max_size=30),
+       st.one_of(st.just(""), _bad_piece), st.integers(0, 30), st.booleans())
+def test_locations_equal_the_bisection_oracle(parts, bad, at, metavars):
+    parts.insert(at, (bad, " "))
+    source = "".join(piece + gap for piece, gap in parts)
+    assert outcome(lambda: [(t.kind, t.text, *t.location)
+                            for t in tokenize(source, "t.c", metavars)]
+                   ) == outcome(lambda: bisected_tokens(source, "t.c", metavars))

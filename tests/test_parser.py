@@ -319,30 +319,39 @@ _leaves = st.sampled_from(["a", "b", "x1", "ptr", "0", "7", "0x1f", '"s"'])
 
 def _wrap(tokens, level, most):
     """The tokens of an expression as an operand that allows at most
-    `most` (0 postfix, 1 unary, 2 binary): parenthesized if it is looser."""
+    `most` (0 postfix, 1 unary, 2 binary, 3 assignment): parenthesized
+    if it is looser."""
     return tokens if level <= most else ["(", *tokens, ")"]
 
 
 def _grow(operands):
     """One operator over expressions drawn from `operands`, each drawn
     as (tokens, level): 0 for a leaf or a postfix expression, 1 for a
-    unary, 2 for a binary chain."""
+    unary, 2 for a binary chain, 3 for an assignment. Arguments, indexes
+    and parentheses take any of them, an assignment among them; stacked
+    unary prefixes sit over postfix chains (`-*p->f[i](x)`, `!&a.b`)."""
+    assign = st.tuples(operands, operands).map(
+        lambda t: ([*_wrap(*t[0], 2), "=", *t[1][0]], 3))
+    inner = st.one_of(assign, operands)  # inside brackets, any expression
     binary = st.tuples(operands, st.sampled_from(sorted(BINARY_PRECEDENCE)),
                        operands).map(
-        lambda t: ([*t[0][0], t[1], *t[2][0]], 2))
+        lambda t: ([*_wrap(*t[0], 2), t[1], *_wrap(*t[2], 2)], 2))
     unary = st.tuples(st.sampled_from("*&!-"), operands).map(
         lambda t: ([t[0], *_wrap(*t[1], 1)], 1))
-    call = st.tuples(operands, st.lists(operands, max_size=3)).map(
+    call = st.tuples(operands, st.lists(inner, max_size=3)).map(
         lambda t: ([*_wrap(*t[0], 0), "(",
                     *[tok for i, arg in enumerate(t[1])
                       for tok in ([","] if i else []) + arg[0]], ")"], 0))
-    index = st.tuples(operands, operands).map(
+    index = st.tuples(operands, inner).map(
         lambda t: ([*_wrap(*t[0], 0), "[", *t[1][0], "]"], 0))
     member = st.tuples(operands, st.sampled_from(["->", "."]),
                        st.sampled_from(["f", "next"])).map(
         lambda t: ([*_wrap(*t[0], 0), t[1], t[2]], 0))
-    parens = operands.map(lambda t: (["(", *t[0], ")"], 0))
-    return st.one_of(binary, unary, call, index, member, parens)
+    prefixed = st.tuples(st.lists(st.sampled_from("*&!-"), min_size=2, max_size=4),
+                         st.one_of(call, index, member)).map(
+        lambda t: ([*t[0], *t[1][0]], 1))
+    parens = inner.map(lambda t: (["(", *t[0], ")"], 0))
+    return st.one_of(binary, unary, call, index, member, prefixed, assign, parens)
 
 
 _expressions = st.recursive(_leaves.map(lambda leaf: ([leaf], 0)), _grow,
