@@ -11,7 +11,11 @@ every FILE, one job per file, and then over each group of files as one
 multi-file job, and prints the JSON report (findings, witness steps,
 ids), the console report and the diagnostics of every job; the console
 report is rendered without reading an id, the path of a check that is
-not exported. Where more than one CPU is usable, the engine splits a
+not exported. After each one-file job it also prints the file's syntax
+tree as `cbugscan dump-ast` does (`dump_sexpr`), or the message and
+location of the `FrontendError` that parsing it raises, so the two
+frontends are compared tree for tree, not only by what the checkers
+report. Where more than one CPU is usable, the engine splits a
 multi-file job into shards that forked workers check, so the groups
 exercise the shards. The two outputs are
 compared line by line: on any difference the first differing lines
@@ -43,6 +47,8 @@ import json
 import sys
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
+from cbugscan.errors import FrontendError
+from cbugscan.frontend import dump_sexpr, parse, preprocess_source
 from cbugscan.report import export_console, export_json
 
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
@@ -53,6 +59,12 @@ for paths in json.load(sys.stdin):
                      + export_console(result.traces))
     for diagnostic in result.diagnostics:
         sys.stdout.write(f"diagnostic: {diagnostic}\n")
+    if len(paths) == 1:
+        try:
+            tree = dump_sexpr(parse(preprocess_source(paths[0]), paths[0]))
+        except FrontendError as err:
+            tree = f"FrontendError: {err.message} at {err.location}"
+        sys.stdout.write(f"sexpr: {tree}\n")
 """
 
 SHOWN_LINES = 40

@@ -22,6 +22,7 @@ from cbugscan.checkers.base import (
     Services,
     config_lines,
     forward_fixpoint,
+    parsed_once,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -53,6 +54,7 @@ class LockstatConfig(LockLines):
                 **dict.fromkeys(self.unlocks, _UNLOCK)}
 
 
+@parsed_once
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
     for lineno, line, parts in config_lines(text, source):
@@ -138,7 +140,10 @@ class LockstatChecker(Checker):
     def _apply(events: list[_Event], in_set: frozenset[str],
                record=None) -> frozenset[str]:
         """The held set after a node's events, starting from `in_set`;
-        each access is passed to `record` with the set held at it."""
+        each access is passed to `record` with the set held at it. A node
+        without events passes `in_set` on as it is."""
+        if not events:
+            return in_set
         held = set(in_set)
         for kind, text, location in events:
             if kind is _ACCESS:

@@ -33,9 +33,11 @@ class AnalysisJob:
 def load_compilation_database(path: str) -> list[SourceDescriptor]:
     """Read a JSON array of {file, flags} entries.
 
-    Duplicate files (by absolute path, so `a.c` and `./a.c` are one)
-    keep their first position and spelling but take the last entry's
-    flags.
+    A relative `file` is resolved against the database's own directory,
+    so a database can be used from any working directory; an absolute
+    one is kept as it is. Duplicate files (by absolute path, so `a.c`
+    and `./a.c` are one) keep their first position and spelling but
+    take the last entry's flags.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -46,6 +48,7 @@ def load_compilation_database(path: str) -> list[SourceDescriptor]:
         raise ConfigError(f"malformed compilation database {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ConfigError(f"{path}: compilation database must be a JSON array")
+    base = os.path.dirname(path)
     by_file: dict[str, SourceDescriptor] = {}
     for i, entry in enumerate(data):
         if (not isinstance(entry, dict)
@@ -54,8 +57,9 @@ def load_compilation_database(path: str) -> list[SourceDescriptor]:
                 or not all(isinstance(f, str) for f in entry["flags"])):
             raise ConfigError(
                 f"{path}: entry {i} needs a string 'file' and a string list 'flags'")
-        key = os.path.abspath(entry["file"])
-        spelling = by_file[key].path if key in by_file else entry["file"]
+        file = os.path.join(base, entry["file"])  # kept if absolute
+        key = os.path.abspath(file)
+        spelling = by_file[key].path if key in by_file else file
         by_file[key] = SourceDescriptor(spelling, tuple(entry["flags"]))
     return list(by_file.values())
 

@@ -8,8 +8,10 @@ other token's kind is read off its first character. Texts with no kind
 are decided off that path: comments, directives, strings, metavariables,
 and the empty text matched at the end or where no token can start (an
 unterminated comment or string, a malformed number, a stray character).
-The same pass counts lines: only a blank run, a block comment or a
-string continued by a backslash-newline holds newlines, so only those
+A token is a plain tuple `(kind, text, location)`, built by a tuple
+display, with a `SourceLocation` as its location; `Token` names that
+shape. The same pass counts lines: only a blank run, a block comment or
+a string continued by a backslash-newline holds newlines, so only those
 move the line on and set the offset of the newline before the line,
 from which a token's column follows.
 Pattern templates reuse the same token stream with metavariables enabled,
@@ -21,8 +23,6 @@ from __future__ import annotations
 
 import re
 import string
-from typing import NamedTuple
-
 from cbugscan.errors import FrontendError
 from cbugscan.frontend.ast_nodes import SourceLocation
 
@@ -62,12 +62,9 @@ _LINE_MARKER = re.compile(
     r'#[ \t]*(?:line[ \t]+)?([0-9]+)(?:[ \t]+"((?:[^"\\]|\\.)*)")?(?:[ \t]|$)')
 
 
-class Token(NamedTuple):
-    # "ident", "number", "string", "metavar", "eof", or a keyword's or
-    # an operator's own text
-    kind: str
-    text: str
-    location: SourceLocation
+# (kind, text, location): the kind is "ident", "number", "string",
+# "metavar", "eof", or a keyword's or an operator's own text
+Token = tuple[str, str, SourceLocation]
 
 
 def int_value(text: str) -> int:
@@ -92,8 +89,8 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     tokens: list[Token] = []
     line_first = 0  # len(tokens) at the start of the current line
     append = tokens.append
-    # tuple.__new__ builds a record without the NamedTuple's Python-level
-    # __new__, which would be one more call per token
+    # tuple.__new__ builds a location without the NamedTuple's
+    # Python-level __new__, which would be one more call per token
     new = tuple.__new__
     kind_of_text = _KIND_OF_TEXT
     kind_of_first = _KIND_OF_FIRST
@@ -106,8 +103,8 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
             start += len(blank)
         kind = kind_of_text.get(text) or kind_of_first[text[:1]]
         if kind:
-            append(new(Token, (kind, text, new(
-                SourceLocation, (file, line, start - newline)))))
+            append((kind, text, new(
+                SourceLocation, (file, line, start - newline))))
             start += len(text)
             continue
         where = new(SourceLocation, (file, line, start - newline))
@@ -119,7 +116,7 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
                     else "unterminated comment" if source.startswith("/*", start)
                     else "unterminated string literal" if source[start] == '"'
                     else f"unexpected character {source[start]!r}", where)
-            append(new(Token, ("eof", text, where)))
+            append(("eof", text, where))
             # after a trailing blank run the end matches again, empty
             break
         lead = text[0]
@@ -133,10 +130,10 @@ def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
                 if marker[2] is not None:
                     file = re.sub(r"\\(.)", r"\1", marker[2])
         elif lead == "%":
-            append(new(Token, ("metavar", text[1:], where)))
+            append(("metavar", text[1:], where))
         else:
             if lead == '"':
-                append(new(Token, ("string", text, where)))
+                append(("string", text, where))
             if "\n" in text:
                 # only a block comment or a string continued by a
                 # backslash-newline spans lines

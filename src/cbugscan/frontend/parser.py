@@ -12,6 +12,10 @@ reads every operand itself (its unary prefixes, a leaf or parenthesized
 expression, and its calls, indexes and member accesses) and joins the
 operands by precedence climbing; only brackets nest calls, so long
 operator chains and stacked prefixes cost no stack.
+
+A token is the lexer's plain `(kind, text, location)` tuple, so the
+parser reads its fields by position (`tok[0]` is the kind) or by
+unpacking it.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def parse(source: str, file: str) -> AstNode:
     try:
         return parser.translation_unit()
     except RecursionError:
-        raise FrontendError("nesting too deep", parser.decl.location) from None
+        raise FrontendError("nesting too deep", parser.decl[2]) from None
 
 
 def parse_fragment(source: str, file: str = "<pattern>") -> AstNode:
@@ -91,25 +95,25 @@ class _Parser:
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def at(self, kind: str) -> bool:
-        return self.tok.kind == kind
+        return self.tok[0] == kind
 
     def accept(self, kind: str) -> Token | None:
         tok = self.tok
-        if tok.kind != kind:
+        if tok[0] != kind:
             return None
         self.advance()
         return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.tok
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise FrontendError(
-                f"expected {kind!r}, found {tok.text or tok.kind!r}", tok.location)
+                f"expected {kind!r}, found {tok[1] or tok[0]!r}", tok[2])
         self.advance()
         return tok
 
     def fail(self, message: str) -> FrontendError:
-        raise FrontendError(message, self.tok.location)
+        raise FrontendError(message, self.tok[2])
 
     # -- declarations ------------------------------------------------------
 
@@ -123,26 +127,26 @@ class _Parser:
     def declarator(self) -> tuple[Token, str, SourceLocation]:
         """`TYPE *... NAME`: the name token, the declared type spelling and
         the location of the type."""
-        tok = self.tok
-        if tok.kind in ("int", "void", "char"):
+        kind, text, location = self.tok
+        if kind in ("int", "void", "char"):
             self.advance()
-            ctype = tok.text
-        elif tok.kind == "struct":
+            ctype = text
+        elif kind == "struct":
             self.advance()
-            ctype = f"struct {self.expect('ident').text}"
+            ctype = f"struct {self.expect('ident')[1]}"
             if self.at("{"):
                 self.fail("struct definitions are not supported; declare variables of 'struct NAME' type instead")
         else:
-            raise self.fail(f"expected a type, found {tok.text or tok.kind!r}")
+            raise self.fail(f"expected a type, found {text or kind!r}")
         stars = ""
         while self.accept("*"):
             stars += "*"
         return (self.expect("ident"), f"{ctype} {stars}" if stars else ctype,
-                tok.location)
+                location)
 
     def top_level(self) -> AstNode:
         self.decl = self.tok
-        if self.tok.kind not in _TYPE_STARTERS:
+        if self.tok[0] not in _TYPE_STARTERS:
             self.fail("expected a declaration or function definition")
         name, ctype, loc = self.declarator()
         if self.at("("):
@@ -154,7 +158,7 @@ class _Parser:
         params: list[AstNode] = []
         if self.at(")"):
             pass
-        elif self.at("void") and self.peek().kind == ")":
+        elif self.at("void") and self.peek()[0] == ")":
             self.advance()
         else:
             params.append(self.param_decl())
@@ -166,42 +170,42 @@ class _Parser:
         if not self.at("{"):
             self.fail("expected function body")
         body = self.block()
-        return AstNode(NodeKind.FUNCTION_DEF, loc, name.text,
+        return AstNode(NodeKind.FUNCTION_DEF, loc, name[1],
                        tuple(params) + (body,), ctype)
 
     def param_decl(self) -> AstNode:
         name, ctype, loc = self.declarator()
-        return AstNode(NodeKind.PARAM_DECL, loc, name.text, (), ctype)
+        return AstNode(NodeKind.PARAM_DECL, loc, name[1], (), ctype)
 
     def var_decl_tail(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
         if self.accept("["):
             size = self.expect("number")
             self.expect("]")
-            ctype += f"[{size.text}]"
+            ctype += f"[{size[1]}]"
         init: tuple[AstNode, ...] = ()
         if self.accept("="):
             init = (self.expression(),)
         if self.at(","):
             self.fail("multiple declarators per declaration are not supported")
         self.expect(";")
-        return AstNode(NodeKind.VAR_DECL, loc, name.text, init, ctype)
+        return AstNode(NodeKind.VAR_DECL, loc, name[1], init, ctype)
 
     # -- statements --------------------------------------------------------
 
     def block(self) -> AstNode:
         open_tok = self.expect("{")
         stmts = []
-        while self.tok.kind != "}":
-            if self.tok.kind == "eof":
-                raise FrontendError("unexpected end of input inside block", self.tok.location)
+        while self.tok[0] != "}":
+            if self.tok[0] == "eof":
+                raise FrontendError("unexpected end of input inside block", self.tok[2])
             stmts.append(self.statement())
         close = self.expect("}")
-        return AstNode(NodeKind.BLOCK, open_tok.location, "", tuple(stmts), "",
-                       close.location)
+        return AstNode(NodeKind.BLOCK, open_tok[2], "", tuple(stmts), "",
+                       close[2])
 
     def statement(self) -> AstNode:
         """One statement, by the rule that its first token's kind selects."""
-        return _STATEMENTS.get(self.tok.kind, _Parser.expression_statement)(self)
+        return _STATEMENTS.get(self.tok[0], _Parser.expression_statement)(self)
 
     def expression_statement(self) -> AstNode:
         expr = self.expression()
@@ -209,52 +213,52 @@ class _Parser:
         return AstNode(NodeKind.EXPR_STATEMENT, expr.location, "", (expr,))
 
     def label_or_expression(self) -> AstNode:
-        tok = self.tok
-        if self.peek().kind != ":":
+        _, text, location = self.tok
+        if self.peek()[0] != ":":
             return self.expression_statement()
         self.advance()
         self.advance()
-        return AstNode(NodeKind.LABEL, tok.location, tok.text, (self.statement(),))
+        return AstNode(NodeKind.LABEL, location, text, (self.statement(),))
 
     def simple_statement(self) -> AstNode:
         """`;`, `break;`, `continue;`, `goto LABEL;` or `return [VALUE];`."""
-        tok = self.tok
+        kind, _, location = self.tok
         self.advance()
-        if tok.kind == ";":
-            return AstNode(NodeKind.EMPTY_STATEMENT, tok.location)
+        if kind == ";":
+            return AstNode(NodeKind.EMPTY_STATEMENT, location)
         label, value = "", ()
-        if tok.kind == "goto":
-            label = self.expect("ident").text
-        elif tok.kind == "return" and not self.at(";"):
+        if kind == "goto":
+            label = self.expect("ident")[1]
+        elif kind == "return" and not self.at(";"):
             value = (self.expression(),)
         self.expect(";")
-        return AstNode(_JUMPS[tok.kind], tok.location, label, value)
+        return AstNode(_JUMPS[kind], location, label, value)
 
     def if_statement(self) -> AstNode:
-        tok = self.expect("if")
+        location = self.expect("if")[2]
         self.expect("(")
         cond = self.expression()
         self.expect(")")
         then = self.statement()
         if self.accept("else"):
             els = self.statement()
-            return AstNode(NodeKind.IF, tok.location, "", (cond, then, els))
-        return AstNode(NodeKind.IF, tok.location, "", (cond, then))
+            return AstNode(NodeKind.IF, location, "", (cond, then, els))
+        return AstNode(NodeKind.IF, location, "", (cond, then))
 
     def while_statement(self) -> AstNode:
-        tok = self.expect("while")
+        location = self.expect("while")[2]
         self.expect("(")
         cond = self.expression()
         self.expect(")")
         body = self.statement()
-        return AstNode(NodeKind.WHILE, tok.location, "", (cond, body))
+        return AstNode(NodeKind.WHILE, location, "", (cond, body))
 
     def for_statement(self) -> AstNode:
-        tok = self.expect("for")
+        location = self.expect("for")[2]
         self.expect("(")
 
         def clause(terminator: str, wrap: bool) -> AstNode:
-            here = self.tok.location
+            here = self.tok[2]
             if self.at(terminator):
                 return AstNode(NodeKind.EMPTY_STATEMENT, here)
             expr = self.expression()
@@ -269,7 +273,7 @@ class _Parser:
         step = clause(")", wrap=True)
         self.expect(")")
         body = self.statement()
-        return AstNode(NodeKind.FOR, tok.location, "", (init, cond, step, body))
+        return AstNode(NodeKind.FOR, location, "", (init, cond, step, body))
 
     # -- expressions -------------------------------------------------------
 
@@ -294,24 +298,25 @@ class _Parser:
         operands: list[AstNode] = []
         operators: list[tuple[int, str]] = []
         while True:
-            tok = self.tok
+            kind, text, location = self.tok
             prefixes = ()  # innermost first
-            if tok.kind in _UNARY_NAME:
+            if kind in _UNARY_NAME:
                 first = self.pos
-                while self.tok.kind in _UNARY_NAME:
+                while self.tok[0] in _UNARY_NAME:
                     self.advance()
-                prefixes, tok = self.tokens[first:self.pos][::-1], self.tok
-            leaf = _LEAF_KIND.get(tok.kind)
+                prefixes = self.tokens[first:self.pos][::-1]
+                kind, text, location = self.tok
+            leaf = _LEAF_KIND.get(kind)
             if leaf is not None:
                 self.advance()
-                node = AstNode(leaf, tok.location, tok.text)
-            elif tok.kind == "(":
+                node = AstNode(leaf, location, text)
+            elif kind == "(":
                 self.advance()
                 node = self.expression()
                 self.expect(")")
             else:
-                raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
-            kind = self.tok.kind
+                raise self.fail(f"expected expression, found {text or kind!r}")
+            kind = self.tok[0]
             while kind in _POSTFIX:
                 self.advance()
                 if kind == "(":
@@ -324,12 +329,12 @@ class _Parser:
                     node = AstNode(NodeKind.INDEX, node.location, "", (node, self.expression()))
                     self.expect("]")
                 else:
-                    field = self.expect("ident")
+                    _, field, where = self.expect("ident")
                     node = AstNode(NodeKind.MEMBER, node.location, _POSTFIX[kind], (
-                        node, AstNode(NodeKind.IDENTIFIER, field.location, field.text)))
-                kind = self.tok.kind
-            for tok in prefixes:
-                node = AstNode(NodeKind.UNARY_OP, tok.location, _UNARY_NAME[tok.kind], (node,))
+                        node, AstNode(NodeKind.IDENTIFIER, where, field)))
+                kind = self.tok[0]
+            for prefix, _, where in prefixes:
+                node = AstNode(NodeKind.UNARY_OP, where, _UNARY_NAME[prefix], (node,))
             operands.append(node)
             prec = BINARY_PRECEDENCE.get(kind, 0)
             while operators and operators[-1][0] >= prec:
@@ -339,7 +344,7 @@ class _Parser:
                                        operators.pop()[1], (left, right))
             if not prec:  # not an operator: the chain ends here
                 return operands[0]
-            operators.append((prec, self.tok.text))
+            operators.append((prec, self.tok[1]))
             self.advance()
 
 

@@ -468,28 +468,28 @@ class RecursiveExpressionParser(_Parser):
 
     def binary(self, min_prec: int) -> AstNode:
         left = self.unary()
-        while (prec := BINARY_PRECEDENCE.get(self.tok.kind, 0)) >= min_prec:
+        while (prec := BINARY_PRECEDENCE.get(self.tok[0], 0)) >= min_prec:
             op = self.tok
             self.advance()
             right = self.binary(prec + 1)
-            left = AstNode(NodeKind.BINARY_OP, left.location, text=op.text,
+            left = AstNode(NodeKind.BINARY_OP, left.location, text=op[1],
                            children=(left, right))
         return left
 
     def unary(self) -> AstNode:
         tok = self.tok
-        if tok.kind in self._UNARY_NAME:
+        if tok[0] in self._UNARY_NAME:
             self.advance()
             operand = self.unary()
-            return AstNode(NodeKind.UNARY_OP, tok.location,
-                           text=self._UNARY_NAME[tok.kind], children=(operand,))
+            return AstNode(NodeKind.UNARY_OP, tok[2],
+                           text=self._UNARY_NAME[tok[0]], children=(operand,))
         return self.postfix()
 
     def postfix(self) -> AstNode:
         node = self.primary()
         while True:
             tok = self.tok
-            if tok.kind == "(":
+            if tok[0] == "(":
                 self.advance()
                 args = []
                 if not self.at(")"):
@@ -499,41 +499,41 @@ class RecursiveExpressionParser(_Parser):
                 self.expect(")")
                 node = AstNode(NodeKind.CALL, node.location,
                                children=(node, *args))
-            elif tok.kind == "[":
+            elif tok[0] == "[":
                 self.advance()
                 index = self.expression()
                 self.expect("]")
                 node = AstNode(NodeKind.INDEX, node.location, children=(node, index))
-            elif tok.kind in ("->", "."):
+            elif tok[0] in ("->", "."):
                 self.advance()
                 field = self.expect("ident")
-                field_node = AstNode(NodeKind.IDENTIFIER, field.location, text=field.text)
+                field_node = AstNode(NodeKind.IDENTIFIER, field[2], text=field[1])
                 node = AstNode(NodeKind.MEMBER, node.location,
-                               text="arrow" if tok.kind == "->" else "dot",
+                               text="arrow" if tok[0] == "->" else "dot",
                                children=(node, field_node))
             else:
                 return node
 
     def primary(self) -> AstNode:
         tok = self.tok
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             self.advance()
-            return AstNode(NodeKind.IDENTIFIER, tok.location, text=tok.text)
-        if tok.kind == "number":
+            return AstNode(NodeKind.IDENTIFIER, tok[2], text=tok[1])
+        if tok[0] == "number":
             self.advance()
-            return AstNode(NodeKind.INT_LITERAL, tok.location, text=tok.text)
-        if tok.kind == "string":
+            return AstNode(NodeKind.INT_LITERAL, tok[2], text=tok[1])
+        if tok[0] == "string":
             self.advance()
-            return AstNode(NodeKind.STRING_LITERAL, tok.location, text=tok.text)
-        if tok.kind == "metavar":
+            return AstNode(NodeKind.STRING_LITERAL, tok[2], text=tok[1])
+        if tok[0] == "metavar":
             self.advance()
-            return AstNode(NodeKind.META_VAR, tok.location, text=tok.text)
-        if tok.kind == "(":
+            return AstNode(NodeKind.META_VAR, tok[2], text=tok[1])
+        if tok[0] == "(":
             self.advance()
             expr = self.expression()
             self.expect(")")
             return expr
-        raise self.fail(f"expected expression, found {tok.text or tok.kind!r}")
+        raise self.fail(f"expected expression, found {tok[1] or tok[0]!r}")
 
 
 def recursive_parse(source: str, file: str = "<pattern>",

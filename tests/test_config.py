@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cbugscan.cli import build_job
+from cbugscan.cli import build_job, main
 from cbugscan.config import (
     SourceDescriptor,
     expand_directory,
@@ -73,8 +73,8 @@ def test_compilation_database_flags(tmp_path):
         {"file": "b.c", "flags": []},
     ]))
     assert load_compilation_database(str(db)) == [
-        SourceDescriptor("a.c", ("-DA=1",)),
-        SourceDescriptor("b.c", ()),
+        SourceDescriptor(str(tmp_path / "a.c"), ("-DA=1",)),
+        SourceDescriptor(str(tmp_path / "b.c"), ()),
     ]
 
 
@@ -87,9 +87,23 @@ def test_compilation_database_duplicate_keeps_position_takes_last_flags(tmp_path
         {"file": "./a.c", "flags": ["-DNEW"]},
     ]))
     assert load_compilation_database(str(db)) == [
-        SourceDescriptor("a.c", ("-DNEW",)),
-        SourceDescriptor("b.c", ()),
+        SourceDescriptor(str(tmp_path / "a.c"), ("-DNEW",)),
+        SourceDescriptor(str(tmp_path / "b.c"), ()),
     ]
+
+
+def test_compilation_database_resolves_files_against_its_directory(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    touch(tmp_path / "sub" / "a.c")
+    (tmp_path / "sub" / "compile.json").write_text(
+        json.dumps([{"file": "a.c", "flags": []}]))
+    monkeypatch.chdir(tmp_path)
+    assert load_compilation_database("sub/compile.json") == [
+        SourceDescriptor("sub/a.c")]
+    assert main(["check", "--compdb", "sub/compile.json",
+                 "--checker", "reach"]) == 0
+    assert "no such source file" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("payload", [

@@ -9,24 +9,25 @@ from oracles import bisected_tokens
 
 
 def kinds(source):
-    return [t.kind for t in tokenize(source, "t.c")]
+    return [t[0] for t in tokenize(source, "t.c")]
 
 
 def texts(source):
-    return [t.text for t in tokenize(source, "t.c") if t.kind != "eof"]
+    return [t[1] for t in tokenize(source, "t.c") if t[0] != "eof"]
 
 
 def test_simple_statement():
     toks = tokenize("x = y + 1;", "t.c")
-    assert [(t.kind, t.text) for t in toks] == [
+    assert [(t[0], t[1]) for t in toks] == [
         ("ident", "x"), ("=", "="), ("ident", "y"), ("+", "+"),
         ("number", "1"), (";", ";"), ("eof", ""),
     ]
+    assert all(type(t) is tuple for t in toks)
 
 
 def test_keywords_are_distinct_kind():
     toks = tokenize("while if return int", "t.c")
-    assert [t.kind for t in toks[:-1]] == ["while", "if", "return", "int"]
+    assert [t[0] for t in toks[:-1]] == ["while", "if", "return", "int"]
 
 
 def test_multichar_operators_win():
@@ -35,15 +36,15 @@ def test_multichar_operators_win():
         "f", ">=", "g", "->", "h",
     ]
     # single & directly before another & must not split
-    assert [t.kind for t in tokenize("&&", "t.c")][0] == "&&"
+    assert [t[0] for t in tokenize("&&", "t.c")][0] == "&&"
 
 
 def test_locations_track_lines_and_columns():
     toks = tokenize("a\n  bb\n", "t.c")
     a, bb = toks[0], toks[1]
-    assert (a.location.line, a.location.column) == (1, 1)
-    assert (bb.location.line, bb.location.column) == (2, 3)
-    assert a.location.file == "t.c"
+    assert (a[2].line, a[2].column) == (1, 1)
+    assert (bb[2].line, bb[2].column) == (2, 3)
+    assert a[2].file == "t.c"
 
 
 def test_comments_skipped():
@@ -58,7 +59,7 @@ def test_preprocessor_lines_skipped():
 def test_line_markers_set_the_next_line_and_file():
     source = ('a\n# 7 "orig.c" 2\nb\n#line 20\nc\n'
               '  #line 3 "x\\\\y.c"\nd\n#define N 9\ne')
-    assert [(t.text, t.location.file, t.location.line, t.location.column)
+    assert [(t[1], t[2].file, t[2].line, t[2].column)
             for t in tokenize(source, "t.c")] == [
         ("a", "t.c", 1, 1), ("b", "orig.c", 7, 1), ("c", "orig.c", 20, 1),
         ("d", "x\\y.c", 3, 1), ("e", "x\\y.c", 5, 1), ("", "x\\y.c", 5, 2)]
@@ -66,28 +67,28 @@ def test_line_markers_set_the_next_line_and_file():
 
 def test_hex_and_decimal_literals():
     toks = tokenize("0x1F 42 0", "t.c")
-    assert [(t.kind, t.text) for t in toks[:-1]] == [
+    assert [(t[0], t[1]) for t in toks[:-1]] == [
         ("number", "0x1F"), ("number", "42"), ("number", "0"),
     ]
 
 
 def test_string_literal():
     toks = tokenize('f("hi\\"there");', "t.c")
-    assert toks[2].kind == "string"
-    assert toks[2].text == '"hi\\"there"'
+    assert toks[2][0] == "string"
+    assert toks[2][1] == '"hi\\"there"'
 
 
 def test_metavar_requires_flag():
     toks = tokenize("%X + 1", "t.c", metavars=True)
-    assert toks[0].kind == "metavar"
-    assert toks[0].text == "X"
+    assert toks[0][0] == "metavar"
+    assert toks[0][1] == "X"
     # without the flag, % stays a modulo operator
-    assert [t.kind for t in tokenize("a %X b", "t.c")[:3]] == [
+    assert [t[0] for t in tokenize("a %X b", "t.c")[:3]] == [
         "ident", "%", "ident"]
 
 
 def test_modulo_still_lexes_in_source():
-    assert [t.kind for t in tokenize("a % b", "t.c")[:3]] == [
+    assert [t[0] for t in tokenize("a % b", "t.c")[:3]] == [
         "ident", "%", "ident"]
 
 
@@ -98,8 +99,8 @@ def test_bad_character_raises_with_location():
 
 
 def test_eof_token_always_last():
-    assert tokenize("", "t.c")[-1].kind == "eof"
-    assert tokenize("x", "t.c")[-1].kind == "eof"
+    assert tokenize("", "t.c")[-1][0] == "eof"
+    assert tokenize("x", "t.c")[-1][0] == "eof"
 
 
 _ident = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True).filter(
@@ -110,8 +111,8 @@ _ident = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True).filter(
 def test_whitespace_never_changes_token_stream(names):
     compact = ";".join(names)
     spaced = " ;\n\t ".join(names)
-    left = [(t.kind, t.text) for t in tokenize(compact, "t.c")]
-    right = [(t.kind, t.text) for t in tokenize(spaced, "t.c")]
+    left = [(t[0], t[1]) for t in tokenize(compact, "t.c")]
+    right = [(t[0], t[1]) for t in tokenize(spaced, "t.c")]
     assert left == right
 
 
@@ -160,9 +161,9 @@ def test_edge_cases(source, metavars, expected):
         assert str(err.value) == expected
         return
     toks = tokenize(source, "t.c", metavars)
-    assert [t.kind for t in toks].count("eof") == 1
-    assert toks[-1].kind == "eof"
-    assert [(t.kind, t.text, t.location.line, t.location.column)
+    assert [t[0] for t in toks].count("eof") == 1
+    assert toks[-1][0] == "eof"
+    assert [(t[0], t[1], t[2].line, t[2].column)
             for t in toks[:-1]] == expected
 
 
@@ -205,6 +206,6 @@ def outcome(lex):
 def test_locations_equal_the_bisection_oracle(parts, bad, at, metavars):
     parts.insert(at, (bad, " "))
     source = "".join(piece + gap for piece, gap in parts)
-    assert outcome(lambda: [(t.kind, t.text, *t.location)
+    assert outcome(lambda: [(t[0], t[1], *t[2])
                             for t in tokenize(source, "t.c", metavars)]
                    ) == outcome(lambda: bisected_tokens(source, "t.c", metavars))

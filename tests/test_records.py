@@ -3,7 +3,7 @@ text of locations, and reports sort by them."""
 
 import pytest
 
-from cbugscan.frontend import SourceLocation, Token, tokenize
+from cbugscan.frontend import SourceLocation, tokenize
 from cbugscan.report import (
     ErrorTrace,
     Importance,
@@ -35,11 +35,11 @@ def test_equal_locations_hash_equal():
 
 def test_records_are_immutable():
     token = tokenize("x", "t.c")[0]
-    assert token == Token("ident", "x", SourceLocation("t.c", 1, 1))
+    assert token == ("ident", "x", SourceLocation("t.c", 1, 1))
+    with pytest.raises(TypeError):
+        token[1] = "y"
     with pytest.raises(AttributeError):
-        token.text = "y"
-    with pytest.raises(AttributeError):
-        token.location.line = 2
+        token[2].line = 2
 
 
 def test_json_report_rebuilds_equal_locations():
