@@ -44,7 +44,6 @@ from cbugscan.checkers.base import (
     config_lines,
     forward_fixpoint,
     node_events,
-    parsed_once,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -115,7 +114,6 @@ class AutomatonDef:
                 raise ConfigError(f"{where}: unknown state {state!r}")
 
 
-@parsed_once
 def parse_automaton_file(text: str, source: str = "<automaton>") -> list[AutomatonDef]:
     automata: list[AutomatonDef] = []
     current: AutomatonDef | None = None

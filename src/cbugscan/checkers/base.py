@@ -7,13 +7,11 @@ checker's output. What they share is kept on the unit: `matches`
 matches each pattern once per unit, whichever checker asks, and keeps
 its hits there by the pattern's shape. The lock checkers read their
 lock lines with one parser, `LockLines`, which also keys their lock
-events. Each checker's config parser runs once per process for a given
-config text (`parsed_once`).
+events.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import shlex
 from abc import ABC, abstractmethod
@@ -60,15 +58,6 @@ def read_config(path: str | None, checker_name: str) -> str:
             return handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-# The config parsers are memoized per process on (config text, source),
-# a few texts each. A checker still reads its file whenever it is
-# created, so an edited file is parsed again; only the shlex splitting
-# and the pattern compiling are reused. A parse that raises is not kept,
-# so a bad config fails every time. Every checker made from one text
-# shares the parsed config, so no one mutates a config after parsing.
-parsed_once = functools.lru_cache(maxsize=8)
 
 
 def config_lines(text: str,

@@ -22,7 +22,6 @@ from cbugscan.checkers.base import (
     Services,
     config_lines,
     forward_fixpoint,
-    parsed_once,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -54,7 +53,6 @@ class LockstatConfig(LockLines):
                 **dict.fromkeys(self.unlocks, _UNLOCK)}
 
 
-@parsed_once
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
     for lineno, line, parts in config_lines(text, source):

@@ -38,7 +38,6 @@ from cbugscan.checkers.base import (
     config_lines,
     forward_fixpoint,
     matches,
-    parsed_once,
     read_config,
 )
 from cbugscan.errors import ConfigError
@@ -75,7 +74,6 @@ class ThreadConfig(LockLines):
     max_cycles: int = DEFAULT_MAX_CYCLES
 
 
-@parsed_once
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
     for lineno, line, parts in config_lines(text, source):

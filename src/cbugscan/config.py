@@ -33,11 +33,13 @@ class AnalysisJob:
 def load_compilation_database(path: str) -> list[SourceDescriptor]:
     """Read a JSON array of {file, flags} entries.
 
-    A relative `file` is resolved against the database's own directory,
-    so a database can be used from any working directory; an absolute
-    one is kept as it is. Duplicate files (by absolute path, so `a.c`
-    and `./a.c` are one) keep their first position and spelling but
-    take the last entry's flags.
+    A relative `file` is resolved against the database's own directory;
+    an absolute one is kept as it is. The flags go to the preprocessor
+    unchanged, and it runs in the working directory, so a relative path
+    in them (`-Iinc`) is resolved against the working directory, not
+    the database's. Duplicate files (by absolute path, so `a.c` and
+    `./a.c` are one) keep their first position and spelling but take
+    the last entry's flags.
     """
     try:
         with open(path, encoding="utf-8") as handle:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import string
+
 from cbugscan.errors import FrontendError
 from cbugscan.frontend.ast_nodes import SourceLocation
 

@@ -3,32 +3,13 @@
 Each checker reads its own directive language, but opening the file and
 splitting it into lines and words is shared, so the error text for a
 missing path, an unreadable file, bad quoting and an unknown directive
-must be the same for all of them. Each checker's config is also parsed
-once per process for a given text, and these tests pin what that keeps:
-an edited file is parsed again, and a bad one fails every time.
+must be the same for all of them.
 """
-
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 
-from cbugscan.checkers import (
-    AutomatonChecker,
-    LockstatChecker,
-    ThreadChecker,
-    automaton,
-    builtin_registry,
-    lockstat,
-    threads,
-)
-from cbugscan.config import AnalysisJob, SourceDescriptor
-from cbugscan.engine import run_job
+from cbugscan.checkers import AutomatonChecker, LockstatChecker, ThreadChecker
 from cbugscan.errors import ConfigError
-
-PARSERS = {"automaton": automaton.parse_automaton_file,
-           "lockstat": lockstat.parse_lockstat_config,
-           "thread": threads.parse_thread_config}
 
 
 def no_path(tmp_path, name):
@@ -62,60 +43,3 @@ def test_config_error_text(tmp_path, checker_class, case):
     with pytest.raises(ConfigError) as err:
         checker_class(path)
     assert str(err.value) == expected
-
-
-# -- parsed once per process ---------------------------------------------------
-
-@pytest.fixture
-def parses(monkeypatch):
-    """The number of times each checker's config parser really runs,
-    by checker name, counted where it splits the text into lines; the
-    parsers start with nothing kept."""
-    counts = Counter()
-    for name, module in (("automaton", automaton), ("lockstat", lockstat),
-                         ("thread", threads)):
-        def counted(text, source, name=name, original=module.config_lines):
-            counts[name] += 1
-            return original(text, source)
-        monkeypatch.setattr(module, "config_lines", counted)
-    for parser in PARSERS.values():
-        parser.cache_clear()
-    yield counts
-    for parser in PARSERS.values():
-        parser.cache_clear()
-
-
-def test_an_edited_config_is_parsed_again(tmp_path, parses):
-    path = tmp_path / "lockstat.conf"
-    path.write_text('access "%V = %E"\nthreshold 0.8\n')
-    registry = builtin_registry()
-    first = registry.create("lockstat", str(path))
-    assert registry.create("lockstat", str(path)).config is first.config
-    path.write_text('access "%V = %E"\nthreshold 0.9\n')
-    edited = registry.create("lockstat", str(path))
-    assert first.config.threshold == Fraction(4, 5)
-    assert edited.config.threshold == Fraction(9, 10)
-    assert parses == {"lockstat": 2}
-
-
-@pytest.mark.parametrize("name", sorted(PARSERS))
-def test_a_bad_config_fails_on_every_create(tmp_path, parses, name):
-    path, expected = unknown_directive(tmp_path, name)
-    registry = builtin_registry()
-    for _ in range(2):
-        with pytest.raises(ConfigError) as err:
-            registry.create(name, path)
-        assert str(err.value) == expected
-    assert parses == {name: 2}
-
-
-def test_two_jobs_parse_each_bundled_config_once(tmp_path, parses):
-    source = tmp_path / "a.c"
-    source.write_text("int m;\nvoid f(void) { mutex_lock(&m); }\n")
-    job = AnalysisJob(sources=[SourceDescriptor(str(source))],
-                      checkers=[(name, None) for name in (*PARSERS, "reach")])
-    first = run_job(job)
-    assert [t.message for t in run_job(job).traces] == [
-        t.message for t in first.traces]
-    assert first.traces
-    assert parses == {name: 1 for name in PARSERS}

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 
 import pytest
 
@@ -104,6 +105,29 @@ def test_compilation_database_resolves_files_against_its_directory(
     assert main(["check", "--compdb", "sub/compile.json",
                  "--checker", "reach"]) == 0
     assert "no such source file" not in capsys.readouterr().err
+
+
+@pytest.mark.skipif(shutil.which("cpp") is None, reason="needs a C preprocessor")
+def test_compilation_database_flags_resolve_against_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    """Only `file` is read from the database's directory: its flags go
+    to the preprocessor unchanged, which runs in the working directory."""
+    (tmp_path / "sub" / "inc").mkdir(parents=True)
+    (tmp_path / "sub" / "inc" / "h.h").write_text("#define TAKE mutex_lock\n")
+    touch(tmp_path / "sub" / "a.c",
+          '#include "h.h"\nint m;\nvoid f(void) {\n    TAKE(&m);\n}\n')
+    database = tmp_path / "sub" / "compile.json"
+    monkeypatch.chdir(tmp_path)
+    argv = ["check", "--compdb", "sub/compile.json", "--checker", "automaton",
+            "--preprocess", "cpp"]
+    database.write_text(json.dumps([{"file": "a.c", "flags": ["-Isub/inc"]}]))
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith(
+        "ERROR [automaton] lock &m held at exit (sub/a.c:5)\n")
+    database.write_text(json.dumps([{"file": "a.c", "flags": ["-Iinc"]}]))
+    assert main(argv) == 0
+    assert capsys.readouterr().err.startswith(
+        "cbugscan: skipping sub/a.c: preprocessor failed for 'sub/a.c'")
 
 
 @pytest.mark.parametrize("payload", [
