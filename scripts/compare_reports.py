@@ -13,11 +13,13 @@ ids), the console report and the diagnostics of every job; the console
 report is rendered without reading an id, the path of a check that is
 not exported. After each one-file job it also prints the file's syntax
 tree as `cbugscan dump-ast` does (`dump_sexpr`), or the message and
-location of the `FrontendError` that parsing it raises, so the two
-frontends are compared tree for tree, not only by what the checkers
-report. Where more than one CPU is usable, the engine splits a
-multi-file job into shards that forked workers check, so the groups
-exercise the shards. The two outputs are
+location of the `FrontendError` that parsing it raises, and the CFG
+of every function as DOT, as `cbugscan dump-cfg` does (`cfg_to_dot`),
+or the `FrontendError` that building the unit raises, so the two
+frontends and CFG layers are compared tree for tree and graph for
+graph, not only by what the checkers report. Where more than one CPU
+is usable, the engine splits a multi-file job into shards that forked
+workers check, so the groups exercise the shards. The two outputs are
 compared line by line: on any difference the first differing lines
 are printed and the exit code is 1; otherwise it is 0. Given FILEs
 form one group. Without FILE, the files are `tests/corpus/*.c`, the
@@ -49,6 +51,8 @@ from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import dump_sexpr, parse, preprocess_source
+from cbugscan.ir.cfg import cfg_to_dot
+from cbugscan.ir.units import load_unit
 from cbugscan.report import export_console, export_json
 
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
@@ -65,6 +69,11 @@ for paths in json.load(sys.stdin):
         except FrontendError as err:
             tree = f"FrontendError: {err.message} at {err.location}"
         sys.stdout.write(f"sexpr: {tree}\n")
+        try:
+            dot = "\n".join(map(cfg_to_dot, load_unit(paths[0]).cfgs.values()))
+        except FrontendError as err:
+            dot = f"FrontendError: {err.message} at {err.location}"
+        sys.stdout.write(f"cfg: {dot}\n")
 """
 
 SHOWN_LINES = 40

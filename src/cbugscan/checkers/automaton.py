@@ -43,10 +43,10 @@ from cbugscan.checkers.base import (
     Services,
     config_lines,
     forward_fixpoint,
-    node_events,
+    matches,
     read_config,
 )
-from cbugscan.errors import ConfigError
+from cbugscan.errors import ConfigError, PatternError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
     SourceLocation,
@@ -98,10 +98,7 @@ class AutomatonDef:
         if self.start not in self.states:
             raise ConfigError(f"{where}: start state {self.start!r} not declared")
         names = self.pattern_names()
-        rules = list(self.transitions) + list(self.errors)
-        if len(rules) != len(set(rules)):
-            raise ConfigError(f"{where}: duplicate (state, pattern) rule")
-        for state, pattern in rules:
+        for state, pattern in [*self.transitions, *self.errors]:
             if state not in self.states:
                 raise ConfigError(f"{where}: unknown state {state!r}")
             if pattern not in names:
@@ -124,42 +121,45 @@ def parse_automaton_file(text: str, source: str = "<automaton>") -> list[Automat
                 f"{source}:{lineno}: directive before 'automaton NAME'")
         return current
 
-    for lineno, line, parts in config_lines(text, source):
-        directive = parts[0]
-        if directive == "automaton" and len(parts) == 2:
-            if current is not None:
-                current.validate(source)
-            current = AutomatonDef(name=parts[1])
-            automata.append(current)
-        elif directive == "states" and len(parts) >= 2:
-            need_current(lineno).states.extend(parts[1:])
-        elif directive == "start" and len(parts) == 2:
-            need_current(lineno).start = parts[1]
-        elif directive == "pattern" and len(parts) == 3:
-            need_current(lineno).patterns.append(
-                compile_pattern(parts[2], name=parts[1]))
-        elif directive == "transition" and len(parts) == 5 and parts[3] == "->":
-            auto = need_current(lineno)
-            key = (parts[1], parts[2])
-            if key in auto.transitions or key in auto.errors:
-                raise ConfigError(
-                    f"{source}:{lineno}: duplicate rule for {key}")
-            auto.transitions[key] = parts[4]
-        elif directive == "error" and len(parts) == 4:
-            auto = need_current(lineno)
-            key = (parts[1], parts[2])
-            if key in auto.transitions or key in auto.errors:
-                raise ConfigError(
-                    f"{source}:{lineno}: duplicate rule for {key}")
-            auto.errors[key] = parts[3]
-        elif directive == "error-at-exit" and len(parts) == 3:
-            auto = need_current(lineno)
-            if parts[1] in auto.exit_errors:
-                raise ConfigError(f"{source}:{lineno}: duplicate rule "
-                                  f"for error-at-exit {parts[1]!r}")
-            auto.exit_errors[parts[1]] = parts[2]
-        else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    try:
+        for lineno, line, parts in config_lines(text, source):
+            directive = parts[0]
+            if directive == "automaton" and len(parts) == 2:
+                if current is not None:
+                    current.validate(source)
+                current = AutomatonDef(name=parts[1])
+                automata.append(current)
+            elif directive == "states" and len(parts) >= 2:
+                need_current(lineno).states.extend(parts[1:])
+            elif directive == "start" and len(parts) == 2:
+                need_current(lineno).start = parts[1]
+            elif directive == "pattern" and len(parts) == 3:
+                need_current(lineno).patterns.append(
+                    compile_pattern(parts[2], name=parts[1]))
+            elif directive == "transition" and len(parts) == 5 and parts[3] == "->":
+                auto = need_current(lineno)
+                key = (parts[1], parts[2])
+                if key in auto.transitions or key in auto.errors:
+                    raise ConfigError(
+                        f"{source}:{lineno}: duplicate rule for {key}")
+                auto.transitions[key] = parts[4]
+            elif directive == "error" and len(parts) == 4:
+                auto = need_current(lineno)
+                key = (parts[1], parts[2])
+                if key in auto.transitions or key in auto.errors:
+                    raise ConfigError(
+                        f"{source}:{lineno}: duplicate rule for {key}")
+                auto.errors[key] = parts[3]
+            elif directive == "error-at-exit" and len(parts) == 3:
+                auto = need_current(lineno)
+                if parts[1] in auto.exit_errors:
+                    raise ConfigError(f"{source}:{lineno}: duplicate rule "
+                                      f"for error-at-exit {parts[1]!r}")
+                auto.exit_errors[parts[1]] = parts[2]
+            else:
+                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    except PatternError as exc:
+        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
     if current is not None:
         current.validate(source)
     if not automata:
@@ -307,12 +307,14 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
             steps=steps,
         ))
 
-    events = node_events(
-        automaton.patterns, unit, match_node,
-        lambda pattern, subnode, bindings: (
-            pattern.name, statement_text(subnode), {
-                var: (statement_text(expr), expr)
-                for var, expr in bindings.items()}))
+    # each CFG node's (pattern name, subnode text, bound texts and trees)
+    events = {owner: [(pattern.name, statement_text(subnode),
+                       {var: (statement_text(expr), expr)
+                        for var, expr in bindings.items()})
+                      for pattern, subnode, bindings in hits]
+              for owner, hits in matches(automaton.patterns, unit,
+                                         match_node).items()
+              if owner is not None}
     summaries = _Summaries(automaton, unit, graph, events)
     for entry in unit.functions:
         summary = summaries.solved[entry, ()]

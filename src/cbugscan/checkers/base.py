@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
+from cbugscan.config import read_text
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode
 from cbugscan.ir.units import TranslationUnit, UnitManager
@@ -53,11 +54,7 @@ def read_config(path: str | None, checker_name: str) -> str:
     """The text of a checker's config file, which is required."""
     if path is None:
         raise ConfigError(f"{checker_name} checker requires a config file")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return read_text(path)
 
 
 def config_lines(text: str,
@@ -105,8 +102,8 @@ class LockLines:
             key: Callable[[Pattern, Bindings, AstNode], str],
             event: Callable[[Pattern, str, AstNode], Event],
     ) -> dict[int, list[Event]]:
-        """Each CFG node's events by node id, as `node_events` gives
-        them, but one `event(pattern, lock key, subnode)` per lock key:
+        """Each CFG node's events by node id, in `matches` order, one
+        `event(pattern, lock key, subnode)` per lock key of a match:
         a match's key is `key(pattern, bindings, subnode)`, except that an
         unlock releasing its line's lock has every key that lock took at
         a CFG node of the unit, in sorted order."""
@@ -140,7 +137,8 @@ def matches(patterns: list[Pattern], unit: TranslationUnit,
     A pattern's hits are read from the unit's match table once
     (`patterns.pattern_hits`) and kept on the unit by `Pattern.shape`,
     so a pattern is matched once per unit, however many checkers or
-    configs name it; `match` is called only for shapes not yet kept."""
+    configs name it; `match` is called only for shapes not yet kept.
+    Checkers pass their own module's `match_node`, looked up at the call."""
     found: dict[int | None, list] = {}
     for order, pattern in enumerate(patterns):
         hits = unit.hits_by_shape.get(pattern.shape)
@@ -152,25 +150,6 @@ def matches(patterns: list[Pattern], unit: TranslationUnit,
                 (position, order, pattern, subnode, bindings))
     return {owner: [hit[2:] for hit in sorted(hits, key=itemgetter(0, 1))]
             for owner, hits in found.items()}
-
-
-def node_events(
-        patterns: list[Pattern], unit: TranslationUnit,
-        match: Callable[[Pattern, AstNode], Bindings | None],
-        event: Callable[[Pattern, AstNode, Bindings], Event],
-) -> dict[int, list[Event]]:
-    """Each CFG node's events by node id, one `event(pattern, subnode,
-    bindings)` per match under the node in evaluation order (preorder,
-    then list order); a node without a match has no entry.
-
-    The matches come from `matches`, every node's at once, reachable or
-    not, so a fixpoint or a calling context that revisits a node looks
-    its events up. Checkers pass their own module's `match_node`, looked
-    up at the call.
-    """
-    return {owner: [event(*hit) for hit in hits]
-            for owner, hits in matches(patterns, unit, match).items()
-            if owner is not None}
 
 
 def forward_fixpoint(

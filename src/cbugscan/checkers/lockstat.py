@@ -24,7 +24,7 @@ from cbugscan.checkers.base import (
     forward_fixpoint,
     read_config,
 )
-from cbugscan.errors import ConfigError
+from cbugscan.errors import ConfigError, PatternError
 from cbugscan.frontend.ast_nodes import SourceLocation, statement_text
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
@@ -55,29 +55,32 @@ class LockstatConfig(LockLines):
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
-    for lineno, line, parts in config_lines(text, source):
-        directive = parts[0]
-        if config.read_lock_line(parts):
-            continue
-        if directive == "access" and len(parts) == 2:
-            config.accesses.append(compile_pattern(parts[1]))
-        elif directive == "threshold" and len(parts) == 2:
-            try:
-                config.threshold = Fraction(parts[1])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{source}:{lineno}: bad threshold") from exc
-            if not 0 < config.threshold <= 1:
-                raise ConfigError(f"{source}:{lineno}: threshold must be in (0, 1]")
-        elif directive == "min-samples" and len(parts) == 2:
-            try:
-                config.min_samples = int(parts[1])
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: bad min-samples") from exc
-            if config.min_samples < 1:
-                raise ConfigError(
-                    f"{source}:{lineno}: min-samples must be at least 1")
-        else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    try:
+        for lineno, line, parts in config_lines(text, source):
+            directive = parts[0]
+            if config.read_lock_line(parts):
+                continue
+            if directive == "access" and len(parts) == 2:
+                config.accesses.append(compile_pattern(parts[1]))
+            elif directive == "threshold" and len(parts) == 2:
+                try:
+                    config.threshold = Fraction(parts[1])
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ConfigError(f"{source}:{lineno}: bad threshold") from exc
+                if not 0 < config.threshold <= 1:
+                    raise ConfigError(f"{source}:{lineno}: threshold must be in (0, 1]")
+            elif directive == "min-samples" and len(parts) == 2:
+                try:
+                    config.min_samples = int(parts[1])
+                except ValueError as exc:
+                    raise ConfigError(f"{source}:{lineno}: bad min-samples") from exc
+                if config.min_samples < 1:
+                    raise ConfigError(
+                        f"{source}:{lineno}: min-samples must be at least 1")
+            else:
+                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    except PatternError as exc:
+        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
     if not config.accesses:
         raise ConfigError(f"{source}: no access patterns configured")
     return config

@@ -28,18 +28,21 @@ def dead_leaders(cfg: Cfg) -> list[int]:
     predecessor (one pred, and that pred has one successor). A dead
     region that is a pure cycle has no leader by that rule; its
     first-by-location node is promoted so the region still reports.
+    Every predecessor of a dead node is dead, so only the dead nodes'
+    edges are inverted.
     """
     alive = reachable_nodes(cfg)
     dead = [node_id for node_id, node in cfg.nodes.items()
             if node.ast_ref is not None and node_id not in alive]
     if not dead:
         return []
-    leaders = []
+    preds: dict[int, list[int]] = {}
     for node_id in dead:
-        preds = cfg.preds.get(node_id, ())
-        if len(preds) == 1 and len(cfg.succs[preds[0]]) == 1:
-            continue
-        leaders.append(node_id)
+        for target in cfg.succs[node_id]:
+            preds.setdefault(target, []).append(node_id)
+    leaders = [node_id for node_id in dead
+               if len(preds.get(node_id, ())) != 1
+               or len(cfg.succs[preds[node_id][0]]) != 1]
     if not leaders:
         leaders = [min(dead, key=lambda n: cfg.nodes[n].location)]
     leaders.sort(key=lambda n: cfg.nodes[n].location)

@@ -40,7 +40,7 @@ from cbugscan.checkers.base import (
     matches,
     read_config,
 )
-from cbugscan.errors import ConfigError
+from cbugscan.errors import ConfigError, PatternError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
     NodeKind,
@@ -76,28 +76,31 @@ class ThreadConfig(LockLines):
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
-    for lineno, line, parts in config_lines(text, source):
-        directive = parts[0]
-        if config.read_lock_line(parts):
-            continue
-        if directive == "spawn" and len(parts) == 2:
-            pattern = compile_pattern(parts[1])
-            if "F" not in pattern.metavar_names():
-                raise ConfigError(
-                    f"{source}:{lineno}: spawn template must bind %F")
-            config.spawns.append(pattern)
-        elif directive == "entry" and len(parts) == 2:
-            config.entries.append(parts[1])
-        elif directive == "max-cycles" and len(parts) == 2:
-            try:
-                config.max_cycles = int(parts[1])
-            except ValueError as exc:
-                raise ConfigError(f"{source}:{lineno}: bad max-cycles") from exc
-            if config.max_cycles < 1:
-                raise ConfigError(
-                    f"{source}:{lineno}: max-cycles must be at least 1")
-        else:
-            raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    try:
+        for lineno, line, parts in config_lines(text, source):
+            directive = parts[0]
+            if config.read_lock_line(parts):
+                continue
+            if directive == "spawn" and len(parts) == 2:
+                pattern = compile_pattern(parts[1])
+                if "F" not in pattern.metavar_names():
+                    raise ConfigError(
+                        f"{source}:{lineno}: spawn template must bind %F")
+                config.spawns.append(pattern)
+            elif directive == "entry" and len(parts) == 2:
+                config.entries.append(parts[1])
+            elif directive == "max-cycles" and len(parts) == 2:
+                try:
+                    config.max_cycles = int(parts[1])
+                except ValueError as exc:
+                    raise ConfigError(f"{source}:{lineno}: bad max-cycles") from exc
+                if config.max_cycles < 1:
+                    raise ConfigError(
+                        f"{source}:{lineno}: max-cycles must be at least 1")
+            else:
+                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
+    except PatternError as exc:
+        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
     if not config.spawns:
         config.spawns.append(compile_pattern(DEFAULT_SPAWN))
     return config

@@ -19,6 +19,7 @@ from cbugscan.config import (
     load_compilation_database,
     parse_checker_spec,
     read_list_file,
+    read_text,
 )
 from cbugscan.engine import run_job
 from cbugscan.errors import CbugscanError, ConfigError
@@ -183,7 +184,8 @@ def _cmd_check(argv: list[str]) -> int:
     rendered = EXPORTERS[job.output_format](result.traces)
     if job.output_path:
         try:
-            with open(job.output_path, "w", encoding="utf-8") as handle:
+            with open(job.output_path, "w", encoding="utf-8",
+                      errors="surrogateescape") as handle:
                 handle.write(rendered)
         except OSError as exc:
             raise ConfigError(f"cannot write {job.output_path}: {exc}") from exc
@@ -231,12 +233,7 @@ def _cmd_report(argv: list[str]) -> int:
             f"{len(verdicts)} triaged findings: {real} real, "
             f"{false} false positives\n")
         return 0
-    try:
-        with open(args.traces, encoding="utf-8") as handle:
-            traces = traces_from_json(handle.read())
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {args.traces}: {exc}") from exc
-    traces = db.apply(traces)
+    traces = db.apply(traces_from_json(read_text(args.traces)))
     sys.stdout.write(format_statistics(traces))
     return 0
 
@@ -249,11 +246,7 @@ def _cmd_triage(argv: list[str]) -> int:
     parser.add_argument("--report", default=None)
     args = parser.parse_args(argv)
     if args.report is not None:
-        try:
-            with open(args.report, encoding="utf-8") as handle:
-                traces = traces_from_json(handle.read())
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {args.report}: {exc}") from exc
+        traces = traces_from_json(read_text(args.report))
         if all(t.id != args.error_id for t in traces):
             sys.stderr.write(
                 f"cbugscan: warning: id {args.error_id} not present in "

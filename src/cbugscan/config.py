@@ -30,6 +30,17 @@ class AnalysisJob:
     min_importance: Importance = Importance.WARNING
 
 
+def read_text(path: str, what: str = "") -> str:
+    """The text of a UTF-8 file. One that cannot be read or decoded is a
+    ConfigError: `cannot read [WHAT ]PATH: reason`."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read {what + ' ' if what else ''}{path}: {exc}") from exc
+
+
 def load_compilation_database(path: str) -> list[SourceDescriptor]:
     """Read a JSON array of {file, flags} entries.
 
@@ -41,11 +52,9 @@ def load_compilation_database(path: str) -> list[SourceDescriptor]:
     `./a.c` are one) keep their first position and spelling but take
     the last entry's flags.
     """
+    text = read_text(path, "compilation database")
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read compilation database {path}: {exc}") from exc
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed compilation database {path}: {exc}") from exc
     if not isinstance(data, list):
@@ -81,13 +90,8 @@ def expand_directory(path: str, recursive: bool) -> list[str]:
 
 
 def read_list_file(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read list file {path}: {exc}") from exc
     entries = []
-    for line in lines:
+    for line in read_text(path, "list file").splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             entries.append(line)

@@ -12,9 +12,10 @@ deciding node with its true and false exits. A literal integer condition
 statement node with only the exit it takes, so genuine condition nodes
 always carry exactly one true and one false edge.
 
-`succs` lists each node's successor ids, `preds` inverts it, and `nodes`
-is in id order. A condition node's list is always `[true, false]`,
-whichever exit is connected first; no other edge has a label.
+`succs` lists each node's successor ids (a reader that needs
+predecessors inverts it) and `nodes` is in id order. A condition node's
+list is always `[true, false]`, whichever exit is connected first; no
+other edge has a label.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class Cfg:
     exit: int
     nodes: dict[int, CfgNode] = field(default_factory=dict)
     succs: dict[int, list[int]] = field(default_factory=dict)
-    preds: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 # Dangling edge sources produced while lowering: (node id, is a true exit).
@@ -105,10 +105,6 @@ class _CfgBuilder:
                 raise FrontendError(f"goto to undefined label {label!r}", loc)
             self.succs[node_id].append(target)
 
-        preds: dict[int, list[int]] = {nid: [] for nid in self.nodes}
-        for src, targets in self.succs.items():
-            for target in targets:
-                preds[target].append(src)
         for node_id, node in self.nodes.items():
             if node.kind is CfgNodeKind.CONDITION and len(self.succs[node_id]) != 2:
                 raise AssertionError("condition node without two successors")
@@ -118,7 +114,6 @@ class _CfgBuilder:
             exit=exit_id,
             nodes=self.nodes,
             succs=self.succs,
-            preds={nid: tuple(preds[nid]) for nid in self.nodes},
         )
 
     # -- graph primitives ----------------------------------------------

@@ -37,15 +37,6 @@ class Constraint:
     lhs: str
     rhs: str
 
-    def __str__(self) -> str:
-        shapes = {
-            ConstraintKind.ADDRESS_OF: "{} = &{}",
-            ConstraintKind.COPY: "{} = {}",
-            ConstraintKind.LOAD: "{} = *{}",
-            ConstraintKind.STORE: "*{} = {}",
-        }
-        return shapes[self.kind].format(self.lhs, self.rhs)
-
 
 def _strip_base(node: AstNode) -> AstNode:
     while node.kind in (NodeKind.MEMBER, NodeKind.INDEX):

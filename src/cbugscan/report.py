@@ -58,7 +58,8 @@ class ErrorTrace:
         payload = "|".join(
             [self.checker, self.message]
             + [str(step.location) for step in self.steps])
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return hashlib.sha256(
+            payload.encode(errors="surrogateescape")).hexdigest()[:16]
 
     @property
     def primary_location(self) -> SourceLocation:

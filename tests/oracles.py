@@ -642,6 +642,26 @@ def bfs_reachable(succs: dict[int, list[int]], start: int) -> set[int]:
     return seen
 
 
+def dead_leaders_by_inversion(cfg) -> list[int]:
+    """`reach.dead_leaders` by its rule, with each node's predecessors
+    read off a full inversion of `succs` and breadth-first reachability:
+    a dead node leads unless its one predecessor has one successor, and
+    a dead region without a leader promotes its first node by location."""
+    preds: dict[int, list[int]] = {node_id: [] for node_id in cfg.nodes}
+    for node_id, targets in cfg.succs.items():
+        for target in targets:
+            preds[target].append(node_id)
+    alive = bfs_reachable(cfg.succs, cfg.entry)
+    dead = [node_id for node_id, node in cfg.nodes.items()
+            if node.ast_ref is not None and node_id not in alive]
+    leaders = [node_id for node_id in dead
+               if not (len(preds[node_id]) == 1
+                       and len(cfg.succs[preds[node_id][0]]) == 1)]
+    if dead and not leaders:
+        leaders = [min(dead, key=lambda n: cfg.nodes[n].location)]
+    return sorted(leaders, key=lambda n: cfg.nodes[n].location)
+
+
 # -- LRU cache simulation ------------------------------------------------------
 
 class LruOracle:

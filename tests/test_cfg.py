@@ -72,7 +72,8 @@ def test_while_one_becomes_self_loop():
     ]
     assert edges == [(0, 2, None), (2, 3, None), (3, 2, None)]
     # the exit stays in the graph but is unreachable
-    assert cfg_of("void f() { while (1) work(); }").preds[1] == ()
+    cfg = cfg_of("void f() { while (1) work(); }")
+    assert all(1 not in targets for targets in cfg.succs.values())
 
 
 def test_if_zero_branch_never_taken():
@@ -81,7 +82,8 @@ def test_if_zero_branch_never_taken():
     assert nodes[2] == (2, "statement", "0")
     assert (2, 4, None) in edges          # condition falls through to live()
     assert (2, 3, None) not in edges      # dead() not entered from the test
-    assert cfg.preds[3] == ()             # dead() has no predecessors
+    # dead() has no predecessors
+    assert all(3 not in targets for targets in cfg.succs.values())
     assert (3, 4, None) in edges          # but still falls through if reached
 
 
@@ -98,7 +100,7 @@ def test_ids_follow_source_order_in_a_dead_then_branch():
     ]
     assert edges == [(0, 2, None), (2, 4, None), (3, 5, None), (4, 5, None),
                      (5, 1, None)]
-    assert cfg.preds[3] == ()
+    assert all(3 not in targets for targets in cfg.succs.values())
 
 
 def test_for_loop_continue_goes_to_step():
@@ -152,7 +154,8 @@ def test_while_zero_skips_body():
     nodes, edges = shape(cfg)
     assert nodes[2] == (2, "statement", "0")
     assert (2, 4, None) in edges       # straight to done()
-    assert cfg.preds[3] == ()          # body unreachable
+    # body unreachable
+    assert all(3 not in targets for targets in cfg.succs.values())
 
 
 # -- node kinds and invariants ---------------------------------------------------
@@ -204,21 +207,6 @@ def test_entry_and_exit_locations():
     cfg = unit.cfgs["f"]
     assert cfg.nodes[cfg.entry].location.line == 1   # FunctionDef
     assert cfg.nodes[cfg.exit].location.line == 4    # closing brace
-
-
-def test_preds_are_inverse_of_succs():
-    cfg = cfg_of("""
-        void f(int c) {
-            if (c) a(); else b();
-            while (c) c = c - 1;
-        }
-    """)
-    for node_id, targets in cfg.succs.items():
-        for target in targets:
-            assert node_id in cfg.preds[target]
-    for node_id, preds in cfg.preds.items():
-        for p in preds:
-            assert node_id in cfg.succs[p]
 
 
 def test_shared_id_counter_across_functions():

@@ -3,7 +3,8 @@
 Each checker reads its own directive language, but opening the file and
 splitting it into lines and words is shared, so the error text for a
 missing path, an unreadable file, bad quoting and an unknown directive
-must be the same for all of them.
+must be the same for all of them, and each locates a pattern that does
+not parse by file and line.
 """
 
 import pytest
@@ -34,8 +35,22 @@ def unknown_directive(tmp_path, name):
     return str(path), f"{path}:2: cannot parse 'frobnicate   x   # trailing'"
 
 
+def bad_pattern(tmp_path, name):
+    path = tmp_path / "bad.aut"
+    if name == "automaton":
+        path.write_text('automaton a\nstates s\nstart s\npattern p "f(("\n')
+        shown = "'p'"
+    else:
+        path.write_text('# lock lines\nlock "g()" unlock "h()"\n\n'
+                        'lock "f(("\n')
+        shown = "'f(('"
+    return str(path), (f"{path}:4: invalid pattern {shown}: "
+                       "<pattern>:1:4: expected expression, found 'eof'")
+
+
 @pytest.mark.parametrize("case", [
-    no_path, unreadable_path, unterminated_quote, unknown_directive])
+    no_path, unreadable_path, unterminated_quote, unknown_directive,
+    bad_pattern])
 @pytest.mark.parametrize("checker_class", [
     AutomatonChecker, LockstatChecker, ThreadChecker])
 def test_config_error_text(tmp_path, checker_class, case):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -319,6 +320,32 @@ def test_dump_commands_read_bom_and_non_utf8_sources(tmp_path, capsys, twin):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("fmt", ["json", "xml"])
+def test_non_utf8_file_name_is_exported_to_output(tmp_path, capsys,
+                                                  monkeypatch, fmt):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d")
+    try:
+        with open(b"d/\xff.c", "w", encoding="utf-8") as handle:
+            handle.write(textwrap.dedent(DEAD_CODE))
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    assert main(["check", "--dir", "d", "--checker", "reach",
+                 "--format", fmt, "--output", "out"]) == 1
+    assert capsys.readouterr() == ("", "")
+    data = (tmp_path / "out").read_bytes()
+    trace_id = hashlib.sha256(
+        b"reach|unreachable code|d/\xff.c:4:5").hexdigest()[:16]
+    if fmt == "json":
+        [trace] = json.loads(data)
+        assert trace["id"] == trace_id
+        assert trace["steps"][0]["file"] == \
+            b"d/\xff.c".decode("utf-8", "surrogateescape")
+    else:
+        assert f'id="{trace_id}"'.encode() in data
+        assert b'file="d/\xff.c"' in data
+
+
 # -- report and triage -------------------------------------------------------------------
 
 def check_to_json(tmp_path, source_text, name="a.c"):
@@ -421,6 +448,35 @@ def test_triage_report_not_utf8_exits_two(tmp_path, capsys):
     assert main(["triage", str(db), "abc", "real", "--report", str(report)]) == 2
     assert f"cannot read {report}: 'utf-8' codec" in capsys.readouterr().err
     assert not db.exists()
+
+
+# A checker config, a list file and a compilation database, each valid
+# but for one Latin-1 byte: "cannot read [WHAT ]PATH" and exit 2.
+NON_UTF8_INPUTS = {
+    "config": ("automaton:", "", b"# caf\xe9\nautomaton a\nstates s\n"
+               b"start s\npattern p \"f()\"\ntransition s p -> s\n"),
+    "list": ("--list", "list file ", b"# caf\xe9\na.c\n"),
+    "compdb": ("--compdb", "compilation database ",
+               b'[{"file": "a.c", "flags": ["-DN=caf\xe9"]}]'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_files_exit_two(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.c", DEAD_CODE)
+    option, what, data = NON_UTF8_INPUTS[kind]
+    path = tmp_path / "bad.in"
+    path.write_bytes(data)
+    if kind == "config":
+        argv = ["check", "a.c", "--checker", f"{option}{path}"]
+    else:
+        argv = ["check", option, str(path), "--checker", "reach"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"cbugscan: cannot read {what}{path}: 'utf-8' codec can't decode")
 
 
 def test_report_empty_journal(tmp_path, capsys):

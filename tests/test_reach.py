@@ -1,6 +1,9 @@
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dead_leaders_by_inversion
 
 from cbugscan.checkers.base import Services
 from cbugscan.checkers.reach import (
@@ -120,6 +123,71 @@ def test_pure_dead_cycle_promotes_first_by_location():
     leaders = dead_leaders(cfg)
     assert len(leaders) == 1
     assert cfg.nodes[leaders[0]].location.line == 5
+
+
+# -- dead runs against an oracle ----------------------------------------------------
+
+LABELS = 3
+
+
+@st.composite
+def jumpy_statements(draw, depth, in_loop, labels):
+    """One statement of a body that jumps a lot: returns, gotos to
+    labels L0..L2, breaks and continues in loops, and branches and loops
+    on `c` or on a literal, so dead runs, dead branches and dead cycles
+    come up often. A statement may take the next free label."""
+    kinds = ["call", "call", "return", "goto"]
+    if in_loop:
+        kinds += ["break", "continue"]
+    if depth < 3:
+        kinds += ["if", "while", "for"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "call":
+        text = draw(st.sampled_from(["a();", "b();", "c = c - 1;", ";"]))
+    elif kind == "goto":
+        text = f"goto L{draw(st.integers(0, LABELS - 1))};"
+    elif kind in ("return", "break", "continue"):
+        text = f"{kind};"
+    else:
+        cond = draw(st.sampled_from(["c", "0", "1"]))
+        body = draw(jumpy_blocks(depth + 1, in_loop or kind != "if", labels))
+        if kind == "if":
+            text = f"if ({cond}) {{ {body} }}"
+            if draw(st.booleans()):
+                orelse = draw(jumpy_blocks(depth + 1, in_loop, labels))
+                text += f" else {{ {orelse} }}"
+        elif kind == "while":
+            text = f"while ({cond}) {{ {body} }}"
+        else:
+            header = draw(st.sampled_from(
+                [";;", "c = 0; c; c = c + 1", f"; {cond}; "]))
+            text = f"for ({header}) {{ {body} }}"
+    if len(labels) < LABELS and draw(st.booleans()):
+        labels.append(f"L{len(labels)}")
+        text = f"{labels[-1]}: {text}"
+    return text
+
+
+@st.composite
+def jumpy_blocks(draw, depth, in_loop, labels):
+    return " ".join(draw(st.lists(
+        jumpy_statements(depth, in_loop, labels), max_size=4)))
+
+
+@st.composite
+def jumpy_functions(draw):
+    labels: list[str] = []
+    body = draw(jumpy_blocks(0, False, labels))
+    # labels the body left free go first, where they add no dead node
+    free = " ".join(f"L{i}: ;" for i in range(len(labels), LABELS))
+    return f"void f(int c) {{ {free} {body} }}\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(jumpy_functions())
+def test_dead_leaders_match_a_full_inversion_of_succs(source):
+    cfg = build_unit_from_text(source, "t.c").cfgs["f"]
+    assert dead_leaders(cfg) == dead_leaders_by_inversion(cfg)
 
 
 def test_leaders_sorted_by_location():

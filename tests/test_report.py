@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -69,6 +70,15 @@ def test_id_tracks_content_fields():
     assert make_trace(checker="thread").id != base.id
     assert make_trace(line=9).id != base.id
     assert make_trace(file="b.c").id != base.id
+
+
+def test_id_of_a_file_name_that_is_not_utf8():
+    # a name read from the filesystem keeps an undecodable byte as a
+    # surrogate; the id hashes the name's original bytes
+    name = b"d/\xff.c".decode("utf-8", "surrogateescape")
+    payload = b"automaton|double lock of &m|d/\xff.c:3:5|d/\xff.c:4:5"
+    assert make_trace(file=name).id == \
+        hashlib.sha256(payload).hexdigest()[:16]
 
 
 def test_primary_location_is_last_step():
