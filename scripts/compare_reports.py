@@ -17,7 +17,12 @@ location of the `FrontendError` that parsing it raises, and the CFG
 of every function as DOT, as `cbugscan dump-cfg` does (`cfg_to_dot`),
 or the `FrontendError` that building the unit raises, so the two
 frontends and CFG layers are compared tree for tree and graph for
-graph, not only by what the checkers report. Where more than one CPU
+graph, not only by what the checkers report. Before the jobs, the
+config parsers of the automaton, lockstat and thread checkers each
+read every text of `BAD_CONFIGS`, malformed configs that reach every
+error the config reader and their directives raise, and the
+`ConfigError` each raises is printed, so config error texts are
+compared too. Where more than one CPU
 is usable, the engine splits a multi-file job into shards that forked
 workers check, so the groups exercise the shards. The two outputs are
 compared line by line: on any difference the first differing lines
@@ -47,16 +52,30 @@ import tempfile
 CHILD = r"""
 import json
 import sys
+from cbugscan.checkers.automaton import parse_automaton_file
+from cbugscan.checkers.lockstat import parse_lockstat_config
+from cbugscan.checkers.threads import parse_thread_config
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
-from cbugscan.errors import FrontendError
+from cbugscan.errors import ConfigError, FrontendError
 from cbugscan.frontend import dump_sexpr, parse, preprocess_source
 from cbugscan.ir.cfg import cfg_to_dot
 from cbugscan.ir.units import load_unit
 from cbugscan.report import export_console, export_json
 
+parsers = {"automaton": parse_automaton_file, "lockstat": parse_lockstat_config,
+           "thread": parse_thread_config}
+request = json.load(sys.stdin)
+for text in request["configs"]:
+    for name, parse_config in parsers.items():
+        try:
+            parse_config(text, "c.conf")
+            error = "none"
+        except ConfigError as err:
+            error = str(err)
+        sys.stdout.write(f"config {name} {text!r}: {error}\n")
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
-for paths in json.load(sys.stdin):
+for paths in request["jobs"]:
     result = run_job(AnalysisJob(sources=[SourceDescriptor(p) for p in paths],
                                  checkers=checkers))
     sys.stdout.write(f"== {' '.join(paths)}\n" + export_json(result.traces)
@@ -76,6 +95,33 @@ for paths in json.load(sys.stdin):
         sys.stdout.write(f"cfg: {dot}\n")
 """
 
+# Each is read by all three config parsers: the reader's own errors,
+# then each directive's, then the errors a whole config can have.
+AUTOMATON_HEAD = 'automaton a\nstates U L\nstart U\npattern p "f()"\n'
+BAD_CONFIGS = [
+    "", "# comment only\n", 'x "unterminated\n', "  frobnicate  x  # c\n",
+    "states U\n", 'pattern p "f(("\n', "frobnicate\nautomaton a\n",
+    "automaton a b\n", "automaton a\nstates\n",
+    'automaton a\nstates s\nstart s\npattern p "f(("\n',
+    AUTOMATON_HEAD + "transition U p L\n",
+    AUTOMATON_HEAD + "transition U p -> L\nerror U p x\n",
+    AUTOMATON_HEAD + "error U p x\ntransition U p -> L\n",
+    AUTOMATON_HEAD + "error-at-exit L x\nerror-at-exit L y\n",
+    AUTOMATON_HEAD + "transition U q -> L\n",
+    AUTOMATON_HEAD + "transition U p -> M\n",
+    AUTOMATON_HEAD + "error-at-exit M x\n",
+    "automaton a\nstart U\nautomaton b\nfrobnicate\n",
+    "automaton a\nstates U\nautomaton b\n",
+    "automaton a\nstates U\nstart V\n", "automaton a\nstates <absent>\n",
+    "access x\nthreshold 7/x\n", "access x\nthreshold 1/0\n",
+    "access x\nthreshold 0\n", "access x\nthreshold 1.5\n",
+    "access x\nthreshold 1\n", "min-samples five\n", "min-samples 0\n",
+    "access x y\n", 'access "f(("\n', "lock x unlock\n",
+    'lock "g()" unlock "h()"\n\nlock "f(("\n', 'lock "f()" unlock "g(("\n',
+    "unlock x y\n", "lock x\n", "max-cycles many\n", "max-cycles 0\n",
+    "max-cycles 1 2\n", 'spawn "run(%G)"\n', 'spawn "run(("\n',
+    "entry a b\n", "entry a\n",
+]
 SHOWN_LINES = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("wide", "deep", "nest")
@@ -108,7 +154,9 @@ def checkout(tree: str, directory: str) -> str:
 def report(tree: str, jobs: list[list[str]]) -> list[str]:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(package_dir(tree)))
     done = subprocess.run([sys.executable, "-c", CHILD], env=env,
-                          input=json.dumps(jobs), capture_output=True,
+                          input=json.dumps({"configs": BAD_CONFIGS,
+                                            "jobs": jobs}),
+                          capture_output=True,
                           text=True)
     if done.returncode != 0:
         sys.stderr.write(f"{tree}: exit {done.returncode}\n{done.stderr}")
@@ -174,7 +222,7 @@ def compare(old_tree: str, new_tree: str, directory: str,
     new = report(checkout(new_tree, directory), jobs)
     if old == new:
         print(f"identical: {sum(map(len, groups))} files in {len(jobs)} "
-              f"jobs, {len(old)} lines")
+              f"jobs and {len(BAD_CONFIGS)} configs, {len(old)} lines")
         return 0
     diff = list(difflib.unified_diff(old, new, old_tree, new_tree, lineterm=""))
     print("\n".join(diff[:SHOWN_LINES]))

@@ -41,12 +41,12 @@ from typing import NamedTuple
 from cbugscan.checkers.base import (
     Checker,
     Services,
-    config_lines,
     forward_fixpoint,
     matches,
     read_config,
+    read_directives,
 )
-from cbugscan.errors import ConfigError, PatternError
+from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
     SourceLocation,
@@ -113,57 +113,46 @@ class AutomatonDef:
 
 def parse_automaton_file(text: str, source: str = "<automaton>") -> list[AutomatonDef]:
     automata: list[AutomatonDef] = []
-    current: AutomatonDef | None = None
 
-    def need_current(lineno: int) -> AutomatonDef:
-        if current is None:
-            raise ConfigError(
-                f"{source}:{lineno}: directive before 'automaton NAME'")
-        return current
+    def take(words: list[str]) -> bool:
+        directive, *args = words
+        if directive == "automaton" and len(args) == 1:
+            if automata:
+                automata[-1].validate(source)
+            automata.append(AutomatonDef(name=args[0]))
+            return True
+        # each directive an automaton holds, and whether its words fit it
+        if not {"states": len(args) >= 1, "start": len(args) == 1,
+                "pattern": len(args) == 2,
+                "transition": len(args) == 4 and args[2] == "->",
+                "error": len(args) == 3,
+                "error-at-exit": len(args) == 2}.get(directive):
+            return False
+        if not automata:
+            raise ValueError("directive before 'automaton NAME'")
+        auto = automata[-1]
+        if directive == "states":
+            auto.states.extend(args)
+        elif directive == "start":
+            auto.start = args[0]
+        elif directive == "pattern":
+            auto.patterns.append(compile_pattern(args[1], name=args[0]))
+        elif directive == "error-at-exit":
+            if args[0] in auto.exit_errors:
+                raise ValueError(f"duplicate rule for error-at-exit {args[0]!r}")
+            auto.exit_errors[args[0]] = args[1]
+        else:
+            key = (args[0], args[1])
+            if key in auto.transitions or key in auto.errors:
+                raise ValueError(f"duplicate rule for {key}")
+            rules = auto.transitions if directive == "transition" else auto.errors
+            rules[key] = args[-1]
+        return True
 
-    try:
-        for lineno, line, parts in config_lines(text, source):
-            directive = parts[0]
-            if directive == "automaton" and len(parts) == 2:
-                if current is not None:
-                    current.validate(source)
-                current = AutomatonDef(name=parts[1])
-                automata.append(current)
-            elif directive == "states" and len(parts) >= 2:
-                need_current(lineno).states.extend(parts[1:])
-            elif directive == "start" and len(parts) == 2:
-                need_current(lineno).start = parts[1]
-            elif directive == "pattern" and len(parts) == 3:
-                need_current(lineno).patterns.append(
-                    compile_pattern(parts[2], name=parts[1]))
-            elif directive == "transition" and len(parts) == 5 and parts[3] == "->":
-                auto = need_current(lineno)
-                key = (parts[1], parts[2])
-                if key in auto.transitions or key in auto.errors:
-                    raise ConfigError(
-                        f"{source}:{lineno}: duplicate rule for {key}")
-                auto.transitions[key] = parts[4]
-            elif directive == "error" and len(parts) == 4:
-                auto = need_current(lineno)
-                key = (parts[1], parts[2])
-                if key in auto.transitions or key in auto.errors:
-                    raise ConfigError(
-                        f"{source}:{lineno}: duplicate rule for {key}")
-                auto.errors[key] = parts[3]
-            elif directive == "error-at-exit" and len(parts) == 3:
-                auto = need_current(lineno)
-                if parts[1] in auto.exit_errors:
-                    raise ConfigError(f"{source}:{lineno}: duplicate rule "
-                                      f"for error-at-exit {parts[1]!r}")
-                auto.exit_errors[parts[1]] = parts[2]
-            else:
-                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
-    except PatternError as exc:
-        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-    if current is not None:
-        current.validate(source)
+    read_directives(text, source, take)
     if not automata:
         raise ConfigError(f"{source}: no automata defined")
+    automata[-1].validate(source)
     return automata
 
 

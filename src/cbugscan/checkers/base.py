@@ -5,9 +5,11 @@ traces. Checkers hold no cross-unit mutable state, which is what lets
 the engine stream units through a bounded cache without changing any
 checker's output. What they share is kept on the unit: `matches`
 matches each pattern once per unit, whichever checker asks, and keeps
-its hits there by the pattern's shape. The lock checkers read their
-lock lines with one parser, `LockLines`, which also keys their lock
-events.
+its hits there by the pattern's shape. `read_directives` reads every
+config, given a checker's `take(words)`, and locates its errors; the
+lock checkers read their lock lines with `LockLines`, whose
+`node_events` gives each CFG node's (kind, key, location) events, given
+a checker's lock key.
 """
 
 from __future__ import annotations
@@ -18,24 +20,26 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from cbugscan.config import read_text
-from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode
-from cbugscan.ir.units import TranslationUnit, UnitManager
+from cbugscan.errors import ConfigError, PatternError
+from cbugscan.frontend.ast_nodes import AstNode, SourceLocation
+from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import Bindings, Pattern, compile_pattern, pattern_hits
 from cbugscan.report import ErrorTrace
 
-Event = TypeVar("Event")
 Key = TypeVar("Key", bound=Hashable)
 Fact = TypeVar("Fact")
+
+ACCESS, LOCK, UNLOCK = "access", "lock", "unlock"
+# (ACCESS, LOCK or UNLOCK, lock key or accessed text, location)
+LockEvent = tuple[str, str, SourceLocation]
 
 
 @dataclass(eq=False)
 class Services:
     """What the engine offers a running checker."""
-    unit_manager: UnitManager
     report_diagnostic: Callable[[str], None] = lambda _message: None
 
 
@@ -57,17 +61,33 @@ def read_config(path: str | None, checker_name: str) -> str:
     return read_text(path)
 
 
-def config_lines(text: str,
-                 source: str) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, stripped line, shell-style words) for each line of
-    a config text that has words; `#` starts a comment."""
+def read_directives(text: str, source: str,
+                    take: Callable[[list[str]], bool]) -> None:
+    """Pass each config line's shell-style words, if any, to `take`; `#`
+    starts a comment. A line `take` refuses is `SOURCE:LINE: cannot parse
+    'LINE'`; a PatternError or ValueError it raises is `SOURCE:LINE:
+    message`, and a ConfigError it raises is passed on as it is."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             words = shlex.split(raw, comments=True)
-        except ValueError as exc:
+            if words and not take(words):
+                raise ValueError(f"cannot parse {raw.strip()!r}")
+        except (PatternError, ValueError) as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from exc
-        if words:
-            yield lineno, raw.strip(), words
+
+
+def config_number(text: str, name: str, convert: Callable = int,
+                  valid: Callable = lambda value: value >= 1,
+                  rule: str = "at least 1"):
+    """`convert(text)`, the value of directive `name`; a ValueError, `bad
+    NAME` if that fails and `NAME must be RULE` if it is not `valid`."""
+    try:
+        value = convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {name}") from None
+    if not valid(value):
+        raise ValueError(f"{name} must be {rule}")
+    return value
 
 
 @dataclass
@@ -97,32 +117,37 @@ class LockLines:
         return True
 
     def node_events(
-            self, patterns: list[Pattern], unit: TranslationUnit,
+            self, unit: TranslationUnit,
             match: Callable[[Pattern, AstNode], Bindings | None],
             key: Callable[[Pattern, Bindings, AstNode], str],
-            event: Callable[[Pattern, str, AstNode], Event],
-    ) -> dict[int, list[Event]]:
-        """Each CFG node's events by node id, in `matches` order, one
-        `event(pattern, lock key, subnode)` per lock key of a match:
-        a match's key is `key(pattern, bindings, subnode)`, except that an
-        unlock releasing its line's lock has every key that lock took at
-        a CFG node of the unit, in sorted order."""
+            accesses: Iterable[Pattern] = (),
+    ) -> dict[int, list[LockEvent]]:
+        """Each CFG node's events by node id, in `matches` order over the
+        `accesses`, then the locks, then the unlocks: one (ACCESS, LOCK or
+        UNLOCK, key, subnode location) per key of a match. A match's key
+        is `key(pattern, bindings, subnode)`, except that an unlock
+        releasing its line's lock has every key that lock took at a CFG
+        node of the unit, in sorted order."""
+        kinds = {**dict.fromkeys(accesses, ACCESS),
+                 **dict.fromkeys(self.locks, LOCK),
+                 **dict.fromkeys(self.unlocks, UNLOCK)}
         found = {owner: hits for owner, hits in
-                 matches(patterns, unit, match).items() if owner is not None}
+                 matches(list(kinds), unit, match).items() if owner is not None}
         taken: dict[Pattern, set[str]] = {
             lock: set() for lock in self.releases.values()}
         for hits in found.values():
             for pattern, subnode, bindings in hits:
                 if pattern in taken:
                     taken[pattern].add(key(pattern, bindings, subnode))
-        events: dict[int, list[Event]] = {}
+        events: dict[int, list[LockEvent]] = {}
         for owner, hits in found.items():
             out = events[owner] = []
             for pattern, subnode, bindings in hits:
                 lock = self.releases.get(pattern)
                 keys = (sorted(taken[lock]) if lock is not None
                         else (key(pattern, bindings, subnode),))
-                out.extend(event(pattern, each, subnode) for each in keys)
+                out.extend((kinds[pattern], each, subnode.location)
+                           for each in keys)
         return events
 
 

@@ -14,21 +14,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from cbugscan.checkers.base import (
+    ACCESS,
+    LOCK,
     Checker,
+    LockEvent,
     LockLines,
     Services,
-    config_lines,
+    config_number,
     forward_fixpoint,
     read_config,
+    read_directives,
 )
-from cbugscan.errors import ConfigError, PatternError
-from cbugscan.frontend.ast_nodes import SourceLocation, statement_text
+from cbugscan.errors import ConfigError
+from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, statement_text
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
+    Bindings,
     Pattern,
     compile_pattern,
     first_binding,
@@ -44,43 +48,28 @@ class LockstatConfig(LockLines):
     threshold: Fraction = Fraction(7, 10)
     min_samples: int = 5
 
-    @cached_property
-    def kinds(self) -> dict[Pattern, str]:
-        """Each pattern's event kind, in config order: accesses, locks,
-        unlocks."""
-        return {**dict.fromkeys(self.accesses, _ACCESS),
-                **dict.fromkeys(self.locks, _LOCK),
-                **dict.fromkeys(self.unlocks, _UNLOCK)}
-
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
-    try:
-        for lineno, line, parts in config_lines(text, source):
-            directive = parts[0]
-            if config.read_lock_line(parts):
-                continue
-            if directive == "access" and len(parts) == 2:
-                config.accesses.append(compile_pattern(parts[1]))
-            elif directive == "threshold" and len(parts) == 2:
-                try:
-                    config.threshold = Fraction(parts[1])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ConfigError(f"{source}:{lineno}: bad threshold") from exc
-                if not 0 < config.threshold <= 1:
-                    raise ConfigError(f"{source}:{lineno}: threshold must be in (0, 1]")
-            elif directive == "min-samples" and len(parts) == 2:
-                try:
-                    config.min_samples = int(parts[1])
-                except ValueError as exc:
-                    raise ConfigError(f"{source}:{lineno}: bad min-samples") from exc
-                if config.min_samples < 1:
-                    raise ConfigError(
-                        f"{source}:{lineno}: min-samples must be at least 1")
-            else:
-                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
-    except PatternError as exc:
-        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
+
+    def take(words: list[str]) -> bool:
+        if config.read_lock_line(words):
+            return True
+        if len(words) != 2:
+            return False
+        directive, value = words
+        if directive == "access":
+            config.accesses.append(compile_pattern(value))
+        elif directive == "threshold":
+            config.threshold = config_number(value, "threshold", Fraction,
+                                             lambda v: 0 < v <= 1, "in (0, 1]")
+        elif directive == "min-samples":
+            config.min_samples = config_number(value, "min-samples")
+        else:
+            return False
+        return True
+
+    read_directives(text, source, take)
     if not config.accesses:
         raise ConfigError(f"{source}: no access patterns configured")
     return config
@@ -94,17 +83,18 @@ def should_report(locked: int, total: int, threshold: Fraction,
     return Fraction(locked, total) >= threshold
 
 
+def text_key(pattern: Pattern, bindings: Bindings, node: AstNode) -> str:
+    """A match's lock key or accessed variable: the text its pattern's
+    first metavariable binds, or the matched text when it has none."""
+    return statement_text(first_binding(pattern, bindings, node))
+
+
 @dataclass
 class _Access:
     """A variable access and the locks held there."""
     variable: str
     location: SourceLocation
     held: frozenset[str]
-
-
-_ACCESS, _LOCK, _UNLOCK = "access", "lock", "unlock"
-# (_ACCESS, _LOCK or _UNLOCK, text bound by the pattern, location)
-_Event = tuple[str, str, SourceLocation]
 
 
 class LockstatChecker(Checker):
@@ -119,26 +109,16 @@ class LockstatChecker(Checker):
         # Statistics aggregate over the whole unit; the held-set
         # computation itself is per function.
         accesses: list[_Access] = []
-        events = self._node_events(unit)
+        events = self.config.node_events(unit, match_node, text_key,
+                                         self.config.accesses)
         for name in unit.functions:
             accesses.extend(self._collect_accesses(unit.cfgs[name], events))
         return self._report(accesses)
 
     # -- per-function analysis -------------------------------------------
 
-    def _node_events(self, unit: TranslationUnit) -> dict[int, list[_Event]]:
-        """Each CFG node's accesses and lock/unlock events, by node id
-        (see `checkers.base.LockLines.node_events`)."""
-        kinds = self.config.kinds
-        return self.config.node_events(
-            list(kinds), unit, match_node,
-            lambda pattern, bindings, subnode: statement_text(
-                first_binding(pattern, bindings, subnode)),
-            lambda pattern, key, subnode: (
-                kinds[pattern], key, subnode.location))
-
     @staticmethod
-    def _apply(events: list[_Event], in_set: frozenset[str],
+    def _apply(events: list[LockEvent], in_set: frozenset[str],
                record=None) -> frozenset[str]:
         """The held set after a node's events, starting from `in_set`;
         each access is passed to `record` with the set held at it. A node
@@ -147,16 +127,16 @@ class LockstatChecker(Checker):
             return in_set
         held = set(in_set)
         for kind, text, location in events:
-            if kind is _ACCESS:
+            if kind is ACCESS:
                 if record is not None:
                     record(_Access(text, location, frozenset(held)))
-            elif kind is _LOCK:
+            elif kind is LOCK:
                 held.add(text)
             else:
                 held.discard(text)
         return frozenset(held)
 
-    def _collect_accesses(self, cfg: Cfg, events: dict[int, list[_Event]],
+    def _collect_accesses(self, cfg: Cfg, events: dict[int, list[LockEvent]],
                           ) -> list[_Access]:
         # Must-hold fixpoint. Unvisited nodes are implicitly TOP: the
         # first set to arrive is taken as it is, later ones narrow it by

@@ -32,15 +32,17 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from cbugscan.checkers.base import (
+    LOCK,
     Checker,
+    LockEvent,
     LockLines,
     Services,
-    config_lines,
+    config_number,
     forward_fixpoint,
     matches,
     read_config,
+    read_directives,
 )
-from cbugscan.errors import ConfigError, PatternError
 from cbugscan.frontend.ast_nodes import (
     AstNode,
     NodeKind,
@@ -76,31 +78,27 @@ class ThreadConfig(LockLines):
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
-    try:
-        for lineno, line, parts in config_lines(text, source):
-            directive = parts[0]
-            if config.read_lock_line(parts):
-                continue
-            if directive == "spawn" and len(parts) == 2:
-                pattern = compile_pattern(parts[1])
-                if "F" not in pattern.metavar_names():
-                    raise ConfigError(
-                        f"{source}:{lineno}: spawn template must bind %F")
-                config.spawns.append(pattern)
-            elif directive == "entry" and len(parts) == 2:
-                config.entries.append(parts[1])
-            elif directive == "max-cycles" and len(parts) == 2:
-                try:
-                    config.max_cycles = int(parts[1])
-                except ValueError as exc:
-                    raise ConfigError(f"{source}:{lineno}: bad max-cycles") from exc
-                if config.max_cycles < 1:
-                    raise ConfigError(
-                        f"{source}:{lineno}: max-cycles must be at least 1")
-            else:
-                raise ConfigError(f"{source}:{lineno}: cannot parse {line!r}")
-    except PatternError as exc:
-        raise ConfigError(f"{source}:{lineno}: {exc}") from exc
+
+    def take(words: list[str]) -> bool:
+        if config.read_lock_line(words):
+            return True
+        if len(words) != 2:
+            return False
+        directive, value = words
+        if directive == "spawn":
+            pattern = compile_pattern(value)
+            if "F" not in pattern.metavar_names():
+                raise ValueError("spawn template must bind %F")
+            config.spawns.append(pattern)
+        elif directive == "entry":
+            config.entries.append(value)
+        elif directive == "max-cycles":
+            config.max_cycles = config_number(value, "max-cycles")
+        else:
+            return False
+        return True
+
+    read_directives(text, source, take)
     if not config.spawns:
         config.spawns.append(compile_pattern(DEFAULT_SPAWN))
     return config
@@ -134,20 +132,6 @@ class Witness(NamedTuple):
 
 # (held key, taken key) -> the edge's least witness
 LockOrderGraph = dict[tuple[str, str], Witness]
-
-# (is a lock, lock key, location) in evaluation order within a CFG node
-LockEvent = tuple[bool, str, SourceLocation]
-
-
-def lock_events(config: ThreadConfig,
-                unit: TranslationUnit) -> dict[int, list[LockEvent]]:
-    """Each CFG node's lock events, by node id (see
-    `checkers.base.LockLines.node_events`)."""
-    locks = set(config.locks)
-    return config.node_events(
-        config.locks + config.unlocks, unit, match_node, lock_key,
-        lambda pattern, key, subnode: (
-            pattern in locks, key, subnode.location))
 
 
 def find_thread_entries(unit: TranslationUnit, config: ThreadConfig,
@@ -232,8 +216,8 @@ def _summarize(graph: SuperGraph, fn: str,
         if not found and node_id not in graph.calls:
             return fact
         held, released = fact
-        for is_lock, key, location in found:
-            if is_lock:
+        for kind, key, location in found:
+            if kind is LOCK:
                 acquire(key, location, held, released)
                 held = held | {(key, location)}
             else:
@@ -351,8 +335,8 @@ class ThreadChecker(Checker):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         entries = find_thread_entries(unit, self.config, services)
-        summaries = lock_summaries(build_supergraph(unit),
-                                   lock_events(self.config, unit))
+        events = self.config.node_events(unit, match_node, lock_key)
+        summaries = lock_summaries(build_supergraph(unit), events)
         return report_cycles(unit, lock_order_graph(entries, summaries),
                              self.config.max_cycles, services)
 

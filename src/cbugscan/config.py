@@ -90,8 +90,14 @@ def expand_directory(path: str, recursive: bool) -> list[str]:
 
 
 def read_list_file(path: str) -> list[str]:
+    """Its lines but blanks and `#` comments, decoded as file names."""
+    try:
+        with open(path, "rb") as handle:
+            text = os.fsdecode(handle.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read list file {path}: {exc}") from exc
     entries = []
-    for line in read_text(path, "list file").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             entries.append(line)

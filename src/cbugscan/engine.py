@@ -146,8 +146,7 @@ def check_sources(sources: list[SourceDescriptor], checkers: list,
     diagnostic and nothing else."""
     traces: list[ErrorTrace] = []
     diagnostics: list[str] = []
-    services = Services(unit_manager=manager,
-                        report_diagnostic=diagnostics.append)
+    services = Services(report_diagnostic=diagnostics.append)
     for descriptor in sources:
         try:
             unit = manager.get(descriptor.path)

@@ -41,7 +41,6 @@ class TranslationUnit:
     functions: dict[str, AstNode] = field(default_factory=dict)
     cfgs: dict[str, Cfg] = field(default_factory=dict)
     call_graph: CallGraph = field(default_factory=CallGraph)
-    globals: dict[str, AstNode] = field(default_factory=dict)
     func_params: dict[str, list[str]] = field(default_factory=dict)
     func_locals: dict[str, set[str]] = field(default_factory=dict)
     # every subnode of `ast` by kind, with the CFG node that holds it
@@ -65,8 +64,6 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
                 raise FrontendError(
                     f"redefinition of function {decl.text!r}", decl.location)
             unit.functions[decl.text] = decl
-        elif decl.kind is NodeKind.VAR_DECL:
-            unit.globals[decl.text] = decl
     for name, func in unit.functions.items():
         params = [p.text for p in func.children[:-1]]
         unit.func_params[name] = params

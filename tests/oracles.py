@@ -18,11 +18,11 @@ from cbugscan.checkers.automaton import (
     _merge,
     render_message,
 )
-from cbugscan.checkers.base import forward_fixpoint
+from cbugscan.checkers.base import LOCK, forward_fixpoint
 from cbugscan.checkers.threads import (
     Witness,
     find_thread_entries,
-    lock_events,
+    lock_key,
     report_cycles,
 )
 from cbugscan.errors import FrontendError
@@ -300,15 +300,15 @@ def cloned_automaton_traces(automaton, unit):
 
 def cloned_lock_graph(unit, entry: str, config):
     """One entry's lock-order graph by call-string cloning."""
-    events = lock_events(config, unit)
+    events = config.node_events(unit, match_node, lock_key)
     succs, _, start, _ = cloned_supergraph(unit, entry)
     edges: dict = {}
     seen = set()
 
     def transfer(key, in_set):
         current = set(in_set)
-        for is_lock, lock, location in events.get(key[1], ()):
-            if not is_lock:
+        for kind, lock, location in events.get(key[1], ()):
+            if kind is not LOCK:
                 current = {pair for pair in current if pair[0] != lock}
                 continue
             for held, held_location in current:

@@ -58,7 +58,7 @@ def corpus_sources():
 
 
 def services():
-    return Services(unit_manager=UnitManager(load_unit))
+    return Services()
 
 
 def run_checker(name, path):

@@ -11,7 +11,7 @@ from cbugscan.checkers.automaton import (
 from cbugscan.checkers.base import Services
 from cbugscan.errors import ConfigError
 from cbugscan.frontend import iter_tree, parse_fragment, to_text
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import match_node
 
 from oracles import collect_calls, run_automaton_on_paths
@@ -31,7 +31,7 @@ error-at-exit L "lock %X held at exit"
 
 
 def services():
-    return Services(unit_manager=UnitManager(load_unit))
+    return Services()
 
 
 def run(source, config_text=LOCK_CONFIG, tmp_path=None):

@@ -4,7 +4,8 @@ Each checker reads its own directive language, but opening the file and
 splitting it into lines and words is shared, so the error text for a
 missing path, an unreadable file, bad quoting and an unknown directive
 must be the same for all of them, and each locates a pattern that does
-not parse by file and line.
+not parse by file and line. The errors of each checker's own directives
+are pinned by their exact text too.
 """
 
 import pytest
@@ -57,4 +58,61 @@ def test_config_error_text(tmp_path, checker_class, case):
     path, expected = case(tmp_path, checker_class.name)
     with pytest.raises(ConfigError) as err:
         checker_class(path)
+    assert str(err.value) == expected
+
+
+AUTOMATON_HEAD = 'automaton a\nstates U L\nstart U\npattern p "f()"\n'
+
+
+# (checker, config text, the error for a file `c.conf`)
+EXACT_ERRORS = [
+    (AutomatonChecker, "states U\n",
+     "c.conf:1: directive before 'automaton NAME'"),
+    (AutomatonChecker, 'pattern p "f(("\n',
+     "c.conf:1: directive before 'automaton NAME'"),
+    (AutomatonChecker, "frobnicate\nautomaton a\n",
+     "c.conf:1: cannot parse 'frobnicate'"),
+    (AutomatonChecker, AUTOMATON_HEAD + "transition U p L\n",
+     "c.conf:5: cannot parse 'transition U p L'"),
+    (AutomatonChecker, AUTOMATON_HEAD + "transition U p -> L\nerror U p x\n",
+     "c.conf:6: duplicate rule for ('U', 'p')"),
+    (AutomatonChecker, AUTOMATON_HEAD + "error-at-exit L x\n"
+     "error-at-exit L y\n",
+     "c.conf:6: duplicate rule for error-at-exit 'L'"),
+    (AutomatonChecker, "automaton a b\n",
+     "c.conf:1: cannot parse 'automaton a b'"),
+    (AutomatonChecker, "automaton a\nstart U\nautomaton b\nfrobnicate\n",
+     "c.conf: automaton 'a': no states declared"),
+    (AutomatonChecker, "# none\n", "c.conf: no automata defined"),
+    (LockstatChecker, "access x\nthreshold 7/x\n", "c.conf:2: bad threshold"),
+    (LockstatChecker, "access x\nthreshold 1/0\n", "c.conf:2: bad threshold"),
+    (LockstatChecker, "access x\nthreshold 0\n",
+     "c.conf:2: threshold must be in (0, 1]"),
+    (LockstatChecker, "access x\nthreshold 1.5\n",
+     "c.conf:2: threshold must be in (0, 1]"),
+    (LockstatChecker, "min-samples five\n", "c.conf:1: bad min-samples"),
+    (LockstatChecker, "min-samples 0\n",
+     "c.conf:1: min-samples must be at least 1"),
+    (LockstatChecker, "access x y\n", "c.conf:1: cannot parse 'access x y'"),
+    (LockstatChecker, "lock x unlock\n",
+     "c.conf:1: cannot parse 'lock x unlock'"),
+    (LockstatChecker, "lock x\n", "c.conf: no access patterns configured"),
+    (ThreadChecker, "max-cycles many\n", "c.conf:1: bad max-cycles"),
+    (ThreadChecker, "max-cycles 0\n",
+     "c.conf:1: max-cycles must be at least 1"),
+    (ThreadChecker, 'spawn "run(%G)"\n',
+     "c.conf:1: spawn template must bind %F"),
+    (ThreadChecker, "entry a b\n", "c.conf:1: cannot parse 'entry a b'"),
+    (ThreadChecker, "unlock x y\n", "c.conf:1: cannot parse 'unlock x y'"),
+]
+
+
+@pytest.mark.parametrize("checker_class, text, expected", EXACT_ERRORS,
+                         ids=[case[2] for case in EXACT_ERRORS])
+def test_config_error_exact_text(tmp_path, monkeypatch, checker_class, text,
+                                 expected):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.conf").write_text(text)
+    with pytest.raises(ConfigError) as err:
+        checker_class("c.conf")
     assert str(err.value) == expected

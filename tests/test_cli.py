@@ -450,12 +450,11 @@ def test_triage_report_not_utf8_exits_two(tmp_path, capsys):
     assert not db.exists()
 
 
-# A checker config, a list file and a compilation database, each valid
-# but for one Latin-1 byte: "cannot read [WHAT ]PATH" and exit 2.
+# A checker config and a compilation database, each valid but for one
+# Latin-1 byte: "cannot read [WHAT ]PATH" and exit 2.
 NON_UTF8_INPUTS = {
     "config": ("automaton:", "", b"# caf\xe9\nautomaton a\nstates s\n"
                b"start s\npattern p \"f()\"\ntransition s p -> s\n"),
-    "list": ("--list", "list file ", b"# caf\xe9\na.c\n"),
     "compdb": ("--compdb", "compilation database ",
                b'[{"file": "a.c", "flags": ["-DN=caf\xe9"]}]'),
 }
@@ -477,6 +476,35 @@ def test_non_utf8_input_files_exit_two(tmp_path, capsys, monkeypatch, kind):
     assert captured.out == ""
     assert captured.err.startswith(
         f"cbugscan: cannot read {what}{path}: 'utf-8' codec can't decode")
+
+
+def test_list_file_names_a_non_utf8_file_as_dir_finds_it(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("d")
+    try:
+        with open(b"d/\xff.c", "w", encoding="utf-8") as handle:
+            handle.write(textwrap.dedent(DEAD_CODE))
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    (tmp_path / "files.lst").write_bytes(b"# caf\xe9\nd/\xff.c\n")
+    reports = []
+    for option, value in (("--dir", "d"), ("--list", "files.lst")):
+        assert main(["check", option, value, "--checker", "reach",
+                     "--format", "json", "--output", "out"]) == 1
+        assert capsys.readouterr() == ("", "")
+        reports.append((tmp_path / "out").read_bytes())
+    [trace] = json.loads(reports[0])
+    assert trace["message"] == "unreachable code"
+    assert reports[1] == reports[0]
+
+
+def test_missing_list_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "gone.lst"
+    assert main(["check", "--list", str(path), "--checker", "reach"]) == 2
+    assert capsys.readouterr().err == (
+        f"cbugscan: cannot read list file {path}: "
+        f"[Errno 2] No such file or directory: {str(path)!r}\n")
 
 
 def test_report_empty_journal(tmp_path, capsys):

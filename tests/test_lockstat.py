@@ -10,10 +10,11 @@ from cbugscan.checkers.lockstat import (
     LockstatChecker,
     parse_lockstat_config,
     should_report,
+    text_key,
 )
 from cbugscan.errors import ConfigError
 from cbugscan.frontend import iter_tree, to_text
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import compile_pattern, match_node
 from cbugscan.report import Importance
 
@@ -30,7 +31,7 @@ def run(source, tmp_path, config_text=BASIC_CONFIG):
     config.write_text(config_text)
     checker = LockstatChecker(str(config))
     unit = build_unit_from_text(textwrap.dedent(source), "t.c")
-    services = Services(unit_manager=UnitManager(load_unit))
+    services = Services()
     return checker.check_unit(unit, services)
 
 
@@ -530,7 +531,8 @@ def test_held_sets_match_path_enumeration(source, tmp_path):
     config = tmp_path / "lockstat.conf"
     config.write_text(BASIC_CONFIG)
     checker = LockstatChecker(str(config))
-    accesses = checker._collect_accesses(cfg, checker._node_events(unit))
+    accesses = checker._collect_accesses(cfg, checker.config.node_events(
+        unit, match_node, text_key, checker.config.accesses))
     assert len(accesses) == len(access_nodes)
     for access in accesses:
         node_id = access_nodes[str(access.location)]

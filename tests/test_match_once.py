@@ -13,7 +13,7 @@ from cbugscan import patterns
 from cbugscan.checkers import automaton, builtin_registry, lockstat, threads
 from cbugscan.checkers.base import Services
 from cbugscan.frontend import iter_tree
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit, units
+from cbugscan.ir import build_unit_from_text, units
 
 
 def fan_out_chain(depth=4, fan_out=3):
@@ -55,7 +55,7 @@ def test_each_pattern_subnode_pair_matched_once(name, monkeypatch):
 
     checker = builtin_registry().create(name)
     checker.check_unit(fan_out_chain(),
-                       Services(unit_manager=UnitManager(load_unit)))
+                       Services())
     assert attempts  # the checker did match something
     repeated = [(p.name, str(n.location), count)
                 for (p, n), count in attempts.items() if count > 1]
@@ -79,7 +79,7 @@ def test_each_shape_subnode_pair_matched_once_across_checkers(monkeypatch):
     registry = builtin_registry()
     for name in ("automaton", "thread", "lockstat"):
         registry.create(name).check_unit(
-            unit, Services(unit_manager=UnitManager(load_unit)))
+            unit, Services())
     assert attempts  # the checkers did match something
     repeated = [(str(n.location), count)
                 for (_, n), count in attempts.items() if count > 1]
@@ -87,7 +87,7 @@ def test_each_shape_subnode_pair_matched_once_across_checkers(monkeypatch):
 
 
 def services():
-    return Services(unit_manager=UnitManager(load_unit))
+    return Services()
 
 
 def test_match_table_is_built_once_per_unit(monkeypatch):

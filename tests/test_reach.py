@@ -12,14 +12,14 @@ from cbugscan.checkers.reach import (
     superfluous_semicolons,
 )
 from cbugscan.errors import ConfigError
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import build_unit_from_text
 from cbugscan.report import Importance
 
 
 def run(source):
     checker = ReachChecker(None)
     unit = build_unit_from_text(textwrap.dedent(source), "t.c")
-    services = Services(unit_manager=UnitManager(load_unit))
+    services = Services()
     return checker.check_unit(unit, services)
 
 

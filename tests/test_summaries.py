@@ -12,7 +12,7 @@ from cbugscan.checkers.base import Services
 from cbugscan.cli import main
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import build_unit_from_text
 from cbugscan.report import export_json, normalize
 
 from oracles import cloned_automaton_traces, cloned_thread_traces
@@ -23,8 +23,7 @@ THREAD = REGISTRY.create("thread")
 
 
 def services(diagnostics=None):
-    return Services(unit_manager=UnitManager(load_unit),
-                    report_diagnostic=(diagnostics if diagnostics is not None
+    return Services(report_diagnostic=(diagnostics if diagnostics is not None
                                        else []).append)
 
 

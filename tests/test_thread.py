@@ -13,7 +13,6 @@ from cbugscan.checkers.threads import (
     ThreadChecker,
     elementary_cycles,
     find_thread_entries,
-    lock_events,
     lock_key,
     lock_order_graph,
     lock_summaries,
@@ -24,7 +23,7 @@ from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
 from cbugscan.errors import ConfigError
 from cbugscan.frontend import iter_tree
-from cbugscan.ir import UnitManager, build_unit_from_text, load_unit
+from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import compile_pattern, match_node
 from cbugscan.report import Importance
 from cbugscan.traverse import build_supergraph
@@ -45,8 +44,7 @@ def unit(source):
 
 def services(diagnostics=None):
     sink = diagnostics.append if diagnostics is not None else lambda _m: None
-    return Services(unit_manager=UnitManager(load_unit),
-                    report_diagnostic=sink)
+    return Services(report_diagnostic=sink)
 
 
 def run(source, tmp_path, config_text=PAIR_CONFIG, diagnostics=None):
@@ -218,7 +216,8 @@ def test_no_spawns_no_entries_means_every_function():
 # -- the lock-order graph ----------------------------------------------------------
 
 def summaries_for(u, config):
-    return lock_summaries(build_supergraph(u), lock_events(config, u))
+    return lock_summaries(build_supergraph(u),
+                          config.node_events(u, match_node, lock_key))
 
 
 def graph_for(source, entry="f", config_text=PAIR_CONFIG):

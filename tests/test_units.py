@@ -29,7 +29,6 @@ def test_unit_indexes_functions_and_globals():
     """), "t.c")
     assert list(unit.functions) == ["f", "g"]
     assert set(unit.cfgs) == {"f", "g"}
-    assert set(unit.globals) == {"counter", "gdev"}
     assert unit.func_params["f"] == ["a"]
     assert unit.func_locals["f"] == {"a", "x"}
 
