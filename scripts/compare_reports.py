@@ -33,8 +33,11 @@ wide, deep and nest workloads of seeds 1-10, which
 under a temporary directory, and, when `cpp` is on PATH, each corpus
 file as `cpp` writes it, line markers kept, so the lexer's line-marker
 path is compared too; without `cpp` that set is skipped, and a line
-says so. The groups are then the corpus, each workload directory and
-the `cpp` set.
+says so. The programs of `CALL_PROBES` are written into a directory of
+their own too: small ones around calls that never return, where a
+checker must know what such a call cuts off and what it does not, and
+which neither the corpus nor the workloads hold. The groups are then
+the corpus, each workload directory, the probes and the `cpp` set.
 Standard library only.
 """
 
@@ -122,6 +125,22 @@ BAD_CONFIGS = [
     "max-cycles 1 2\n", 'spawn "run(%G)"\n', 'spawn "run(("\n',
     "entry a b\n", "entry a\n",
 ]
+# The probe group's files by name; `die` never returns.
+DIE = "void die(void) { for (;;) {} }\n"
+CALL_PROBES = {
+    # f returns only at its recursion's bottom, which releases g's lock
+    "bottom.c": "void f(int c) { if (c) { mutex_unlock(&m); return; } f(c); }\n"
+                "void g(void) { mutex_lock(&m); f(1); }\n",
+    "die_then_call.c": DIE + "void g(void) { mutex_lock(&m); }\n"
+                             "void f(void) { die(); g(); }\n",
+    "die_in_args.c": DIE + "void g(void) { mutex_lock(&m); }\n"
+                           "void f(void) { use(die(), g()); }\n",
+    "die_then_lock.c": DIE + "void h(void) { die(); mutex_lock(&m); }\n",
+    "mutual.c": "void a(void) { b(); }\nvoid b(void) { a(); }\n"
+                "void k(void) { mutex_lock(&n); }\n"
+                "void h(void) { mutex_lock(&m); a(); mutex_unlock(&m); "
+                "k(); }\n",
+}
 SHOWN_LINES = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("wide", "deep", "nest")
@@ -166,8 +185,9 @@ def report(tree: str, jobs: list[list[str]]) -> list[str]:
 
 def default_groups(directory: str) -> list[list[str]]:
     """The corpus files, then each workload and seed written into a
-    directory of its own under `directory`, then the corpus files as
-    `cpp` writes them, into `directory/cpp`: one group each."""
+    directory of its own under `directory`, then `CALL_PROBES` written
+    into `directory/calls`, then the corpus files as `cpp` writes them,
+    into `directory/cpp`: one group each."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     import workloads
@@ -181,6 +201,12 @@ def default_groups(directory: str) -> list[list[str]]:
             workloads.write_workload(sources, target)
             groups.append([os.path.join(target, source.name)
                            for source in sources])
+    probes = os.path.join(directory, "calls")
+    os.mkdir(probes)
+    for name, text in CALL_PROBES.items():
+        with open(os.path.join(probes, name), "w") as out:
+            out.write(text)
+    groups.append([os.path.join(probes, name) for name in CALL_PROBES])
     cpp = preprocessed(corpus, os.path.join(directory, "cpp"))
     return groups + [cpp] if cpp else groups
 

@@ -22,9 +22,10 @@ fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms.
-Exit-state errors are only evaluated for functions nothing else in the
-unit calls from reachable code, since for a callee the outer context
-may legitimately complete the protocol.
+Exit-state errors are only evaluated for functions that no other
+function's summary walk calls, since for a callee the outer context may
+legitimately complete the protocol. A call the walk never applies, one
+in dead code or after a call that never returns, calls nothing.
 
 A witness is the path the worklist reaches first: each function is
 solved by one FIFO worklist over its own CFG, where a call is one step,
@@ -53,7 +54,6 @@ from cbugscan.frontend.ast_nodes import (
     iter_tree,
     statement_text,
 )
-from cbugscan.ir.cfg import reachable_nodes
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -166,6 +166,7 @@ def render_message(template: str, texts: dict[str, str]) -> str:
 # next matched event it behaves like a fresh instance in the start
 # state, and it never triggers exit errors (no instance, no report).
 _ABSENT = "<absent>"
+_UNSEEN = {_ABSENT: ()}
 
 
 class _Then:
@@ -214,6 +215,14 @@ _Key = tuple[str, ...]                             # sorted binding texts
 _InstMap = dict[_Key, _Instance]
 
 
+def _joined(mine: _Instance, states: dict[str, tuple | _Then]) -> _Instance:
+    """`mine` with the states of `states` it lacks added after its own,
+    with their witnesses; `mine` itself when it lacks none."""
+    added = {state: witness for state, witness in states.items()
+             if state not in mine.states}
+    return _Instance(mine.texts, {**mine.states, **added}) if added else mine
+
+
 def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
     """The union of two instance maps, or None when `new` adds nothing.
 
@@ -224,16 +233,11 @@ def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
     merged = dict(old)
     for key, inst in new.items():
         mine = old.get(key)
-        if mine is None:
-            merged[key] = _Instance(inst.texts, {**inst.states, _ABSENT: ()})
-            continue
-        added = {state: witness for state, witness in inst.states.items()
-                 if state not in mine.states}
-        if added:
-            merged[key] = _Instance(mine.texts, {**mine.states, **added})
+        merged[key] = (_joined(inst, _UNSEEN) if mine is None
+                       else _joined(mine, inst.states))
     for key, mine in old.items():
-        if key not in new and _ABSENT not in mine.states:
-            merged[key] = _Instance(mine.texts, {**mine.states, _ABSENT: ()})
+        if key not in new:
+            merged[key] = _joined(mine, _UNSEEN)
     # unchanged entries are the same objects, so this compares cheaply
     return None if merged == old else merged
 
@@ -260,26 +264,14 @@ class AutomatonChecker(Checker):
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
         graph = build_supergraph(unit)
-        roots = _call_graph_roots(unit)
         traces: list[ErrorTrace] = []
         for automaton in self.automata:
-            traces.extend(_run_automaton(automaton, unit, graph, roots))
+            traces.extend(_run_automaton(automaton, unit, graph))
         return traces
 
 
-def _call_graph_roots(unit: TranslationUnit) -> set[str]:
-    """The defined functions that no *other* defined function calls from
-    a CFG node reachable from its entry."""
-    local = [edge for edge in unit.call_graph.edges
-             if not edge.external and edge.callee != edge.caller]
-    alive = {fn: reachable_nodes(unit.cfgs[fn])
-             for fn in {edge.caller for edge in local}}
-    return set(unit.functions) - {edge.callee for edge in local
-                                  if edge.node_id in alive[edge.caller]}
-
-
 def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
-                   graph: SuperGraph, roots: set[str]) -> list[ErrorTrace]:
+                   graph: SuperGraph) -> list[ErrorTrace]:
     traces: list[ErrorTrace] = []
     emitted: set[tuple[_Key, str, SourceLocation]] = set()
 
@@ -308,11 +300,10 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
     for entry in unit.functions:
         summary = summaries.solved[entry, ()]
         for key, errors in summary.errors[_ABSENT].items():
-            for error in errors:
-                message = render_message(error.template, error.texts)
-                emit(key, message, error.location, _steps(error.steps)
-                     + (TraceStep(error.location, message),))
-        if entry not in roots:
+            for (message, location), error in errors.items():
+                emit(key, message, location, _steps(error.steps)
+                     + (TraceStep(location, message),))
+        if entry in summaries.asked:
             continue
         exit_map = summary.exits[_ABSENT]
         cfg = unit.cfgs[entry]
@@ -335,15 +326,16 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
 # an expression text in some function's terms, and the expression; None
 # for a `callee::text` key, which no caller can rewrite
 _Binding = tuple[str, "AstNode | None"]
-_UNSEEN = {_ABSENT: ()}
 
 
 class _Error(NamedTuple):
     """A transition error; `steps` is its witness up to the error."""
     template: str
     texts: dict[str, str]
-    location: SourceLocation
     steps: tuple | _Then
+
+
+_Found = tuple[str, SourceLocation]              # message and location
 
 
 class _Summary(NamedTuple):
@@ -351,17 +343,18 @@ class _Summary(NamedTuple):
 
     For each entry state of an instance, `_ABSENT` when it does not exist
     yet, `exits` holds the instances at the function's exit and `errors`
-    the transition errors fired on the way, by instance key, with
-    witnesses that start at the function's entry. The entry state
-    `_ABSENT` is solved from no instances at all, every other state with
-    each key in `keys` (the keys the function touches) in that state.
-    `bindings` gives the expression behind each text of those keys.
+    the transition errors fired on the way, by instance key and then by
+    message and location, with witnesses that start at the function's
+    entry. The entry state `_ABSENT` is solved from no instances at all,
+    every other state with each key in `keys` (the keys the function
+    touches) in that state. `bindings` gives the expression behind each
+    text of those keys.
     """
     returns: bool
     keys: tuple[_Key, ...]
     bindings: dict[str, AstNode | None]
     exits: dict[str, _InstMap]
-    errors: dict[str, dict[_Key, list[_Error]]]
+    errors: dict[str, dict[_Key, dict[_Found, _Error]]]
 
 
 # where a recursive component's iteration starts: no call returns yet
@@ -388,6 +381,11 @@ class _Summaries:
         self.events = events
         self.called = {callee_name(call) for calls in graph.calls.values()
                        for call in calls}
+        # the functions another function's walk calls. No attempt resets
+        # it: an earlier round of a recursive component, or an attempt
+        # cut short by an unsolved callee, asks for a subset of what the
+        # final round asks, since its walk reaches no more.
+        self.asked: set[str] = set()
         self.merges: dict[tuple, dict[str, _Binding]] = {}
         self.caller_bindings: dict[tuple[AstNode, str], _Binding] = {}
         self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
@@ -414,6 +412,8 @@ class _Summaries:
         """The summary of the function `call` calls, in the terms of `fn`
         with `merge` applied."""
         callee = callee_name(call)
+        if callee != fn:
+            self.asked.add(callee)
         base = summary_of(callee)
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
@@ -473,17 +473,10 @@ class _Summaries:
             return found
 
         def run(initial: _InstMap):
-            errors: dict[_Key, list[_Error]] = {}
-            seen: set[tuple[_Key, str, SourceLocation]] = set()
+            errors: dict[_Key, dict[_Found, _Error]] = {}
 
-            def record(key: _Key, template: str, texts: dict[str, str],
-                       location: SourceLocation,
-                       steps: tuple | _Then) -> None:
-                dedup = (key, render_message(template, texts), location)
-                if dedup not in seen:
-                    seen.add(dedup)
-                    errors.setdefault(key, []).append(
-                        _Error(template, texts, location, steps))
+            def record(key: _Key, found: _Found, error: _Error) -> None:
+                errors.setdefault(key, {}).setdefault(found, error)
 
             def transfer(node_id: int, in_map: _InstMap) -> _InstMap | None:
                 out = _step(automaton, cfg.nodes[node_id].location,
@@ -531,7 +524,8 @@ def _step(automaton: AutomatonDef, location: SourceLocation, events: list,
                 state, witness = automaton.start, ()
             template = automaton.errors.get((state, pattern_name))
             if template is not None:
-                record(key, template, texts, location, witness)
+                record(key, (render_message(template, texts), location),
+                       _Error(template, texts, witness))
                 new_states.setdefault(state, witness)
                 continue
             target = automaton.transitions.get((state, pattern_name))
@@ -552,9 +546,10 @@ def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
         inst = in_map.get(key)
         new_states: dict[str, tuple | _Then] = {}
         for state, witness in (_UNSEEN if inst is None else inst.states).items():
-            for error in summary.errors.get(state, {}).get(key, ()):
-                record(key, error.template, error.texts, error.location,
-                       _then(witness, error.steps))
+            errors = summary.errors.get(state, {}).get(key, {})
+            for found, error in errors.items():
+                record(key, found,
+                       error._replace(steps=_then(witness, error.steps)))
             after = summary.exits.get(state, {}).get(key)
             if after is None:  # the call leaves this instance alone
                 new_states.setdefault(state, witness)
@@ -580,6 +575,14 @@ def _renamed(summary: _Summary, mapping: dict[str, _Binding]) -> _Summary:
     def texts_of(texts: dict[str, str]) -> dict[str, str]:
         return {var: new_text[text] for var, text in texts.items()}
 
+    def errors_of(errors: dict[_Found, _Error]) -> dict[_Found, _Error]:
+        renamed: dict[_Found, _Error] = {}
+        for (_, location), error in errors.items():
+            error = error._replace(texts=texts_of(error.texts))
+            renamed.setdefault(
+                (render_message(error.template, error.texts), location), error)
+        return renamed
+
     return _Summary(
         returns=summary.returns,
         keys=tuple(dict.fromkeys(key_of(key) for key in summary.keys)),
@@ -587,8 +590,7 @@ def _renamed(summary: _Summary, mapping: dict[str, _Binding]) -> _Summary:
         exits={state: {key_of(key): _Instance(texts_of(inst.texts), inst.states)
                        for key, inst in instances.items()}
                for state, instances in summary.exits.items()},
-        errors={state: {key_of(key): [error._replace(texts=texts_of(error.texts))
-                                      for error in errors]
+        errors={state: {key_of(key): errors_of(errors)
                         for key, errors in by_key.items()}
                 for state, by_key in summary.errors.items()},
     )
@@ -602,23 +604,15 @@ def _union(old: _Summary, new: _Summary) -> _Summary:
         merged = exits.setdefault(state, {})
         for key, inst in instances.items():
             mine = merged.get(key)
-            if mine is None:
-                merged[key] = inst
-                continue
-            added = {s: w for s, w in inst.states.items() if s not in mine.states}
-            if added:
-                merged[key] = _Instance(mine.texts, {**mine.states, **added})
-    errors = {state: {key: list(found) for key, found in by_key.items()}
+            merged[key] = inst if mine is None else _joined(mine, inst.states)
+    errors = {state: {key: dict(mine) for key, mine in by_key.items()}
               for state, by_key in old.errors.items()}
     for state, by_key in new.errors.items():
         table = errors.setdefault(state, {})
-        for key, found in by_key.items():
-            mine = table.setdefault(key, [])
-            known = {(render_message(e.template, e.texts), e.location)
-                     for e in mine}
-            mine.extend(e for e in found
-                        if (render_message(e.template, e.texts), e.location)
-                        not in known)
+        for key, theirs in by_key.items():
+            mine = table.setdefault(key, {})
+            for found, error in theirs.items():
+                mine.setdefault(found, error)
     return _Summary(
         returns=old.returns or new.returns,
         keys=tuple(dict.fromkeys(old.keys + new.keys)),

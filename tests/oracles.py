@@ -432,18 +432,16 @@ def collect_calls(node):
 
 
 def walked_roots(unit) -> set[str]:
-    """The defined functions that no other defined function calls from
-    a node its entry reaches, by a breadth-first search of each CFG and
-    a walk of each reached node's tree."""
+    """The defined functions that no other defined function calls, on
+    acyclic call graphs: `fn` calls a function when a node of `fn`'s own
+    expansion of the call is reachable from `fn`'s entry in its
+    call-expanded graph, so a call after one that never returns calls
+    nothing."""
     called = set()
-    for fn, cfg in unit.cfgs.items():
-        for node_id in bfs_reachable(cfg.succs, cfg.entry):
-            tree = cfg.nodes[node_id].ast_ref
-            for call in collect_calls(tree) if tree is not None else ():
-                target = call.children[0]
-                if (target.kind is NodeKind.IDENTIFIER
-                        and target.text in unit.cfgs and target.text != fn):
-                    called.add(target.text)
+    for fn in unit.cfgs:
+        succs, _, start, _ = cloned_supergraph(unit, fn)
+        called.update(frames[0][3] for frames, _ in bfs_reachable(succs, start)
+                      if frames)
     return set(unit.cfgs) - called
 
 

@@ -350,15 +350,19 @@ def test_root_exit_error_reported_through_call(tmp_path):
 
 
 def test_call_from_dead_code_does_not_make_a_caller(tmp_path):
-    # f returns before it calls g, so nothing completes g's protocol:
-    # g is judged at its exit, as when nothing calls it at all
-    for f_body in ("return; g();", "return;"):
+    # f returns, or calls die, which never returns, before it calls g,
+    # so nothing completes g's protocol: g is judged at its exit, as when
+    # nothing calls it at all, and f reports nothing
+    for f_body in ("return; g();", "return;", "die(); g();",
+                   "use(die(), g());"):
         traces = run(f"""
             int m;
+            void die(void) {{ for (;;) {{}} }}
             void g(void) {{ mutex_lock(&m); }}
             void f(void) {{ {f_body} }}
         """, tmp_path=tmp_path)
-        assert [t.message for t in traces] == ["lock &m held at exit"]
+        assert [(t.message, t.primary_location.line) for t in traces] == [
+            ("lock &m held at exit", 4)]
 
 
 def test_callee_local_key_does_not_collide(tmp_path):

@@ -43,7 +43,7 @@ def statements(draw, fn, functions, depth):
     if callees:
         kinds += ["call", "call", "calls"]
     if depth < 2:
-        kinds += ["if", "while"]
+        kinds += ["if", "while", "forever"]
     kind = draw(st.sampled_from(kinds + ["return"]))
     if kind == "lock":
         return f"{draw(st.sampled_from(LOCKS))}({draw(st.sampled_from(ARGS))});"
@@ -56,6 +56,8 @@ def statements(draw, fn, functions, depth):
     if kind == "return":
         return "return;"
     body = draw(blocks(fn, functions, depth + 1))
+    if kind == "forever":  # returns only through a `return` in the body
+        return f"for (;;) {{ {body} }}"
     condition = "c"
     if callees and draw(st.booleans()):
         condition = (f"f{draw(st.sampled_from(callees))}("
@@ -187,6 +189,18 @@ def test_mutual_recursion_that_never_returns_is_quiet():
         }
     """, diagnostics) == []
     assert diagnostics == []
+
+
+def test_recursion_that_returns_only_at_its_bottom_completes_the_caller():
+    # f returns only where c holds, so while its component is iterated
+    # it does not return yet; g's lock is released by f(1) all the same
+    source = ("void f(int c) { if (c) { mutex_unlock(&m); return; } f(c); }\n"
+              "void g(void) { mutex_lock(&m); f(1); }\n")
+    trace, = check(AUTOMATON, source)
+    assert trace.message == "double unlock of &m"
+    # found with f as its own entry, which starts with &m unlocked
+    assert [str(step.location) for step in trace.steps] == ["t.c:1:26"]
+    assert check(THREAD, source) == []
 
 
 def test_recursion_through_a_growing_argument_ends():
