@@ -33,11 +33,15 @@ wide, deep and nest workloads of seeds 1-10, which
 under a temporary directory, and, when `cpp` is on PATH, each corpus
 file as `cpp` writes it, line markers kept, so the lexer's line-marker
 path is compared too; without `cpp` that set is skipped, and a line
-says so. The programs of `CALL_PROBES` are written into a directory of
-their own too: small ones around calls that never return, where a
-checker must know what such a call cuts off and what it does not, and
-which neither the corpus nor the workloads hold. The groups are then
-the corpus, each workload directory, the probes and the `cpp` set.
+says so. The programs of `CALL_PROBES` and of `ALIAS_PROBES` are
+written into a directory each, for what neither the corpus nor the
+workloads hold: `CALL_PROBES` are small programs around calls that
+never return, where a checker must know what such a call cuts off and
+what it does not; `ALIAS_PROBES` pass one object under two names, so
+that two of a callee's keys become one key of the caller and the
+automaton solves a variant summary of the callee with those keys
+merged, which no corpus file or workload does. The groups are then the
+corpus, each workload directory, the two probe sets and the `cpp` set.
 Standard library only.
 """
 
@@ -141,6 +145,30 @@ CALL_PROBES = {
                 "void h(void) { mutex_lock(&m); a(); mutex_unlock(&m); "
                 "k(); }\n",
 }
+# The alias group's files by name; each passes one object under two names.
+PAIR = "struct mutex *p, struct mutex *q"
+ALIAS_PROBES = {
+    "take_twice.c": f"void take({PAIR}) {{ mutex_lock(p); mutex_lock(q); }}\n"
+                    "void f(void) { take(&m, &m); }\n",
+    # six calls deep, each passing its pair on
+    "chain.c": "".join(f"void f{i}({PAIR}) {{ f{i + 1}(p, q); }}\n"
+                       for i in range(5))
+               + f"void f5({PAIR}) {{ mutex_lock(p); mutex_unlock(q); "
+                 "mutex_unlock(p); }\n"
+                 "void root(void) { f0(&a, &a); }\n",
+    "recursion.c": f"void f({PAIR}, int c) {{ mutex_lock(p); mutex_lock(q); "
+                   "if (c) f(q, q, c - 1); mutex_unlock(q); mutex_unlock(p); }\n"
+                   "void root(void) { f(&a, &b, 3); }\n",
+    "local.c": f"void g({PAIR}) {{ struct mutex mine; mutex_lock(&mine); "
+               "mutex_lock(p); mutex_unlock(q); }\n"
+               "void f(void) { g(&m, &m); }\n",
+    "three.c": f"void g({PAIR}, struct mutex *r) {{ mutex_lock(p); "
+               "mutex_lock(r); mutex_unlock(q); mutex_lock(q); }\n"
+               "void f(void) { g(&a, &b, &a); }\n",
+    "global.c": "struct mutex m;\n"
+                "void g(struct mutex *p) { mutex_lock(p); mutex_lock(&m); }\n"
+                "void f(void) { g(&m); mutex_unlock(&m); }\n",
+}
 SHOWN_LINES = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("wide", "deep", "nest")
@@ -186,8 +214,9 @@ def report(tree: str, jobs: list[list[str]]) -> list[str]:
 def default_groups(directory: str) -> list[list[str]]:
     """The corpus files, then each workload and seed written into a
     directory of its own under `directory`, then `CALL_PROBES` written
-    into `directory/calls`, then the corpus files as `cpp` writes them,
-    into `directory/cpp`: one group each."""
+    into `directory/calls` and `ALIAS_PROBES` into `directory/aliases`,
+    then the corpus files as `cpp` writes them, into `directory/cpp`:
+    one group each."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     import workloads
@@ -201,12 +230,14 @@ def default_groups(directory: str) -> list[list[str]]:
             workloads.write_workload(sources, target)
             groups.append([os.path.join(target, source.name)
                            for source in sources])
-    probes = os.path.join(directory, "calls")
-    os.mkdir(probes)
-    for name, text in CALL_PROBES.items():
-        with open(os.path.join(probes, name), "w") as out:
-            out.write(text)
-    groups.append([os.path.join(probes, name) for name in CALL_PROBES])
+    for name, programs in (("calls", CALL_PROBES), ("aliases", ALIAS_PROBES)):
+        probes = os.path.join(directory, name)
+        os.mkdir(probes)
+        for file_name, text in programs.items():
+            with open(os.path.join(probes, file_name), "w") as out:
+                out.write(text)
+        groups.append([os.path.join(probes, file_name)
+                       for file_name in programs])
     cpp = preprocessed(corpus, os.path.join(directory, "cpp"))
     return groups + [cpp] if cpp else groups
 

@@ -13,12 +13,13 @@ The analysis is interprocedural through function summaries, solved
 callees first by `traverse.solve_summaries` and joined by `_union`. A
 summary maps each instance key in the function's own terms and each
 entry state to the exit states, with witness steps, and to the
-transition errors fired on the way. At a call, the callee's keys are
-rewritten into the caller's terms once per call edge (formals become the
-actual arguments; a key that depends on a callee local keeps the
-`callee::text` form), and the summary is applied to the caller's
-instances. There is no call-depth bound; recursion is solved to a
-fixpoint.
+transition errors fired on the way. A summary holds texts, never syntax
+trees. At a call, the callee's keys are rewritten into the caller's
+terms by text, once per call edge, through one table per run from each
+text to the first tree seen with it (formals become the actual
+arguments; a key that depends on a callee local keeps the `callee::text`
+form), and the summary is applied to the caller's instances. There is
+no call-depth bound; recursion is solved to a fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms.
@@ -242,18 +243,6 @@ def _merge(old: _InstMap, new: _InstMap) -> _InstMap | None:
     return None if merged == old else merged
 
 
-def map_binding(expr: AstNode, call: AstNode,
-                unit: TranslationUnit) -> tuple[str, AstNode | None]:
-    """A callee's bound expression in the terms of the caller of `call`:
-    its text and its expression. When the expression depends on a callee
-    local, there is none, and the text is prefixed with the callee's
-    name so distinct locals never collide across functions."""
-    mapped = map_expression_to_caller(expr, call, unit)
-    if mapped is None:
-        return f"{callee_name(call)}::{statement_text(expr)}", None
-    return statement_text(mapped), mapped
-
-
 class AutomatonChecker(Checker):
     name = "automaton"
 
@@ -288,15 +277,7 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
             steps=steps,
         ))
 
-    # each CFG node's (pattern name, subnode text, bound texts and trees)
-    events = {owner: [(pattern.name, statement_text(subnode),
-                       {var: (statement_text(expr), expr)
-                        for var, expr in bindings.items()})
-                      for pattern, subnode, bindings in hits]
-              for owner, hits in matches(automaton.patterns, unit,
-                                         match_node).items()
-              if owner is not None}
-    summaries = _Summaries(automaton, unit, graph, events)
+    summaries = _Summaries(automaton, unit, graph)
     for entry in unit.functions:
         summary = summaries.solved[entry, ()]
         for key, errors in summary.errors[_ABSENT].items():
@@ -323,11 +304,6 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
 
 # -- function summaries -----------------------------------------------------
 
-# an expression text in some function's terms, and the expression; None
-# for a `callee::text` key, which no caller can rewrite
-_Binding = tuple[str, "AstNode | None"]
-
-
 class _Error(NamedTuple):
     """A transition error; `steps` is its witness up to the error."""
     template: str
@@ -347,38 +323,49 @@ class _Summary(NamedTuple):
     message and location, with witnesses that start at the function's
     entry. The entry state `_ABSENT` is solved from no instances at all,
     every other state with each key in `keys` (the keys the function
-    touches) in that state. `bindings` gives the expression behind each
-    text of those keys.
+    touches) in that state. It holds only texts, states, witnesses and
+    error templates, no syntax tree.
     """
     returns: bool
     keys: tuple[_Key, ...]
-    bindings: dict[str, AstNode | None]
     exits: dict[str, _InstMap]
     errors: dict[str, dict[_Key, dict[_Found, _Error]]]
 
 
 # where a recursive component's iteration starts: no call returns yet
-_BOTTOM = _Summary(False, (), {}, {}, {})
+_BOTTOM = _Summary(False, (), {}, {})
 
 
 class _Summaries:
     """The summaries of one automaton's functions over one unit, solved
     by `traverse.solve_summaries` and joined with `_union`.
 
-    A summary is in the terms of its function. A call that passes one
-    object under two names, so that two of the callee's keys become one
-    key of the caller, gets a variant summary of the callee with those
-    texts merged (`merges` maps each merged text to the binding that
-    stands for it, as the first call to ask gave it); the solver solves
-    such variants on demand.
+    A summary is in the terms of its function, and its keys are texts. To
+    rewrite a text into a caller's terms, `trees` holds the first tree
+    seen with each text, from the unit's events or mapped across a call;
+    distinct expressions have distinct texts, so the text picks the tree,
+    and a `callee::text` has none. A call that passes one object under
+    two names, so that two of the callee's keys become one key of the
+    caller, gets a variant summary of the callee with those texts merged.
+    The variant is the merge: sorted (text, representative) pairs, the
+    representative the first text of its class in the callee's keys. The
+    solver solves such variants on demand.
     """
 
     def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
-                 graph: SuperGraph, events: dict[int, list]):
+                 graph: SuperGraph):
         self.automaton = automaton
         self.unit = unit
         self.graph = graph
-        self.events = events
+        self.trees: dict[str, AstNode] = {}
+        # each CFG node's (pattern name, subnode text, bound texts)
+        self.events = {owner: [(pattern.name, statement_text(subnode),
+                                {var: self.text_of(expr)
+                                 for var, expr in bindings.items()})
+                               for pattern, subnode, bindings in hits]
+                       for owner, hits in matches(automaton.patterns, unit,
+                                                  match_node).items()
+                       if owner is not None}
         self.called = {callee_name(call) for calls in graph.calls.values()
                        for call in calls}
         # the functions another function's walk calls. No attempt resets
@@ -386,60 +373,62 @@ class _Summaries:
         # cut short by an unsolved callee, asks for a subset of what the
         # final round asks, since its walk reaches no more.
         self.asked: set[str] = set()
-        self.merges: dict[tuple, dict[str, _Binding]] = {}
-        self.caller_bindings: dict[tuple[AstNode, str], _Binding] = {}
+        self.caller_texts: dict[tuple[AstNode, str], str] = {}
         self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
 
-    def caller_binding(self, call: AstNode, text: str, expr: AstNode | None,
-                       recursive: bool) -> _Binding:
-        """A callee's binding in the caller's terms, once per call edge.
-        Across a recursive call a binding may not grow, so that a
+    def text_of(self, expr: AstNode) -> str:
+        """The text of `expr`, which becomes its tree if it has none."""
+        text = statement_text(expr)
+        self.trees.setdefault(text, expr)
+        return text
+
+    def caller_text(self, call: AstNode, text: str, recursive: bool) -> str:
+        """A callee's binding text in the caller's terms, once per call
+        edge. A text that depends on a callee local keeps the callee's
+        terms as `callee::text`, which every later call passes as it is;
+        so does one that would grow across a recursive call, so that a
         component has finitely many keys and its iteration ends."""
-        found = self.caller_bindings.get((call, text))
+        found = self.caller_texts.get((call, text))
         if found is None:
-            if expr is None:
-                found = (text, None)
-            else:
-                found = map_binding(expr, call, self.unit)
-                if (recursive and found[1] is not None
-                        and _size(found[1]) > _size(expr)):
-                    found = (f"{callee_name(call)}::{text}", None)
-            self.caller_bindings[(call, text)] = found
+            found = text  # without a tree, a `callee::text`
+            expr = self.trees.get(text)
+            if expr is not None:
+                mapped = map_expression_to_caller(expr, call, self.unit)
+                if mapped is None or (recursive
+                                      and _size(mapped) > _size(expr)):
+                    found = f"{callee_name(call)}::{text}"
+                else:
+                    found = self.text_of(mapped)
+            self.caller_texts[call, text] = found
         return found
 
-    def at_call(self, fn: str, call: AstNode, merge: dict[str, _Binding],
+    def at_call(self, fn: str, call: AstNode, merge: dict[str, str],
                 summary_of) -> _Summary:
         """The summary of the function `call` calls, in the terms of `fn`
         with `merge` applied."""
         callee = callee_name(call)
         if callee != fn:
             self.asked.add(callee)
-        base = summary_of(callee)
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
-        def outer(text: str, expr: AstNode | None) -> _Binding:
-            binding = self.caller_binding(call, text, expr, recursive)
-            return merge.get(binding[0], binding)
+        def outer(text: str) -> str:
+            mapped = self.caller_text(call, text, recursive)
+            return merge.get(mapped, mapped)
 
-        # callee texts that become one text here are one instance
-        classes: dict[str, list[str]] = {}
-        for text, expr in base.bindings.items():
-            classes.setdefault(outer(text, expr)[0], []).append(text)
-        inner = {text: (members[0], base.bindings[members[0]])
-                 for members in classes.values() for text in members[1:]}
-        variant = tuple(sorted((text, binding[0])
-                               for text, binding in inner.items()))
-        self.merges.setdefault((callee, variant), inner)
-        summary = summary_of(callee, variant)
-        return _renamed(summary, {text: outer(text, expr) for text, expr
-                                  in summary.bindings.items()})
+        # callee texts that become one text here are one instance, which
+        # the first of them names
+        first: dict[str, str] = {}
+        classes = {text: first.setdefault(outer(text), text)
+                   for key in summary_of(callee).keys for text in key}
+        variant = tuple(sorted(pair for pair in classes.items()
+                               if pair[0] != pair[1]))
+        return _renamed(summary_of(callee, variant), outer)
 
     def summarize(self, fn: str, variant: tuple, summary_of) -> _Summary:
         automaton, graph = self.automaton, self.graph
-        merge = self.merges.get((fn, variant), {})
+        merge = dict(variant)
         cfg = graph.cfgs[fn]
         keys: dict[_Key, None] = {}
-        bindings: dict[str, AstNode | None] = {}
         own: dict[int, list] = {}
         applied: dict[int, list[_Summary]] = {}
 
@@ -448,11 +437,8 @@ class _Summaries:
             if found is None:
                 found = own[node_id] = []
                 for name, step, binds in self.events.get(node_id, ()):
-                    texts = {}
-                    for var, binding in binds.items():
-                        text, expr = merge.get(binding[0], binding)
-                        texts[var] = text
-                        bindings.setdefault(text, expr)
+                    texts = {var: merge.get(text, text)
+                             for var, text in binds.items()}
                     key = tuple(sorted(texts.values()))
                     keys[key] = None
                     found.append((name, step, texts, key))
@@ -466,8 +452,6 @@ class _Summaries:
                     summary = self.at_call(fn, call, merge, summary_of)
                     found.append(summary)
                     keys.update(dict.fromkeys(summary.keys))
-                    for text, expr in summary.bindings.items():
-                        bindings.setdefault(text, expr)
                     if not summary.returns:
                         break
             return found
@@ -500,7 +484,7 @@ class _Summaries:
                     {key: _Instance({}, {state: ()}) for key in keys})
                 exits[state] = state_exit or {}
         return _Summary(returns=exit_map is not None, keys=tuple(keys),
-                        bindings=bindings, exits=exits, errors=all_errors)
+                        exits=exits, errors=all_errors)
 
 
 def _size(expr: AstNode) -> int:
@@ -563,11 +547,11 @@ def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
     return out
 
 
-def _renamed(summary: _Summary, mapping: dict[str, _Binding]) -> _Summary:
-    """`summary` with each binding text `t` written as `mapping[t]`."""
-    if all(binding[0] == text for text, binding in mapping.items()):
+def _renamed(summary: _Summary, outer) -> _Summary:
+    """`summary` with each binding text `t` written as `outer(t)`."""
+    new_text = {text: outer(text) for key in summary.keys for text in key}
+    if all(new == text for text, new in new_text.items()):
         return summary
-    new_text = {text: binding[0] for text, binding in mapping.items()}
 
     def key_of(key: _Key) -> _Key:
         return tuple(sorted(new_text[text] for text in key))
@@ -586,7 +570,6 @@ def _renamed(summary: _Summary, mapping: dict[str, _Binding]) -> _Summary:
     return _Summary(
         returns=summary.returns,
         keys=tuple(dict.fromkeys(key_of(key) for key in summary.keys)),
-        bindings=dict(mapping.values()),
         exits={state: {key_of(key): _Instance(texts_of(inst.texts), inst.states)
                        for key, inst in instances.items()}
                for state, instances in summary.exits.items()},
@@ -616,7 +599,6 @@ def _union(old: _Summary, new: _Summary) -> _Summary:
     return _Summary(
         returns=old.returns or new.returns,
         keys=tuple(dict.fromkeys(old.keys + new.keys)),
-        bindings={**new.bindings, **old.bindings},
         exits=exits,
         errors=errors,
     )

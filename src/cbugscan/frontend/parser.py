@@ -121,37 +121,36 @@ class _Parser:
         items = []
         root_loc = SourceLocation(self.file, 1, 1)
         while not self.at("eof"):
-            items.append(self.top_level())
+            items += self.top_level()
         return AstNode(NodeKind.TRANSLATION_UNIT, root_loc, "", tuple(items))
 
-    def declarator(self) -> tuple[Token, str, SourceLocation]:
-        """`TYPE *... NAME`: the name token, the declared type spelling and
-        the location of the type."""
-        kind, text, location = self.tok
+    def base_type(self) -> str:
+        """`int`, `void`, `char` or `struct NAME`."""
+        kind, text, _ = self.tok
         if kind in ("int", "void", "char"):
             self.advance()
-            ctype = text
-        elif kind == "struct":
-            self.advance()
-            ctype = f"struct {self.expect('ident')[1]}"
-            if self.at("{"):
-                self.fail("struct definitions are not supported; declare variables of 'struct NAME' type instead")
-        else:
+            return text
+        if kind != "struct":
             raise self.fail(f"expected a type, found {text or kind!r}")
+        self.advance()
+        ctype = f"struct {self.expect('ident')[1]}"
+        if self.at("{"):
+            self.fail("struct definitions are not supported; declare variables of 'struct NAME' type instead")
+        return ctype
+
+    def declarator(self, base: str) -> tuple[Token, str]:
+        """`*... NAME` after the type `base`: the name token and the
+        declared type spelling."""
         stars = ""
         while self.accept("*"):
             stars += "*"
-        return (self.expect("ident"), f"{ctype} {stars}" if stars else ctype,
-                location)
+        return self.expect("ident"), f"{base} {stars}" if stars else base
 
-    def top_level(self) -> AstNode:
+    def top_level(self) -> list[AstNode]:
         self.decl = self.tok
         if self.tok[0] not in _TYPE_STARTERS:
             self.fail("expected a declaration or function definition")
-        name, ctype, loc = self.declarator()
-        if self.at("("):
-            return self.function_def(name, ctype, loc)
-        return self.var_decl_tail(name, ctype, loc)
+        return self.declaration(functions=True)
 
     def function_def(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
         self.expect("(")
@@ -174,21 +173,35 @@ class _Parser:
                        tuple(params) + (body,), ctype)
 
     def param_decl(self) -> AstNode:
-        name, ctype, loc = self.declarator()
-        return AstNode(NodeKind.PARAM_DECL, loc, name[1], (), ctype)
+        location = self.tok[2]
+        name, ctype = self.declarator(self.base_type())
+        return AstNode(NodeKind.PARAM_DECL, location, name[1], (), ctype)
 
-    def var_decl_tail(self, name: Token, ctype: str, loc: SourceLocation) -> AstNode:
-        if self.accept("["):
-            size = self.expect("number")
-            self.expect("]")
-            ctype += f"[{size[1]}]"
-        init: tuple[AstNode, ...] = ()
-        if self.accept("="):
-            init = (self.expression(),)
-        if self.at(","):
-            self.fail("multiple declarators per declaration are not supported")
-        self.expect(";")
-        return AstNode(NodeKind.VAR_DECL, loc, name[1], init, ctype)
+    def declaration(self, several: bool = True,
+                    functions: bool = False) -> list[AstNode]:
+        """A function definition, where `functions` allows one, or a
+        VarDecl per declarator, one at most unless `several`: each with
+        the shared type, its own `*`s, `[N]` and `= init`, the first
+        located at the type and each later one at its name."""
+        location = self.tok[2]
+        base = self.base_type()
+        decls: list[AstNode] = []
+        while True:
+            name, ctype = self.declarator(base)
+            if functions and not decls and self.at("("):
+                return [self.function_def(name, ctype, location)]
+            if self.accept("["):
+                ctype += f"[{self.expect('number')[1]}]"
+                self.expect("]")
+            init = (self.expression(),) if self.accept("=") else ()
+            decls.append(AstNode(NodeKind.VAR_DECL, name[2] if decls
+                                 else location, name[1], init, ctype))
+            if not self.at(","):
+                self.expect(";")
+                return decls
+            if not several:
+                self.fail("multiple declarators per declaration are not supported")
+            self.advance()
 
     # -- statements --------------------------------------------------------
 
@@ -198,7 +211,10 @@ class _Parser:
         while self.tok[0] != "}":
             if self.tok[0] == "eof":
                 raise FrontendError("unexpected end of input inside block", self.tok[2])
-            stmts.append(self.statement())
+            if self.tok[0] in _TYPE_STARTERS:
+                stmts += self.declaration()
+            else:
+                stmts.append(self.statement())
         close = self.expect("}")
         return AstNode(NodeKind.BLOCK, open_tok[2], "", tuple(stmts), "",
                        close[2])
@@ -356,6 +372,7 @@ _STATEMENTS = {
     "ident": _Parser.label_or_expression,
     "else": lambda parser: parser.fail("'else' without a matching 'if'"),
     **dict.fromkeys((";", *_JUMPS), _Parser.simple_statement),
-    **dict.fromkeys(_TYPE_STARTERS, lambda parser: parser.var_decl_tail(
-        *parser.declarator())),
+    # a declaration as a lone `if` or loop body declares one variable
+    **dict.fromkeys(_TYPE_STARTERS,
+                    lambda parser: parser.declaration(several=False)[0]),
 }

@@ -4,17 +4,18 @@ import pytest
 
 from cbugscan.checkers.automaton import (
     AutomatonChecker,
-    map_binding,
     parse_automaton_file,
     render_message,
 )
 from cbugscan.checkers.base import Services
+from cbugscan.config import AnalysisJob, SourceDescriptor
+from cbugscan.engine import run_job
 from cbugscan.errors import ConfigError
-from cbugscan.frontend import iter_tree, parse_fragment, to_text
+from cbugscan.frontend import iter_tree, to_text
 from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import match_node
 
-from oracles import collect_calls, run_automaton_on_paths
+from oracles import run_automaton_on_paths
 
 LOCK_CONFIG = """
 automaton locks
@@ -387,17 +388,29 @@ def test_callee_local_key_does_not_collide(tmp_path):
     assert traces == []
 
 
-def test_map_binding_text_fallback_is_function_qualified():
-    unit = build_unit_from_text(textwrap.dedent("""
-        void helper() {
-            int mine;
-            mutex_lock(mine);
-        }
+def test_callee_local_key_is_function_qualified(tmp_path):
+    # the lock is helper's own local: no caller can name it, so the key
+    # keeps helper's terms, qualified by its name
+    traces = run("""
+        void helper() { int mine; mutex_lock(mine); }
         void f() { helper(); }
-    """), "t.c")
-    call, = collect_calls(unit.functions["f"])
-    text, expr = map_binding(parse_fragment("mine", file="t.c"), call, unit)
-    assert (text, expr) == ("helper::mine", None)
+    """, tmp_path=tmp_path)
+    assert [t.message for t in traces] == ["lock helper::mine held at exit"]
+
+
+def test_leak_in_a_file_declaring_two_mutexes_at_once(tmp_path):
+    path = tmp_path / "t.c"
+    path.write_text("struct mutex m, n;\n"
+                    "void f(void) {\n"
+                    "    mutex_lock(&m);\n"
+                    "    mutex_lock(&n);\n"
+                    "    mutex_unlock(&n);\n"
+                    "}\n")
+    result = run_job(AnalysisJob(sources=[SourceDescriptor(str(path))],
+                                 checkers=[("automaton", None)]))
+    assert result.diagnostics == []
+    assert [(t.message, t.primary_location.line) for t in result.traces] == [
+        ("lock &m held at exit", 6)]
 
 
 def test_recursive_function_terminates(tmp_path):
@@ -410,6 +423,66 @@ def test_recursive_function_terminates(tmp_path):
     """, tmp_path=tmp_path)
     # recursion re-locks &m before the outer unlock: a real double lock
     assert any("double lock" in t.message for t in traces)
+
+
+PAIR_CONFIG = """
+automaton pairs
+states U L
+start U
+pattern acquire "acquire(%A, %B)"
+pattern release "release(%A, %B)"
+transition U acquire -> L
+transition L release -> U
+error L acquire "double acquire of pair %A %B"
+error U release "double release of pair %A %B"
+error-at-exit L "pair %A %B held at exit"
+"""
+
+
+def test_two_metavariables_under_one_object(tmp_path):
+    # a key of two texts: a call that passes one object under two names
+    # merges them, whichever order the formals bind it in, beside a
+    # callee local and across a recursive call r(p, p)
+    traces = run("""
+        void take(struct s *p, struct s *q) {
+            acquire(p, q);
+        }
+        void swapped(struct s *p, struct s *q) {
+            acquire(q, p);
+            release(p, q);
+            release(q, p);
+        }
+        void mixed(struct s *p, struct s *q) {
+            struct s mine;
+            acquire(p, &mine);
+            acquire(q, &mine);
+        }
+        void r(struct s *p, struct s *q, int c) {
+            acquire(p, q);
+            if (c) r(p, p, c - 1);
+            release(q, p);
+        }
+        void root(void) {
+            take(&a, &a);
+            swapped(&b, &b);
+            swapped(&g, &h);
+            mixed(&c, &c);
+            r(&d, &e, 1);
+        }
+    """, PAIR_CONFIG, tmp_path)
+    assert [(t.message, [str(s.location) for s in t.steps])
+            for t in traces] == [
+        ("double release of pair q p", ["t.c:6:5", "t.c:7:5", "t.c:8:5"]),
+        ("double acquire of pair p p", ["t.c:16:5", "t.c:16:5"]),
+        ("double release of pair p p", ["t.c:16:5", "t.c:18:5", "t.c:18:5"]),
+        ("double release of pair &b &b", ["t.c:6:5", "t.c:7:5", "t.c:8:5"]),
+        ("double release of pair &h &g", ["t.c:6:5", "t.c:7:5", "t.c:8:5"]),
+        ("double acquire of pair &c mixed::&mine", ["t.c:12:5", "t.c:13:5"]),
+        ("double acquire of pair &d &d", ["t.c:16:5", "t.c:16:5"]),
+        ("double release of pair &d &d", ["t.c:16:5", "t.c:18:5", "t.c:18:5"]),
+        ("pair &a &a held at exit", ["t.c:3:5", "t.c:26:1"]),
+        ("pair &c mixed::&mine held at exit", ["t.c:12:5", "t.c:26:1"]),
+    ]
 
 
 # -- fixpoint equals all-paths oracle (loop-free, call-free) -------------------------

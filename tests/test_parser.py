@@ -206,6 +206,39 @@ def test_global_variables():
     assert unit.children[0].kind is NodeKind.VAR_DECL
 
 
+@pytest.mark.parametrize("source, decls", [
+    ("int *a, b = 1;\n", [("a", "int *", "t.c:1:1", 0), ("b", "int", "t.c:1:9", 1)]),
+    ("struct mutex m, n;\n", [("m", "struct mutex", "t.c:1:1", 0),
+                              ("n", "struct mutex", "t.c:1:17", 0)]),
+    ("void f() {\n  char c[4], **d, e = 2;\n  d = 0;\n}\n",
+     [("c", "char[4]", "t.c:2:3", 0), ("d", "char **", "t.c:2:16", 0),
+      ("e", "char", "t.c:2:19", 1)]),
+])
+def test_each_declarator_is_a_var_decl_of_its_own(source, decls):
+    # in order, each with the shared type, its own `*`s, `[N]` and
+    # initializer; the first at the type, each later one at its name
+    unit = parse(source, "t.c")
+    assert [(node.text, node.ctype, str(node.location), len(node.children))
+            for node in iter_tree(unit)
+            if node.kind is NodeKind.VAR_DECL] == decls
+
+
+def test_each_declarator_is_a_local():
+    unit = build_unit_from_text("void f() { int a, *b; b = &a; }\n", "t.c")
+    assert unit.func_locals["f"] == {"a", "b"}
+
+
+@pytest.mark.parametrize("body", [
+    "if (x) int a, b;", "while (x) int a, b;", "for (;;) int a, b;"])
+def test_two_declarators_as_a_lone_body_fail_at_the_comma(body):
+    source = f"void f(int x) {{ {body} }}"
+    with pytest.raises(FrontendError) as caught:
+        parse(source, "t.c")
+    assert str(caught.value) == (
+        f"t.c:1:{source.index(',') + 1}: "
+        "multiple declarators per declaration are not supported")
+
+
 @pytest.mark.parametrize("body, expression", [
     ("1;", "1"),
     ("1 + x;", "1 + x"),

@@ -1,22 +1,28 @@
 """Function summaries against call-string cloning, and what summaries
 reach that the old depth-bounded cloning did not."""
 
+import glob
+import os
+import pathlib
+import runpy
 import textwrap
 import time
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from cbugscan.checkers import builtin_registry
+from cbugscan.checkers import automaton, builtin_registry
 from cbugscan.checkers.base import Services
 from cbugscan.cli import main
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
+from cbugscan.frontend import AstNode
 from cbugscan.ir import build_unit_from_text
 from cbugscan.report import export_json, normalize
 
 from oracles import cloned_automaton_traces, cloned_thread_traces
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REGISTRY = builtin_registry()
 AUTOMATON = REGISTRY.create("automaton")
 THREAD = REGISTRY.create("thread")
@@ -305,3 +311,54 @@ def test_one_object_under_two_names_through_recursion():
     assert {"double lock of q", "double lock of &b",
             "double unlock of &b"} <= messages
     assert not any("&a" in message for message in messages)
+
+
+# -- what a summary holds ---------------------------------------------------------
+
+def holds_a_tree(value) -> bool:
+    """Whether an `AstNode` is reachable from `value` through containers,
+    named tuples, dataclasses and slotted objects."""
+    pending, seen = [value], set()
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (str, int, type(None))) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, AstNode):
+            return True
+        if isinstance(item, dict):
+            pending += [*item.keys(), *item.values()]
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            pending += item
+        elif hasattr(item, "__dict__"):
+            pending += vars(item).values()
+        else:
+            pending += [getattr(item, slot) for slot in type(item).__slots__]
+    return False
+
+
+def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
+    # summaries are plain data: keys, texts, states, witnesses and error
+    # templates, over the corpus and over programs that merge keys
+    solved = []
+
+    def solve(*args):
+        solved.append(real(*args))
+        return solved[-1]
+
+    real = automaton.solve_summaries
+    monkeypatch.setattr(automaton, "solve_summaries", solve)
+    corpus = sorted(glob.glob(os.path.join(ROOT, "tests", "corpus", "*.c")))
+    probes = runpy.run_path(
+        os.path.join(ROOT, "scripts", "compare_reports.py"))["ALIAS_PROBES"]
+    sources = [(path, pathlib.Path(path).read_text()) for path in corpus]
+    for name, text in sources + list(probes.items()):
+        solved.clear()
+        AUTOMATON.check_unit(build_unit_from_text(text, name), services())
+        assert solved, name
+        for summaries in solved:
+            for key, summary in summaries.items():
+                assert not holds_a_tree(summary), (name, key)
+        if name in probes:  # each passes one object under two names
+            assert any(variant for summaries in solved
+                       for _, variant in summaries), name
