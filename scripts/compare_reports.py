@@ -37,11 +37,14 @@ says so. The programs of `CALL_PROBES` and of `ALIAS_PROBES` are
 written into a directory each, for what neither the corpus nor the
 workloads hold: `CALL_PROBES` are small programs around calls that
 never return, where a checker must know what such a call cuts off and
-what it does not; `ALIAS_PROBES` pass one object under two names, so
-that two of a callee's keys become one key of the caller and the
-automaton solves a variant summary of the callee with those keys
-merged, which no corpus file or workload does. The groups are then the
-corpus, each workload directory, the two probe sets and the `cpp` set.
+what it does not, and around cycles of calls (one no other function
+calls, one entered from outside, one that only a dead call closes),
+where the automaton must know which functions to judge at exit;
+`ALIAS_PROBES` pass one object under two names, so that two of a
+callee's keys become one key of the caller and the automaton solves a
+variant summary of the callee with those keys merged, which no corpus
+file or workload does. The groups are then the corpus, each workload
+directory, the two probe sets and the `cpp` set.
 Standard library only.
 """
 
@@ -131,6 +134,8 @@ BAD_CONFIGS = [
 ]
 # The probe group's files by name; `die` never returns.
 DIE = "void die(void) { for (;;) {} }\n"
+CYCLE = ("void a(int c) { mutex_lock(&m); if (c) b(c - 1); }\n"
+         "void b(int c) { if (c) a(c); }\n")
 CALL_PROBES = {
     # f returns only at its recursion's bottom, which releases g's lock
     "bottom.c": "void f(int c) { if (c) { mutex_unlock(&m); return; } f(c); }\n"
@@ -144,6 +149,13 @@ CALL_PROBES = {
                 "void k(void) { mutex_lock(&n); }\n"
                 "void h(void) { mutex_lock(&m); a(); mutex_unlock(&m); "
                 "k(); }\n",
+    # a and b call each other, and nothing else calls either
+    "cycle.c": CYCLE,
+    "cycle_entered.c": CYCLE + "void f(void) { a(1); }\n",
+    # f3 returns before its call to f1, which closes no cycle
+    "dead_cycle.c": "void f1(void) { mutex_lock(&m); f3(); }\n"
+                    "void f3(void) { for (;;) { return; } f1(); }\n"
+                    "void f0(void) { f3(); }\n",
 }
 # The alias group's files by name; each passes one object under two names.
 PAIR = "struct mutex *p, struct mutex *q"

@@ -23,10 +23,12 @@ no call-depth bound; recursion is solved to a fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms.
-Exit-state errors are only evaluated for functions that no other
-function's summary walk calls, since for a callee the outer context may
-legitimately complete the protocol. A call the walk never applies, one
-in dead code or after a call that never returns, calls nothing.
+Exit-state errors are only evaluated for functions that no caller
+outside their own recursion calls, since for a callee the outer context
+may legitimately complete the protocol: a function is judged at exit
+when no applied call enters its component of the calls the summary
+walks apply. A call the walk never applies, one in dead code or after a
+call that never returns, calls nothing.
 
 A witness is the path the worklist reaches first: each function is
 solved by one FIFO worklist over its own CFG, where a call is one step,
@@ -55,6 +57,7 @@ from cbugscan.frontend.ast_nodes import (
     iter_tree,
     statement_text,
 )
+from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -278,13 +281,17 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
         ))
 
     summaries = _Summaries(automaton, unit, graph)
+    sccs = strongly_connected_components(summaries.applied)
+    scc_of = {fn: i for i, scc in enumerate(sccs) for fn in scc}
+    entered = {scc_of[callee] for fn, callees in summaries.applied.items()
+               for callee in callees if scc_of[callee] != scc_of[fn]}
     for entry in unit.functions:
         summary = summaries.solved[entry, ()]
         for key, errors in summary.errors[_ABSENT].items():
             for (message, location), error in errors.items():
                 emit(key, message, location, _steps(error.steps)
                      + (TraceStep(location, message),))
-        if entry in summaries.asked:
+        if scc_of[entry] in entered:
             continue
         exit_map = summary.exits[_ABSENT]
         cfg = unit.cfgs[entry]
@@ -368,11 +375,11 @@ class _Summaries:
                        if owner is not None}
         self.called = {callee_name(call) for calls in graph.calls.values()
                        for call in calls}
-        # the functions another function's walk calls. No attempt resets
-        # it: an earlier round of a recursive component, or an attempt
-        # cut short by an unsolved callee, asks for a subset of what the
-        # final round asks, since its walk reaches no more.
-        self.asked: set[str] = set()
+        # each function's callees its walks apply, self-calls included.
+        # No attempt resets it: an earlier round of a recursive component,
+        # or an attempt cut short by an unsolved callee, applies a subset
+        # of what the final round applies, since its walk reaches no more.
+        self.applied: dict[str, dict] = {fn: {} for fn in graph.cfgs}
         self.caller_texts: dict[tuple[AstNode, str], str] = {}
         self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
 
@@ -407,8 +414,7 @@ class _Summaries:
         """The summary of the function `call` calls, in the terms of `fn`
         with `merge` applied."""
         callee = callee_name(call)
-        if callee != fn:
-            self.asked.add(callee)
+        self.applied[fn][callee] = None
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
         def outer(text: str) -> str:

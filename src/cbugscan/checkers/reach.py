@@ -1,21 +1,21 @@
 """Unreachable-code checker, plus superfluous-semicolon detection.
 
-Unreachable nodes are found by graph search from each function's
-entry. Reporting collapses runs of dead straight-line code to their
-leading node, so one dead region yields one report. A semicolon that
-silently empties an `if` or a loop body (`if (cond);`) is reported as
-a warning: the code is reachable but almost certainly not what was
-meant.
+Unreachable nodes are those that `forward_fixpoint` from each
+function's entry gives no fact. Reporting collapses runs of dead
+straight-line code to their leading node, so one dead region yields one
+report. A semicolon that silently empties an `if` or a loop body
+(`if (cond);`) is reported as a warning: the code is reachable but
+almost certainly not what was meant.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from cbugscan.checkers.base import Checker, Services
+from cbugscan.checkers.base import Checker, Services, forward_fixpoint
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind, statement_text
-from cbugscan.ir.cfg import Cfg, reachable_nodes
+from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import MatchTable, subnodes_of
 from cbugscan.report import ErrorTrace, Importance, TraceStep
@@ -31,7 +31,8 @@ def dead_leaders(cfg: Cfg) -> list[int]:
     Every predecessor of a dead node is dead, so only the dead nodes'
     edges are inverted.
     """
-    alive = reachable_nodes(cfg)
+    alive = forward_fixpoint(cfg.entry, True, cfg.succs.get,
+                             lambda _node, fact: fact, lambda _old, _new: None)
     dead = [node_id for node_id, node in cfg.nodes.items()
             if node.ast_ref is not None and node_id not in alive]
     if not dead:

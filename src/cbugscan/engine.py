@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from cbugscan.checkers import builtin_registry
 from cbugscan.checkers.base import CheckerRegistry, Services
 from cbugscan.config import AnalysisJob, SourceDescriptor
-from cbugscan.errors import CbugscanError, FrontendError
+from cbugscan.errors import CbugscanError, ConfigError, FrontendError
 from cbugscan.frontend.preprocess import command_words
 from cbugscan.ir.units import TranslationUnit, UnitManager, load_unit
 from cbugscan.report import ErrorTrace, Importance, normalize
@@ -86,14 +86,17 @@ def run_job(job: AnalysisJob,
     makes forking unsafe. Otherwise the workers are as many as the
     smallest of the usable CPUs, the sources and `job.memory_units`,
     and each worker's unit budget is its share of `job.memory_units`.
-    A preprocessor command that `command_words` rejects is a
-    ConfigError, raised before any file is read.
+    A `job.memory_units` below 1, or a preprocessor command that
+    `command_words` rejects, is a ConfigError, raised before any file
+    is read.
 
     The cyclic garbage collector is off while the job runs, and back on
     afterwards only if it was on at entry. No unit, match table,
     supergraph or trace is in a reference cycle, so reference counting
     frees them all and a collection would only walk them.
     """
+    if job.memory_units is not None and job.memory_units < 1:
+        raise ConfigError("memory_units must be at least 1")
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -244,7 +247,6 @@ def check_shards(shards: list[list[SourceDescriptor]], checkers: list,
         # the job's loads, and the sum of the processes' peaks
         for path, count in load_counts.items():
             manager.load_counts[path] = manager.load_counts.get(path, 0) + count
-        manager.total_loads += sum(load_counts.values())
         manager.max_resident += max_resident
     return results
 

@@ -6,13 +6,14 @@ go by function, then by CFG node id (source order, except that a `for`
 step follows its body), then in evaluation order: nested calls come
 inner-first. Calls through anything other than a plain identifier are
 recorded under the `<indirect>` sentinel. `strongly_connected_components`
-orders the defined functions bottom-up for analyses that summarize
-callees before their callers.
+orders functions bottom-up, given each one's callees, for analyses that
+summarize callees before their callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Mapping
 
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.ir.cfg import Cfg
@@ -32,9 +33,8 @@ class CallEdge:
 
 @dataclass
 class CallGraph:
-    """A unit's call edges, in order and by caller."""
+    """A unit's call edges, in order."""
     edges: list[CallEdge] = field(default_factory=list)
-    by_caller: dict[str, list[CallEdge]] = field(default_factory=dict)
 
 
 def build_call_graph(cfgs: dict[str, Cfg],
@@ -54,29 +54,25 @@ def build_call_graph(cfgs: dict[str, Cfg],
                     callee, external = target.text, target.text not in cfgs
                 else:
                     callee, external = INDIRECT, True
-                edge = CallEdge(name, node_id, call, callee, external)
-                graph.edges.append(edge)
-                graph.by_caller.setdefault(name, []).append(edge)
+                graph.edges.append(
+                    CallEdge(name, node_id, call, callee, external))
     return graph
 
 
-def strongly_connected_components(graph: CallGraph,
-                                  functions: list[str]) -> list[list[str]]:
-    """The strongly connected components of the calls among `functions`,
-    every component after all components it calls (Tarjan, SIAM J.
-    Comput. 1(2), 1972), found with an explicit stack. Roots are tried in
-    the given order and callees in call order; members keep the given
-    order."""
-    order = {name: i for i, name in enumerate(functions)}
-    succs = {name: list(dict.fromkeys(
-        edge.callee for edge in graph.by_caller.get(name, ())
-        if not edge.external)) for name in functions}
+def strongly_connected_components(
+        succs: Mapping[str, Iterable[str]]) -> list[list[str]]:
+    """The strongly connected components of the calls `succs` maps each
+    function to (its callees, each one a key, repeats allowed), every
+    component after all components it calls (Tarjan, SIAM J. Comput.
+    1(2), 1972), found with an explicit stack. Roots are tried in key
+    order and callees in the given order; members keep key order."""
+    order = {name: i for i, name in enumerate(succs)}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
     on_stack: set[str] = set()
     components: list[list[str]] = []
-    for root in functions:
+    for root in succs:
         if root in index:
             continue
         index[root] = low[root] = len(index)

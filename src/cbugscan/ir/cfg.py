@@ -13,9 +13,10 @@ statement node with only the exit it takes, so genuine condition nodes
 always carry exactly one true and one false edge.
 
 `succs` lists each node's successor ids (a reader that needs
-predecessors inverts it) and `nodes` is in id order. A condition node's
-list is always `[true, false]`, whichever exit is connected first; no
-other edge has a label.
+predecessors inverts it; the keys of `checkers.base.forward_fixpoint`
+are the nodes the entry reaches) and `nodes` is in id order. A
+condition node's list is always `[true, false]`, whichever exit is
+connected first; no other edge has a label.
 """
 
 from __future__ import annotations
@@ -229,19 +230,6 @@ class _CfgBuilder:
             self.succs[latch].append(head)
         self.connect(out + continues, latch)
         return head if first is None else first, on_false + breaks
-
-
-def reachable_nodes(cfg: Cfg) -> set[int]:
-    """The ids of the nodes some path from the entry reaches, the
-    entry's included."""
-    seen = {cfg.entry}
-    pending = [cfg.entry]
-    while pending:
-        for target in cfg.succs[pending.pop()]:
-            if target not in seen:
-                seen.add(target)
-                pending.append(target)
-    return seen
 
 
 def cfg_to_dot(cfg: Cfg) -> str:

@@ -105,12 +105,15 @@ class UnitManager:
         self._resident: OrderedDict[str, TranslationUnit] = OrderedDict()
         self._lock = threading.RLock()
         self.load_counts: dict[str, int] = {}
-        self.total_loads = 0
         self.max_resident = 0
 
     @property
     def budget(self) -> int | None:
         return self._budget
+
+    @property
+    def total_loads(self) -> int:
+        return sum(self.load_counts.values())
 
     def get(self, path: str) -> TranslationUnit:
         with self._lock:
@@ -121,7 +124,6 @@ class UnitManager:
             unit = self._loader(path)
             self._resident[path] = unit
             self.load_counts[path] = self.load_counts.get(path, 0) + 1
-            self.total_loads += 1
             if self._budget is not None:
                 while len(self._resident) > self._budget:
                     self._resident.popitem(last=False)

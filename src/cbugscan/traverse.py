@@ -5,13 +5,14 @@ into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
 `succs` maps every CFG node id, which is unique within a unit, to its
 CFG's own successor list, not a copy; `calls` lists each node's calls
 to functions the unit defines, in evaluation order; `sccs` holds the
-call graph's strongly connected components, callees before callers. `calls`, `recursive` and
-the components are read off the edges of the unit's call graph, which
-holds the call sites the match-table pass found: no tree is walked
-here. The graph is computed on the first call for a unit and kept on
-the unit, which every later call, from any checker, returns; it holds
-the unit's CFGs but no reference back to the unit, so a unit and its
-graph are freed without the cycle collector.
+components of those calls (`ir.callgraph.strongly_connected_components`),
+callees before callers. `calls`, `recursive` and the components are
+read off the edges of the unit's call graph, which holds the call sites
+the match-table pass found: no tree is walked here. The graph is
+computed on the first call for a unit and kept on the unit, which every
+later call, from any checker, returns; it holds the unit's CFGs but no
+reference back to the unit, so a unit and its graph are freed without
+the cycle collector.
 
 Calls are not expanded into the graph. The interprocedural checkers
 compute one summary per function and apply a callee's summary at each
@@ -72,22 +73,23 @@ def build_supergraph(unit: TranslationUnit) -> SuperGraph:
 
 
 def _supergraph(unit: TranslationUnit) -> SuperGraph:
-    local = [edge for edge in unit.call_graph.edges if not edge.external]
     calls: dict[int, list[AstNode]] = {}
-    for edge in local:
-        calls.setdefault(edge.node_id, []).append(edge.call_node)
-    sccs = strongly_connected_components(unit.call_graph, list(unit.cfgs))
-    scc_of = {fn: i for i, scc in enumerate(sccs) for fn in scc}
+    callees: dict[str, list[str]] = {fn: [] for fn in unit.cfgs}
+    for edge in unit.call_graph.edges:
+        if not edge.external:
+            calls.setdefault(edge.node_id, []).append(edge.call_node)
+            callees[edge.caller].append(edge.callee)
+    sccs = strongly_connected_components(callees)
     return SuperGraph(
         cfgs=unit.cfgs,
         succs={node_id: targets for cfg in unit.cfgs.values()
                for node_id, targets in cfg.succs.items()},
         calls=calls,
         sccs=sccs,
-        scc_of=scc_of,
-        recursive=frozenset(fn for edge in local
-                            if scc_of[edge.caller] == scc_of[edge.callee]
-                            for fn in sccs[scc_of[edge.caller]]),
+        scc_of={fn: i for i, scc in enumerate(sccs) for fn in scc},
+        recursive=frozenset(fn for scc in sccs
+                            if len(scc) > 1 or scc[0] in callees[scc[0]]
+                            for fn in scc),
     )
 
 

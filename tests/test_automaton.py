@@ -425,6 +425,32 @@ def test_recursive_function_terminates(tmp_path):
     assert any("double lock" in t.message for t in traces)
 
 
+# a and b call each other, and only a locks
+CYCLE = ("void a(int c) { mutex_lock(&m); if (c) b(c - 1); }\n"
+         "void b(int c) { if (c) a(c); }\n")
+SELF = "void f(int n) { mutex_lock(&m); if (n) f(n - 1); }\n"
+
+
+@pytest.mark.parametrize("source, exits", [
+    # no caller outside the cycle completes its protocol
+    (CYCLE, [(1, 50), (2, 30)]),
+    (CYCLE + "void f(void) { a(1); }\n", [(3, 22)]),
+    # f3 returns before its call to f1, so that call closes no cycle
+    # with f1's call to f3: nothing calls f1, which is judged at its exit
+    ("void f1(void) { mutex_lock(&m); f3(); }\n"
+     "void f3(void) { for (;;) { return; } f1(); }\n"
+     "void f0(void) { f3(); }\n", [(1, 39)]),
+    (SELF, [(1, 50)]),
+    (SELF + "void g(void) { f(1); }\n", [(2, 22)]),
+], ids=["closed cycle", "entered cycle", "dead call", "self-call",
+        "entered self-call"])
+def test_exits_judged_where_no_call_enters_the_component(tmp_path, source,
+                                                         exits):
+    traces = run(source, tmp_path=tmp_path)
+    assert [(t.primary_location.line, t.primary_location.column)
+            for t in traces if t.message == "lock &m held at exit"] == exits
+
+
 PAIR_CONFIG = """
 automaton pairs
 states U L

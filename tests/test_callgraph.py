@@ -15,8 +15,12 @@ def unit_of(source):
     return build_unit_from_text(textwrap.dedent(source), "t.c")
 
 
+def edges_of(unit, caller):
+    return [e for e in unit.call_graph.edges if e.caller == caller]
+
+
 def callees(unit, caller):
-    return [e.callee for e in unit.call_graph.by_caller.get(caller, [])]
+    return [e.callee for e in edges_of(unit, caller)]
 
 
 def test_direct_call_edges():
@@ -25,20 +29,20 @@ def test_direct_call_edges():
         void caller() { callee(); callee(); }
     """)
     assert callees(unit, "caller") == ["callee", "callee"]
-    edges = unit.call_graph.by_caller["caller"]
+    edges = edges_of(unit, "caller")
     assert all(not e.external for e in edges)
 
 
 def test_external_call_marked():
     unit = unit_of("void f() { printf(); }")
     assert callees(unit, "f") == ["printf"]
-    edge, = unit.call_graph.by_caller["f"]
+    edge, = edges_of(unit, "f")
     assert edge.external
 
 
 def test_indirect_call_sentinel():
     unit = unit_of("void f(int *fp) { (*fp)(); }")
-    edge, = unit.call_graph.by_caller["f"]
+    edge, = edges_of(unit, "f")
     assert edge.callee == INDIRECT
     assert edge.external
 
@@ -114,7 +118,7 @@ def test_call_sites_agree_with_a_walk_of_the_trees(bodies):
         f"int f{i}(int x, int *fp) {{ {' '.join(body)} }}"
         for i, body in enumerate(bodies))))
     for name, cfg in unit.cfgs.items():
-        edges = unit.call_graph.by_caller.get(name, [])
+        edges = edges_of(unit, name)
         for node_id, node in cfg.nodes.items():
             tree = node.ast_ref
             expected = [] if tree is None else collect_calls(tree)
@@ -138,14 +142,14 @@ def test_no_calls_no_edges():
 
 def test_recursive_call():
     unit = unit_of("void f(int n) { if (n) f(n - 1); }")
-    edge, = unit.call_graph.by_caller["f"]
+    edge, = edges_of(unit, "f")
     assert edge.caller == "f" and edge.callee == "f"
     assert not edge.external
 
 
 def test_call_nodes_carry_ast_reference():
     unit = unit_of("void f() { g(1); }")
-    edge, = unit.call_graph.by_caller["f"]
+    edge, = edges_of(unit, "f")
     assert edge.call_node.children[0].text == "g"
     assert edge.call_node.location.line == 1
 
@@ -165,10 +169,7 @@ def reachable(calls, start):
     min_size=n, max_size=n)))
 def test_components_are_mutual_reachability_callees_first(targets):
     calls = {f"f{i}": [f"f{t}" for t in ts] for i, ts in enumerate(targets)}
-    unit = unit_of("\n".join(
-        f"void {name}() {{ {' '.join(f'{c}();' for c in callees)} ext(); }}"
-        for name, callees in calls.items()))
-    components = strongly_connected_components(unit.call_graph, list(calls))
+    components = strongly_connected_components(calls)
     assert sorted(name for scc in components for name in scc) == sorted(calls)
     reach = {name: reachable(calls, name) for name in calls}
     position = {name: i for i, scc in enumerate(components) for name in scc}
@@ -186,6 +187,6 @@ def test_long_call_chain_needs_no_recursion():
     n = 3000
     unit = unit_of("\n".join(f"void f{i}() {{ f{i + 1}(); }}" for i in range(n))
                    + f"\nvoid f{n}() {{ }}")
-    components = strongly_connected_components(unit.call_graph,
-                                               list(unit.functions))
+    components = strongly_connected_components(
+        {name: callees(unit, name) for name in unit.functions})
     assert components == [[f"f{i}"] for i in range(n, -1, -1)]

@@ -590,6 +590,21 @@ def test_bad_preprocessor_command_is_raised_before_any_read_or_fork(
 
 
 @needs_fork
+@pytest.mark.parametrize("memory_units", [0, -1])
+def test_memory_units_below_one_is_raised_before_any_read_or_fork(
+        tmp_path, monkeypatch, memory_units):
+    # refused before any worker count or unit budget is derived from it
+    sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(4)]
+    with_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    loads = []
+    monkeypatch.setattr(engine, "load_unit", lambda *args: loads.append(args))
+    with pytest.raises(ConfigError, match="^memory_units must be at least 1$"):
+        run_job(job_for(tmp_path, sources, memory_units=memory_units))
+    assert forks == [] and loads == []
+
+
+@needs_fork
 def test_memory_budget_is_shared_out_between_workers(tmp_path, monkeypatch):
     sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(6)]
     managers = []

@@ -39,7 +39,8 @@ def test_unit_builds_for_a_3000_term_sum():
     unit = build_unit_from_text(
         f"void f(int x) {{ int y; x = {sum_}; g(h(x)); }}\n", "t.c")
     assert unit.func_locals["f"] == {"x", "y"}
-    assert [e.callee for e in unit.call_graph.by_caller["f"]] == ["h", "g"]
+    assert [e.callee for e in unit.call_graph.edges
+            if e.caller == "f"] == ["h", "g"]
 
 
 def test_second_definition_of_a_function_is_an_error():
