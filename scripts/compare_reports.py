@@ -39,11 +39,14 @@ workloads hold: `CALL_PROBES` are small programs around calls that
 never return, where a checker must know what such a call cuts off and
 what it does not, and around cycles of calls (one no other function
 calls, one entered from outside, one that only a dead call closes),
-where the automaton must know which functions to judge at exit;
-`ALIAS_PROBES` pass one object under two names, so that two of a
-callee's keys become one key of the caller and the automaton solves a
-variant summary of the callee with those keys merged, which no corpus
-file or workload does. The groups are then the corpus, each workload
+where the automaton must know which functions to judge at exit, and
+around a callee's own storage (its local's or formal's address, also
+passed down to a further callee), which dies at the callee's return and
+is judged at its exit; `ALIAS_PROBES` pass one object under two names,
+so that two of a callee's keys become one key of the caller and the
+automaton solves a variant summary of the callee with those keys
+merged, which no corpus file or workload does, and one passes it to a
+pointer-valued local, whose key keeps the callee's terms. The groups are then the corpus, each workload
 directory, the two probe sets and the `cpp` set.
 Standard library only.
 """
@@ -156,6 +159,17 @@ CALL_PROBES = {
     "dead_cycle.c": "void f1(void) { mutex_lock(&m); f3(); }\n"
                     "void f3(void) { for (;;) { return; } f1(); }\n"
                     "void f0(void) { f3(); }\n",
+    # a callee's own storage dies at its return: each call locks its own
+    # x, and the leak is g's, judged at g's exit
+    "own_local.c": "void g(void) { struct mutex x; mutex_lock(&x); }\n"
+                   "void f(void) { g(); g(); }\n",
+    "own_twice.c": "void g(void) { int x; mutex_unlock(&x); } "
+                   "void f(void) { g(); }\n",
+    "own_through.c": "void h(struct mutex *p) { mutex_lock(p); }\n"
+                     "void g(void) { struct mutex x; h(&x); }\n"
+                     "void f(void) { g(); g(); }\n",
+    "own_formal.c": "void g(struct mutex *p) { mutex_lock(&p); }\n"
+                    "void f(void) { g(&m); g(&m); }\n",
 }
 # The alias group's files by name; each passes one object under two names.
 PAIR = "struct mutex *p, struct mutex *q"
@@ -180,6 +194,10 @@ ALIAS_PROBES = {
     "global.c": "struct mutex m;\n"
                 "void g(struct mutex *p) { mutex_lock(p); mutex_lock(&m); }\n"
                 "void f(void) { g(&m); mutex_unlock(&m); }\n",
+    # through a pointer-valued local, whose key keeps the callee's terms
+    "pointer_local.c": "void g(struct mutex *p) { struct mutex *q; q = p; "
+                       "mutex_lock(q); }\n"
+                       "void f(void) { g(&m); mutex_unlock(&m); }\n",
 }
 SHOWN_LINES = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -15,18 +15,18 @@ summary maps each instance key in the function's own terms and each
 entry state to the exit states, with witness steps, and to the
 transition errors fired on the way. A summary holds texts, never syntax
 trees. At a call, the callee's keys are rewritten into the caller's
-terms by text, once per call edge, through one table per run from each
-text to the first tree seen with it (formals become the actual
-arguments; a key that depends on a callee local keeps the `callee::text`
-form), and the summary is applied to the caller's instances. There is
-no call-depth bound; recursion is solved to a fixpoint.
+terms once per call edge, by filling the formals' holes in each text's
+template (`to_template`) with the actuals' (a key that depends on a
+callee local keeps the `callee::text` form), and the summary is applied
+to the caller's instances. There is no call-depth bound; recursion is
+solved to a fixpoint.
 
 Every defined function is also analyzed as an entry point from no
-instances, and its transition errors are reported in its own terms.
-Exit-state errors are only evaluated for functions that no caller
-outside their own recursion calls, since for a callee the outer context
-may legitimately complete the protocol: a function is judged at exit
-when no applied call enters its component of the calls the summary
+instances, and its transition errors are reported in its own terms. A
+key naming storage of its own frame dies at its return and is judged at
+its exit; the others only where no caller outside the function's
+recursion calls it, since the outer context may complete the protocol:
+where no applied call enters its component of the calls the summary
 walks apply. A call the walk never applies, one in dead code or after a
 call that never returns, calls nothing.
 
@@ -52,10 +52,11 @@ from cbugscan.checkers.base import (
 )
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
-    AstNode,
+    PREC_LEAF,
     SourceLocation,
-    iter_tree,
     statement_text,
+    template_text,
+    to_template,
 )
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
@@ -68,12 +69,12 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
     SuperGraph,
     build_supergraph,
-    callee_name,
-    map_expression_to_caller,
     solve_summaries,
 )
 
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
+# a printed path into its first variable: indexes, fields, perhaps under &
+_STORAGE_RE = re.compile(r"&?([A-Za-z_]\w*)((?:\[[^][]*\])*)(?:\.[A-Za-z_]\w*)*")
 
 
 @dataclass
@@ -285,18 +286,21 @@ def _run_automaton(automaton: AutomatonDef, unit: TranslationUnit,
     scc_of = {fn: i for i, scc in enumerate(sccs) for fn in scc}
     entered = {scc_of[callee] for fn, callees in summaries.applied.items()
                for callee in callees if scc_of[callee] != scc_of[fn]}
-    for entry in unit.functions:
-        summary = summaries.solved[entry, ()]
-        for key, errors in summary.errors[_ABSENT].items():
-            for (message, location), error in errors.items():
+    # each summary reports its keys that die at its function's return; the
+    # base one all errors, and all exits where no applied call enters it
+    for entry, variant in [*((fn, ()) for fn in unit.functions),
+                           *(key for key in summaries.solved if key[1])]:
+        summary = summaries.solved[entry, variant]
+        errors = summary.errors[_ABSENT]
+        for key in summary.dead if variant else errors:
+            for (message, location), error in errors.get(key, {}).items():
                 emit(key, message, location, _steps(error.steps)
                      + (TraceStep(location, message),))
-        if scc_of[entry] in entered:
-            continue
         exit_map = summary.exits[_ABSENT]
         cfg = unit.cfgs[entry]
         exit_node = cfg.nodes[cfg.exit]
-        for key in sorted(exit_map):
+        for key in sorted(exit_map.keys() & set(summary.dead) if variant
+                          or scc_of[entry] in entered else exit_map):
             inst = exit_map[key]
             for state in list(inst.states):
                 template = automaton.exit_errors.get(state)
@@ -329,103 +333,105 @@ class _Summary(NamedTuple):
     the transition errors fired on the way, by instance key and then by
     message and location, with witnesses that start at the function's
     entry. The entry state `_ABSENT` is solved from no instances at all,
-    every other state with each key in `keys` (the keys the function
-    touches) in that state. It holds only texts, states, witnesses and
-    error templates, no syntax tree.
+    every other state with each key in `keys` in that state: the keys the
+    function touches but `dead`, those that die at its return, which no
+    call applies and only the `_ABSENT` entry's exits and errors hold.
+    It holds texts, states, witnesses and error templates, no tree.
     """
     returns: bool
     keys: tuple[_Key, ...]
+    dead: tuple[_Key, ...]
     exits: dict[str, _InstMap]
     errors: dict[str, dict[_Key, dict[_Found, _Error]]]
 
 
 # where a recursive component's iteration starts: no call returns yet
-_BOTTOM = _Summary(False, (), {}, {})
+_BOTTOM = _Summary(False, (), (), {}, {})
 
 
 class _Summaries:
     """The summaries of one automaton's functions over one unit, solved
     by `traverse.solve_summaries` and joined with `_union`.
 
-    A summary is in the terms of its function, and its keys are texts. To
-    rewrite a text into a caller's terms, `trees` holds the first tree
-    seen with each text, from the unit's events or mapped across a call;
-    distinct expressions have distinct texts, so the text picks the tree,
-    and a `callee::text` has none. A call that passes one object under
-    two names, so that two of the callee's keys become one key of the
-    caller, gets a variant summary of the callee with those texts merged.
-    The variant is the merge: sorted (text, representative) pairs, the
-    representative the first text of its class in the callee's keys. The
-    solver solves such variants on demand.
+    A summary is in the terms of its function, and its keys are texts.
+    `templates` holds each text's template, from the unit's events or
+    mapped across a call (a `callee::text` has none), so a text crosses a
+    call by the records of `SuperGraph.calls`, without a tree. A call that
+    passes one object under two names, so that two of the callee's keys
+    become one key of the caller, gets a variant summary of the callee
+    with those texts merged. The variant is the merge: sorted (text,
+    representative) pairs, the representative the first text of its
+    class in the callee's keys, solved on demand.
     """
 
     def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
                  graph: SuperGraph):
         self.automaton = automaton
-        self.unit = unit
         self.graph = graph
-        self.trees: dict[str, AstNode] = {}
+        self.formals = unit.func_params
+        self.declared = unit.func_locals
+        self.templates: dict[str, tuple] = {}
         # each CFG node's (pattern name, subnode text, bound texts)
         self.events = {owner: [(pattern.name, statement_text(subnode),
-                                {var: self.text_of(expr)
+                                {var: self.text_of(to_template(expr)[0])
                                  for var, expr in bindings.items()})
                                for pattern, subnode, bindings in hits]
                        for owner, hits in matches(automaton.patterns, unit,
                                                   match_node).items()
                        if owner is not None}
-        self.called = {callee_name(call) for calls in graph.calls.values()
-                       for call in calls}
+        self.called = {callee for sites in graph.calls.values()
+                       for callee, _ in sites}
         # each function's callees its walks apply, self-calls included.
         # No attempt resets it: an earlier round of a recursive component,
         # or an attempt cut short by an unsolved callee, applies a subset
         # of what the final round applies, since its walk reaches no more.
         self.applied: dict[str, dict] = {fn: {} for fn in graph.cfgs}
-        self.caller_texts: dict[tuple[AstNode, str], str] = {}
+        self.caller_texts: dict[tuple[int, str], str] = {}
         self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
 
-    def text_of(self, expr: AstNode) -> str:
-        """The text of `expr`, which becomes its tree if it has none."""
-        text = statement_text(expr)
-        self.trees.setdefault(text, expr)
+    def text_of(self, template: list | tuple) -> str:
+        """The text `template` spells, whose template it is if none was."""
+        text = template_text(template)
+        self.templates.setdefault(text, template)
         return text
 
-    def caller_text(self, call: AstNode, text: str, recursive: bool) -> str:
+    def caller_text(self, site: tuple, text: str, recursive: bool) -> str:
         """A callee's binding text in the caller's terms, once per call
         edge. A text that depends on a callee local keeps the callee's
         terms as `callee::text`, which every later call passes as it is;
         so does one that would grow across a recursive call, so that a
         component has finitely many keys and its iteration ends."""
-        found = self.caller_texts.get((call, text))
+        found = self.caller_texts.get((id(site), text))
         if found is None:
-            found = text  # without a tree, a `callee::text`
-            expr = self.trees.get(text)
-            if expr is not None:
-                mapped = map_expression_to_caller(expr, call, self.unit)
-                if mapped is None or (recursive
-                                      and _size(mapped) > _size(expr)):
-                    found = f"{callee_name(call)}::{text}"
-                else:
-                    found = self.text_of(mapped)
-            self.caller_texts[call, text] = found
+            callee, actuals = site
+            found = text  # without a template, a `callee::text`
+            template = self.templates.get(text)
+            if template is not None:
+                mapped = _substituted(template, actuals, self.formals[callee],
+                                      self.declared[callee], recursive)
+                found = (f"{callee}::{text}" if mapped is None
+                         else self.text_of(mapped))
+            self.caller_texts[id(site), text] = found
         return found
 
-    def at_call(self, fn: str, call: AstNode, merge: dict[str, str],
+    def at_call(self, fn: str, site: tuple, merge: dict[str, str],
                 summary_of) -> _Summary:
-        """The summary of the function `call` calls, in the terms of `fn`
+        """The summary of the function `site` calls, in the terms of `fn`
         with `merge` applied."""
-        callee = callee_name(call)
+        callee = site[0]
         self.applied[fn][callee] = None
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
         def outer(text: str) -> str:
-            mapped = self.caller_text(call, text, recursive)
+            mapped = self.caller_text(site, text, recursive)
             return merge.get(mapped, mapped)
 
         # callee texts that become one text here are one instance, which
-        # the first of them names
+        # the first of them names, in keys that die in the callee too
         first: dict[str, str] = {}
+        base = summary_of(callee)
         classes = {text: first.setdefault(outer(text), text)
-                   for key in summary_of(callee).keys for text in key}
+                   for key in base.keys + base.dead for text in key}
         variant = tuple(sorted(pair for pair in classes.items()
                                if pair[0] != pair[1]))
         return _renamed(summary_of(callee, variant), outer)
@@ -454,8 +460,8 @@ class _Summaries:
             found = applied.get(node_id)
             if found is None:
                 found = applied[node_id] = []
-                for call in graph.calls.get(node_id, ()):
-                    summary = self.at_call(fn, call, merge, summary_of)
+                for site in graph.calls.get(node_id, ()):
+                    summary = self.at_call(fn, site, merge, summary_of)
                     found.append(summary)
                     keys.update(dict.fromkeys(summary.keys))
                     if not summary.returns:
@@ -482,19 +488,56 @@ class _Summaries:
             return in_maps.get(cfg.exit), errors
 
         exit_map, errors = run({})
+        dead = {key: None for key in keys if any(
+            _own_storage(text, self.declared[fn]) for text in key)}
+        live = tuple(key for key in keys if key not in dead)
         exits = {_ABSENT: exit_map or {}}
         all_errors = {_ABSENT: errors}
         if fn in self.called:
             for state in automaton.states:
                 state_exit, all_errors[state] = run(
-                    {key: _Instance({}, {state: ()}) for key in keys})
+                    {key: _Instance({}, {state: ()}) for key in live})
                 exits[state] = state_exit or {}
-        return _Summary(returns=exit_map is not None, keys=tuple(keys),
-                        exits=exits, errors=all_errors)
+        return _Summary(returns=exit_map is not None, keys=live,
+                        dead=tuple(dead), exits=exits, errors=all_errors)
 
 
-def _size(expr: AstNode) -> int:
-    return sum(1 for _ in iter_tree(expr))
+def _own_storage(text: str, declared: dict[str, str]) -> bool:
+    """Whether `text` names storage of the frame of the `declared` locals
+    and formals: for such an `x`, `&x`, or, where `x`'s type has no `*`,
+    `x`, an element of an array `x`, or a field of either, perhaps under &."""
+    path = _STORAGE_RE.fullmatch(text)
+    ctype = path and declared.get(path[1])
+    return bool(ctype) and (text == "&" + path[1] or "*" not in ctype
+                            and (not path[2] or "[" in ctype))
+
+
+def _substituted(template: tuple, actuals: tuple, formals: list[str],
+                 declared: dict[str, str], recursive: bool) -> tuple | None:
+    """A callee text's template with each formal's hole filled by its
+    actual (`SuperGraph.calls`), in parentheses where `to_text` would put
+    them; a lone name takes the hole's context. None when a hole names a
+    callee local, when the arity differs, or at a `recursive` call when a
+    formal's actual has more than one node, so that the text would grow."""
+    if len(actuals) != len(formals):
+        return None
+    bound = dict(zip(formals, actuals))
+    out: list = []
+    for piece in template:
+        actual = None if type(piece) is str else bound.get(piece[0])
+        if actual is None:
+            if type(piece) is tuple and piece[0] in declared:
+                return None
+            out.append(piece)
+        elif recursive and actual[1] < PREC_LEAF:
+            return None
+        elif actual[1] < piece[1]:
+            out += ("(", *actual[0], ")")
+        elif actual[1] == PREC_LEAF and type(actual[0][0]) is tuple:
+            out.append((actual[0][0][0], piece[1]))
+        else:
+            out += actual[0]
+    return tuple(out)
 
 
 def _step(automaton: AutomatonDef, location: SourceLocation, events: list,
@@ -554,13 +597,12 @@ def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
 
 
 def _renamed(summary: _Summary, outer) -> _Summary:
-    """`summary` with each binding text `t` written as `outer(t)`."""
+    """`summary`'s `keys` with each binding text `t` written as `outer(t)`."""
     new_text = {text: outer(text) for key in summary.keys for text in key}
     if all(new == text for text, new in new_text.items()):
         return summary
-
-    def key_of(key: _Key) -> _Key:
-        return tuple(sorted(new_text[text] for text in key))
+    new_key = {key: tuple(sorted(new_text[text] for text in key))
+               for key in summary.keys}
 
     def texts_of(texts: dict[str, str]) -> dict[str, str]:
         return {var: new_text[text] for var, text in texts.items()}
@@ -575,12 +617,14 @@ def _renamed(summary: _Summary, outer) -> _Summary:
 
     return _Summary(
         returns=summary.returns,
-        keys=tuple(dict.fromkeys(key_of(key) for key in summary.keys)),
-        exits={state: {key_of(key): _Instance(texts_of(inst.texts), inst.states)
-                       for key, inst in instances.items()}
+        keys=tuple(dict.fromkeys(new_key.values())),
+        dead=(),
+        exits={state: {new_key[key]: _Instance(texts_of(inst.texts),
+                                               inst.states)
+                       for key, inst in instances.items() if key in new_key}
                for state, instances in summary.exits.items()},
-        errors={state: {key_of(key): errors_of(errors)
-                        for key, errors in by_key.items()}
+        errors={state: {new_key[key]: errors_of(errors)
+                        for key, errors in by_key.items() if key in new_key}
                 for state, by_key in summary.errors.items()},
     )
 
@@ -605,6 +649,7 @@ def _union(old: _Summary, new: _Summary) -> _Summary:
     return _Summary(
         returns=old.returns or new.returns,
         keys=tuple(dict.fromkeys(old.keys + new.keys)),
+        dead=tuple(dict.fromkeys(old.dead + new.dead)),
         exits=exits,
         errors=errors,
     )

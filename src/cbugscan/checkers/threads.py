@@ -60,7 +60,6 @@ from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
     SuperGraph,
     build_supergraph,
-    callee_name,
     solve_summaries,
 )
 
@@ -223,9 +222,9 @@ def _summarize(graph: SuperGraph, fn: str,
             else:
                 held = frozenset(pair for pair in held if pair[0] != key)
                 released = released | {key}
-        for call in graph.calls.get(node_id, ()):
-            calls.add(callee_name(call))
-            callee = summary_of(callee_name(call))
+        for name, _ in graph.calls.get(node_id, ()):
+            calls.add(name)
+            callee = summary_of(name)
             for (key, location), inside in callee.acquires.items():
                 acquire(key, location,
                         [pair for pair in held if pair[0] not in inside],

@@ -113,6 +113,7 @@ _LEAF_KINDS = frozenset({NodeKind.IDENTIFIER, NodeKind.INT_LITERAL, NodeKind.STR
 _PREC_ASSIGN = 1
 _PREC_UNARY = 8
 _PREC_POSTFIX = 9
+PREC_LEAF = 10  # a leaf's: no context parenthesizes it
 
 # Binding strength of each binary operator, higher binds tighter; the
 # parser and to_text both read it. Assignment (1) binds looser than every
@@ -127,14 +128,20 @@ BINARY_PRECEDENCE = {
 
 
 def to_text(node: AstNode) -> str:
-    """Render an expression back to canonical C text.
+    """Render an expression back to canonical C text; structurally equal
+    trees always render to the same string, usable as a map key."""
+    return "".join(to_template(node, holes=False)[0])
 
-    Parenthesization is normalized: structurally equal trees always render
-    to the same string, which makes the output usable as a map key.
-    """
-    out: list[str] = []
+
+def to_template(root: AstNode, holes: bool = True) -> tuple[list, int]:
+    """`to_text`'s pieces of an expression, and its precedence. With
+    `holes`, a template: each identifier, never a member's field name, is
+    a hole `(name, context precedence)`; an expression that fills it needs
+    parentheses when its precedence is below that context, as in `to_text`."""
+    out: list = []
+    top = PREC_LEAF
     # pending pieces, next one last: text, or (subtree, context precedence)
-    stack: list = [(node, 0)]
+    stack: list = [(root, 0)]
     while stack:
         item = stack.pop()
         if type(item) is str:
@@ -143,7 +150,8 @@ def to_text(node: AstNode) -> str:
         node, ctx = item
         kind = node.kind
         if kind in _LEAF_KINDS:
-            out.append(node.text)
+            out.append((node.text, ctx) if holes and kind is NodeKind.IDENTIFIER
+                       else node.text)
             continue
         if kind is NodeKind.META_VAR:
             out.append("%" + node.text)
@@ -175,10 +183,18 @@ def to_text(node: AstNode) -> str:
             pieces = ((children[0], _PREC_POSTFIX), "[", (children[1], 0), "]")
         else:
             raise ValueError(f"not an expression node: {kind.value}")
+        if node is root:
+            top = prec
         if prec < ctx:
             pieces = ("(", *pieces, ")")
         stack.extend(reversed(pieces))
-    return "".join(out)
+    return out, top
+
+
+def template_text(template) -> str:
+    """The text a template spells, each hole by its name."""
+    return "".join(piece if type(piece) is str else piece[0]
+                   for piece in template)
 
 
 def statement_text(node: AstNode) -> str:

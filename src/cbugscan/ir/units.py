@@ -42,7 +42,8 @@ class TranslationUnit:
     cfgs: dict[str, Cfg] = field(default_factory=dict)
     call_graph: CallGraph = field(default_factory=CallGraph)
     func_params: dict[str, list[str]] = field(default_factory=dict)
-    func_locals: dict[str, set[str]] = field(default_factory=dict)
+    # each function's formals and locals, with their declared types
+    func_locals: dict[str, dict[str, str]] = field(default_factory=dict)
     # every subnode of `ast` by kind, with the CFG node that holds it
     match_table: MatchTable = field(default_factory=dict)
     # each pattern's hits in `match_table` by `Pattern.shape`, filled by
@@ -65,14 +66,14 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
                     f"redefinition of function {decl.text!r}", decl.location)
             unit.functions[decl.text] = decl
     for name, func in unit.functions.items():
-        params = [p.text for p in func.children[:-1]]
-        unit.func_params[name] = params
+        unit.func_params[name] = [p.text for p in func.children[:-1]]
         cfg = unit.cfgs[name] = build_cfg(func, ids)
-        # every declaration in the body is a CFG node of its own
-        unit.func_locals[name] = set(params) | {
-            node.ast_ref.text for node in cfg.nodes.values()
-            if node.ast_ref is not None
-            and node.ast_ref.kind is NodeKind.VAR_DECL}
+        # each declaration is a CFG node; a pointer one goes last, to win
+        decls = [*func.children[:-1], *(
+            node.ast_ref for node in cfg.nodes.values()
+            if node.ast_ref is not None and node.ast_ref.kind is NodeKind.VAR_DECL)]
+        unit.func_locals[name] = {decl.text: decl.ctype for decl in sorted(
+            decls, key=lambda decl: "*" in decl.ctype)}
     unit.match_table, calls = build_match_table(ast, {
         id(node.ast_ref): node.id for cfg in unit.cfgs.values()
         for node in cfg.nodes.values() if node.ast_ref is not None})

@@ -1,14 +1,16 @@
-"""The per-unit interprocedural graph and expression mapping across calls.
+"""The per-unit interprocedural graph and the one summary solver.
 
 `build_supergraph(unit)` joins the CFGs of every function a unit defines
 into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
 `succs` maps every CFG node id, which is unique within a unit, to its
 CFG's own successor list, not a copy; `calls` lists each node's calls
-to functions the unit defines, in evaluation order; `sccs` holds the
-components of those calls (`ir.callgraph.strongly_connected_components`),
-callees before callers. `calls`, `recursive` and the components are
-read off the edges of the unit's call graph, which holds the call sites
-the match-table pass found: no tree is walked here. The graph is
+to functions the unit defines, in evaluation order, each as its callee
+and its actuals' templates (`ast_nodes.to_template`), so that no reader
+needs the call's tree; `sccs` holds the components of those calls
+(`ir.callgraph.strongly_connected_components`), callees before callers.
+`calls`, `recursive` and the components are read off the edges of the
+unit's call graph, which holds the call sites the match-table pass
+found: only the actuals are walked here. The graph is
 computed on the first call for a unit and kept on the unit, which every
 later call, from any checker, returns; it holds the unit's CFGs but no
 reference back to the unit, so a unit and its graph are freed without
@@ -21,10 +23,6 @@ node that calls it: the functional approach of Sharir & Pnueli (1981).
 iterates a recursive component until its summaries stop changing, so
 there is no call-depth bound; a checker only says how to summarize one
 function, how to join two summaries, and where iteration starts.
-
-Expressions observed inside a callee can be translated into the caller's
-terms (formals become the actual argument expressions), which lets
-checkers track one object across call boundaries.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
-from cbugscan.frontend.ast_nodes import AstNode, NodeKind
+from cbugscan.frontend.ast_nodes import to_template
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
@@ -51,15 +49,10 @@ class SuperGraph:
     """
     cfgs: dict[str, Cfg]
     succs: dict[int, list[int]]
-    calls: dict[int, list[AstNode]]
+    calls: dict[int, list[tuple[str, tuple]]]
     sccs: list[list[str]]
     scc_of: dict[str, int]
     recursive: frozenset[str]
-
-
-def callee_name(call: AstNode) -> str:
-    """The function a unit-local call (one listed in `calls`) calls."""
-    return call.children[0].text
 
 
 def build_supergraph(unit: TranslationUnit) -> SuperGraph:
@@ -73,11 +66,12 @@ def build_supergraph(unit: TranslationUnit) -> SuperGraph:
 
 
 def _supergraph(unit: TranslationUnit) -> SuperGraph:
-    calls: dict[int, list[AstNode]] = {}
+    calls: dict[int, list] = {}
     callees: dict[str, list[str]] = {fn: [] for fn in unit.cfgs}
     for edge in unit.call_graph.edges:
         if not edge.external:
-            calls.setdefault(edge.node_id, []).append(edge.call_node)
+            calls.setdefault(edge.node_id, []).append((edge.callee, tuple(
+                map(to_template, edge.call_node.children[1:]))))
             callees[edge.caller].append(edge.callee)
     sccs = strongly_connected_components(callees)
     return SuperGraph(
@@ -163,62 +157,3 @@ def solve_summaries(graph: SuperGraph,
             else:
                 pending.pop()
     return solved
-
-
-# -- expression mapping across call boundaries --------------------------------
-
-def map_expression_to_caller(expr: AstNode, call: AstNode,
-                             unit: TranslationUnit) -> AstNode | None:
-    """Rewrite an expression of the function `call` calls into the
-    caller's terms.
-
-    Formal parameters become the actual argument expressions from the
-    call site. Globals pass through untouched. An expression that
-    depends on a callee local (or on mismatched call arity) has no
-    caller-side equivalent: returns None.
-    """
-    callee = callee_name(call)
-    params = unit.func_params.get(callee)
-    if params is None:
-        return None
-    actuals = call.children[1:]
-    if len(actuals) != len(params):
-        return None
-    formal_to_actual = dict(zip(params, actuals))
-    locals_ = unit.func_locals.get(callee, set())
-
-    # post-order on an explicit stack: a node is rewritten once its
-    # children are; the field name of a member access is not a variable
-    mapped: dict[int, AstNode] = {}
-    pending = [(expr, False)]
-    while pending:
-        node, children_done = pending.pop()
-        if node.kind is NodeKind.IDENTIFIER:
-            actual = formal_to_actual.get(node.text)
-            if actual is None and node.text in locals_:
-                return None
-            mapped[id(node)] = node if actual is None else actual
-            continue
-        variables = (node.children[:1] if node.kind is NodeKind.MEMBER
-                     else node.children)
-        if not variables:
-            mapped[id(node)] = node
-        elif not children_done:
-            pending.append((node, True))
-            pending.extend((child, False) for child in variables)
-        else:
-            mapped[id(node)] = _clone(node, tuple(
-                mapped[id(child)] for child in variables)
-                + node.children[len(variables):])
-    return mapped[id(expr)]
-
-
-def _clone(node: AstNode, children: tuple[AstNode, ...]) -> AstNode:
-    return AstNode(
-        kind=node.kind,
-        location=node.location,
-        text=node.text,
-        children=children,
-        ctype=node.ctype,
-        end_location=node.end_location,
-    )

@@ -40,7 +40,6 @@ from cbugscan.frontend.parser import _Parser
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-from cbugscan.traverse import map_expression_to_caller
 
 
 # -- report order ---------------------------------------------------------------
@@ -216,26 +215,120 @@ def cloned_supergraph(unit, entry: str):
     return succs, node_function, ((), root.entry), ((), root.exit)
 
 
-def _cloned_text(expr, frames, unit) -> str:
-    """A bound expression in the entry's terms, walking out of the
-    frames; `callee::text` where a callee local blocks the way."""
-    for frame in reversed(frames):
-        mapped = map_expression_to_caller(expr, frame[2], unit)
-        if mapped is None:
-            return f"{frame[3]}::{to_text(expr)}"
-        expr = mapped
-    return to_text(expr)
+# -- expression mapping across a call, by rewriting trees ----------------------
+
+def map_expression_to_caller(expr, call, unit):
+    """Rewrite an expression of the function `call` calls into the
+    caller's terms: formals become the actual argument trees, globals
+    pass through, and an expression that depends on a callee local (or a
+    call of the wrong arity) has no caller-side equivalent: None."""
+    callee = call.children[0].text
+    params = unit.func_params.get(callee)
+    if params is None:
+        return None
+    actuals = call.children[1:]
+    if len(actuals) != len(params):
+        return None
+    formal_to_actual = dict(zip(params, actuals))
+    locals_ = unit.func_locals.get(callee, {})
+
+    # post-order on an explicit stack: a node is rewritten once its
+    # children are; the field name of a member access is not a variable
+    mapped: dict[int, AstNode] = {}
+    pending = [(expr, False)]
+    while pending:
+        node, children_done = pending.pop()
+        if node.kind is NodeKind.IDENTIFIER:
+            actual = formal_to_actual.get(node.text)
+            if actual is None and node.text in locals_:
+                return None
+            mapped[id(node)] = node if actual is None else actual
+            continue
+        variables = (node.children[:1] if node.kind is NodeKind.MEMBER
+                     else node.children)
+        if not variables:
+            mapped[id(node)] = node
+        elif not children_done:
+            pending.append((node, True))
+            pending.extend((child, False) for child in variables)
+        else:
+            mapped[id(node)] = _clone(node, tuple(
+                mapped[id(child)] for child in variables)
+                + node.children[len(variables):])
+    return mapped[id(expr)]
+
+
+def _clone(node, children):
+    return AstNode(kind=node.kind, location=node.location, text=node.text,
+                   children=children, ctype=node.ctype,
+                   end_location=node.end_location)
+
+
+def frame_storage(expr, declared) -> bool:
+    """Whether `expr` names storage of a frame whose variables have the
+    `declared` types: `&x`, or, perhaps under `&`, a chain of indexes then
+    fields on `x`, where `x`'s type has no `*` and, with an index, is an
+    array."""
+    if expr.kind is NodeKind.UNARY_OP and expr.text == "addrof":
+        if expr.children[0].kind is NodeKind.IDENTIFIER:
+            return expr.children[0].text in declared
+        expr = expr.children[0]
+    accessors = ""
+    while (expr.kind is NodeKind.INDEX
+           or expr.kind is NodeKind.MEMBER and expr.text == "dot"):
+        accessors = ("[" if expr.kind is NodeKind.INDEX else ".") + accessors
+        expr = expr.children[0]
+    ctype = declared.get(expr.text) if expr.kind is NodeKind.IDENTIFIER else None
+    return (ctype is not None and "*" not in ctype
+            and re.fullmatch(r"\[*\.*", accessors) is not None
+            and ("[" not in accessors or "[" in ctype))
+
+
+def _cloned_texts(bindings, frames, entry, unit):
+    """The bound expressions' texts, walking out of the frames of a
+    clone of `entry`, with the depth of the frame they stop in: the
+    first whose own storage one of them names, whose exit ends the
+    instance, or else -1 past the entry. A text is `callee::text` from
+    where a callee local blocks the way."""
+    exprs = dict(bindings)
+    for depth in range(len(frames), -1, -1):
+        fn = frames[depth - 1][3] if depth else entry
+        if any(not isinstance(expr, str)
+               and frame_storage(expr, unit.func_locals[fn])
+               for expr in exprs.values()):
+            break
+        if not depth:
+            depth = -1
+            break
+        for name, expr in exprs.items():
+            if not isinstance(expr, str):
+                mapped = map_expression_to_caller(expr, frames[depth - 1][2],
+                                                  unit)
+                exprs[name] = (f"{fn}::{to_text(expr)}" if mapped is None
+                               else mapped)
+    return depth, {name: expr if isinstance(expr, str) else to_text(expr)
+                   for name, expr in exprs.items()}
 
 
 def cloned_automaton_traces(automaton, unit):
-    """The automaton checker's findings by call-string cloning."""
+    """The automaton checker's findings by call-string cloning. An
+    instance is keyed by its texts and the depth of the frame whose own
+    storage it names, and that frame's exit judges and ends it."""
     traces, emitted = [], set()
 
     def emit(key, message, location, steps):
-        if (key, message, str(location)) not in emitted:
-            emitted.add((key, message, str(location)))
+        if (key[1:], message, str(location)) not in emitted:
+            emitted.add((key[1:], message, str(location)))
             traces.append(ErrorTrace("automaton", Importance.ERROR,
                                      message, steps))
+
+    def judge(ikey, inst, location):
+        for state in inst.states:
+            template = automaton.exit_errors.get(state)
+            if template is not None:
+                message = render_message(template, inst.texts)
+                emit(ikey, message, location, inst.states[state] + (
+                    TraceStep(location, message),))
 
     roots = walked_roots(unit)
     for entry in unit.functions:
@@ -246,6 +339,13 @@ def cloned_automaton_traces(automaton, unit):
 
         def transfer(key, in_map):
             node = cfg_node(key)
+            depth = len(key[0])
+            if node.id == unit.cfgs[node_function[key[1]]].exit:
+                for ikey, inst in in_map.items():
+                    if ikey[0] == depth:
+                        judge(ikey, inst, node.location)
+                return {ikey: inst for ikey, inst in in_map.items()
+                        if ikey[0] != depth}
             if node.ast_ref is None:
                 return in_map
             out = dict(in_map)
@@ -254,9 +354,8 @@ def cloned_automaton_traces(automaton, unit):
                     bindings = match_node(pattern, subnode)
                     if bindings is None:
                         continue
-                    texts = {name: _cloned_text(expr, key[0], unit)
-                             for name, expr in bindings.items()}
-                    ikey = tuple(sorted(texts.values()))
+                    owner, texts = _cloned_texts(bindings, key[0], entry, unit)
+                    ikey = (owner, *sorted(texts.values()))
                     inst = out.get(ikey) or _Instance(
                         texts, {automaton.start: ()})
                     states = {}
@@ -282,19 +381,9 @@ def cloned_automaton_traces(automaton, unit):
 
         in_maps = forward_fixpoint(start, {}, lambda k: succs.get(k, ()),
                                    transfer, _merge)
-        if entry not in roots:
-            continue
-        exit_node = cfg_node(end)
-        exit_map = in_maps.get(end, {})
-        for ikey in sorted(exit_map):
-            inst = exit_map[ikey]
-            for state in inst.states:
-                template = automaton.exit_errors.get(state)
-                if template is not None:
-                    message = render_message(template, inst.texts)
-                    emit(ikey, message, exit_node.location,
-                         inst.states[state] + (
-                             TraceStep(exit_node.location, message),))
+        if entry in roots:
+            for ikey, inst in in_maps.get(end, {}).items():
+                judge(ikey, inst, cfg_node(end).location)
     return traces
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CORPUS_DIR
-from oracles import recursive_parse
+from oracles import map_expression_to_caller, recursive_parse
 
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import (
@@ -22,7 +22,6 @@ from cbugscan.frontend import (
 )
 from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, EXPRESSION_KINDS
 from cbugscan.ir import build_unit_from_text, units
-from cbugscan.traverse import map_expression_to_caller
 
 
 def parse_src(source):
@@ -225,7 +224,7 @@ def test_each_declarator_is_a_var_decl_of_its_own(source, decls):
 
 def test_each_declarator_is_a_local():
     unit = build_unit_from_text("void f() { int a, *b; b = &a; }\n", "t.c")
-    assert unit.func_locals["f"] == {"a", "b"}
+    assert unit.func_locals["f"] == {"a": "int", "b": "int *"}
 
 
 @pytest.mark.parametrize("body", [

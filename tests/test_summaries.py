@@ -9,6 +9,7 @@ import textwrap
 import time
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbugscan.checkers import automaton, builtin_registry
@@ -339,11 +340,13 @@ def holds_a_tree(value) -> bool:
 
 def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
     # summaries are plain data: keys, texts, states, witnesses and error
-    # templates, over the corpus and over programs that merge keys
-    solved = []
+    # templates, over the corpus and over programs that merge keys; so are
+    # the binding texts' templates and the call sites' records
+    solved, tables, templates = [], [], 0
 
-    def solve(*args):
-        solved.append(real(*args))
+    def solve(graph, summarize, *args):
+        tables.append(summarize.__self__)
+        solved.append(real(graph, summarize, *args))
         return solved[-1]
 
     real = automaton.solve_summaries
@@ -359,6 +362,54 @@ def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
         for summaries in solved:
             for key, summary in summaries.items():
                 assert not holds_a_tree(summary), (name, key)
-        if name in probes:  # each passes one object under two names
+        for table in tables:
+            assert not holds_a_tree(table.templates), name
+            assert not holds_a_tree(table.graph.calls), name
+            templates += len(table.templates)
+        tables.clear()
+        # each passes one object under two names; the pointer-valued
+        # local's probe passes it to a local, not to two formals
+        if name in probes and name != "pointer_local.c":
             assert any(variant for summaries in solved
                        for _, variant in summaries), name
+    assert templates  # not vacuous
+
+
+# -- a callee's own storage dies at its return ------------------------------------
+
+PROBES = runpy.run_path(os.path.join(ROOT, "scripts", "compare_reports.py"))
+
+
+@pytest.mark.parametrize("probes, name, findings", [
+    # each call of g locks its own x: no double lock, and g's leak
+    ("CALL_PROBES", "own_local.c", [("lock &x held at exit", "1:48")]),
+    # reported once, in g's terms
+    ("CALL_PROBES", "own_twice.c", [("double unlock of &x", "1:23")]),
+    # h's p is g's x, which dies at g's return
+    ("CALL_PROBES", "own_through.c", [("lock &x held at exit", "2:39")]),
+    # the address of a formal is g's own storage, not &&m
+    ("CALL_PROBES", "own_formal.c", [("lock &p held at exit", "1:43")]),
+    # a pointer-valued local keeps the callee's terms
+    ("ALIAS_PROBES", "pointer_local.c", [("double unlock of &m", "2:23"),
+                                          ("lock g::q held at exit", "2:41")]),
+])
+def test_a_callees_own_storage_dies_at_its_return(probes, name, findings):
+    traces = check(AUTOMATON, PROBES[probes][name])
+    assert [(t.message, f"{t.primary_location.line}:"
+             f"{t.primary_location.column}") for t in traces] == findings
+
+
+@pytest.mark.parametrize("text, dies", [
+    ("&x", True), ("&q", True), ("x", True), ("x.f", True), ("x.f.g", True),
+    ("&x.f", True), ("a[i]", True), ("a[i].f", True), ("&a[i + 1]", True),
+    # through a pointer, or not a local
+    ("q", False), ("*q", False), ("q->f", False), ("q[i]", False),
+    ("&q[i]", False), ("x[i]", False), ("x.f[i]", False), ("*&x", False),
+    ("g", False), ("&g", False), ("h::x", False), ("x + 1", False),
+    # an index holding brackets is not read: kept, as through a pointer
+    ("a[b[0]]", False),
+])
+def test_own_storage_of_a_frame(text, dies):
+    declared = {"x": "struct mutex", "q": "struct mutex *", "a": "int[4]",
+                "b": "int[2]", "i": "int"}
+    assert automaton._own_storage(text, declared) is dies

@@ -1,18 +1,18 @@
 import textwrap
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cbugscan.frontend import parse_fragment, to_text
+from cbugscan.checkers.automaton import _substituted
+from cbugscan.frontend import iter_tree, parse_fragment, to_text
+from cbugscan.frontend.ast_nodes import template_text, to_template
 from cbugscan.ir import build_unit_from_text
 from cbugscan.traverse import (
     SuperGraph,
     build_supergraph,
-    callee_name,
-    map_expression_to_caller,
     solve_summaries,
 )
 
-from oracles import bfs_reachable, collect_calls
+from oracles import bfs_reachable, map_expression_to_caller
 
 
 def unit_of(source):
@@ -21,7 +21,7 @@ def unit_of(source):
 
 def called(graph, fn):
     """The callee names of each of `fn`'s nodes that calls some."""
-    return [[callee_name(call) for call in graph.calls[node_id]]
+    return [[callee for callee, _ in graph.calls[node_id]]
             for node_id in sorted(graph.cfgs[fn].nodes)
             if node_id in graph.calls]
 
@@ -98,8 +98,8 @@ def test_supergraph_always_finite(n_funcs, calls):
 # -- summaries ---------------------------------------------------------------------
 
 def callees_of(graph, fn):
-    return {callee_name(call) for node_id in graph.cfgs[fn].nodes
-            for call in graph.calls.get(node_id, ())}
+    return {callee for node_id in graph.cfgs[fn].nodes
+            for callee, _ in graph.calls.get(node_id, ())}
 
 
 @st.composite
@@ -177,11 +177,32 @@ def test_a_long_chain_of_variant_requests_takes_no_recursion():
     assert len(solved) == 2 * n - 1
 
 
-# -- expression mapping ----------------------------------------------------------
+# -- a callee text in a caller's terms, by its template ----------------------------
 
 def call_for(unit, caller, callee):
-    return next(call for call in collect_calls(unit.functions[caller])
-                if callee_name(call) == callee)
+    """The tree of `caller`'s call to `callee`, and the supergraph's
+    record of it: the callee and its actuals' templates."""
+    edge = next(edge for edge in unit.call_graph.edges
+                if (edge.caller, edge.callee) == (caller, callee))
+    site, = build_supergraph(unit).calls[edge.node_id]
+    return edge.call_node, site
+
+
+def mapped_template(unit, site, template, recursive=False):
+    """`template`, of a text of the function the call `site` calls, in
+    the caller's terms: with the call's actuals' templates in the holes of
+    the callee's formals; None where it has no caller terms."""
+    callee, actuals = site
+    if template is None:
+        return None
+    return _substituted(template, actuals, unit.func_params[callee],
+                        unit.func_locals[callee], recursive)
+
+
+def mapped_text(unit, site, expression, recursive=False):
+    mapped = mapped_template(unit, site, to_template(
+        parse_fragment(expression, file="t.c"))[0], recursive)
+    return None if mapped is None else template_text(mapped)
 
 
 MAPPING_UNIT = """
@@ -198,33 +219,26 @@ MAPPING_UNIT = """
 
 def test_map_formal_to_actual():
     unit = unit_of(MAPPING_UNIT)
-    call = call_for(unit, "caller", "callee")
-    mapped = map_expression_to_caller(
-        parse_fragment("p", file="t.c"), call, unit)
-    assert to_text(mapped) == "&dev->lock"
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "p") == "&dev->lock"
 
 
 def test_map_compound_expression():
     unit = unit_of(MAPPING_UNIT)
-    call = call_for(unit, "caller", "callee")
-    mapped = map_expression_to_caller(
-        parse_fragment("*p + n", file="t.c"), call, unit)
-    assert to_text(mapped) == "*&dev->lock + 5"
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "*p + n") == "*&dev->lock + 5"
 
 
 def test_callee_local_does_not_map():
     unit = unit_of(MAPPING_UNIT)
-    call = call_for(unit, "caller", "callee")
-    assert map_expression_to_caller(
-        parse_fragment("tmp", file="t.c"), call, unit) is None
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "tmp") is None
 
 
 def test_global_passes_through():
     unit = unit_of(MAPPING_UNIT)
-    call = call_for(unit, "caller", "callee")
-    mapped = map_expression_to_caller(
-        parse_fragment("shared + n", file="t.c"), call, unit)
-    assert to_text(mapped) == "shared + 5"
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "shared + n") == "shared + 5"
 
 
 def test_member_field_name_never_rewritten():
@@ -232,10 +246,8 @@ def test_member_field_name_never_rewritten():
         void callee(struct box *n) { use(n->n); }
         void caller(struct box *b) { callee(b); }
     """)
-    call = call_for(unit, "caller", "callee")
-    mapped = map_expression_to_caller(
-        parse_fragment("n->n", file="t.c"), call, unit)
-    assert to_text(mapped) == "b->n"
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "n->n") == "b->n"
 
 
 def test_arity_mismatch_maps_to_none():
@@ -243,16 +255,81 @@ def test_arity_mismatch_maps_to_none():
         void callee(int a, int b) { use(a); }
         void caller() { callee(1); }
     """)
-    call = call_for(unit, "caller", "callee")
-    assert map_expression_to_caller(
-        parse_fragment("a", file="t.c"), call, unit) is None
+    _, site = call_for(unit, "caller", "callee")
+    assert mapped_text(unit, site, "a") is None
 
 
 def test_deep_expression_maps_without_recursion():
     unit = unit_of(MAPPING_UNIT)
-    call = call_for(unit, "caller", "callee")
+    _, site = call_for(unit, "caller", "callee")
     # the sum's left spine is deeper than Python's recursion limit
-    mapped = map_expression_to_caller(
-        parse_fragment(" + ".join(["p"] + ["n"] * 3000), file="t.c"),
-        call, unit)
-    assert to_text(mapped) == " + ".join(["&dev->lock"] + ["5"] * 3000)
+    assert (mapped_text(unit, site, " + ".join(["p"] + ["n"] * 3000))
+            == " + ".join(["&dev->lock"] + ["5"] * 3000))
+
+
+# a callee with pointer, int and struct formals and locals, and operands
+# around them: formals, locals, globals and literals
+FORMALS = ["p", "n", "s"]
+OPERANDS = FORMALS + ["tmp", "q", "shared", "g", "5"]
+
+
+def expressions(leaves):
+    """Expressions over `leaves` with every operator the printer knows."""
+    def grow(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            st.builds(lambda op, e: f"{op}({e})", st.sampled_from("*&!-"),
+                      children),
+            st.builds(lambda e: f"({e})->f", children),
+            st.builds(lambda e: f"({e}).f", children),
+            st.builds(lambda ab: f"({ab[0]})[{ab[1]}]", pair),
+            st.builds(lambda ab: f"({ab[0]}) = ({ab[1]})", pair),
+            st.builds(lambda op, ab: f"({ab[0]}) {op} ({ab[1]})",
+                      st.sampled_from(["||", "&&", "==", "<", "+", "-", "*",
+                                       "%"]), pair),
+            st.builds(lambda ab: f"h({ab[0]}, {ab[1]})", pair))
+    return st.recursive(st.sampled_from(leaves), grow, max_leaves=6)
+
+
+def reference_tree(unit, call, tree, recursive):
+    """What `map_expression_to_caller` makes of `tree` (None for None),
+    or None where it grows across a `recursive` call."""
+    mapped = tree and map_expression_to_caller(tree, call, unit)
+    if mapped is not None and recursive and (
+            len(list(iter_tree(mapped))) > len(list(iter_tree(tree)))):
+        mapped = None
+    return mapped
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions(OPERANDS),
+       # lone names often, so that a name's hole is filled again
+       st.lists(st.one_of(st.sampled_from(["a", "b"]),
+                          expressions(["a", "b", "shared", "7"])),
+                min_size=2, max_size=4),
+       st.lists(expressions(["c", "shared", "9"]), min_size=1, max_size=3),
+       st.booleans())
+# a lone name's hole takes the context of the hole it fills
+@example("n->f", ["b", "a", "7"], ["c + 9", "shared"], False)
+def test_template_substitution_gives_the_mapped_trees_text(
+        expression, actuals, outer_actuals, recursive):
+    # as many actuals as formals, or a call of the wrong arity; the text
+    # is taken out of two calls, so the holes a substitution leaves are
+    # filled again
+    unit = unit_of(f"""
+        int shared;
+        void callee(int *p, int n, struct box s) {{
+            int *q; int tmp; use(p, n, s, q, tmp);
+        }}
+        void caller(int a, int *b) {{ callee({", ".join(actuals)}); }}
+        void top(int c) {{ caller({", ".join(outer_actuals)}); }}
+    """)
+    tree = parse_fragment(expression, file="t.c")
+    template = to_template(tree)[0]
+    assert template_text(template) == to_text(tree)
+    for caller, callee in (("caller", "callee"), ("top", "caller")):
+        call, site = call_for(unit, caller, callee)
+        tree = reference_tree(unit, call, tree, recursive)
+        template = mapped_template(unit, site, template, recursive)
+        assert (None if template is None else template_text(template)) == (
+            None if tree is None else to_text(tree))

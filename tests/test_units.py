@@ -30,7 +30,7 @@ def test_unit_indexes_functions_and_globals():
     assert list(unit.functions) == ["f", "g"]
     assert set(unit.cfgs) == {"f", "g"}
     assert unit.func_params["f"] == ["a"]
-    assert unit.func_locals["f"] == {"a", "x"}
+    assert unit.func_locals["f"] == {"a": "int", "x": "int"}
 
 
 def test_unit_builds_for_a_3000_term_sum():
@@ -38,7 +38,7 @@ def test_unit_builds_for_a_3000_term_sum():
     sum_ = " + ".join(["x"] * 3000)
     unit = build_unit_from_text(
         f"void f(int x) {{ int y; x = {sum_}; g(h(x)); }}\n", "t.c")
-    assert unit.func_locals["f"] == {"x", "y"}
+    assert unit.func_locals["f"] == {"x": "int", "y": "int"}
     assert [e.callee for e in unit.call_graph.edges
             if e.caller == "f"] == ["h", "g"]
 
