@@ -46,8 +46,14 @@ is judged at its exit; `ALIAS_PROBES` pass one object under two names,
 so that two of a callee's keys become one key of the caller and the
 automaton solves a variant summary of the callee with those keys
 merged, which no corpus file or workload does, and one passes it to a
-pointer-valued local, whose key keeps the callee's terms. The groups are then the corpus, each workload
-directory, the two probe sets and the `cpp` set.
+pointer-valued local, whose key keeps the callee's terms; the last
+three fill a formal's hole under `*` with an address, where `*&x` is
+`x`. `LEXER_PROBES` are long generated files whose comments, continued
+strings, directives and line markers fall across the lexer's chunk
+cuts, and two whose lexical error lies far past a syntax error or a
+nest too deep to parse, which the lexical error must still win over.
+The groups are then the corpus, each workload directory, the three
+probe sets and the `cpp` set.
 Standard library only.
 """
 
@@ -171,8 +177,12 @@ CALL_PROBES = {
     "own_formal.c": "void g(struct mutex *p) { mutex_lock(&p); }\n"
                     "void f(void) { g(&m); g(&m); }\n",
 }
-# The alias group's files by name; each passes one object under two names.
+# The alias group's files by name; each passes one object under two
+# names, but the last three, where a formal's hole under `*` is filled by
+# an address.
 PAIR = "struct mutex *p, struct mutex *q"
+DEREF = ("void h(struct mutex **p) { mutex_lock(*p); }\n"
+         "void g(struct mutex *q) { h(&q); }\n")
 ALIAS_PROBES = {
     "take_twice.c": f"void take({PAIR}) {{ mutex_lock(p); mutex_lock(q); }}\n"
                     "void f(void) { take(&m, &m); }\n",
@@ -198,6 +208,52 @@ ALIAS_PROBES = {
     "pointer_local.c": "void g(struct mutex *p) { struct mutex *q; q = p; "
                        "mutex_lock(q); }\n"
                        "void f(void) { g(&m); mutex_unlock(&m); }\n",
+    # a formal's hole under `*` filled by an address: `*&x` is x itself
+    "deref_local.c": "void h(int *p) { mutex_lock(*p); }\n"
+                     "void g(void) { int x; h(&x); }\n"
+                     "void f(void) { g(); g(); }\n",
+    "deref_balanced.c": DEREF + "void f(void) { g(&m); mutex_unlock(&m); }\n",
+    "deref_twice.c": DEREF + "void f(void) { g(&m); g(&m); }\n",
+}
+
+
+def _functions_between(between, count: int = 300) -> str:
+    """`count` small locking functions, the text `between(i)` before the
+    i-th: enough text for dozens of the lexer's 4 KiB chunks, so that
+    its cuts, each at a line end, fall inside what `between` spans."""
+    return "".join(
+        between(i) + f"void f{i}(int c) {{ mutex_lock(&m{i % 7}); "
+        f"if (c) return; mutex_unlock(&m{i % 7}); }}\n"
+        for i in range(count))
+
+
+def _comment(i: int) -> str:
+    return "/*" + " comment\n" * (i % 9 + 1) + " */ "
+
+
+def _string(i: int) -> str:
+    return (f'void s{i}(void) {{ log("a\\\n' + "b\\\n" * (i % 5)
+            + 'c"); }\n')
+
+
+def _directive(i: int) -> str:
+    return (f'# {i * 10 + 1} "dir/h{i % 3}.h" 2\n', "#pragma once\n",
+            f"#line {i + 40}\n")[i % 3]
+
+
+# The lexer group's files by name. The last two hold a lexical error far
+# past an earlier syntax error, or past a nest too deep to parse, so a
+# file is lexed to its end before either of those is reported.
+FILLER = _functions_between(lambda i: "", 120)
+LEXER_PROBES = {
+    "comments.c": _functions_between(_comment),
+    "strings.c": _functions_between(_string),
+    "directives.c": _functions_between(_directive),
+    "mixed.c": _functions_between(
+        lambda i: (_comment, _string, _directive)[i % 3](i)),
+    "syntax_then_lexical.c": "int x = ;\n" + FILLER + "int y = @;\n",
+    "nest_then_lexical.c": "void f(int c) {\n" + "if (c) {\n" * 400
+                           + "}\n" * 400 + "}\n" + FILLER + "int y = @;\n",
 }
 SHOWN_LINES = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -244,9 +300,9 @@ def report(tree: str, jobs: list[list[str]]) -> list[str]:
 def default_groups(directory: str) -> list[list[str]]:
     """The corpus files, then each workload and seed written into a
     directory of its own under `directory`, then `CALL_PROBES` written
-    into `directory/calls` and `ALIAS_PROBES` into `directory/aliases`,
-    then the corpus files as `cpp` writes them, into `directory/cpp`:
-    one group each."""
+    into `directory/calls`, `ALIAS_PROBES` into `directory/aliases` and
+    `LEXER_PROBES` into `directory/lexer`, then the corpus files as
+    `cpp` writes them, into `directory/cpp`: one group each."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
     import workloads
@@ -260,7 +316,8 @@ def default_groups(directory: str) -> list[list[str]]:
             workloads.write_workload(sources, target)
             groups.append([os.path.join(target, source.name)
                            for source in sources])
-    for name, programs in (("calls", CALL_PROBES), ("aliases", ALIAS_PROBES)):
+    for name, programs in (("calls", CALL_PROBES), ("aliases", ALIAS_PROBES),
+                           ("lexer", LEXER_PROBES)):
         probes = os.path.join(directory, name)
         os.mkdir(probes)
         for file_name, text in programs.items():

@@ -53,17 +53,22 @@ from cbugscan.checkers.base import (
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
     PREC_LEAF,
+    AstNode,
+    NodeKind,
     SourceLocation,
+    iter_tree,
     statement_text,
     template_text,
     to_template,
 )
+from cbugscan.frontend.parser import parse_fragment
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
     compile_pattern,
     match_node,
+    pattern_kinds,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
@@ -253,6 +258,8 @@ class AutomatonChecker(Checker):
     def __init__(self, config_path: str | None):
         self.automata = parse_automaton_file(
             read_config(config_path, self.name), config_path)
+        self.kinds = pattern_kinds(pattern for automaton in self.automata
+                                   for pattern in automaton.patterns)
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:
@@ -400,7 +407,8 @@ class _Summaries:
         edge. A text that depends on a callee local keeps the callee's
         terms as `callee::text`, which every later call passes as it is;
         so does one that would grow across a recursive call, so that a
-        component has finitely many keys and its iteration ends."""
+        component has finitely many keys and its iteration ends. A `*&E`
+        that filling a hole makes is `E`, the object itself (`_folded`)."""
         found = self.caller_texts.get((id(site), text))
         if found is None:
             callee, actuals = site
@@ -410,7 +418,7 @@ class _Summaries:
                 mapped = _substituted(template, actuals, self.formals[callee],
                                       self.declared[callee], recursive)
                 found = (f"{callee}::{text}" if mapped is None
-                         else self.text_of(mapped))
+                         else self.text_of(_folded(mapped)))
             self.caller_texts[id(site), text] = found
         return found
 
@@ -538,6 +546,28 @@ def _substituted(template: tuple, actuals: tuple, formals: list[str],
         else:
             out += actual[0]
     return tuple(out)
+
+
+def _folded(template: tuple) -> tuple:
+    """`template` with each `*&E` written as `E`, and printed anew, so
+    the text stays canonical (`(*&x).f` is `x.f`); the template itself
+    when its text holds no `*&`."""
+    text = template_text(template)
+    if "*&" not in text:
+        return template
+    root = AstNode(NodeKind.EXPR_STATEMENT, None, "", (parse_fragment(text),))
+    for node in iter_tree(root):  # a node's children before their walk
+        node.children = tuple(map(_dereferenced, node.children))
+    return tuple(to_template(root.children[0])[0])
+
+
+def _dereferenced(node: AstNode) -> AstNode:
+    """`node` without the `*&` pairs on top of it."""
+    while (node.kind is NodeKind.UNARY_OP and node.text == "deref"
+           and node.children[0].kind is NodeKind.UNARY_OP
+           and node.children[0].text == "addrof"):
+        node = node.children[0].children[0]
+    return node
 
 
 def _step(automaton: AutomatonDef, location: SourceLocation, events: list,

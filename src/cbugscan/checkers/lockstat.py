@@ -37,6 +37,7 @@ from cbugscan.patterns import (
     compile_pattern,
     first_binding,
     match_node,
+    pattern_kinds,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 
@@ -103,6 +104,8 @@ class LockstatChecker(Checker):
     def __init__(self, config_path: str | None):
         self.config = parse_lockstat_config(
             read_config(config_path, self.name), config_path)
+        self.kinds = pattern_kinds([*self.config.locks, *self.config.unlocks,
+                                    *self.config.accesses])
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:

@@ -68,6 +68,7 @@ def superfluous_semicolons(table: MatchTable) -> list[AstNode]:
 
 class ReachChecker(Checker):
     name = "reach"
+    kinds = frozenset(kind for kind, _ in _BODIES)
 
     def __init__(self, config_path: str | None):
         if config_path is not None:

@@ -55,6 +55,7 @@ from cbugscan.patterns import (
     compile_pattern,
     first_binding,
     match_node,
+    pattern_kinds,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
 from cbugscan.traverse import (
@@ -330,6 +331,8 @@ class ThreadChecker(Checker):
     def __init__(self, config_path: str | None):
         self.config = parse_thread_config(
             read_config(config_path, self.name), config_path)
+        self.kinds = pattern_kinds([*self.config.locks, *self.config.unlocks,
+                                    *self.config.spawns])
 
     def check_unit(self, unit: TranslationUnit,
                    services: Services) -> list[ErrorTrace]:

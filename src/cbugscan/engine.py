@@ -2,7 +2,9 @@
 
 Sources are the outer loop and checkers the inner one, so each unit is
 built once per pass regardless of the memory budget, and a budget of 1
-behaves exactly like an unlimited one apart from peak residency.
+behaves exactly like an unlimited one apart from peak residency. A
+unit's match table lists only the node kinds the job's checkers read
+(`Checker.kinds`).
 
 A job's sources are split into contiguous shards of about equal size,
 one per usable CPU. This process checks the first shard and a forked
@@ -18,11 +20,13 @@ import gc
 import os
 import threading
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from cbugscan.checkers import builtin_registry
 from cbugscan.checkers.base import CheckerRegistry, Services
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.errors import CbugscanError, ConfigError, FrontendError
+from cbugscan.frontend.ast_nodes import NodeKind
 from cbugscan.frontend.preprocess import command_words
 from cbugscan.ir.units import TranslationUnit, UnitManager, load_unit
 from cbugscan.report import ErrorTrace, Importance, normalize
@@ -38,12 +42,13 @@ class JobResult:
         return any(t.importance is Importance.ERROR for t in self.traces)
 
 
-def make_loader(job: AnalysisJob):
+def make_loader(job: AnalysisJob, kinds: Iterable[NodeKind] | None = None):
+    """A loader of the job's units whose match tables list `kinds`."""
     flags_by_path = {d.path: d.flags for d in job.sources}
 
     def loader(path: str) -> TranslationUnit:
         return load_unit(path, flags_by_path.get(path, ()),
-                         job.preprocess_command)
+                         job.preprocess_command, kinds)
 
     return loader
 
@@ -103,6 +108,9 @@ def run_job(job: AnalysisJob,
         registry = registry or builtin_registry()
         checkers = [(name, registry.create(name, config_path))
                     for name, config_path in job.checkers]
+        # the node kinds the checkers read; None, every kind, if one asks
+        kinds = [checker.kinds for _, checker in checkers]
+        kinds = None if None in kinds else frozenset().union(*kinds)
         if job.preprocess_command is not None:
             command_words(job.preprocess_command)  # a bad one fails the job
 
@@ -112,7 +120,8 @@ def run_job(job: AnalysisJob,
         if unit_manager is not None or threading.active_count() > 1:
             workers = 1
         manager = unit_manager or UnitManager(
-            make_loader(job), job.memory_units and job.memory_units // workers)
+            make_loader(job, kinds),
+            job.memory_units and job.memory_units // workers)
 
         sizes = [source_size(d.path) for d in job.sources]
         bounds = shard_bounds(sizes, workers)

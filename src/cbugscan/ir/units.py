@@ -2,8 +2,9 @@
 
 A TranslationUnit bundles everything one source file contributes: its
 AST, per-function CFGs, declaration tables, the match table every
-pattern consumer reads (`cbugscan.patterns`), and the call graph, built
-from the calls the match table's one walk lists for each CFG node. It
+pattern consumer reads (`cbugscan.patterns`), listing the node kinds the
+job's checkers read, and the call graph, built from the calls the match
+table's one walk lists for each CFG node. It
 also keeps what checkers work out from those once for all of them: each
 pattern's hits by pattern shape (`checkers.base.matches`) and the
 supergraph (`traverse.build_supergraph`). The
@@ -19,7 +20,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from cbugscan.errors import ConfigError, FrontendError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
@@ -44,7 +45,8 @@ class TranslationUnit:
     func_params: dict[str, list[str]] = field(default_factory=dict)
     # each function's formals and locals, with their declared types
     func_locals: dict[str, dict[str, str]] = field(default_factory=dict)
-    # every subnode of `ast` by kind, with the CFG node that holds it
+    # the subnodes of `ast` of the kinds asked for, by kind, with the
+    # CFG node that holds each
     match_table: MatchTable = field(default_factory=dict)
     # each pattern's hits in `match_table` by `Pattern.shape`, filled by
     # `checkers.base.matches` as checkers ask
@@ -53,8 +55,11 @@ class TranslationUnit:
     supergraph: SuperGraph | None = None
 
 
-def build_unit_from_text(source: str, path: str) -> TranslationUnit:
-    """Parse + lower one source text into a complete unit; a function
+def build_unit_from_text(source: str, path: str,
+                         kinds: Iterable[NodeKind] | None = None,
+                         ) -> TranslationUnit:
+    """Parse + lower one source text into a complete unit whose match
+    table lists the subnodes of `kinds` (None for every kind); a function
     defined twice is a FrontendError."""
     ast = parse(source, path)
     unit = TranslationUnit(path=path, ast=ast)
@@ -76,16 +81,18 @@ def build_unit_from_text(source: str, path: str) -> TranslationUnit:
             decls, key=lambda decl: "*" in decl.ctype)}
     unit.match_table, calls = build_match_table(ast, {
         id(node.ast_ref): node.id for cfg in unit.cfgs.values()
-        for node in cfg.nodes.values() if node.ast_ref is not None})
+        for node in cfg.nodes.values() if node.ast_ref is not None}, kinds)
     unit.call_graph = build_call_graph(unit.cfgs, calls)
     return unit
 
 
 def load_unit(path: str, flags: tuple[str, ...] = (),
-              command: str | None = None) -> TranslationUnit:
-    """Read (optionally preprocess) and build the unit for one file."""
+              command: str | None = None,
+              kinds: Iterable[NodeKind] | None = None) -> TranslationUnit:
+    """Read (optionally preprocess) and build the unit for one file, its
+    match table listing `kinds` (None for every kind)."""
     source = preprocess_source(path, flags, command)
-    return build_unit_from_text(source, path)
+    return build_unit_from_text(source, path, kinds)
 
 
 class UnitManager:

@@ -7,22 +7,23 @@ A metavariable repeated within one pattern must bind structurally
 equal subtrees each time.
 
 A unit is matched through its match table (`build_match_table`), built
-once with the unit: one preorder pass that lists every subnode under
-its kind. `pattern_hits` scans the list of the pattern's root kind and
-tries the pattern only on the subnodes whose arity, text and head (the
-first child) the root allows, so however many checkers match a unit,
-its trees are walked once; `checkers.base.matches` keeps each
-pattern's hits on the unit by `Pattern.shape`, so a pattern is matched
-once per unit, whichever checker asks. The same pass lists each CFG
-node's calls in evaluation order, from which `cbugscan.ir.callgraph`
-builds the unit's call graph.
+once with the unit: one preorder pass that lists each subnode of the
+kinds the job's checkers read (`pattern_kinds`) under its kind; it
+raises when asked for another. `pattern_hits` scans the list of the
+pattern's root kind and tries the pattern only on the subnodes whose
+arity, text and head (the first child) the root allows, so however
+many checkers match a unit, its trees are walked once;
+`checkers.base.matches` keeps each pattern's hits on the unit by
+`Pattern.shape`, so a pattern is matched once per unit, whichever
+checker asks. The same pass lists each CFG node's calls in evaluation
+order, from which `cbugscan.ir.callgraph` builds the unit's call graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from cbugscan.errors import PatternError
 from cbugscan.frontend.ast_nodes import (
@@ -102,16 +103,25 @@ def _match(pat: AstNode, node: AstNode, bindings: Bindings) -> bool:
     return True
 
 
-# A unit's subnodes grouped by kind: for every kind, its triples (CFG
+# A unit's subnodes grouped by kind: for each kind listed, its triples (CFG
 # node id or None, position, subnode), flattened into one list in
 # preorder of the unit.
 MatchTable = dict[NodeKind, list]
 
 
+def pattern_kinds(patterns: Iterable[Pattern]) -> frozenset[NodeKind] | None:
+    """The root kinds of `patterns`, which a match table must list for
+    them; None, for every kind, when a root is a metavariable."""
+    kinds = frozenset(pattern.tree.kind for pattern in patterns)
+    return None if NodeKind.META_VAR in kinds else kinds
+
+
 def build_match_table(root: AstNode, owners: dict[int, int],
+                      kinds: Iterable[NodeKind] | None = None,
                       ) -> tuple[MatchTable, dict[int, list[AstNode]]]:
-    """Every subnode under `root`, in one preorder pass, grouped by
-    kind; and the calls of each CFG node's tree.
+    """The subnodes under `root` of `kinds` (None for every kind), in
+    one preorder pass, grouped by kind; and the calls of each CFG node's
+    tree. The pass walks every subnode, whatever `kinds` holds.
 
     `owners` maps the `id()` of each CFG node's tree to the node's id. A
     subnode of such a tree is entered with that id and its preorder
@@ -120,7 +130,10 @@ def build_match_table(root: AstNode, owners: dict[int, int],
     position among those. Each CFG node's calls, if any, are listed
     under its id in evaluation order: post-order, so the calls in a
     call's arguments come before it."""
-    table: MatchTable = {kind: [] for kind in NodeKind}
+    table: MatchTable = {kind: [] for kind in (
+        NodeKind if kinds is None else kinds)}
+    filed = table.get
+    call_kind = NodeKind.CALL
     calls: dict[int, list[AstNode]] = {}
     outside = 0
     pending = [root]
@@ -136,21 +149,24 @@ def build_match_table(root: AstNode, owners: dict[int, int],
         else:
             position = 0
         subtree = [top]
+        pop = subtree.pop
         # the calls whose subtrees are being walked, each with the stack
         # depth it was popped at; it closes when the stack drops below it
         open_calls: list[tuple[int, AstNode]] = []
         closed: list[AstNode] = []
         while subtree:
-            node = subtree.pop()
+            node = pop()
             while open_calls and open_calls[-1][0] > len(subtree):
                 closed.append(open_calls.pop()[1])
             kind = node.kind
             children = node.children
             if children and owner is not None:
-                subtree.extend(reversed(children))
-                if kind is NodeKind.CALL:
+                subtree += children[::-1]
+                if kind is call_kind:
                     open_calls.append((len(subtree) - len(children), node))
-            table[kind].extend((owner, position, node))
+            entries = filed(kind)
+            if entries is not None:
+                entries.extend((owner, position, node))
             position += 1
         if open_calls or closed:
             closed.extend(call for _, call in reversed(open_calls))
@@ -161,8 +177,9 @@ def build_match_table(root: AstNode, owners: dict[int, int],
 def subnodes_of(table: MatchTable, kind: NodeKind, arity: int | None = None,
                 ) -> Iterator[tuple[int | None, int, AstNode]]:
     """(CFG node id or None, position, subnode) for each subnode of one
-    kind in a match table, of one arity or of any, in preorder."""
-    triples = iter(table.get(kind, ()))
+    kind in a match table, of one arity or of any, in preorder; a
+    KeyError when the table does not list that kind."""
+    triples = iter(table[kind])
     for triple in zip(triples, triples, triples):
         if arity is None or len(triple[2].children) == arity:
             yield triple
@@ -181,12 +198,13 @@ def pattern_hits(table: MatchTable, pattern: Pattern,
     metavariable root on every subnode; any other root on the subnodes
     of its kind, and of its arity and text, and, unless its head (first
     child) is a metavariable, of its head's kind and text. The kind
-    picks one list of the table; the rest is checked here, inline."""
+    picks one list of the table; the rest is checked here, inline. A
+    KeyError when the table does not list a kind the root allows."""
     tree = pattern.tree
     if tree.kind is NodeKind.META_VAR:
-        lists, arity = table.values(), None
+        lists, arity = [table[kind] for kind in NodeKind], None
     else:
-        lists, arity = [table.get(tree.kind, ())], len(tree.children)
+        lists, arity = [table[tree.kind]], len(tree.children)
         text = tree.text
         head = tree.children[0] if arity else None
         if head is not None and head.kind is NodeKind.META_VAR:

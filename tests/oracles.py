@@ -221,7 +221,8 @@ def map_expression_to_caller(expr, call, unit):
     """Rewrite an expression of the function `call` calls into the
     caller's terms: formals become the actual argument trees, globals
     pass through, and an expression that depends on a callee local (or a
-    call of the wrong arity) has no caller-side equivalent: None."""
+    call of the wrong arity) has no caller-side equivalent: None. A
+    dereferenced address `*&E` becomes `E`, the object itself."""
     callee = call.children[0].text
     params = unit.func_params.get(callee)
     if params is None:
@@ -252,9 +253,15 @@ def map_expression_to_caller(expr, call, unit):
             pending.append((node, True))
             pending.extend((child, False) for child in variables)
         else:
-            mapped[id(node)] = _clone(node, tuple(
-                mapped[id(child)] for child in variables)
-                + node.children[len(variables):])
+            children = tuple(mapped[id(child)] for child in variables)
+            inner = children[0]
+            if (node.kind is NodeKind.UNARY_OP and node.text == "deref"
+                    and inner.kind is NodeKind.UNARY_OP
+                    and inner.text == "addrof"):
+                mapped[id(node)] = inner.children[0]
+            else:
+                mapped[id(node)] = _clone(
+                    node, children + node.children[len(variables):])
     return mapped[id(expr)]
 
 

@@ -15,15 +15,18 @@ import pytest
 from conftest import CORPUS_DIR, workload_sources
 
 from cbugscan import cli, engine
-from cbugscan.checkers.base import Checker, CheckerDescriptor, CheckerRegistry
+from cbugscan.checkers import builtin_registry
+from cbugscan.checkers.base import (Checker, CheckerDescriptor, CheckerRegistry,
+                                    Services)
 from cbugscan.checkers.reach import ReachChecker
 from cbugscan.cli import build_job
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import JobResult, make_loader, run_job
 from cbugscan.errors import ConfigError
+from cbugscan.frontend import NodeKind
 from cbugscan.ir import UnitManager, units
 from cbugscan.report import (ErrorTrace, Importance, TraceStep, export_json,
-                             traces_from_json)
+                             normalize, traces_from_json)
 
 DEAD_CODE = """
 void f(void) {
@@ -276,16 +279,59 @@ def test_make_loader_passes_flags_and_preprocess_mode(tmp_path):
 
     job = job_for(tmp_path, [source], preprocess_command="cat")
     job.sources = [SourceDescriptor(source, ("-DX",))]
-    loader = make_loader(job)
+    kinds = frozenset({NodeKind.CALL})
 
     import cbugscan.engine as engine
     original = engine.load_unit
     engine.load_unit = lambda *args: calls.append(args) or original(source)
     try:
-        loader(source)
+        make_loader(job)(source)
+        make_loader(job, kinds)(source)
     finally:
         engine.load_unit = original
-    assert calls == [(source, ("-DX",), "cat")]
+    assert calls == [(source, ("-DX",), "cat", None),
+                     (source, ("-DX",), "cat", kinds)]
+
+
+# -- a unit's match table lists the kinds the job's checkers read ----------------
+
+def checked_units(monkeypatch, job):
+    """What `run_job` gives for `job`, and the units it builds."""
+    built = []
+    load_unit = engine.load_unit
+    monkeypatch.setattr(engine, "load_unit", lambda *args: built.append(
+        load_unit(*args)) or built[-1])
+    return run_job(job), built
+
+
+def test_bundled_checkers_ask_for_calls_assignments_and_bodies(
+        tmp_path, monkeypatch):
+    job = job_for(tmp_path, [write(tmp_path, "a.c", SEMICOLON)],
+                  checkers=ALL_CHECKERS)
+    result, built = checked_units(monkeypatch, job)
+    assert result.traces
+    assert [set(unit.match_table) for unit in built] == [{
+        NodeKind.CALL, NodeKind.ASSIGN, NodeKind.IF, NodeKind.WHILE,
+        NodeKind.FOR}]
+
+
+def test_an_access_pattern_with_a_metavariable_root_asks_for_every_kind(
+        tmp_path, monkeypatch):
+    config = tmp_path / "meta.conf"
+    config.write_text('access "%V"\nlock "mutex_lock(%X)" '
+                      'unlock "mutex_unlock(%X)"\n')
+    source = write(tmp_path, "a.c", "".join(
+        f"void f{i}(void) {{ mutex_lock(&m); x = {i}; mutex_unlock(&m); }}\n"
+        for i in range(9)) + "void g(void) { x = 9; }\n")
+    job = job_for(tmp_path, [source], checkers=[("lockstat", str(config))])
+    result, built = checked_units(monkeypatch, job)
+    assert [set(unit.match_table) for unit in built] == [set(NodeKind)]
+    # what the checker finds on a unit built with every kind, as before
+    checker = builtin_registry().create("lockstat", str(config))
+    with open(source) as handle:
+        unit = units.build_unit_from_text(handle.read(), source)
+    assert result.traces == normalize(checker.check_unit(unit, Services()))
+    assert result.traces
 
 
 def test_job_result_defaults():

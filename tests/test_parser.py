@@ -21,6 +21,8 @@ from cbugscan.frontend import (
     to_text,
 )
 from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, EXPRESSION_KINDS
+from cbugscan.frontend import parser as parser_module
+from cbugscan.frontend.lexer import CHUNK_SIZE
 from cbugscan.ir import build_unit_from_text, units
 
 
@@ -432,6 +434,71 @@ def test_a_3000_term_sum_file_parses_as_by_recursive_climbing():
         spine = spine.children[0]
     assert spine.kind is NodeKind.IDENTIFIER
     assert spine.location == SourceLocation("nx_sum.c", 6, 9)
+
+
+# -- a file parsed as it is lexed ------------------------------------------------
+
+def functions(count):
+    """`count` locking functions, with globals and comments between."""
+    return "".join(
+        f"int g{i}, *h{i};\n/* function {i}\n   of {count} */\n"
+        f"void f{i}(int *p) {{\n    mutex_lock(&m);\n"
+        f"    g{i} = *p + {i};\n    if (g{i}) {{ use(\"a\\\nb\"); }}\n"
+        f"    mutex_unlock(&m);\n}}\n" for i in range(count))
+
+
+FILLER = functions(300)  # many chunks
+
+
+def test_a_file_of_many_chunks_parses_as_a_whole_one():
+    assert len(FILLER) > 4 * CHUNK_SIZE
+    assert_same_dump(parse(FILLER, "t.c"),
+                     recursive_parse(FILLER, "t.c", fragment=False))
+
+
+def test_parsing_holds_one_chunk_and_one_declaration(monkeypatch):
+    chunk_sizes, held, declarations = [], [], []
+    tokenize = parser_module.tokenize
+
+    def lex_chunk(*args, **kwargs):
+        chunk = tokenize(*args, **kwargs)
+        chunk_sizes.append(len(chunk))
+        return chunk
+
+    lex, top_level = parser_module._Parser.lex, parser_module._Parser.top_level
+
+    def counted_lex(self, index):
+        lex(self, index)
+        held.append(len(self.tokens))
+
+    def counted_top_level(self):
+        first = self.pos
+        found = top_level(self)
+        declarations.append(self.pos - first)
+        return found
+
+    monkeypatch.setattr(parser_module, "tokenize", lex_chunk)
+    monkeypatch.setattr(parser_module._Parser, "lex", counted_lex)
+    monkeypatch.setattr(parser_module._Parser, "top_level", counted_top_level)
+    parse(FILLER, "t.c")
+    assert len(chunk_sizes) > 4 and len(declarations) == 600
+    assert max(held) <= max(chunk_sizes) + max(declarations)
+    assert sum(chunk_sizes) > 4 * max(held)  # never the whole file
+
+
+@pytest.mark.parametrize("head, error", [
+    ("int x = ;\n", "t.c:1:9: expected expression, found ';'"),
+    ("void f(int c) {\n" + "if (c) {\n" * 400 + "}\n" * 400 + "}\n",
+     "t.c:1:1: nesting too deep"),
+])
+def test_a_lexical_error_far_past_another_error_wins(head, error):
+    with pytest.raises(FrontendError) as err:
+        parse(head + FILLER, "t.c")
+    assert str(err.value) == error
+    with pytest.raises(FrontendError) as err:
+        parse(head + FILLER + "int y = @;\n", "t.c")
+    line = (head + FILLER).count("\n") + 1
+    assert str(err.value) == f"t.c:{line}:9: unexpected character '@'"
 
 
 # -- the node contract ------------------------------------------------------------

@@ -8,13 +8,21 @@ from oracles import all_pattern_hits, subnodes_outside, walked_matches
 
 from cbugscan.checkers import base, builtin_registry
 from cbugscan.errors import CbugscanError, PatternError
-from cbugscan.frontend import iter_tree, parse_fragment, statement_text, to_text
+from cbugscan.frontend import (
+    NodeKind,
+    iter_tree,
+    parse_fragment,
+    statement_text,
+    to_text,
+)
 from cbugscan.ir import build_unit_from_text
 from cbugscan.patterns import (
     compile_pattern,
     first_binding,
     match_node,
     pattern_hits,
+    pattern_kinds,
+    subnodes_of,
 )
 
 
@@ -275,3 +283,39 @@ def test_file_scope_spawn_is_in_the_table():
     (_, subnode, bindings), = base.matches([spawn], unit, match_node)[None]
     assert subnode.location.line == 2
     assert to_text(bindings["F"]) == "worker"
+
+
+# -- a table lists only the kinds asked for ----------------------------------------
+
+def test_a_table_asked_for_a_kind_it_did_not_list_raises():
+    source = "void f(int c) { if (c) g(c); x = h(c); }\nvoid h(int c) { }\n"
+    full = build_unit_from_text(source, "t.c")
+    unit = build_unit_from_text(source, "t.c", {NodeKind.CALL})
+    assert set(full.match_table) == set(NodeKind)
+    assert set(unit.match_table) == {NodeKind.CALL}
+    call = compile_pattern("g(%X)")
+
+    def found(table):
+        return [(owner, position, to_text(node)) for owner, position, node, _
+                in pattern_hits(table, call)]
+
+    assert found(unit.match_table) == found(full.match_table) != []
+    # the walk still lists every CFG node's calls for the call graph
+    assert ([(e.caller, e.callee, e.node_id) for e in unit.call_graph.edges]
+            == [(e.caller, e.callee, e.node_id)
+                for e in full.call_graph.edges])
+    for template in ("%X = %Y", "%X"):
+        with pytest.raises(KeyError):
+            pattern_hits(unit.match_table, compile_pattern(template))
+    with pytest.raises(KeyError):
+        list(subnodes_of(unit.match_table, NodeKind.IF))
+
+
+@pytest.mark.parametrize("templates, kinds", [
+    (["f(%X)", "%X = %Y", "f(%X)"], {NodeKind.CALL, NodeKind.ASSIGN}),
+    (["!%X"], {NodeKind.UNARY_OP}),
+    (["f(%X)", "%X"], None),  # a metavariable root: every kind
+    ([], set()),
+])
+def test_pattern_kinds_are_the_root_kinds(templates, kinds):
+    assert pattern_kinds(map(compile_pattern, templates)) == kinds

@@ -2,8 +2,8 @@ import textwrap
 
 from hypothesis import example, given, settings, strategies as st
 
-from cbugscan.checkers.automaton import _substituted
-from cbugscan.frontend import iter_tree, parse_fragment, to_text
+from cbugscan.checkers.automaton import _folded, _substituted
+from cbugscan.frontend import NodeKind, iter_tree, parse_fragment, to_text
 from cbugscan.frontend.ast_nodes import template_text, to_template
 from cbugscan.ir import build_unit_from_text
 from cbugscan.traverse import (
@@ -191,12 +191,14 @@ def call_for(unit, caller, callee):
 def mapped_template(unit, site, template, recursive=False):
     """`template`, of a text of the function the call `site` calls, in
     the caller's terms: with the call's actuals' templates in the holes of
-    the callee's formals; None where it has no caller terms."""
+    the callee's formals, and each `*&E` that makes read as `E`, as the
+    automaton maps a text; None where it has no caller terms."""
     callee, actuals = site
     if template is None:
         return None
-    return _substituted(template, actuals, unit.func_params[callee],
-                        unit.func_locals[callee], recursive)
+    mapped = _substituted(template, actuals, unit.func_params[callee],
+                          unit.func_locals[callee], recursive)
+    return None if mapped is None else _folded(mapped)
 
 
 def mapped_text(unit, site, expression, recursive=False):
@@ -226,7 +228,9 @@ def test_map_formal_to_actual():
 def test_map_compound_expression():
     unit = unit_of(MAPPING_UNIT)
     _, site = call_for(unit, "caller", "callee")
-    assert mapped_text(unit, site, "*p + n") == "*&dev->lock + 5"
+    # the dereferenced address is the object itself
+    assert mapped_text(unit, site, "*p + n") == "dev->lock + 5"
+    assert mapped_text(unit, site, "(*p).f") == "dev->lock.f"
 
 
 def test_callee_local_does_not_map():
@@ -293,12 +297,27 @@ def expressions(leaves):
 
 def reference_tree(unit, call, tree, recursive):
     """What `map_expression_to_caller` makes of `tree` (None for None),
-    or None where it grows across a `recursive` call."""
+    or None where it would grow across a `recursive` call: where a formal
+    it names has an actual of more than one node."""
     mapped = tree and map_expression_to_caller(tree, call, unit)
-    if mapped is not None and recursive and (
-            len(list(iter_tree(mapped))) > len(list(iter_tree(tree)))):
+    actuals = dict(zip(unit.func_params[call.children[0].text],
+                       call.children[1:]))
+    if mapped is not None and recursive and any(
+            len(list(iter_tree(actuals[name]))) > 1
+            for name in variable_names(tree) if name in actuals):
         mapped = None
     return mapped
+
+
+def variable_names(tree):
+    """The names of the identifiers in `tree`, but a member's field."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if node.kind is NodeKind.IDENTIFIER:
+            yield node.text
+        pending.extend(node.children[:1] if node.kind is NodeKind.MEMBER
+                       else node.children)
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,6 +330,9 @@ def reference_tree(unit, call, tree, recursive):
        st.booleans())
 # a lone name's hole takes the context of the hole it fills
 @example("n->f", ["b", "a", "7"], ["c + 9", "shared"], False)
+# a dereferenced address is the object, at the first call or the second
+@example("(*(p)).f + *(p)", ["&(a)", "b", "7"], ["c", "shared"], False)
+@example("*(p)", ["b", "a", "7"], ["c", "&(c)"], False)
 def test_template_substitution_gives_the_mapped_trees_text(
         expression, actuals, outer_actuals, recursive):
     # as many actuals as formals, or a call of the wrong arity; the text
