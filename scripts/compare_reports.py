@@ -33,26 +33,32 @@ wide, deep and nest workloads of seeds 1-10, which
 under a temporary directory, and, when `cpp` is on PATH, each corpus
 file as `cpp` writes it, line markers kept, so the lexer's line-marker
 path is compared too; without `cpp` that set is skipped, and a line
-says so. The programs of `CALL_PROBES` and of `ALIAS_PROBES` are
-written into a directory each, for what neither the corpus nor the
-workloads hold: `CALL_PROBES` are small programs around calls that
-never return, where a checker must know what such a call cuts off and
-what it does not, and around cycles of calls (one no other function
-calls, one entered from outside, one that only a dead call closes),
-where the automaton must know which functions to judge at exit, and
-around a callee's own storage (its local's or formal's address, also
-passed down to a further callee), which dies at the callee's return and
-is judged at its exit; `ALIAS_PROBES` pass one object under two names,
-so that two of a callee's keys become one key of the caller and the
-automaton solves a variant summary of the callee with those keys
-merged, which no corpus file or workload does, and one passes it to a
-pointer-valued local, whose key keeps the callee's terms; the last
-three fill a formal's hole under `*` with an address, where `*&x` is
-`x`. `LEXER_PROBES` are long generated files whose comments, continued
+says so. The programs of `CALL_PROBES`, `ALIAS_PROBES`, `THREAD_PROBES`
+and `LEXER_PROBES` are written into a directory each, for what neither
+the corpus nor the workloads hold: `CALL_PROBES` are small programs
+around calls that never return, where a checker must know what such a
+call cuts off and what it does not, and around cycles of calls (one no
+other function calls, one entered from outside, one that only a dead
+call closes), where the automaton must know which functions to judge at
+exit, and around a callee's own storage (its local's or formal's
+address, also passed down to a further callee), which dies at the
+callee's return and is judged at its exit; `ALIAS_PROBES` pass one
+object under two names, so that two of a callee's keys become one key
+of the caller and the automaton solves a variant summary of the callee
+with those keys merged, which no corpus file or workload does, and one
+passes it to a pointer-valued local, whose key keeps the callee's
+terms; the `deref_` ones fill a formal's hole under `*` with an address,
+where `*&x` is `x`, and the `fold_` ones dereference an address, written
+so or made by filling a hole, where `*&x` is `x` and `(&x)->f` is `x.f`.
+`THREAD_PROBES` are lock-order graphs whose cycles a search over every
+simple path lists slowly: a ladder of locks with 2^15 cycles, which a
+search from its first lock must leave without closing any, every order
+of 8 locks, and 200 disjoint pairs of locks taken in both orders.
+`LEXER_PROBES` are long generated files whose comments, continued
 strings, directives and line markers fall across the lexer's chunk
 cuts, and two whose lexical error lies far past a syntax error or a
 nest too deep to parse, which the lexical error must still win over.
-The groups are then the corpus, each workload directory, the three
+The groups are then the corpus, each workload directory, the four
 probe sets and the `cpp` set.
 Standard library only.
 """
@@ -178,11 +184,12 @@ CALL_PROBES = {
                     "void f(void) { g(&m); g(&m); }\n",
 }
 # The alias group's files by name; each passes one object under two
-# names, but the last three, where a formal's hole under `*` is filled by
-# an address.
+# names, but the `deref_` ones, where a formal's hole under `*` is filled
+# by an address, and the `fold_` ones, where an address is dereferenced.
 PAIR = "struct mutex *p, struct mutex *q"
 DEREF = ("void h(struct mutex **p) { mutex_lock(*p); }\n"
          "void g(struct mutex *q) { h(&q); }\n")
+FIELD = "void h(struct s *p) { mutex_lock(&p->m); }\n"
 ALIAS_PROBES = {
     "take_twice.c": f"void take({PAIR}) {{ mutex_lock(p); mutex_lock(q); }}\n"
                     "void f(void) { take(&m, &m); }\n",
@@ -214,6 +221,45 @@ ALIAS_PROBES = {
                      "void f(void) { g(); g(); }\n",
     "deref_balanced.c": DEREF + "void f(void) { g(&m); mutex_unlock(&m); }\n",
     "deref_twice.c": DEREF + "void f(void) { g(&m); g(&m); }\n",
+    # `*&E` is E and `(&E)->f` is E.f, written so or made by a call
+    "fold_deref.c": "void f(void) { mutex_lock(*&m); mutex_unlock(m); }\n",
+    "fold_arrow.c": "void f(void) { struct s x; mutex_lock(&(&x)->m); "
+                    "mutex_unlock(&x.m); }\n",
+    "fold_call.c": FIELD + "void f(void) { h(&a); mutex_unlock(&a.m); }\n",
+    "fold_local.c": FIELD + "void g(void) { struct s x; h(&x); }\n"
+                            "void f(void) { g(); g(); }\n",
+}
+
+
+def ordered(pairs) -> str:
+    """One function for each (first, second) of `pairs` that takes the
+    first lock, then the second."""
+    return "".join(
+        f"void o{i}(void) {{ mutex_lock(&{a}); mutex_lock(&{b}); "
+        f"mutex_unlock(&{b}); mutex_unlock(&{a}); }}\n"
+        for i, (a, b) in enumerate(pairs))
+
+
+def ladder(n: int) -> str:
+    """Locks `a` and `l01x` ordered both ways, then layers 1..n of two
+    locks each, both ordered before both of the next layer, and the last
+    layer's before `l01x`: 2^(n-1) cycles through the ladder, and a search
+    from `a` that leaves them all closes none of them."""
+    layers = [(f"l{i:02d}x", f"l{i:02d}y") for i in range(1, n + 1)]
+    return ordered([("a", "l01x"), ("l01x", "a")]
+                   + [(x, y) for low, high in zip(layers, layers[1:])
+                      for x in low for y in high]
+                   + [(x, "l01x") for x in layers[-1]])
+
+
+# The thread group's files by name: lock-order graphs whose cycles a
+# search that walks every simple path would list slowly.
+THREAD_PROBES = {
+    "ladder.c": ladder(16),
+    "complete.c": ordered((f"k{i}", f"k{j}") for i in range(8)
+                          for j in range(8) if i != j),
+    "pairs.c": ordered(pair for i in range(200) for pair in (
+        (f"p{i}a", f"p{i}b"), (f"p{i}b", f"p{i}a"))),
 }
 
 
@@ -300,8 +346,9 @@ def report(tree: str, jobs: list[list[str]]) -> list[str]:
 def default_groups(directory: str) -> list[list[str]]:
     """The corpus files, then each workload and seed written into a
     directory of its own under `directory`, then `CALL_PROBES` written
-    into `directory/calls`, `ALIAS_PROBES` into `directory/aliases` and
-    `LEXER_PROBES` into `directory/lexer`, then the corpus files as
+    into `directory/calls`, `ALIAS_PROBES` into `directory/aliases`,
+    `THREAD_PROBES` into `directory/threads` and `LEXER_PROBES` into
+    `directory/lexer`, then the corpus files as
     `cpp` writes them, into `directory/cpp`: one group each."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     sys.dont_write_bytecode = True
@@ -317,6 +364,7 @@ def default_groups(directory: str) -> list[list[str]]:
             groups.append([os.path.join(target, source.name)
                            for source in sources])
     for name, programs in (("calls", CALL_PROBES), ("aliases", ALIAS_PROBES),
+                           ("threads", THREAD_PROBES),
                            ("lexer", LEXER_PROBES)):
         probes = os.path.join(directory, name)
         os.mkdir(probes)

@@ -80,6 +80,8 @@ from cbugscan.traverse import (
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
 # a printed path into its first variable: indexes, fields, perhaps under &
 _STORAGE_RE = re.compile(r"&?([A-Za-z_]\w*)((?:\[[^][]*\])*)(?:\.[A-Za-z_]\w*)*")
+# the nodes `*E` and `E->f`, which `_folded` rewrites where E is an address
+_THROUGH_ADDRESS = {(NodeKind.UNARY_OP, "deref"), (NodeKind.MEMBER, "arrow")}
 
 
 @dataclass
@@ -388,17 +390,14 @@ class _Summaries:
                        if owner is not None}
         self.called = {callee for sites in graph.calls.values()
                        for callee, _ in sites}
-        # each function's callees its walks apply, self-calls included.
-        # No attempt resets it: an earlier round of a recursive component,
-        # or an attempt cut short by an unsolved callee, applies a subset
-        # of what the final round applies, since its walk reaches no more.
-        self.applied: dict[str, dict] = {fn: {} for fn in graph.cfgs}
         self.caller_texts: dict[tuple[int, str], str] = {}
-        self.solved = solve_summaries(graph, self.summarize, _union, _BOTTOM)
+        self.solved, self.applied = solve_summaries(
+            graph, self.summarize, _union, _BOTTOM)
 
     def text_of(self, template: list | tuple) -> str:
-        """The text `template` spells, whose template it is if none was."""
-        text = template_text(template)
+        """The folded text `template` spells (`_folded`), kept with its
+        folded template if it has none yet."""
+        text, template = _folded(template)
         self.templates.setdefault(text, template)
         return text
 
@@ -407,8 +406,7 @@ class _Summaries:
         edge. A text that depends on a callee local keeps the callee's
         terms as `callee::text`, which every later call passes as it is;
         so does one that would grow across a recursive call, so that a
-        component has finitely many keys and its iteration ends. A `*&E`
-        that filling a hole makes is `E`, the object itself (`_folded`)."""
+        component has finitely many keys and its iteration ends."""
         found = self.caller_texts.get((id(site), text))
         if found is None:
             callee, actuals = site
@@ -418,7 +416,7 @@ class _Summaries:
                 mapped = _substituted(template, actuals, self.formals[callee],
                                       self.declared[callee], recursive)
                 found = (f"{callee}::{text}" if mapped is None
-                         else self.text_of(_folded(mapped)))
+                         else self.text_of(mapped))
             self.caller_texts[id(site), text] = found
         return found
 
@@ -427,7 +425,6 @@ class _Summaries:
         """The summary of the function `site` calls, in the terms of `fn`
         with `merge` applied."""
         callee = site[0]
-        self.applied[fn][callee] = None
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
 
         def outer(text: str) -> str:
@@ -548,24 +545,28 @@ def _substituted(template: tuple, actuals: tuple, formals: list[str],
     return tuple(out)
 
 
-def _folded(template: tuple) -> tuple:
-    """`template` with each `*&E` written as `E`, and printed anew, so
-    the text stays canonical (`(*&x).f` is `x.f`); the template itself
-    when its text holds no `*&`."""
+def _folded(template: list | tuple) -> tuple[str, tuple]:
+    """The text `template` spells with each `*&E` as `E` and `(&E)->f` as
+    `E.f`, so that `(*&x).f`, `(&x)->f` and `x.f` are one text, and its
+    template; only a text holding `*&` or `(&` is parsed and printed anew."""
     text = template_text(template)
-    if "*&" not in text:
-        return template
+    if "*&" not in text and "(&" not in text:
+        return text, template
     root = AstNode(NodeKind.EXPR_STATEMENT, None, "", (parse_fragment(text),))
     for node in iter_tree(root):  # a node's children before their walk
         node.children = tuple(map(_dereferenced, node.children))
-    return tuple(to_template(root.children[0])[0])
+    template = tuple(to_template(root.children[0])[0])
+    return template_text(template), template
 
 
 def _dereferenced(node: AstNode) -> AstNode:
-    """`node` without the `*&` pairs on top of it."""
-    while (node.kind is NodeKind.UNARY_OP and node.text == "deref"
+    """`node` without the `*&` pairs on top of it, and `(&E)->f` as `E.f`."""
+    while ((node.kind, node.text) in _THROUGH_ADDRESS
            and node.children[0].kind is NodeKind.UNARY_OP
            and node.children[0].text == "addrof"):
+        if node.kind is NodeKind.MEMBER:
+            return AstNode(NodeKind.MEMBER, node.location, "dot",
+                           (node.children[0].children[0], node.children[1]))
         node = node.children[0].children[0]
     return node
 

@@ -8,10 +8,10 @@ acquisition are possible, which is a potential deadlock.
 
 The walk is interprocedural through function summaries, solved once per
 unit, callees first, by `traverse.solve_summaries`: the lock-order edges
-a function's body orders and the callees it reaches, each lock taken
-inside with the keys released on every path before it, and its lockset
-change (the locks it may leave held, the keys it releases on every
-path). An entry's edges are those of the functions it reaches, itself
+a function's body orders, each lock taken inside with the keys released
+on every path before it, and its lockset change (the locks it may leave
+held, the keys it releases on every path). An entry's edges are those of
+the functions it reaches, by the solver's record of applied calls, itself
 included. Lock keys are the raw text in every function, so a summary
 applies unchanged at every call. The edges are those of every path, so
 they do not depend on the order the worklist visits nodes in. There is
@@ -19,7 +19,8 @@ no call-depth bound; recursion is solved to a fixpoint.
 
 Each edge keeps its least witness (entry, location of the held lock,
 location of the taken lock), which a finding's steps show; each
-function is walked once, for the least entry that reaches it.
+function is walked once, for the least entry that reaches it. Cycles
+are listed by Johnson's algorithm (SIAM J. Comput. 4(1), 1975).
 
 Thread entry points come from spawn-call matches (the argument bound
 by %F), from names listed in the config, or, when neither yields
@@ -165,9 +166,8 @@ class LockSummary(NamedTuple):
     `edges` are the lock-order edges (held key, taken key, held location,
     taken location) that the function's own body orders: its own locks
     after locks taken since its entry, and what its callees take after
-    those. `calls` are the callees it reaches, whose edges count too.
-    `acquires` maps each lock taken inside, (key, location), to the keys
-    released on every path from the function's entry to it: a lock the
+    those. `acquires` maps each lock taken inside, (key, location), to the
+    keys released on every path from the function's entry to it: a lock the
     caller holds orders before it unless its key is among them. `held`
     are the locks taken inside that may still be held at the exit, and
     `released` the keys released on every path to the exit. `returns`
@@ -175,22 +175,21 @@ class LockSummary(NamedTuple):
     """
     returns: bool
     edges: frozenset
-    calls: frozenset
     acquires: dict
     held: frozenset = frozenset()
     released: frozenset = frozenset()
 
 
 def lock_summaries(graph: SuperGraph, events: dict[int, list[LockEvent]],
-                   ) -> dict[str, LockSummary]:
-    """Every function's summary, by `traverse.solve_summaries`: a
-    recursive component is iterated from "no call returns", each round's
-    summaries replacing the last, until they stop changing."""
-    solved = solve_summaries(
+                   ) -> tuple[dict[str, LockSummary], dict[str, dict]]:
+    """Every function's summary, and the callees its walk applies, by
+    `traverse.solve_summaries`: a recursive component is iterated from "no
+    call returns", each round's summaries replacing the last, until fixed."""
+    solved, applied = solve_summaries(
         graph, lambda fn, _variant, summary_of: _summarize(
             graph, fn, events, summary_of),
-        lambda _old, new: new, LockSummary(False, frozenset(), frozenset(), {}))
-    return {fn: summary for (fn, _), summary in solved.items()}
+        lambda _old, new: new, LockSummary(False, frozenset(), {}))
+    return {fn: summary for (fn, _), summary in solved.items()}, applied
 
 
 def _summarize(graph: SuperGraph, fn: str,
@@ -200,7 +199,6 @@ def _summarize(graph: SuperGraph, fn: str,
     # (key, location) pairs; keys released on every path from the entry)
     cfg = graph.cfgs[fn]
     edges: set[tuple[str, str, SourceLocation, SourceLocation]] = set()
-    calls: set[str] = set()
     acquires: dict[tuple[str, SourceLocation], frozenset] = {}
 
     def acquire(key, location, held, released) -> None:
@@ -224,7 +222,6 @@ def _summarize(graph: SuperGraph, fn: str,
                 held = frozenset(pair for pair in held if pair[0] != key)
                 released = released | {key}
         for name, _ in graph.calls.get(node_id, ()):
-            calls.add(name)
             callee = summary_of(name)
             for (key, location), inside in callee.acquires.items():
                 acquire(key, location,
@@ -246,15 +243,14 @@ def _summarize(graph: SuperGraph, fn: str,
                              graph.succs.get, transfer, join)
     at_exit = facts.get(cfg.exit)
     if at_exit is None:
-        return LockSummary(False, frozenset(edges), frozenset(calls), acquires)
-    return LockSummary(True, frozenset(edges), frozenset(calls), acquires,
-                       *at_exit)
+        return LockSummary(False, frozenset(edges), acquires)
+    return LockSummary(True, frozenset(edges), acquires, *at_exit)
 
 
-def lock_order_graph(entries: list[str],
-                     summaries: dict[str, LockSummary]) -> LockOrderGraph:
-    """The lock-order edges of every path from the entry points, each of
-    which starts holding nothing, with each edge's least witness.
+def lock_order_graph(entries: list[str], summaries: dict[str, LockSummary],
+                     applied: dict[str, dict]) -> LockOrderGraph:
+    """The lock-order edges of every path from the entry points, each
+    holding nothing at first, through `applied`, with each least witness.
 
     Each function reached is walked once, for the least entry that
     reaches it. An edge's two locations do not depend on the entry, so
@@ -267,7 +263,7 @@ def lock_order_graph(entries: list[str],
             fn = pending.pop()
             if fn not in entry_of:
                 entry_of[fn] = entry
-                pending.extend(summaries[fn].calls)
+                pending.extend(applied[fn])
     graph: LockOrderGraph = {}
     for fn, entry in entry_of.items():
         for held_key, key, held_location, location in summaries[fn].edges:
@@ -284,8 +280,9 @@ def elementary_cycles(edges: LockOrderGraph,
 
     Cycles are listed by smallest key, then in depth-first order over
     sorted successors. From each start the search enters only nodes above
-    it that can get back to it through nodes above it, so it never enters
-    a branch that cannot close a cycle."""
+    it that get back to it through nodes above it, and none that Johnson's
+    algorithm blocks: a node left without closing a cycle stays blocked
+    until a node it leads to is freed, as one is left after closing one."""
     adjacency: dict[str, list[str]] = {}
     reverse: dict[str, list[str]] = {}
     for a, b in edges:
@@ -306,7 +303,9 @@ def elementary_cycles(edges: LockOrderGraph,
                     closing.add(source)
                     todo.append(source)
         path = [start]
-        on_path: set[str] = set()
+        # the path and the locks left without a cycle: the cycles at entry
+        blocked = {start: len(cycles)}
+        waiting: dict[str, set[str]] = {}  # the locks freed with each lock
         pending = [iter(adjacency[start])]
         while pending:
             for target in pending[-1]:
@@ -314,14 +313,24 @@ def elementary_cycles(edges: LockOrderGraph,
                     cycles.append(tuple(path))
                     if len(cycles) >= cap:
                         return cycles
-                elif target in closing and target not in on_path:
+                elif target in closing and target not in blocked:
                     path.append(target)
-                    on_path.add(target)
+                    blocked[target] = len(cycles)
                     pending.append(iter(adjacency.get(target, ())))
                     break
             else:
                 pending.pop()
-                on_path.discard(path.pop())
+                lock = path.pop()
+                if len(cycles) > blocked.pop(lock):
+                    freed = waiting.pop(lock, None)
+                    while freed:
+                        lock = freed.pop()
+                        if blocked.pop(lock, None) is not None:
+                            freed.update(waiting.pop(lock, ()))
+                else:
+                    blocked[lock] = len(cycles)
+                    for target in adjacency.get(lock, ()):
+                        waiting.setdefault(target, set()).add(lock)
     return cycles
 
 
@@ -338,9 +347,9 @@ class ThreadChecker(Checker):
                    services: Services) -> list[ErrorTrace]:
         entries = find_thread_entries(unit, self.config, services)
         events = self.config.node_events(unit, match_node, lock_key)
-        summaries = lock_summaries(build_supergraph(unit), events)
-        return report_cycles(unit, lock_order_graph(entries, summaries),
-                             self.config.max_cycles, services)
+        graph = lock_order_graph(
+            entries, *lock_summaries(build_supergraph(unit), events))
+        return report_cycles(unit, graph, self.config.max_cycles, services)
 
 
 def report_cycles(unit: TranslationUnit, graph: LockOrderGraph,

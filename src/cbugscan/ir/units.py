@@ -116,10 +116,6 @@ class UnitManager:
         self.max_resident = 0
 
     @property
-    def budget(self) -> int | None:
-        return self._budget
-
-    @property
     def total_loads(self) -> int:
         return sum(self.load_counts.values())
 

@@ -22,7 +22,8 @@ node that calls it: the functional approach of Sharir & Pnueli (1981).
 `solve_summaries` is the one solver: it solves `sccs` callees first and
 iterates a recursive component until its summaries stop changing, so
 there is no call-depth bound; a checker only says how to summarize one
-function, how to join two summaries, and where iteration starts.
+function, how to join two summaries, and where iteration starts. It
+also keeps the one record of the calls each function's walk applies.
 """
 
 from __future__ import annotations
@@ -96,22 +97,28 @@ class _Unsolved(Exception):
 def solve_summaries(graph: SuperGraph,
                     summarize: Callable[[str, Hashable, Callable], Summary],
                     join: Callable[[Summary, Summary], Summary],
-                    bottom: Summary) -> dict[tuple[str, Hashable], Summary]:
+                    bottom: Summary
+                    ) -> tuple[dict[tuple[str, Hashable], Summary], dict]:
     """Every function's summary by (function, variant), the base variant
     `()` and every other one asked for; `summarize(fn, variant, summary_of)`
-    computes one, reading a callee's as `summary_of(callee, variant=())`.
+    computes one, reading a callee's as `summary_of(callee, variant=())`;
+    and by function, the callees it asked summaries of, first asked first.
 
     Components are solved callees first. A recursive one starts from
     `bottom` and its summaries become `join(old, summarize(...))` until
     none changes; a summary of it that is asked for joins in. A summary
     of a lower component that is asked for and not solved yet is solved
     first, then the asking attempt is made again; attempts wait on an
-    explicit stack, so long chains of requests take no recursion."""
+    explicit stack, so long chains of requests take no recursion. Every
+    round and attempt adds to the record; none walks further than the last."""
     solved: dict[tuple[str, Hashable], Summary] = {}
+    applied: dict[str, dict[str, None]] = {fn: {} for fn in graph.scc_of}
+    asking: dict[str, None] = {}  # the record of the function summarized
     members: dict = {}  # the keys of the recursive component iterated
     current = -1        # and its index
 
     def summary_of(fn: str, variant: Hashable = ()) -> Summary:
+        asking[fn] = None
         found = solved.get((fn, variant))
         if found is None:
             if graph.scc_of[fn] != current:
@@ -121,8 +128,9 @@ def solve_summaries(graph: SuperGraph,
         return found
 
     def solve(keys: list[tuple[str, Hashable]]) -> None:
-        nonlocal current
+        nonlocal current, asking
         if keys[0][0] not in graph.recursive:
+            asking = applied[keys[0][0]]
             solved[keys[0]] = summarize(*keys[0], summary_of)
             return
         current = graph.scc_of[keys[0][0]]
@@ -134,6 +142,7 @@ def solve_summaries(graph: SuperGraph,
                 known = len(members)
                 changed = False
                 for key in list(members):
+                    asking = applied[key[0]]
                     new = join(solved[key], summarize(*key, summary_of))
                     if new != solved[key]:
                         solved[key] = new
@@ -156,4 +165,4 @@ def solve_summaries(graph: SuperGraph,
                 pending.append(list(unsolved.args))
             else:
                 pending.pop()
-    return solved
+    return solved, applied

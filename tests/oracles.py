@@ -221,8 +221,8 @@ def map_expression_to_caller(expr, call, unit):
     """Rewrite an expression of the function `call` calls into the
     caller's terms: formals become the actual argument trees, globals
     pass through, and an expression that depends on a callee local (or a
-    call of the wrong arity) has no caller-side equivalent: None. A
-    dereferenced address `*&E` becomes `E`, the object itself."""
+    call of the wrong arity) has no caller-side equivalent: None. The
+    result is `folded`."""
     callee = call.children[0].text
     params = unit.func_params.get(callee)
     if params is None:
@@ -233,6 +233,25 @@ def map_expression_to_caller(expr, call, unit):
     formal_to_actual = dict(zip(params, actuals))
     locals_ = unit.func_locals.get(callee, {})
 
+    def leaf(node):
+        actual = formal_to_actual.get(node.text)
+        if actual is None and node.text in locals_:
+            return None
+        return node if actual is None else actual
+
+    return _rewritten(expr, leaf)
+
+
+def folded(expr):
+    """`expr` with each dereferenced address `*&E` as `E`, the object
+    itself, and each `(&E)->f` as `E.f`."""
+    return _rewritten(expr, lambda node: node)
+
+
+def _rewritten(expr, leaf):
+    """`expr` with each identifier, but a member's field name, replaced
+    by `leaf(identifier)`, and folded as `folded` says; None when `leaf`
+    gives None."""
     # post-order on an explicit stack: a node is rewritten once its
     # children are; the field name of a member access is not a variable
     mapped: dict[int, AstNode] = {}
@@ -240,10 +259,9 @@ def map_expression_to_caller(expr, call, unit):
     while pending:
         node, children_done = pending.pop()
         if node.kind is NodeKind.IDENTIFIER:
-            actual = formal_to_actual.get(node.text)
-            if actual is None and node.text in locals_:
+            mapped[id(node)] = leaf(node)
+            if mapped[id(node)] is None:
                 return None
-            mapped[id(node)] = node if actual is None else actual
             continue
         variables = (node.children[:1] if node.kind is NodeKind.MEMBER
                      else node.children)
@@ -255,10 +273,16 @@ def map_expression_to_caller(expr, call, unit):
         else:
             children = tuple(mapped[id(child)] for child in variables)
             inner = children[0]
-            if (node.kind is NodeKind.UNARY_OP and node.text == "deref"
-                    and inner.kind is NodeKind.UNARY_OP
-                    and inner.text == "addrof"):
+            address = (inner.kind is NodeKind.UNARY_OP
+                       and inner.text == "addrof")
+            if address and node.kind is NodeKind.UNARY_OP and (
+                    node.text == "deref"):
                 mapped[id(node)] = inner.children[0]
+            elif address and node.kind is NodeKind.MEMBER and (
+                    node.text == "arrow"):
+                mapped[id(node)] = AstNode(
+                    NodeKind.MEMBER, node.location, "dot",
+                    (inner.children[0], node.children[1]))
             else:
                 mapped[id(node)] = _clone(
                     node, children + node.children[len(variables):])
@@ -297,7 +321,7 @@ def _cloned_texts(bindings, frames, entry, unit):
     first whose own storage one of them names, whose exit ends the
     instance, or else -1 past the entry. A text is `callee::text` from
     where a callee local blocks the way."""
-    exprs = dict(bindings)
+    exprs = {name: folded(expr) for name, expr in bindings.items()}
     for depth in range(len(frames), -1, -1):
         fn = frames[depth - 1][3] if depth else entry
         if any(not isinstance(expr, str)
@@ -435,15 +459,16 @@ def cloned_thread_traces(unit, config, services):
 
 # -- per-entry lock-order graphs ----------------------------------------------
 
-def build_dependency_graph(entry: str, summaries):
-    """One entry's lock-order edges from the unit's lock summaries, every
-    witness of each edge in a list, sorted."""
+def build_dependency_graph(entry: str, summaries, applied):
+    """One entry's lock-order edges from the unit's lock summaries and the
+    solver's record of applied calls, every witness of each edge in a
+    list, sorted."""
     found = set()
     reached, pending = {entry}, [entry]
     while pending:
-        summary = summaries[pending.pop()]
-        found |= summary.edges
-        for callee in summary.calls - reached:
+        fn = pending.pop()
+        found |= summaries[fn].edges
+        for callee in applied[fn].keys() - reached:
             reached.add(callee)
             pending.append(callee)
     edges: dict = {}

@@ -653,10 +653,11 @@ def test_memory_units_below_one_is_raised_before_any_read_or_fork(
 @needs_fork
 def test_memory_budget_is_shared_out_between_workers(tmp_path, monkeypatch):
     sources = [write(tmp_path, f"s{i}.c", DEAD_CODE) for i in range(6)]
-    managers = []
+    managers, budgets = [], []
 
-    def unit_manager(*args):
-        managers.append(UnitManager(*args))
+    def unit_manager(loader, budget):
+        budgets.append(budget)
+        managers.append(UnitManager(loader, budget))
         return managers[-1]
 
     monkeypatch.setattr(engine, "UnitManager", unit_manager)
@@ -665,7 +666,7 @@ def test_memory_budget_is_shared_out_between_workers(tmp_path, monkeypatch):
     result = run_job(job_for(tmp_path, sources, memory_units=4))
     assert len(forks) == 2 and len(result.traces) == 6
     manager, = managers
-    assert manager.budget == 1
+    assert budgets == [1]
     # the workers' loads are counted here too, and their peaks add up
     assert manager.total_loads == 6
     assert sorted(manager.load_counts) == sorted(sources)

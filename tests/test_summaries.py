@@ -346,8 +346,9 @@ def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
 
     def solve(graph, summarize, *args):
         tables.append(summarize.__self__)
-        solved.append(real(graph, summarize, *args))
-        return solved[-1]
+        summaries, applied = real(graph, summarize, *args)
+        solved.append(summaries)
+        return summaries, applied
 
     real = automaton.solve_summaries
     monkeypatch.setattr(automaton, "solve_summaries", solve)
@@ -369,9 +370,9 @@ def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
         tables.clear()
         # each passes one object under two names; the pointer-valued
         # local's probe passes it to a local, not to two formals, and the
-        # `deref_` probes pass an address to one formal
+        # `deref_` and `fold_` probes pass an address to one formal
         if (name in probes and name != "pointer_local.c"
-                and not name.startswith("deref_")):
+                and not name.startswith(("deref_", "fold_"))):
             assert any(variant for summaries in solved
                        for _, variant in summaries), name
     assert templates  # not vacuous
@@ -410,6 +411,22 @@ def test_a_callees_own_storage_dies_at_its_return(probes, name, findings):
                        ("lock &m held at exit", "3:30")]),
 ])
 def test_a_dereferenced_address_is_the_object_itself(name, findings):
+    traces = check(AUTOMATON, PROBES["ALIAS_PROBES"][name])
+    assert [(t.message, f"{t.primary_location.line}:"
+             f"{t.primary_location.column}") for t in traces] == findings
+
+
+@pytest.mark.parametrize("name, findings", [
+    # `*&m` written in the source is m
+    ("fold_deref.c", []),
+    # `(&x)->m` is x.m, written so or made by filling h's hole with &a
+    ("fold_arrow.c", []),
+    ("fold_call.c", []),
+    # h's `&p->m` is g's `&x.m`, its own storage, which dies at its return
+    ("fold_local.c", [("lock &x.m held at exit", "2:35")]),
+])
+def test_an_address_dereferenced_is_folded_wherever_a_key_is_made(
+        name, findings):
     traces = check(AUTOMATON, PROBES["ALIAS_PROBES"][name])
     assert [(t.message, f"{t.primary_location.line}:"
              f"{t.primary_location.column}") for t in traces] == findings

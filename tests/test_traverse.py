@@ -124,11 +124,52 @@ def test_solved_summaries_equal_the_closure_oracle(calls):
         return frozenset().union(*(summary_of(callee) | {callee}
                                    for callee in callees_of(graph, fn)))
 
-    solved = solve_summaries(graph, summarize, frozenset.union, frozenset())
+    solved, _ = solve_summaries(graph, summarize, frozenset.union, frozenset())
     assert solved == {
         (fn, ()): frozenset().union(*(bfs_reachable(calls, callee)
                                       for callee in callees))
         for fn, callees in calls.items()}
+
+
+def reached_calls(graph, fn):
+    """The callees of the nodes of `fn` that its entry reaches, by node."""
+    reached = bfs_reachable(graph.succs, graph.cfgs[fn].entry)
+    return [callee for node_id in sorted(reached)
+            for callee, _ in graph.calls.get(node_id, ())]
+
+
+def applied_calls(source):
+    """The solver's record for `source`, as callee lists, where each
+    function asks for the summary of every call its entry reaches."""
+    graph = build_supergraph(unit_of(source))
+
+    def summarize(fn, variant, summary_of):
+        for callee in reached_calls(graph, fn):
+            summary_of(callee)
+        return frozenset()
+
+    _, applied = solve_summaries(graph, summarize, frozenset.union,
+                                 frozenset())
+    return {fn: list(callees) for fn, callees in applied.items()}
+
+
+def test_the_record_leaves_out_a_dead_call():
+    # f3 returns before its call to f1, so f1 and f3 are one component of
+    # the call graph, but f3 applies no call
+    assert applied_calls("""
+        void f1(void) { f3(); }
+        void f3(void) { for (;;) { return; } f1(); }
+        void f0(void) { f3(); f3(); }
+    """) == {"f1": ["f3"], "f3": [], "f0": ["f3"]}
+
+
+def test_the_record_holds_both_functions_of_a_mutual_recursion():
+    # first asked first; a function asks for itself too
+    assert applied_calls("""
+        void a(int c) { if (c) b(c - 1); }
+        void b(int c) { if (c) a(c); b(0); }
+        void f(void) { b(2); a(1); }
+    """) == {"a": ["b"], "b": ["a", "b"], "f": ["b", "a"]}
 
 
 def chain_graph(n):
@@ -150,9 +191,11 @@ def test_a_lower_variant_is_solved_once_before_its_asker():
             return ("f0", summary_of("f1", "merged"))
         return (fn, variant)
 
-    solved = solve_summaries(graph, summarize, None, None)
-    # the attempt that asked is made again once the variant is solved
+    solved, applied = solve_summaries(graph, summarize, None, None)
+    # the attempt that asked is made again once the variant is solved,
+    # and the record holds its callee once
     assert attempts == [("f1", ()), ("f0", ()), ("f1", "merged"), ("f0", ())]
+    assert applied == {"f0": {"f1": None}, "f1": {}}
     assert solved == {("f1", ()): ("f1", ()),
                       ("f1", "merged"): ("f1", "merged"),
                       ("f0", ()): ("f0", ("f1", "merged"))}
@@ -172,7 +215,7 @@ def test_a_long_chain_of_variant_requests_takes_no_recursion():
             return summary_of(f"f{i + 1}", "v") + 1
         return summary_of(f"f{i + 1}")
 
-    solved = solve_summaries(graph, summarize, None, None)
+    solved, _ = solve_summaries(graph, summarize, None, None)
     assert solved["f0", ()] == n - 1
     assert len(solved) == 2 * n - 1
 
@@ -191,14 +234,15 @@ def call_for(unit, caller, callee):
 def mapped_template(unit, site, template, recursive=False):
     """`template`, of a text of the function the call `site` calls, in
     the caller's terms: with the call's actuals' templates in the holes of
-    the callee's formals, and each `*&E` that makes read as `E`, as the
-    automaton maps a text; None where it has no caller terms."""
+    the callee's formals, each `*&E` read as `E` and each `(&E)->f` as
+    `E.f`, as the automaton maps a text; None where it has no caller
+    terms."""
     callee, actuals = site
     if template is None:
         return None
     mapped = _substituted(template, actuals, unit.func_params[callee],
                           unit.func_locals[callee], recursive)
-    return None if mapped is None else _folded(mapped)
+    return None if mapped is None else _folded(mapped)[1]
 
 
 def mapped_text(unit, site, expression, recursive=False):
