@@ -49,14 +49,15 @@ with those keys merged, which no corpus file or workload does, and one
 passes it to a pointer-valued local, whose key keeps the callee's
 terms; the `deref_` ones fill a formal's hole under `*` with an address,
 where `*&x` is `x`, and the `fold_` ones dereference an address, written
-so or made by filling a hole, where `*&x` is `x` and `(&x)->f` is `x.f`.
+so or made by filling a hole, where `*&x` and `(&x)[0]` are `x` and
+`(&x)->f` is `x.f`.
 `THREAD_PROBES` are lock-order graphs whose cycles a search over every
 simple path lists slowly: a ladder of locks with 2^15 cycles, which a
 search from its first lock must leave without closing any, every order
 of 8 locks, and 200 disjoint pairs of locks taken in both orders.
-`LEXER_PROBES` are long generated files whose comments, continued
-strings, directives and line markers fall across the lexer's chunk
-cuts, and two whose lexical error lies far past a syntax error or a
+`LEXER_PROBES` are long generated files full of comments, continued
+strings, directives and line markers, which move the lexer's line and
+file, and two whose lexical error lies far past a syntax error or a
 nest too deep to parse, which the lexical error must still win over.
 The groups are then the corpus, each workload directory, the four
 probe sets and the `cpp` set.
@@ -228,6 +229,11 @@ ALIAS_PROBES = {
     "fold_call.c": FIELD + "void f(void) { h(&a); mutex_unlock(&a.m); }\n",
     "fold_local.c": FIELD + "void g(void) { struct s x; h(&x); }\n"
                             "void f(void) { g(); g(); }\n",
+    # `(&E)[0]` is E, written so or made by filling h's hole with &m
+    "fold_index.c": "struct mutex x; void f(void) { mutex_lock(&(&x)[0]); "
+                    "mutex_unlock(&x); }\n",
+    "fold_index_call.c": "void h(struct mutex *p) { mutex_lock(&p[0]); }\n"
+                         "void f(void) { h(&m); mutex_unlock(&m); }\n",
 }
 
 
@@ -265,8 +271,8 @@ THREAD_PROBES = {
 
 def _functions_between(between, count: int = 300) -> str:
     """`count` small locking functions, the text `between(i)` before the
-    i-th: enough text for dozens of the lexer's 4 KiB chunks, so that
-    its cuts, each at a line end, fall inside what `between` spans."""
+    i-th: tens of KB, so that what `between` spans sets the lines and
+    files of hundreds of tokens after it."""
     return "".join(
         between(i) + f"void f{i}(int c) {{ mutex_lock(&m{i % 7}); "
         f"if (c) return; mutex_unlock(&m{i % 7}); }}\n"

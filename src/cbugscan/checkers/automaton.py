@@ -61,6 +61,7 @@ from cbugscan.frontend.ast_nodes import (
     template_text,
     to_template,
 )
+from cbugscan.frontend.lexer import int_value
 from cbugscan.frontend.parser import parse_fragment
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
@@ -80,8 +81,10 @@ from cbugscan.traverse import (
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
 # a printed path into its first variable: indexes, fields, perhaps under &
 _STORAGE_RE = re.compile(r"&?([A-Za-z_]\w*)((?:\[[^][]*\])*)(?:\.[A-Za-z_]\w*)*")
-# the nodes `*E` and `E->f`, which `_folded` rewrites where E is an address
-_THROUGH_ADDRESS = {(NodeKind.UNARY_OP, "deref"), (NodeKind.MEMBER, "arrow")}
+# the nodes `*E`, `E->f` and `E[I]`, which `_folded` rewrites where E is
+# an address (`E[I]` only where I is 0)
+_THROUGH_ADDRESS = {(NodeKind.UNARY_OP, "deref"), (NodeKind.MEMBER, "arrow"),
+                    (NodeKind.INDEX, "")}
 
 
 @dataclass
@@ -546,9 +549,10 @@ def _substituted(template: tuple, actuals: tuple, formals: list[str],
 
 
 def _folded(template: list | tuple) -> tuple[str, tuple]:
-    """The text `template` spells with each `*&E` as `E` and `(&E)->f` as
-    `E.f`, so that `(*&x).f`, `(&x)->f` and `x.f` are one text, and its
-    template; only a text holding `*&` or `(&` is parsed and printed anew."""
+    """The text `template` spells with each `*&E` and `(&E)[0]` as `E` and
+    `(&E)->f` as `E.f`, so that `(*&x).f`, `(&x)->f` and `x.f` are one
+    text, and its template; only a text holding `*&` or `(&` is parsed
+    and printed anew."""
     text = template_text(template)
     if "*&" not in text and "(&" not in text:
         return text, template
@@ -560,13 +564,18 @@ def _folded(template: list | tuple) -> tuple[str, tuple]:
 
 
 def _dereferenced(node: AstNode) -> AstNode:
-    """`node` without the `*&` pairs on top of it, and `(&E)->f` as `E.f`."""
+    """`node` without the `*&` pairs and `(&E)[0]` on top of it, and
+    `(&E)->f` as `E.f`."""
     while ((node.kind, node.text) in _THROUGH_ADDRESS
            and node.children[0].kind is NodeKind.UNARY_OP
            and node.children[0].text == "addrof"):
         if node.kind is NodeKind.MEMBER:
             return AstNode(NodeKind.MEMBER, node.location, "dot",
                            (node.children[0].children[0], node.children[1]))
+        if node.kind is NodeKind.INDEX and not (
+                node.children[1].kind is NodeKind.INT_LITERAL
+                and int_value(node.children[1].text) == 0):
+            break
         node = node.children[0].children[0]
     return node
 

@@ -16,7 +16,7 @@ a checker's lock key.
 from __future__ import annotations
 
 import os
-import re
+import shlex
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
@@ -64,48 +64,15 @@ def read_config(path: str | None, checker_name: str) -> str:
     return read_text(path)
 
 
-# A piece of a config line, by its group: 1 what ends a word (blanks, a
-# comment, the end), 2 plain characters, 3 an escaped one, 4 a single-
-# and 5 a double-quoted text, 6 a backslash that escapes nothing; with
-# no group, a quote that never closes.
-_PIECE = re.compile(r"""([ \t\r\n]+ | \#.* | $) | ([^ \t\r\n"'\\\#]+) | \\(.)
-    | '([^']*)' | "((?:[^"\\]|\\.)*)" | (\\$ | "(?:[^"\\]|\\.)*\\$) | ["']""",
-                    re.VERBOSE)
-_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
-
-
-def split_words(line: str) -> list[str]:
-    """The words of one line, which holds no line break, as
-    `shlex.split(line, comments=True)` gives them, with its ValueError
-    texts: blanks part words, quotes and backslashes work as in a POSIX
-    shell, and a `#` outside them starts a comment."""
-    words: list[str] = []
-    word = None  # the word being read
-    for piece in _PIECE.finditer(line):
-        group = piece.lastindex
-        if group == 1:
-            if word is not None:
-                words.append(word)
-            word = None
-        elif group is None or group == 6:
-            raise ValueError("No escaped character" if group
-                             else "No closing quotation")
-        else:
-            text = (_QUOTED_ESCAPE.sub(r"\1", piece[5]) if group == 5
-                    else piece[group])
-            word = text if word is None else word + text
-    return words
-
-
 def read_directives(text: str, source: str,
                     take: Callable[[list[str]], bool]) -> None:
-    """Pass each config line's shell-style words (`split_words`), if any,
-    to `take`. A line `take` refuses is `SOURCE:LINE: cannot parse
+    """Pass each config line's shell-style words, if any, to `take`; `#`
+    starts a comment. A line `take` refuses is `SOURCE:LINE: cannot parse
     'LINE'`; a PatternError or ValueError it raises is `SOURCE:LINE:
     message`, and a ConfigError it raises is passed on as it is."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            words = split_words(raw)
+            words = shlex.split(raw, comments=True)
             if words and not take(words):
                 raise ValueError(f"cannot parse {raw.strip()!r}")
         except (PatternError, ValueError) as exc:

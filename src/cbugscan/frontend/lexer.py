@@ -14,9 +14,6 @@ shape. The same pass counts lines: only a blank run, a block comment or
 a string continued by a backslash-newline holds newlines, so only those
 move the line on and set the offset of the newline before the line,
 from which a token's column follows.
-A `Cursor` makes the lexing resumable: each call lexes one chunk, a few
-KiB cut at a line end that no token straddles, so a parser can lex a
-file as it goes, and the chunks' tokens are the whole text's.
 Pattern templates reuse the same token stream with metavariables enabled,
 so `%NAME` lexes as a single metavariable token there; in ordinary source
 the `%` stays a modulo operator.
@@ -50,9 +47,9 @@ _BLANK_AND_TOKEN = r"""
     | """
 _METAVAR = r"%[A-Za-z_][A-Za-z0-9_]* | "
 _OPERATOR = r"&&|\|\||[=!<>]=|->|[-(){}\[\];,=<>+*%&!.:]|/(?!\*) | )"
-_SOURCE_TOKENS = re.compile(_BLANK_AND_TOKEN + _OPERATOR, re.VERBOSE)
+_SOURCE_TOKENS = re.compile(_BLANK_AND_TOKEN + _OPERATOR, re.VERBOSE).findall
 _TEMPLATE_TOKENS = re.compile(
-    _BLANK_AND_TOKEN + _METAVAR + _OPERATOR, re.VERBOSE)
+    _BLANK_AND_TOKEN + _METAVAR + _OPERATOR, re.VERBOSE).findall
 _BAD_NUMBER = re.compile(_NUMBER + "[A-Za-z0-9_]")
 
 _KIND_OF_TEXT = {text: text for text in (*_OPERATORS, *KEYWORDS)}
@@ -79,39 +76,17 @@ def int_value(text: str) -> int:
     return int(text, 8 if text[0] == "0" else 10)
 
 
-CHUNK_SIZE = 4096  # the least distance from a chunk's start to its cut
-
-
-class Cursor:
-    """Where `tokenize` goes on in a text, in its own terms (`offset` is
-    its `start`), and `size`, the cut distance."""
-    __slots__ = ("offset", "line", "newline", "file", "size")
-
-    def __init__(self, file: str, size: int = CHUNK_SIZE):
-        self.offset, self.line, self.newline, self.file = 0, 1, -1, file
-        self.size = size
-
-
-def tokenize(source: str, file: str, metavars: bool = False,
-             cursor: Cursor | None = None) -> list[Token]:
+def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     """Split source into tokens; raises FrontendError at the first bad char.
 
     Comments are skipped. Lines whose first non-blank character is `#`
     (preprocessor directives) are skipped as well since the frontend
     expects preprocessed input; a line marker among them (`# N "FILE"`
     or `#line N ["FILE"]`) makes the next line line N of FILE.
-
-    With a `cursor`, one chunk: up to the first line end `cursor.size` or
-    more characters on, past any comment or string that spans it. The
-    chunks join into the whole text's tokens; a chunk may hold none, and
-    only the last ends with eof.
     """
-    cursor = cursor or Cursor(file, len(source))  # the whole text
-    start = cursor.offset     # offset of the current token
-    line = cursor.line        # its line number, as markers set it
-    newline = cursor.newline  # offset of the newline before its physical line
-    file = cursor.file
-    end = source.find("\n", start + cursor.size) + 1 or len(source)
+    line = 1       # line number of the current token, as markers set it
+    newline = -1   # offset of the newline before its physical line
+    start = 0      # offset of the current token
     tokens: list[Token] = []
     line_first = 0  # len(tokens) at the start of the current line
     append = tokens.append
@@ -120,60 +95,50 @@ def tokenize(source: str, file: str, metavars: bool = False,
     new = tuple.__new__
     kind_of_text = _KIND_OF_TEXT
     kind_of_first = _KIND_OF_FIRST
-    regex = _TEMPLATE_TOKENS if metavars else _SOURCE_TOKENS
-    while True:  # once more each time a token straddles the cut
-        for blank, text in regex.findall(source, start, end):
-            if blank:
-                if "\n" in blank:
-                    line += blank.count("\n")
-                    newline = start + blank.rindex("\n")
-                    line_first = len(tokens)
-                start += len(blank)
-            kind = kind_of_text.get(text) or kind_of_first[text[:1]]
-            if kind:
-                append((kind, text, new(
-                    SourceLocation, (file, line, start - newline))))
-                start += len(text)
-                continue
-            where = new(SourceLocation, (file, line, start - newline))
-            if not text:
-                if start < end:  # no token starts here before the cut
-                    whole = regex.match(source, start)[2]
-                    if whole:  # one that spans lines straddles the cut
-                        end = (source.find("\n", start + len(whole)) + 1
-                               or len(source))
-                        break
-                    number = _BAD_NUMBER.match(source, start)
-                    raise FrontendError(
-                        f"malformed number near {number[0]!r}" if number
-                        else "unterminated comment" if source.startswith("/*", start)
-                        else "unterminated string literal" if source[start] == '"'
-                        else f"unexpected character {source[start]!r}", where)
-                if end < len(source):  # the chunk ends at the cut
-                    cursor.offset, cursor.line = start, line
-                    cursor.newline, cursor.file = newline, file
-                else:
-                    append(("eof", text, where))
-                # after a trailing blank run the end matches again, empty
-                return tokens
-            lead = text[0]
-            if lead == "#":
-                if line_first != len(tokens):
-                    raise FrontendError("unexpected character '#'", where)
-                marker = _LINE_MARKER.match(text)
-                if marker:
-                    # the marker's own line counts as line N - 1
-                    line = int(marker[1]) - 1
-                    if marker[2] is not None:
-                        file = re.sub(r"\\(.)", r"\1", marker[2])
-            elif lead == "%":
-                append(("metavar", text[1:], where))
-            else:
-                if lead == '"':
-                    append(("string", text, where))
-                if "\n" in text:
-                    # only a block comment or a string continued by a
-                    # backslash-newline spans lines
-                    line += text.count("\n")
-                    newline = start + text.rindex("\n")
+    for blank, text in (_TEMPLATE_TOKENS if metavars else _SOURCE_TOKENS)(source):
+        if blank:
+            if "\n" in blank:
+                line += blank.count("\n")
+                newline = start + blank.rindex("\n")
+                line_first = len(tokens)
+            start += len(blank)
+        kind = kind_of_text.get(text) or kind_of_first[text[:1]]
+        if kind:
+            append((kind, text, new(
+                SourceLocation, (file, line, start - newline))))
             start += len(text)
+            continue
+        where = new(SourceLocation, (file, line, start - newline))
+        if not text:
+            if start < len(source):  # no token starts here
+                number = _BAD_NUMBER.match(source, start)
+                raise FrontendError(
+                    f"malformed number near {number[0]!r}" if number
+                    else "unterminated comment" if source.startswith("/*", start)
+                    else "unterminated string literal" if source[start] == '"'
+                    else f"unexpected character {source[start]!r}", where)
+            append(("eof", text, where))
+            # after a trailing blank run the end matches again, empty
+            break
+        lead = text[0]
+        if lead == "#":
+            if line_first != len(tokens):
+                raise FrontendError("unexpected character '#'", where)
+            marker = _LINE_MARKER.match(text)
+            if marker:
+                # the marker's own line counts as line N - 1
+                line = int(marker[1]) - 1
+                if marker[2] is not None:
+                    file = re.sub(r"\\(.)", r"\1", marker[2])
+        elif lead == "%":
+            append(("metavar", text[1:], where))
+        else:
+            if lead == '"':
+                append(("string", text, where))
+            if "\n" in text:
+                # only a block comment or a string continued by a
+                # backslash-newline spans lines
+                line += text.count("\n")
+                newline = start + text.rindex("\n")
+        start += len(text)
+    return tokens

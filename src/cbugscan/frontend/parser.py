@@ -15,19 +15,17 @@ operator chains and stacked prefixes cost no stack.
 
 A token is the lexer's plain `(kind, text, location)` tuple, so the
 parser reads its fields by position (`tok[0]` is the kind) or by
-unpacking it. A file is lexed a chunk at a time (`lexer.Cursor`) as the
-parser runs out of tokens, and each top-level declaration's tokens are
-dropped once it is parsed, so a file's tokens are never all held.
+unpacking it. A file is lexed whole before it is parsed, so a lexical
+error anywhere in it is the one raised, and its tokens are held until
+its parse ends.
 """
 
 from __future__ import annotations
 
-import sys
-
 from cbugscan.errors import FrontendError
 from cbugscan.frontend.ast_nodes import (
     BINARY_PRECEDENCE, UNARY_SYMBOL, AstNode, NodeKind, SourceLocation)
-from cbugscan.frontend.lexer import Cursor, Token, tokenize
+from cbugscan.frontend.lexer import Token, tokenize
 
 _TYPE_STARTERS = ("int", "void", "char", "struct")
 _UNARY_NAME = {symbol: name for name, symbol in UNARY_SYMBOL.items()}
@@ -44,18 +42,12 @@ def parse(source: str, file: str) -> AstNode:
     Nesting deeper than Python's recursion limit is a FrontendError at
     the first token of the declaration being parsed, so the location does
     not depend on how much stack the caller used; whether a file near the
-    limit is rejected still does. Before a syntax error or that one is
-    raised, the rest of the file is lexed, so a lexical error anywhere in
-    it is the one raised.
+    limit is rejected still does.
     """
-    parser = _Parser([], file, source, Cursor(file))
+    parser = _Parser(tokenize(source, file), file)
     try:
         return parser.translation_unit()
-    except FrontendError:
-        parser.lex()
-        raise
     except RecursionError:
-        parser.lex()
         raise FrontendError("nesting too deep", parser.decl[2]) from None
 
 
@@ -84,26 +76,14 @@ def parse_fragment(source: str, file: str = "<pattern>") -> AstNode:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file: str, source: str = "",
-                 cursor: Cursor | None = None):
+    def __init__(self, tokens: list[Token], file: str):
         self.tokens = tokens
-        self.source = source
-        self.cursor = cursor  # None once `tokens` ends with eof
-        self.file = file
         self.pos = 0
-        self.lex(0)
         self.tok = tokens[0]  # the current token, tokens[pos]
         self.decl = self.tok  # the first token of the current declaration
+        self.file = file
 
     # -- token plumbing ----------------------------------------------------
-
-    def lex(self, index: int = sys.maxsize) -> None:
-        """Lex chunks of the source until `tokens[index]` exists, or to eof."""
-        while self.cursor is not None and len(self.tokens) <= index:
-            chunk = tokenize(self.source, self.file, cursor=self.cursor)
-            self.tokens += chunk
-            if chunk and chunk[-1][0] == "eof":
-                self.cursor = None
 
     def advance(self) -> None:
         """Move to the next token; past the final eof the cursor stays on it."""
@@ -111,12 +91,9 @@ class _Parser:
         try:
             self.tok = self.tokens[self.pos]
         except IndexError:
-            self.lex(self.pos)
-            if self.pos < len(self.tokens):
-                self.tok = self.tokens[self.pos]
+            pass
 
     def peek(self, offset: int = 1) -> Token:
-        self.lex(self.pos + offset)
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def at(self, kind: str) -> bool:
@@ -147,8 +124,6 @@ class _Parser:
         root_loc = SourceLocation(self.file, 1, 1)
         while not self.at("eof"):
             items += self.top_level()
-            del self.tokens[:self.pos]  # the declaration's, all parsed
-            self.pos = 0
         return AstNode(NodeKind.TRANSLATION_UNIT, root_loc, "", tuple(items))
 
     def base_type(self) -> str:

@@ -35,7 +35,7 @@ from cbugscan.frontend import (
     tokenize,
 )
 from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, UNARY_SYMBOL
-from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS
+from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS, int_value
 from cbugscan.frontend.parser import _Parser
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
@@ -243,8 +243,8 @@ def map_expression_to_caller(expr, call, unit):
 
 
 def folded(expr):
-    """`expr` with each dereferenced address `*&E` as `E`, the object
-    itself, and each `(&E)->f` as `E.f`."""
+    """`expr` with each dereferenced address `*&E` or `(&E)[0]` as `E`,
+    the object itself, and each `(&E)->f` as `E.f`."""
     return _rewritten(expr, lambda node: node)
 
 
@@ -277,6 +277,10 @@ def _rewritten(expr, leaf):
                        and inner.text == "addrof")
             if address and node.kind is NodeKind.UNARY_OP and (
                     node.text == "deref"):
+                mapped[id(node)] = inner.children[0]
+            elif address and node.kind is NodeKind.INDEX and (
+                    children[1].kind is NodeKind.INT_LITERAL
+                    and int_value(children[1].text) == 0):
                 mapped[id(node)] = inner.children[0]
             elif address and node.kind is NodeKind.MEMBER and (
                     node.text == "arrow"):

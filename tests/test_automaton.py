@@ -231,6 +231,29 @@ def test_error_does_not_change_state(tmp_path):
                         "double unlock of &m"]
 
 
+FILE_CONFIG = """
+automaton files
+states C O
+start C
+pattern open "open(%X)"
+pattern close "close(%X)"
+pattern use "use(%X)"
+transition C open -> O
+transition O close -> C
+error C close "close of closed %X"
+error-at-exit O "%X left open"
+"""
+
+
+def test_an_event_with_no_rule_leaves_the_state(tmp_path):
+    # `use` has no rule in either state: it is no step of a trace
+    trace, = run("void f(void) { open(&r); use(&r); }", FILE_CONFIG, tmp_path)
+    assert trace.message == "&r left open"
+    assert [s.description for s in trace.steps] == ["open(&r)", "&r left open"]
+    trace, = run("void f(void) { use(&r); close(&r); }", FILE_CONFIG, tmp_path)
+    assert trace.message == "close of closed &r"
+
+
 def test_duplicate_reports_deduplicated(tmp_path):
     # both branches reconverge; the same error location reports once
     traces = run("""

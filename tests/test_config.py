@@ -1,12 +1,9 @@
 import json
 import re
-import shlex
 import shutil
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-from cbugscan.checkers.base import split_words
 from cbugscan.cli import build_job, main
 from cbugscan.config import (
     SourceDescriptor,
@@ -249,22 +246,3 @@ def test_build_job_rejections(tmp_path, argv_tail, needle):
 def test_build_job_requires_check_command():
     with pytest.raises(ConfigError):
         build_job(["scan", "a.c"])
-
-
-# -- config lines split into words ----------------------------------------------------
-
-def words_or_error(split, line):
-    try:
-        return split(line)
-    except ValueError as err:
-        return f"ValueError: {err}"
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.text(alphabet=" \t\"'\\#a%(_)=,9", max_size=24))
-@example('lock "mutex_lock(%X)" unlock "mutex_unlock(%X)"  # pair')
-@example('"a\\"b" c\\ d \'e\\\' f#g')
-@example('"open\\')
-def test_split_words_is_shlex_split_with_comments(line):
-    assert words_or_error(split_words, line) == words_or_error(
-        lambda text: shlex.split(text, comments=True), line)

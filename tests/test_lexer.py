@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbugscan.errors import FrontendError
 from cbugscan.frontend import tokenize
-from cbugscan.frontend.lexer import KEYWORDS, Cursor
+from cbugscan.frontend.lexer import KEYWORDS
 
 from oracles import bisected_tokens
 
@@ -209,39 +209,3 @@ def test_locations_equal_the_bisection_oracle(parts, bad, at, metavars):
     assert outcome(lambda: [(t[0], t[1], *t[2])
                             for t in tokenize(source, "t.c", metavars)]
                    ) == outcome(lambda: bisected_tokens(source, "t.c", metavars))
-
-
-# -- lexing a chunk at a time --------------------------------------------------------
-
-def chunks(source, size, metavars=False):
-    """The token list of each chunk of `source`, at cut distance `size`."""
-    cursor = Cursor("t.c", size)
-    found = []
-    while not found or not found[-1] or found[-1][-1][0] != "eof":
-        found.append(tokenize(source, "t.c", metavars, cursor))
-    return found
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_piece, _gap), max_size=30),
-       st.one_of(st.just(""), _bad_piece), st.integers(0, 30), st.booleans(),
-       st.integers(1, 120))
-def test_chunks_join_into_the_whole_texts_tokens(parts, bad, at, metavars,
-                                                 size):
-    # multi-line comments, continued strings, directives, line markers and
-    # a bad piece, with cuts at any distance, so some fall inside them
-    parts.insert(at, (bad, " "))
-    source = "".join(piece + gap for piece, gap in parts)
-    joined = outcome(lambda: [token for chunk in chunks(source, size, metavars)
-                              for token in chunk])
-    assert joined == outcome(lambda: tokenize(source, "t.c", metavars))
-
-
-def test_a_cut_moves_past_what_spans_it_and_a_chunk_may_hold_no_token():
-    source = 'a\n/* one\ntwo\nthree */\n# 5 "f.c"\n#pragma x\n"b\\\nc" d\n'
-    found = chunks(source, 1)
-    assert [[token[1] for token in chunk] for chunk in found] == [
-        ["a"], [], [], [], ['"b\\\nc"', "d", ""]]
-    # the cursor carries the line and the file a marker set
-    assert found[-1][1][2] == ("f.c", 7, 4)
-    assert sum(found, []) == tokenize(source, "t.c")

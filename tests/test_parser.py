@@ -21,8 +21,6 @@ from cbugscan.frontend import (
     to_text,
 )
 from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, EXPRESSION_KINDS
-from cbugscan.frontend import parser as parser_module
-from cbugscan.frontend.lexer import CHUNK_SIZE
 from cbugscan.ir import build_unit_from_text, units
 
 
@@ -436,7 +434,7 @@ def test_a_3000_term_sum_file_parses_as_by_recursive_climbing():
     assert spine.location == SourceLocation("nx_sum.c", 6, 9)
 
 
-# -- a file parsed as it is lexed ------------------------------------------------
+# -- a long file parsed whole ---------------------------------------------------
 
 def functions(count):
     """`count` locking functions, with globals and comments between."""
@@ -447,43 +445,12 @@ def functions(count):
         f"    mutex_unlock(&m);\n}}\n" for i in range(count))
 
 
-FILLER = functions(300)  # many chunks
+FILLER = functions(300)  # about 47 KB
 
 
 def test_a_file_of_many_chunks_parses_as_a_whole_one():
-    assert len(FILLER) > 4 * CHUNK_SIZE
     assert_same_dump(parse(FILLER, "t.c"),
                      recursive_parse(FILLER, "t.c", fragment=False))
-
-
-def test_parsing_holds_one_chunk_and_one_declaration(monkeypatch):
-    chunk_sizes, held, declarations = [], [], []
-    tokenize = parser_module.tokenize
-
-    def lex_chunk(*args, **kwargs):
-        chunk = tokenize(*args, **kwargs)
-        chunk_sizes.append(len(chunk))
-        return chunk
-
-    lex, top_level = parser_module._Parser.lex, parser_module._Parser.top_level
-
-    def counted_lex(self, index):
-        lex(self, index)
-        held.append(len(self.tokens))
-
-    def counted_top_level(self):
-        first = self.pos
-        found = top_level(self)
-        declarations.append(self.pos - first)
-        return found
-
-    monkeypatch.setattr(parser_module, "tokenize", lex_chunk)
-    monkeypatch.setattr(parser_module._Parser, "lex", counted_lex)
-    monkeypatch.setattr(parser_module._Parser, "top_level", counted_top_level)
-    parse(FILLER, "t.c")
-    assert len(chunk_sizes) > 4 and len(declarations) == 600
-    assert max(held) <= max(chunk_sizes) + max(declarations)
-    assert sum(chunk_sizes) > 4 * max(held)  # never the whole file
 
 
 @pytest.mark.parametrize("head, error", [

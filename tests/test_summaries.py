@@ -424,6 +424,9 @@ def test_a_dereferenced_address_is_the_object_itself(name, findings):
     ("fold_call.c", []),
     # h's `&p->m` is g's `&x.m`, its own storage, which dies at its return
     ("fold_local.c", [("lock &x.m held at exit", "2:35")]),
+    # `(&x)[0]` is x, written so or made by filling h's hole with &m
+    ("fold_index.c", []),
+    ("fold_index_call.c", []),
 ])
 def test_an_address_dereferenced_is_folded_wherever_a_key_is_made(
         name, findings):

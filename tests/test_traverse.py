@@ -201,6 +201,37 @@ def test_a_lower_variant_is_solved_once_before_its_asker():
                       ("f0", ()): ("f0", ("f1", "merged"))}
 
 
+def test_a_lower_variant_asked_in_a_round_restarts_its_component():
+    # f0 and f1 call each other above f2; f0's first attempt asks for a
+    # variant of f1, which no later attempt asks for, and then for f2's
+    # variant "v", not solved yet
+    graph = SuperGraph(cfgs={}, succs={}, calls={},
+                       sccs=[["f2"], ["f0", "f1"]],
+                       scc_of={"f2": 0, "f0": 1, "f1": 1},
+                       recursive=frozenset({"f0", "f1"}))
+    attempts = []
+
+    def summarize(fn, variant, summary_of):
+        attempts.append((fn, variant))
+        if fn == "f0":
+            if attempts.count(("f0", ())) == 1:
+                summary_of("f1", "first")
+            return max(summary_of("f1"), summary_of("f2", "v"))
+        if fn == "f1":
+            return summary_of("f0")
+        return 10 if variant else 1
+
+    solved, applied = solve_summaries(graph, summarize, max, 0)
+    # the aborted round is dropped, and the component is iterated from
+    # bottom again once the variant is solved
+    assert attempts == [("f2", ()), ("f0", ()), ("f2", "v"),
+                        ("f0", ()), ("f1", ()), ("f0", ()), ("f1", ())]
+    assert solved == {("f2", ()): 1, ("f2", "v"): 10,
+                      ("f0", ()): 10, ("f1", ()): 10}
+    assert applied == {"f2": {}, "f0": {"f1": None, "f2": None},
+                       "f1": {"f0": None}}
+
+
 def test_a_long_chain_of_variant_requests_takes_no_recursion():
     # only f0's base asks for a variant, and each variant asks for the
     # next function's: solving f0 waits on 1,999 requests at once
