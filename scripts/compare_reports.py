@@ -25,8 +25,12 @@ error the config reader and their directives raise, and the
 compared too. Where more than one CPU
 is usable, the engine splits a multi-file job into shards that forked
 workers check, so the groups exercise the shards. The two outputs are
-compared line by line: on any difference the first differing lines
-are printed and the exit code is 1; otherwise it is 0. Given FILEs
+split at the config block and at each job's `== PATHS` header line and
+compared part by part (`job_diffs`): for the config block and each job
+whose lines differ, its name (`differs: PATHS`, generated files' paths
+shown from the temporary directory) and the first 40 lines of its own
+unified diff are printed, then a last line `N of M jobs differ`, and
+the exit code is 1; otherwise it is 0. Given FILEs
 form one group. Without FILE, the files are `tests/corpus/*.c`, the
 wide, deep and nest workloads of seeds 1-10, which
 `perfbench/workloads.py` writes into a directory per workload and seed
@@ -48,13 +52,16 @@ of the caller and the automaton solves a variant summary of the callee
 with those keys merged, which no corpus file or workload does, and one
 passes it to a pointer-valued local, whose key keeps the callee's
 terms; the `deref_` ones fill a formal's hole under `*` with an address,
-where `*&x` is `x`, and the `fold_` ones dereference an address, written
-so or made by filling a hole, where `*&x` and `(&x)[0]` are `x` and
-`(&x)->f` is `x.f`.
+where `*&x` is `x`, and the `fold_` ones spell one object two ways, each
+written so or made by filling a formal at a call, where `*&x`, `(&x)[0]`,
+`&*x` and `&x[0]` are `x`, `(&x)->f` is `x.f` and `(*p).f` is `p->f`:
+one access path (`ast_nodes.Path`), so one key.
 `THREAD_PROBES` are lock-order graphs whose cycles a search over every
 simple path lists slowly: a ladder of locks with 2^15 cycles, which a
 search from its first lock must leave without closing any, every order
-of 8 locks, and 200 disjoint pairs of locks taken in both orders.
+of 8 locks, and 200 disjoint pairs of locks taken in both orders; and
+one deadlock whose lock one function spells `&s->mux` and the other
+`&(*s).mux`, one lock `s->mux`.
 `LEXER_PROBES` are long generated files full of comments, continued
 strings, directives and line markers, which move the lexer's line and
 file, and two whose lexical error lies far past a syntax error or a
@@ -185,8 +192,8 @@ CALL_PROBES = {
                     "void f(void) { g(&m); g(&m); }\n",
 }
 # The alias group's files by name; each passes one object under two
-# names, but the `deref_` ones, where a formal's hole under `*` is filled
-# by an address, and the `fold_` ones, where an address is dereferenced.
+# names, but the `deref_` ones, where a formal under `*` is given an
+# address, and the `fold_` ones, which spell one object two ways.
 PAIR = "struct mutex *p, struct mutex *q"
 DEREF = ("void h(struct mutex **p) { mutex_lock(*p); }\n"
          "void g(struct mutex *q) { h(&q); }\n")
@@ -234,6 +241,21 @@ ALIAS_PROBES = {
                     "mutex_unlock(&x); }\n",
     "fold_index_call.c": "void h(struct mutex *p) { mutex_lock(&p[0]); }\n"
                          "void f(void) { h(&m); mutex_unlock(&m); }\n",
+    # `&*p` is p, `(*p).m` is p->m and `&a[0]` is a, written so or made by
+    # filling h's hole
+    "fold_addr_deref.c": "void f(struct mutex *p) { mutex_lock(&*p); "
+                         "mutex_unlock(p); }\n",
+    "fold_addr_deref_call.c": "void h(struct mutex *p) { mutex_lock(&*p); }\n"
+                              "void f(void) { h(&m); mutex_unlock(&m); }\n",
+    "fold_deref_field.c": "void f(struct s *p) { mutex_lock(&(*p).m); "
+                          "mutex_unlock(&p->m); }\n",
+    "fold_deref_field_call.c": "void h(struct s *p) { mutex_lock(&(*p).m); }\n"
+                               "void f(void) { h(&x); mutex_unlock(&x.m); }\n",
+    "fold_addr_index.c": "void f(void) { struct mutex a[4]; mutex_lock(a); "
+                         "mutex_unlock(&a[0]); }\n",
+    "fold_addr_index_call.c": "struct mutex a[4];\n"
+                              "void h(struct mutex *p) { mutex_lock(&p[0]); }\n"
+                              "void f(void) { h(a); mutex_unlock(a); }\n",
 }
 
 
@@ -259,13 +281,21 @@ def ladder(n: int) -> str:
 
 
 # The thread group's files by name: lock-order graphs whose cycles a
-# search that walks every simple path would list slowly.
+# search that walks every simple path would list slowly, and a deadlock
+# whose lock is spelled two ways.
 THREAD_PROBES = {
     "ladder.c": ladder(16),
     "complete.c": ordered((f"k{i}", f"k{j}") for i in range(8)
                           for j in range(8) if i != j),
     "pairs.c": ordered(pair for i in range(200) for pair in (
         (f"p{i}a", f"p{i}b"), (f"p{i}b", f"p{i}a"))),
+    # one deadlock, one of its locks spelled `&s->mux` and `&(*s).mux`
+    "spellings.c": "void f(struct st *s) { mutex_lock(&big); "
+                   "mutex_lock(&s->mux); mutex_unlock(&s->mux); "
+                   "mutex_unlock(&big); }\n"
+                   "void g(struct st *s) { mutex_lock(&(*s).mux); "
+                   "mutex_lock(&big); mutex_unlock(&big); "
+                   "mutex_unlock(&(*s).mux); }\n",
 }
 
 
@@ -418,15 +448,52 @@ def compare(old_tree: str, new_tree: str, directory: str,
     jobs += [group for group in groups if len(group) > 1]
     old = report(checkout(old_tree, directory), jobs)
     new = report(checkout(new_tree, directory), jobs)
-    if old == new:
+    differences = job_diffs(old, new, old_tree, new_tree)
+    if not differences:
         print(f"identical: {sum(map(len, groups))} files in {len(jobs)} "
               f"jobs and {len(BAD_CONFIGS)} configs, {len(old)} lines")
         return 0
-    diff = list(difflib.unified_diff(old, new, old_tree, new_tree, lineterm=""))
-    print("\n".join(diff[:SHOWN_LINES]))
-    if len(diff) > SHOWN_LINES:
-        print(f"... {len(diff) - SHOWN_LINES} more diff lines")
+    # the generated files' paths, shown from the temporary directory
+    print("\n".join(differences).replace(directory + os.sep, ""))
     return 1
+
+
+def split_jobs(lines: list[str]) -> dict[str | None, list[str]]:
+    """A report's lines by part: the config block under None, then each
+    job under the paths of its `== PATHS` header line."""
+    parts: dict[str | None, list[str]] = {None: []}
+    part = parts[None]
+    for line in lines:
+        if line.startswith("== "):
+            part = parts[line[3:]] = []
+        part.append(line)
+    return parts
+
+
+def job_diffs(old: list[str], new: list[str], old_name: str, new_name: str,
+              shown: int = SHOWN_LINES) -> list[str]:
+    """What `compare` prints for two reports of one list of jobs: for the
+    config block and for each job whose lines differ, its name and the
+    first `shown` lines of its own unified diff, then `N of M jobs
+    differ`; nothing when the reports are the same."""
+    old_parts, new_parts = split_jobs(old), split_jobs(new)
+    names = [*old_parts, *(name for name in new_parts if name not in old_parts)]
+    out: list[str] = []
+    differing = 0
+    for name in names:
+        before, after = old_parts.get(name, []), new_parts.get(name, [])
+        if before == after:
+            continue
+        differing += name is not None
+        diff = list(difflib.unified_diff(before, after, old_name, new_name,
+                                         lineterm=""))
+        out += [f"differs: {'configs' if name is None else name}",
+                *diff[:shown]]
+        if len(diff) > shown:
+            out.append(f"... {len(diff) - shown} more diff lines")
+    if out:
+        out.append(f"{differing} of {len(names) - 1} jobs differ")
+    return out
 
 
 if __name__ == "__main__":

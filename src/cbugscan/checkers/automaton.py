@@ -13,13 +13,17 @@ The analysis is interprocedural through function summaries, solved
 callees first by `traverse.solve_summaries` and joined by `_union`. A
 summary maps each instance key in the function's own terms and each
 entry state to the exit states, with witness steps, and to the
-transition errors fired on the way. A summary holds texts, never syntax
-trees. At a call, the callee's keys are rewritten into the caller's
-terms once per call edge, by filling the formals' holes in each text's
-template (`to_template`) with the actuals' (a key that depends on a
-callee local keeps the `callee::text` form), and the summary is applied
-to the caller's instances. There is no call-depth bound; recursion is
-solved to a fixpoint.
+transition errors fired on the way. A key is the text of an access path
+(`ast_nodes.Path`), the one normal form of what an expression names, so
+every spelling of one object is one key: `*&E`, `&*E`, `(&E)[0]` and
+`&E[0]` are E, and `(*E).f` is `E->f`. A summary holds texts, never
+syntax trees. At a call, the callee's keys are rewritten into the
+caller's terms once per call edge: a path rooted at a formal becomes the
+actual's path (`SuperGraph.calls`) followed by the callee's steps,
+normal again (a key whose path names a callee local keeps the
+`callee::text` form), and the summary is applied to the caller's
+instances. There is no call-depth bound; recursion is solved to a
+fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms. A
@@ -52,17 +56,11 @@ from cbugscan.checkers.base import (
 )
 from cbugscan.errors import ConfigError
 from cbugscan.frontend.ast_nodes import (
-    PREC_LEAF,
-    AstNode,
-    NodeKind,
+    Path,
     SourceLocation,
-    iter_tree,
     statement_text,
-    template_text,
-    to_template,
+    to_path,
 )
-from cbugscan.frontend.lexer import int_value
-from cbugscan.frontend.parser import parse_fragment
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
@@ -79,12 +77,6 @@ from cbugscan.traverse import (
 )
 
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
-# a printed path into its first variable: indexes, fields, perhaps under &
-_STORAGE_RE = re.compile(r"&?([A-Za-z_]\w*)((?:\[[^][]*\])*)(?:\.[A-Za-z_]\w*)*")
-# the nodes `*E`, `E->f` and `E[I]`, which `_folded` rewrites where E is
-# an address (`E[I]` only where I is 0)
-_THROUGH_ADDRESS = {(NodeKind.UNARY_OP, "deref"), (NodeKind.MEMBER, "arrow"),
-                    (NodeKind.INDEX, "")}
 
 
 @dataclass
@@ -366,14 +358,14 @@ class _Summaries:
     by `traverse.solve_summaries` and joined with `_union`.
 
     A summary is in the terms of its function, and its keys are texts.
-    `templates` holds each text's template, from the unit's events or
-    mapped across a call (a `callee::text` has none), so a text crosses a
-    call by the records of `SuperGraph.calls`, without a tree. A call that
-    passes one object under two names, so that two of the callee's keys
-    become one key of the caller, gets a variant summary of the callee
-    with those texts merged. The variant is the merge: sorted (text,
-    representative) pairs, the representative the first text of its
-    class in the callee's keys, solved on demand.
+    `paths` holds the access path each text prints, from the unit's
+    events or mapped across a call (a `callee::text` has none), so a text
+    crosses a call by the records of `SuperGraph.calls`, without a tree.
+    A call that passes one object under two names, so that two of the
+    callee's keys become one key of the caller, gets a variant summary of
+    the callee with those texts merged. The variant is the merge: sorted
+    (text, representative) pairs, the representative the first text of
+    its class in the callee's keys, solved on demand.
     """
 
     def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
@@ -382,10 +374,10 @@ class _Summaries:
         self.graph = graph
         self.formals = unit.func_params
         self.declared = unit.func_locals
-        self.templates: dict[str, tuple] = {}
+        self.paths: dict[str, Path] = {}
         # each CFG node's (pattern name, subnode text, bound texts)
         self.events = {owner: [(pattern.name, statement_text(subnode),
-                                {var: self.text_of(to_template(expr)[0])
+                                {var: self.text_of(to_path(expr))
                                  for var, expr in bindings.items()})
                                for pattern, subnode, bindings in hits]
                        for owner, hits in matches(automaton.patterns, unit,
@@ -397,29 +389,31 @@ class _Summaries:
         self.solved, self.applied = solve_summaries(
             graph, self.summarize, _union, _BOTTOM)
 
-    def text_of(self, template: list | tuple) -> str:
-        """The folded text `template` spells (`_folded`), kept with its
-        folded template if it has none yet."""
-        text, template = _folded(template)
-        self.templates.setdefault(text, template)
+    def text_of(self, path: Path) -> str:
+        """The text `path` prints, kept with its path."""
+        text = path.text()
+        self.paths.setdefault(text, path)
         return text
 
     def caller_text(self, site: tuple, text: str, recursive: bool) -> str:
         """A callee's binding text in the caller's terms, once per call
         edge. A text that depends on a callee local keeps the callee's
         terms as `callee::text`, which every later call passes as it is;
-        so does one that would grow across a recursive call, so that a
-        component has finitely many keys and its iteration ends."""
+        so does one of a call of the wrong arity, and one that would grow
+        across a recursive call, so that a component has finitely many
+        keys and its iteration ends."""
         found = self.caller_texts.get((id(site), text))
         if found is None:
             callee, actuals = site
-            found = text  # without a template, a `callee::text`
-            template = self.templates.get(text)
-            if template is not None:
-                mapped = _substituted(template, actuals, self.formals[callee],
-                                      self.declared[callee], recursive)
-                found = (f"{callee}::{text}" if mapped is None
-                         else self.text_of(mapped))
+            found = text  # without a path, a `callee::text`
+            path = self.paths.get(text)
+            if path is not None:
+                formals = self.formals[callee]
+                mapped = len(actuals) == len(formals) and _substituted(
+                    path, dict(zip(formals, actuals)), self.declared[callee],
+                    recursive)
+                found = (self.text_of(mapped) if mapped
+                         else f"{callee}::{text}")
             self.caller_texts[id(site), text] = found
         return found
 
@@ -497,7 +491,8 @@ class _Summaries:
 
         exit_map, errors = run({})
         dead = {key: None for key in keys if any(
-            _own_storage(text, self.declared[fn]) for text in key)}
+            _own_storage(self.paths.get(text), self.declared[fn])
+            for text in key)}
         live = tuple(key for key in keys if key not in dead)
         exits = {_ABSENT: exit_map or {}}
         all_errors = {_ABSENT: errors}
@@ -510,74 +505,53 @@ class _Summaries:
                         dead=tuple(dead), exits=exits, errors=all_errors)
 
 
-def _own_storage(text: str, declared: dict[str, str]) -> bool:
-    """Whether `text` names storage of the frame of the `declared` locals
+def _own_storage(path: Path | None, declared: dict[str, str]) -> bool:
+    """Whether `path` names storage of the frame of the `declared` locals
     and formals: for such an `x`, `&x`, or, where `x`'s type has no `*`,
-    `x`, an element of an array `x`, or a field of either, perhaps under &."""
-    path = _STORAGE_RE.fullmatch(text)
-    ctype = path and declared.get(path[1])
-    return bool(ctype) and (text == "&" + path[1] or "*" not in ctype
-                            and (not path[2] or "[" in ctype))
+    `x`, an element of an array `x`, or a field of either, perhaps under
+    &. A `callee::text` has no path and names no storage of this frame."""
+    ctype = path and type(path.root) is str and declared.get(path.root)
+    if not ctype:
+        return False
+    # each step's kind: "[" an index, "." a field, "*" or "&"
+    shape = "".join("[" if type(step) is Path else step[0]
+                    for step in path.without_address().steps)
+    return path.steps == ("&",) or (
+        "*" not in ctype and not shape.lstrip("[").lstrip(".")
+        and ("[" not in shape or "[" in ctype))
 
 
-def _substituted(template: tuple, actuals: tuple, formals: list[str],
-                 declared: dict[str, str], recursive: bool) -> tuple | None:
-    """A callee text's template with each formal's hole filled by its
-    actual (`SuperGraph.calls`), in parentheses where `to_text` would put
-    them; a lone name takes the hole's context. None when a hole names a
-    callee local, when the arity differs, or at a `recursive` call when a
-    formal's actual has more than one node, so that the text would grow."""
-    if len(actuals) != len(formals):
-        return None
-    bound = dict(zip(formals, actuals))
-    out: list = []
-    for piece in template:
-        actual = None if type(piece) is str else bound.get(piece[0])
-        if actual is None:
-            if type(piece) is tuple and piece[0] in declared:
-                return None
-            out.append(piece)
-        elif recursive and actual[1] < PREC_LEAF:
+def _substituted(path: Path, bound: dict[str, Path],
+                 declared: dict[str, str], recursive: bool) -> Path | None:
+    """A callee's path in its caller's terms: a path rooted at a formal
+    is the formal's actual (`bound`, from `SuperGraph.calls`) followed by
+    the path's steps, kept normal, and so is each path in an opaque root
+    or an index. None when a root names a callee local, or at a
+    `recursive` call when a formal's actual is not a bare name or
+    literal, so that the path would grow."""
+    root = path.root
+    if type(root) is not str:
+        pieces = tuple(piece if type(piece) is str else (_substituted(
+            piece[0], bound, declared, recursive), piece[1])
+            for piece in root[1])
+        if any(piece[0] is None for piece in pieces if type(piece) is tuple):
             return None
-        elif actual[1] < piece[1]:
-            out += ("(", *actual[0], ")")
-        elif actual[1] == PREC_LEAF and type(actual[0][0]) is tuple:
-            out.append((actual[0][0][0], piece[1]))
-        else:
-            out += actual[0]
-    return tuple(out)
-
-
-def _folded(template: list | tuple) -> tuple[str, tuple]:
-    """The text `template` spells with each `*&E` and `(&E)[0]` as `E` and
-    `(&E)->f` as `E.f`, so that `(*&x).f`, `(&x)->f` and `x.f` are one
-    text, and its template; only a text holding `*&` or `(&` is parsed
-    and printed anew."""
-    text = template_text(template)
-    if "*&" not in text and "(&" not in text:
-        return text, template
-    root = AstNode(NodeKind.EXPR_STATEMENT, None, "", (parse_fragment(text),))
-    for node in iter_tree(root):  # a node's children before their walk
-        node.children = tuple(map(_dereferenced, node.children))
-    template = tuple(to_template(root.children[0])[0])
-    return template_text(template), template
-
-
-def _dereferenced(node: AstNode) -> AstNode:
-    """`node` without the `*&` pairs and `(&E)[0]` on top of it, and
-    `(&E)->f` as `E.f`."""
-    while ((node.kind, node.text) in _THROUGH_ADDRESS
-           and node.children[0].kind is NodeKind.UNARY_OP
-           and node.children[0].text == "addrof"):
-        if node.kind is NodeKind.MEMBER:
-            return AstNode(NodeKind.MEMBER, node.location, "dot",
-                           (node.children[0].children[0], node.children[1]))
-        if node.kind is NodeKind.INDEX and not (
-                node.children[1].kind is NodeKind.INT_LITERAL
-                and int_value(node.children[1].text) == 0):
-            break
-        node = node.children[0].children[0]
-    return node
+        out = Path((root[0], pieces))
+    elif root in bound:
+        out = bound[root]
+        if recursive and (out.steps or type(out.root) is not str):
+            return None
+    elif root in declared:
+        return None
+    else:
+        out = Path(root)
+    for step in path.steps:
+        if type(step) is Path:
+            step = _substituted(step, bound, declared, recursive)
+        if step is None:
+            return None
+        out = out.then(step)
+    return out
 
 
 def _step(automaton: AutomatonDef, location: SourceLocation, events: list,

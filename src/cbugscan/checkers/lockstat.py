@@ -3,7 +3,9 @@
 Counts, per variable, how often each lock is held when the variable is
 accessed. When a variable is protected by some lock in at least a
 threshold share of its accesses but not in all of them, the minority
-unlocked sites are likely bugs and get reported.
+unlocked sites are likely bugs and get reported. A variable or a lock is
+the text of its access path (`ast_nodes.Path`), so `(*p).f` and `p->f`
+are one variable.
 
 Held-lock sets are must-hold information: a forward fixpoint per CFG
 intersecting at joins, so "unlocked" means no path reaches the access
@@ -28,7 +30,7 @@ from cbugscan.checkers.base import (
     read_directives,
 )
 from cbugscan.errors import ConfigError
-from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, statement_text
+from cbugscan.frontend.ast_nodes import AstNode, SourceLocation, to_path
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
@@ -85,9 +87,10 @@ def should_report(locked: int, total: int, threshold: Fraction,
 
 
 def text_key(pattern: Pattern, bindings: Bindings, node: AstNode) -> str:
-    """A match's lock key or accessed variable: the text its pattern's
-    first metavariable binds, or the matched text when it has none."""
-    return statement_text(first_binding(pattern, bindings, node))
+    """A match's lock key or accessed variable: the access path
+    (`to_path`) its pattern's first metavariable binds, or the matched
+    node's when it has none, as text."""
+    return to_path(first_binding(pattern, bindings, node)).text()
 
 
 @dataclass

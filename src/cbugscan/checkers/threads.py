@@ -12,10 +12,11 @@ a function's body orders, each lock taken inside with the keys released
 on every path before it, and its lockset change (the locks it may leave
 held, the keys it releases on every path). An entry's edges are those of
 the functions it reaches, by the solver's record of applied calls, itself
-included. Lock keys are the raw text in every function, so a summary
-applies unchanged at every call. The edges are those of every path, so
-they do not depend on the order the worklist visits nodes in. There is
-no call-depth bound; recursion is solved to a fixpoint.
+included. Lock keys are the texts of access paths in every function's
+own terms, unmapped, so a summary applies unchanged at every call. The
+edges are those of every path, so they do not depend on the order the
+worklist visits nodes in. There is no call-depth bound; recursion is
+solved to a fixpoint.
 
 Each edge keeps its least witness (entry, location of the held lock,
 location of the taken lock), which a finding's steps show; each
@@ -46,9 +47,8 @@ from cbugscan.checkers.base import (
 )
 from cbugscan.frontend.ast_nodes import (
     AstNode,
-    NodeKind,
     SourceLocation,
-    statement_text,
+    to_path,
 )
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
@@ -107,22 +107,18 @@ def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
 
 def lock_key(pattern: Pattern, bindings: dict[str, AstNode],
              node: AstNode) -> str:
-    """Canonical lock identity: the bound expression's text, with one
-    leading address-of stripped so `&m` and the lock object `m` agree."""
-    expr = first_binding(pattern, bindings, node)
-    if expr.kind is NodeKind.UNARY_OP and expr.text == "addrof":
-        expr = expr.children[0]
-    return statement_text(expr)
+    """Canonical lock identity: the bound expression's access path
+    (`to_path`) without an address-of on top, so `&m` and the lock
+    object `m` agree."""
+    return to_path(first_binding(pattern, bindings, node)
+                   ).without_address().text()
 
 
 def spawned_entry_name(binding: AstNode) -> str | None:
-    """Function name from a spawn call's %F argument (f or &f)."""
-    node = binding
-    if node.kind is NodeKind.UNARY_OP and node.text == "addrof":
-        node = node.children[0]
-    if node.kind is NodeKind.IDENTIFIER:
-        return node.text
-    return None
+    """Function name from a spawn call's %F argument (f or &f): the root
+    of its access path, when nothing but an `&` is on the root."""
+    path = to_path(binding).without_address()
+    return None if path.steps or type(path.root) is not str else path.root
 
 
 class Witness(NamedTuple):

@@ -113,7 +113,7 @@ _LEAF_KINDS = frozenset({NodeKind.IDENTIFIER, NodeKind.INT_LITERAL, NodeKind.STR
 _PREC_ASSIGN = 1
 _PREC_UNARY = 8
 _PREC_POSTFIX = 9
-PREC_LEAF = 10  # a leaf's: no context parenthesizes it
+_PREC_LEAF = 10  # a leaf's: no context parenthesizes it
 
 # Binding strength of each binary operator, higher binds tighter; the
 # parser and to_text both read it. Assignment (1) binds looser than every
@@ -130,16 +130,16 @@ BINARY_PRECEDENCE = {
 def to_text(node: AstNode) -> str:
     """Render an expression back to canonical C text; structurally equal
     trees always render to the same string, usable as a map key."""
-    return "".join(to_template(node, holes=False)[0])
+    return "".join(_pieces(node, False)[1])
 
 
-def to_template(root: AstNode, holes: bool = True) -> tuple[list, int]:
-    """`to_text`'s pieces of an expression, and its precedence. With
-    `holes`, a template: each identifier, never a member's field name, is
-    a hole `(name, context precedence)`; an expression that fills it needs
-    parentheses when its precedence is below that context, as in `to_text`."""
+def _pieces(root: AstNode, paths: bool) -> tuple[int, tuple]:
+    """The precedence of an expression and `to_text`'s pieces of it. With
+    `paths`, each access path below the root is one piece `(to_path(node),
+    context precedence)`, in parentheses where its precedence is below
+    that context, as in `to_text`."""
     out: list = []
-    top = PREC_LEAF
+    top = _PREC_LEAF
     # pending pieces, next one last: text, or (subtree, context precedence)
     stack: list = [(root, 0)]
     while stack:
@@ -149,9 +149,12 @@ def to_template(root: AstNode, holes: bool = True) -> tuple[list, int]:
             continue
         node, ctx = item
         kind = node.kind
+        if paths and node is not root and (kind in _PATH_KINDS or (
+                kind is NodeKind.UNARY_OP and node.text in _PATH_STEPS)):
+            out.append((to_path(node), ctx))
+            continue
         if kind in _LEAF_KINDS:
-            out.append((node.text, ctx) if holes and kind is NodeKind.IDENTIFIER
-                       else node.text)
+            out.append(node.text)
             continue
         if kind is NodeKind.META_VAR:
             out.append("%" + node.text)
@@ -188,13 +191,117 @@ def to_template(root: AstNode, holes: bool = True) -> tuple[list, int]:
         if prec < ctx:
             pieces = ("(", *pieces, ")")
         stack.extend(reversed(pieces))
-    return out, top
+    return top, tuple(out)
 
 
-def template_text(template) -> str:
-    """The text a template spells, each hole by its name."""
-    return "".join(piece if type(piece) is str else piece[0]
-                   for piece in template)
+# -- access paths ------------------------------------------------------------------
+
+# the kinds of an access path's nodes, and its unary operators' steps
+_PATH_KINDS = _LEAF_KINDS | {NodeKind.MEMBER, NodeKind.INDEX}
+_PATH_STEPS = {"deref": "*", "addrof": "&"}
+
+
+def int_value(text: str) -> int:
+    """The value of a number token, by C rules: a leading `0x` means hex,
+    a leading `0` octal."""
+    if text[:2] in ("0x", "0X"):
+        return int(text, 16)
+    return int(text, 8 if text[0] == "0" else 10)
+
+
+class Path(NamedTuple):
+    """What an expression names, in one normal form: an access path
+    (Cheng & Hwu, PLDI 2000). `root` is a name or a literal's text, or an
+    expression that is not a path, such as a call, as its `_pieces` with
+    paths. `steps` follow it outward: "*", "&", fields ".f" and "->f",
+    and indexes, each a `Path`. `then` keeps a path normal: `*&E` and
+    `&*E` are E, an index 0 next to an `&` cancels it as a `*` does, so
+    `(&E)[0]` and `&E[0]` are E, `(*E).f` is `E->f` and `(&E)->f` is
+    `E.f`. `text` prints a path as `to_text` prints its normal form."""
+    root: str | tuple
+    steps: tuple = ()
+
+    def then(self, step) -> Path:
+        """This path followed by `step`, normal."""
+        steps = self.steps
+        if not steps:
+            return Path(self.root, (step,))
+        last = steps[-1]
+        if (last == "&" and (step == "*" or _zero(step))
+                or step == "&" and (last == "*" or _zero(last))):
+            return Path(self.root, steps[:-1])
+        if last == "*" and step[:1] == ".":
+            return Path(self.root, steps[:-1] + ("->" + step[1:],))
+        if last == "&" and step[:2] == "->":
+            return Path(self.root, steps[:-1] + ("." + step[2:],))
+        return Path(self.root, steps + (step,))
+
+    def without_address(self) -> Path:
+        """This path without an `&` on top: the object itself."""
+        if self.steps[-1:] == ("&",):
+            return Path(self.root, self.steps[:-1])
+        return self
+
+    def text(self) -> str:
+        return self._printed()[0]
+
+    def _printed(self) -> tuple[str, int]:
+        """The text and its precedence."""
+        text, prec = self.root, _PREC_LEAF
+        if type(text) is not str:
+            prec, pieces = text
+            text = "".join(piece if type(piece) is str
+                           else _within(*piece[0]._printed(), piece[1])
+                           for piece in pieces)
+        for step in self.steps:
+            if step == "*" or step == "&":
+                text = step + _within(text, prec, _PREC_UNARY)
+                prec = _PREC_UNARY
+            else:
+                text = _within(text, prec, _PREC_POSTFIX) + (
+                    step if type(step) is str else f"[{step.text()}]")
+                prec = _PREC_POSTFIX
+        return text, prec
+
+
+def _zero(step) -> bool:
+    """Whether `step` is the index 0, in any base."""
+    return (type(step) is Path and not step.steps and type(step.root) is str
+            and step.root[0].isdigit() and int_value(step.root) == 0)
+
+
+def _within(text: str, prec: int, context: int) -> str:
+    """`text`, of precedence `prec`, as it is written in `context`."""
+    return f"({text})" if prec < context else text
+
+
+def to_path(node: AstNode) -> Path:
+    """The normal access path of an expression: the member, index, `*`
+    and `&` nodes from its top are its steps, and what is under them its
+    root; a statement, which a pattern without metavariables may match,
+    is a root of its own text."""
+    steps: list = []
+    while True:
+        kind = node.kind
+        if kind is NodeKind.MEMBER:
+            arrow = "->" if node.text == "arrow" else "."
+            steps.append(arrow + node.children[1].text)
+        elif kind is NodeKind.INDEX:
+            steps.append(to_path(node.children[1]))
+        elif kind is NodeKind.UNARY_OP and node.text in _PATH_STEPS:
+            steps.append(_PATH_STEPS[node.text])
+        else:
+            break
+        node = node.children[0]
+    if kind in _LEAF_KINDS:
+        path = Path(node.text)
+    elif kind in EXPRESSION_KINDS:
+        path = Path(_pieces(node, True))
+    else:
+        path = Path(statement_text(node))
+    for step in reversed(steps):
+        path = path.then(step)
+    return path
 
 
 def statement_text(node: AstNode) -> str:

@@ -68,14 +68,6 @@ _LINE_MARKER = re.compile(
 Token = tuple[str, str, SourceLocation]
 
 
-def int_value(text: str) -> int:
-    """The value of a number token, by C rules: a leading `0x` means hex,
-    a leading `0` octal."""
-    if text[:2] in ("0x", "0X"):
-        return int(text, 16)
-    return int(text, 8 if text[0] == "0" else 10)
-
-
 def tokenize(source: str, file: str, metavars: bool = False) -> list[Token]:
     """Split source into tokens; raises FrontendError at the first bad char.
 

@@ -30,9 +30,9 @@ from cbugscan.frontend.ast_nodes import (
     AstNode,
     NodeKind,
     SourceLocation,
+    int_value,
     statement_text,
 )
-from cbugscan.frontend.lexer import int_value
 
 
 class CfgNodeKind(Enum):

@@ -5,7 +5,7 @@ into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
 `succs` maps every CFG node id, which is unique within a unit, to its
 CFG's own successor list, not a copy; `calls` lists each node's calls
 to functions the unit defines, in evaluation order, each as its callee
-and its actuals' templates (`ast_nodes.to_template`), so that no reader
+and its actuals' access paths (`ast_nodes.to_path`), so that no reader
 needs the call's tree; `sccs` holds the components of those calls
 (`ir.callgraph.strongly_connected_components`), callees before callers.
 `calls`, `recursive` and the components are read off the edges of the
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
-from cbugscan.frontend.ast_nodes import to_template
+from cbugscan.frontend.ast_nodes import Path, to_path
 from cbugscan.ir.callgraph import strongly_connected_components
 from cbugscan.ir.cfg import Cfg
 from cbugscan.ir.units import TranslationUnit
@@ -41,7 +41,8 @@ Summary = TypeVar("Summary")
 
 @dataclass(eq=False)
 class SuperGraph:
-    """All CFGs of one unit, with their unit-local calls.
+    """All CFGs of one unit, with their unit-local calls, each as its
+    callee and its actuals' access paths.
 
     `recursive` names the functions of every component that calls
     itself: a call between two functions of one component (`scc_of`
@@ -50,7 +51,7 @@ class SuperGraph:
     """
     cfgs: dict[str, Cfg]
     succs: dict[int, list[int]]
-    calls: dict[int, list[tuple[str, tuple]]]
+    calls: dict[int, list[tuple[str, tuple[Path, ...]]]]
     sccs: list[list[str]]
     scc_of: dict[str, int]
     recursive: frozenset[str]
@@ -72,7 +73,7 @@ def _supergraph(unit: TranslationUnit) -> SuperGraph:
     for edge in unit.call_graph.edges:
         if not edge.external:
             calls.setdefault(edge.node_id, []).append((edge.callee, tuple(
-                map(to_template, edge.call_node.children[1:]))))
+                map(to_path, edge.call_node.children[1:]))))
             callees[edge.caller].append(edge.callee)
     sccs = strongly_connected_components(callees)
     return SuperGraph(

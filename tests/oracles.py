@@ -34,8 +34,12 @@ from cbugscan.frontend import (
     to_text,
     tokenize,
 )
-from cbugscan.frontend.ast_nodes import BINARY_PRECEDENCE, UNARY_SYMBOL
-from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS, int_value
+from cbugscan.frontend.ast_nodes import (
+    BINARY_PRECEDENCE,
+    UNARY_SYMBOL,
+    int_value,
+)
+from cbugscan.frontend.lexer import _LINE_MARKER, KEYWORDS
 from cbugscan.frontend.parser import _Parser
 from cbugscan.patterns import match_node
 from cbugscan.pointsto import Constraint, ConstraintKind
@@ -219,10 +223,10 @@ def cloned_supergraph(unit, entry: str):
 
 def map_expression_to_caller(expr, call, unit):
     """Rewrite an expression of the function `call` calls into the
-    caller's terms: formals become the actual argument trees, globals
-    pass through, and an expression that depends on a callee local (or a
-    call of the wrong arity) has no caller-side equivalent: None. The
-    result is `folded`."""
+    caller's terms: formals become the actual argument trees, `folded`,
+    globals pass through, and an expression that depends on a callee
+    local (or a call of the wrong arity) has no caller-side equivalent:
+    None. The result is `folded`."""
     callee = call.children[0].text
     params = unit.func_params.get(callee)
     if params is None:
@@ -237,14 +241,15 @@ def map_expression_to_caller(expr, call, unit):
         actual = formal_to_actual.get(node.text)
         if actual is None and node.text in locals_:
             return None
-        return node if actual is None else actual
+        return node if actual is None else folded(actual)
 
     return _rewritten(expr, leaf)
 
 
 def folded(expr):
     """`expr` with each dereferenced address `*&E` or `(&E)[0]` as `E`,
-    the object itself, and each `(&E)->f` as `E.f`."""
+    the object itself, each address of an object `&*E` or `&E[0]` as
+    `E`, each `(&E)->f` as `E.f` and each `(*E).f` as `E->f`."""
     return _rewritten(expr, lambda node: node)
 
 
@@ -275,22 +280,37 @@ def _rewritten(expr, leaf):
             inner = children[0]
             address = (inner.kind is NodeKind.UNARY_OP
                        and inner.text == "addrof")
+            dereferenced = (inner.kind is NodeKind.UNARY_OP
+                            and inner.text == "deref")
+            first = (inner.kind is NodeKind.INDEX
+                     and _is_zero(inner.children[1]))
             if address and node.kind is NodeKind.UNARY_OP and (
                     node.text == "deref"):
                 mapped[id(node)] = inner.children[0]
+            elif (dereferenced or first) and node.kind is NodeKind.UNARY_OP \
+                    and node.text == "addrof":
+                mapped[id(node)] = inner.children[0]
             elif address and node.kind is NodeKind.INDEX and (
-                    children[1].kind is NodeKind.INT_LITERAL
-                    and int_value(children[1].text) == 0):
+                    _is_zero(children[1])):
                 mapped[id(node)] = inner.children[0]
             elif address and node.kind is NodeKind.MEMBER and (
                     node.text == "arrow"):
                 mapped[id(node)] = AstNode(
                     NodeKind.MEMBER, node.location, "dot",
                     (inner.children[0], node.children[1]))
+            elif dereferenced and node.kind is NodeKind.MEMBER and (
+                    node.text == "dot"):
+                mapped[id(node)] = AstNode(
+                    NodeKind.MEMBER, node.location, "arrow",
+                    (inner.children[0], node.children[1]))
             else:
                 mapped[id(node)] = _clone(
                     node, children + node.children[len(variables):])
     return mapped[id(expr)]
+
+
+def _is_zero(node) -> bool:
+    return node.kind is NodeKind.INT_LITERAL and int_value(node.text) == 0
 
 
 def _clone(node, children):
@@ -300,10 +320,11 @@ def _clone(node, children):
 
 
 def frame_storage(expr, declared) -> bool:
-    """Whether `expr` names storage of a frame whose variables have the
-    `declared` types: `&x`, or, perhaps under `&`, a chain of indexes then
-    fields on `x`, where `x`'s type has no `*` and, with an index, is an
-    array."""
+    """Whether `expr`, `folded`, names storage of a frame whose variables
+    have the `declared` types: `&x`, or, perhaps under `&`, a chain of
+    indexes then fields on `x`, where `x`'s type has no `*` and, with an
+    index, is an array. So `*&x` is `x`."""
+    expr = folded(expr)
     if expr.kind is NodeKind.UNARY_OP and expr.text == "addrof":
         if expr.children[0].kind is NodeKind.IDENTIFIER:
             return expr.children[0].text in declared

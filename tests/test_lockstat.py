@@ -327,6 +327,21 @@ def test_member_expression_keys(tmp_path):
         "&d->mux held at 4 of 5 accesses")
 
 
+def test_spellings_of_one_field_are_one_variable(tmp_path):
+    # `(*p).used` is p->used: nine locked writes of either spelling
+    config = ('access "%V = %E"\n'
+              'lock "mutex_lock(%L)" unlock "mutex_unlock(%L)"\n')
+    locked = "".join(
+        f"void f{i}(struct s *p) {{ mutex_lock(&m); "
+        f"{'p->used' if i % 2 else '(*p).used'} = {i}; mutex_unlock(&m); }}\n"
+        for i in range(9))
+    traces = run(locked + "void g(struct s *p) { p->used = 9; }\n", tmp_path,
+                 config_text=config)
+    assert [t.message for t in traces] == [
+        "variable p->used accessed without lock &m held; "
+        "&m held at 9 of 10 accesses"]
+
+
 def test_access_pattern_without_metavar_uses_node_text(tmp_path):
     config = """
     access "g_count"

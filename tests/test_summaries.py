@@ -17,11 +17,16 @@ from cbugscan.checkers.base import Services
 from cbugscan.cli import main
 from cbugscan.config import AnalysisJob, SourceDescriptor
 from cbugscan.engine import run_job
-from cbugscan.frontend import AstNode
+from cbugscan.frontend import AstNode, parse_fragment
+from cbugscan.frontend.ast_nodes import to_path
 from cbugscan.ir import build_unit_from_text
 from cbugscan.report import export_json, normalize
 
-from oracles import cloned_automaton_traces, cloned_thread_traces
+from oracles import (
+    cloned_automaton_traces,
+    cloned_thread_traces,
+    frame_storage,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REGISTRY = builtin_registry()
@@ -341,8 +346,8 @@ def holds_a_tree(value) -> bool:
 def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
     # summaries are plain data: keys, texts, states, witnesses and error
     # templates, over the corpus and over programs that merge keys; so are
-    # the binding texts' templates and the call sites' records
-    solved, tables, templates = [], [], 0
+    # the binding texts' access paths and the call sites' records
+    solved, tables, paths = [], [], 0
 
     def solve(graph, summarize, *args):
         tables.append(summarize.__self__)
@@ -364,9 +369,9 @@ def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
             for key, summary in summaries.items():
                 assert not holds_a_tree(summary), (name, key)
         for table in tables:
-            assert not holds_a_tree(table.templates), name
+            assert not holds_a_tree(table.paths), name
             assert not holds_a_tree(table.graph.calls), name
-            templates += len(table.templates)
+            paths += len(table.paths)
         tables.clear()
         # each passes one object under two names; the pointer-valued
         # local's probe passes it to a local, not to two formals, and the
@@ -375,7 +380,7 @@ def test_no_automaton_summary_holds_a_syntax_tree(monkeypatch):
                 and not name.startswith(("deref_", "fold_"))):
             assert any(variant for summaries in solved
                        for _, variant in summaries), name
-    assert templates  # not vacuous
+    assert paths  # not vacuous
 
 
 # -- a callee's own storage dies at its return ------------------------------------
@@ -427,6 +432,14 @@ def test_a_dereferenced_address_is_the_object_itself(name, findings):
     # `(&x)[0]` is x, written so or made by filling h's hole with &m
     ("fold_index.c", []),
     ("fold_index_call.c", []),
+    # `&*p` is p, `(*p).m` is p->m and `&a[0]` is a, written so or made
+    # by filling h's hole
+    ("fold_addr_deref.c", []),
+    ("fold_addr_deref_call.c", []),
+    ("fold_deref_field.c", []),
+    ("fold_deref_field_call.c", []),
+    ("fold_addr_index.c", []),
+    ("fold_addr_index_call.c", []),
 ])
 def test_an_address_dereferenced_is_folded_wherever_a_key_is_made(
         name, findings):
@@ -438,14 +451,19 @@ def test_an_address_dereferenced_is_folded_wherever_a_key_is_made(
 @pytest.mark.parametrize("text, dies", [
     ("&x", True), ("&q", True), ("x", True), ("x.f", True), ("x.f.g", True),
     ("&x.f", True), ("a[i]", True), ("a[i].f", True), ("&a[i + 1]", True),
+    # `*&x` is x; an element of the local array a, whatever its index
+    ("*&x", True), ("a[b[0]]", True),
     # through a pointer, or not a local
     ("q", False), ("*q", False), ("q->f", False), ("q[i]", False),
-    ("&q[i]", False), ("x[i]", False), ("x.f[i]", False), ("*&x", False),
-    ("g", False), ("&g", False), ("h::x", False), ("x + 1", False),
-    # an index holding brackets is not read: kept, as through a pointer
-    ("a[b[0]]", False),
+    ("&q[i]", False), ("x[i]", False), ("x.f[i]", False),
+    ("g", False), ("&g", False), ("x + 1", False),
+    # a `callee::text` has no path
+    ("h::x", False),
 ])
 def test_own_storage_of_a_frame(text, dies):
     declared = {"x": "struct mutex", "q": "struct mutex *", "a": "int[4]",
                 "b": "int[2]", "i": "int"}
-    assert automaton._own_storage(text, declared) is dies
+    tree = None if "::" in text else parse_fragment(text, file="t.c")
+    assert automaton._own_storage(tree and to_path(tree), declared) is dies
+    if tree is not None:
+        assert frame_storage(tree, declared) is dies

@@ -511,6 +511,17 @@ def test_ladder_of_30_layers_is_fast(tmp_path):
         f"further lock-order cycles are not reported"]
 
 
+def test_two_spellings_of_one_lock_close_the_cycle():
+    # `&s->mux` in f and `&(*s).mux` in g are one lock, s->mux, as where
+    # both spell it `&s->mux`
+    probe = PROBES["THREAD_PROBES"]["spellings.c"]
+    for source in (probe, probe.replace("&(*s).mux", "&s->mux")):
+        traces = builtin_registry().create("thread").check_unit(
+            unit(source), services())
+        assert [t.message for t in traces] == [
+            "circular lock dependency: big <- s->mux <- big"]
+
+
 def test_1501_lock_ring_is_one_finding(tmp_path):
     size = 1501
     functions = [

@@ -2,9 +2,9 @@ import textwrap
 
 from hypothesis import example, given, settings, strategies as st
 
-from cbugscan.checkers.automaton import _folded, _substituted
+from cbugscan.checkers.automaton import _substituted
 from cbugscan.frontend import NodeKind, iter_tree, parse_fragment, to_text
-from cbugscan.frontend.ast_nodes import template_text, to_template
+from cbugscan.frontend.ast_nodes import to_path
 from cbugscan.ir import build_unit_from_text
 from cbugscan.traverse import (
     SuperGraph,
@@ -12,7 +12,7 @@ from cbugscan.traverse import (
     solve_summaries,
 )
 
-from oracles import bfs_reachable, map_expression_to_caller
+from oracles import bfs_reachable, folded, map_expression_to_caller
 
 
 def unit_of(source):
@@ -251,35 +251,32 @@ def test_a_long_chain_of_variant_requests_takes_no_recursion():
     assert len(solved) == 2 * n - 1
 
 
-# -- a callee text in a caller's terms, by its template ----------------------------
+# -- a callee path in a caller's terms ----------------------------------------------
 
 def call_for(unit, caller, callee):
     """The tree of `caller`'s call to `callee`, and the supergraph's
-    record of it: the callee and its actuals' templates."""
+    record of it: the callee and its actuals' access paths."""
     edge = next(edge for edge in unit.call_graph.edges
                 if (edge.caller, edge.callee) == (caller, callee))
     site, = build_supergraph(unit).calls[edge.node_id]
     return edge.call_node, site
 
 
-def mapped_template(unit, site, template, recursive=False):
-    """`template`, of a text of the function the call `site` calls, in
-    the caller's terms: with the call's actuals' templates in the holes of
-    the callee's formals, each `*&E` read as `E` and each `(&E)->f` as
-    `E.f`, as the automaton maps a text; None where it has no caller
-    terms."""
+def mapped_path(unit, site, path, recursive=False):
+    """`path`, of the function the call `site` calls, in the caller's
+    terms, as the automaton maps a key; None where it has none."""
     callee, actuals = site
-    if template is None:
+    formals = unit.func_params[callee]
+    if path is None or len(actuals) != len(formals):
         return None
-    mapped = _substituted(template, actuals, unit.func_params[callee],
-                          unit.func_locals[callee], recursive)
-    return None if mapped is None else _folded(mapped)[1]
+    return _substituted(path, dict(zip(formals, actuals)),
+                        unit.func_locals[callee], recursive)
 
 
 def mapped_text(unit, site, expression, recursive=False):
-    mapped = mapped_template(unit, site, to_template(
-        parse_fragment(expression, file="t.c"))[0], recursive)
-    return None if mapped is None else template_text(mapped)
+    mapped = mapped_path(unit, site, to_path(
+        parse_fragment(expression, file="t.c")), recursive)
+    return None if mapped is None else mapped.text()
 
 
 MAPPING_UNIT = """
@@ -373,12 +370,12 @@ def expressions(leaves):
 def reference_tree(unit, call, tree, recursive):
     """What `map_expression_to_caller` makes of `tree` (None for None),
     or None where it would grow across a `recursive` call: where a formal
-    it names has an actual of more than one node."""
+    it names has an actual of more than one node, `folded`."""
     mapped = tree and map_expression_to_caller(tree, call, unit)
     actuals = dict(zip(unit.func_params[call.children[0].text],
                        call.children[1:]))
     if mapped is not None and recursive and any(
-            len(list(iter_tree(actuals[name]))) > 1
+            len(list(iter_tree(folded(actuals[name])))) > 1
             for name in variable_names(tree) if name in actuals):
         mapped = None
     return mapped
@@ -408,11 +405,15 @@ def variable_names(tree):
 # a dereferenced address is the object, at the first call or the second
 @example("(*(p)).f + *(p)", ["&(a)", "b", "7"], ["c", "shared"], False)
 @example("*(p)", ["b", "a", "7"], ["c", "&(c)"], False)
+# filling a formal makes `&*E`, `&E[0]` or `(*E).f`: E, E and E->f
+@example("&(n)", ["a", "*(b)", "7"], ["c", "shared"], False)
+@example("&(n)", ["a", "(b)[0]", "7"], ["c", "shared"], False)
+@example("(n).f", ["a", "*(b)", "7"], ["c", "shared"], False)
 def test_template_substitution_gives_the_mapped_trees_text(
         expression, actuals, outer_actuals, recursive):
-    # as many actuals as formals, or a call of the wrong arity; the text
-    # is taken out of two calls, so the holes a substitution leaves are
-    # filled again
+    # as many actuals as formals, or a call of the wrong arity; the path
+    # is taken out of two calls, so the roots a substitution leaves are
+    # mapped again
     unit = unit_of(f"""
         int shared;
         void callee(int *p, int n, struct box s) {{
@@ -422,11 +423,11 @@ def test_template_substitution_gives_the_mapped_trees_text(
         void top(int c) {{ caller({", ".join(outer_actuals)}); }}
     """)
     tree = parse_fragment(expression, file="t.c")
-    template = to_template(tree)[0]
-    assert template_text(template) == to_text(tree)
+    path = to_path(tree)
+    assert path.text() == to_text(folded(tree))
     for caller, callee in (("caller", "callee"), ("top", "caller")):
         call, site = call_for(unit, caller, callee)
         tree = reference_tree(unit, call, tree, recursive)
-        template = mapped_template(unit, site, template, recursive)
-        assert (None if template is None else template_text(template)) == (
+        path = mapped_path(unit, site, path, recursive)
+        assert (None if path is None else path.text()) == (
             None if tree is None else to_text(tree))
