@@ -15,9 +15,13 @@ not exported. After each one-file job it also prints the file's syntax
 tree as `cbugscan dump-ast` does (`dump_sexpr`), or the message and
 location of the `FrontendError` that parsing it raises, and the CFG
 of every function as DOT, as `cbugscan dump-cfg` does (`cfg_to_dot`),
-or the `FrontendError` that building the unit raises, so the two
-frontends and CFG layers are compared tree for tree and graph for
-graph, not only by what the checkers report. Before the jobs, the
+or the `FrontendError` that building the unit raises, and then, under a
+`graph:` line, the unit's call graph: each of `unit.call_graph.edges`
+as its caller, node id, callee and whether it is external, each call of
+`build_supergraph(unit).calls` as its node id, callee and actuals'
+`Path.text()`, the components `sccs`, and `recursive` sorted. So the two
+frontends, CFG layers and call graphs are compared tree for tree and
+graph for graph, not only by what the checkers report. Before the jobs, the
 config parsers of the automaton, lockstat and thread checkers each
 read every text of `BAD_CONFIGS`, malformed configs that reach every
 error the config reader and their directives raise, and the
@@ -95,6 +99,7 @@ from cbugscan.frontend import dump_sexpr, parse, preprocess_source
 from cbugscan.ir.cfg import cfg_to_dot
 from cbugscan.ir.units import load_unit
 from cbugscan.report import export_console, export_json
+from cbugscan.traverse import build_supergraph
 
 parsers = {"automaton": parse_automaton_file, "lockstat": parse_lockstat_config,
            "thread": parse_thread_config}
@@ -122,10 +127,23 @@ for paths in request["jobs"]:
             tree = f"FrontendError: {err.message} at {err.location}"
         sys.stdout.write(f"sexpr: {tree}\n")
         try:
-            dot = "\n".join(map(cfg_to_dot, load_unit(paths[0]).cfgs.values()))
+            unit = load_unit(paths[0])
         except FrontendError as err:
-            dot = f"FrontendError: {err.message} at {err.location}"
-        sys.stdout.write(f"cfg: {dot}\n")
+            sys.stdout.write(
+                f"cfg: FrontendError: {err.message} at {err.location}\n")
+            continue
+        dot = "\n".join(map(cfg_to_dot, unit.cfgs.values()))
+        sys.stdout.write(f"cfg: {dot}\ngraph:\n")
+        for edge in unit.call_graph.edges:
+            sys.stdout.write(f"edge {edge.caller} {edge.node_id} "
+                             f"{edge.callee} {edge.external}\n")
+        graph = build_supergraph(unit)
+        for node_id, sites in graph.calls.items():
+            for callee, actuals in sites:
+                sys.stdout.write(f"call {node_id} {callee}"
+                                 f"({', '.join(p.text() for p in actuals)})\n")
+        sys.stdout.write(f"sccs {graph.sccs}\n"
+                         f"recursive {sorted(graph.recursive)}\n")
 """
 
 # Each is read by all three config parsers: the reader's own errors,

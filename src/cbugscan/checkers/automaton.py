@@ -61,7 +61,7 @@ from cbugscan.frontend.ast_nodes import (
     statement_text,
     to_path,
 )
-from cbugscan.ir.callgraph import strongly_connected_components
+from cbugscan.ir.callgraph import SuperGraph, strongly_connected_components
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -70,11 +70,7 @@ from cbugscan.patterns import (
     pattern_kinds,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-from cbugscan.traverse import (
-    SuperGraph,
-    build_supergraph,
-    solve_summaries,
-)
+from cbugscan.traverse import build_supergraph, solve_summaries
 
 _METAVAR_RE = re.compile(r"%([A-Za-z_]\w*)")
 

@@ -50,6 +50,7 @@ from cbugscan.frontend.ast_nodes import (
     SourceLocation,
     to_path,
 )
+from cbugscan.ir.callgraph import SuperGraph
 from cbugscan.ir.units import TranslationUnit
 from cbugscan.patterns import (
     Pattern,
@@ -59,11 +60,7 @@ from cbugscan.patterns import (
     pattern_kinds,
 )
 from cbugscan.report import ErrorTrace, Importance, TraceStep
-from cbugscan.traverse import (
-    SuperGraph,
-    build_supergraph,
-    solve_summaries,
-)
+from cbugscan.traverse import build_supergraph, solve_summaries
 
 DEFAULT_SPAWN = 'pthread_create(%A, %B, %F, %D)'
 DEFAULT_MAX_CYCLES = 1000

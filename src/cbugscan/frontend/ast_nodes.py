@@ -225,21 +225,21 @@ class Path(NamedTuple):
         """This path followed by `step`, normal."""
         steps = self.steps
         if not steps:
-            return Path(self.root, (step,))
+            return _new(Path, (self.root, (step,)))
         last = steps[-1]
         if (last == "&" and (step == "*" or _zero(step))
                 or step == "&" and (last == "*" or _zero(last))):
-            return Path(self.root, steps[:-1])
+            return _new(Path, (self.root, steps[:-1]))
         if last == "*" and step[:1] == ".":
-            return Path(self.root, steps[:-1] + ("->" + step[1:],))
+            return _new(Path, (self.root, steps[:-1] + ("->" + step[1:],)))
         if last == "&" and step[:2] == "->":
-            return Path(self.root, steps[:-1] + ("." + step[2:],))
-        return Path(self.root, steps + (step,))
+            return _new(Path, (self.root, steps[:-1] + ("." + step[2:],)))
+        return _new(Path, (self.root, steps + (step,)))
 
     def without_address(self) -> Path:
         """This path without an `&` on top: the object itself."""
         if self.steps[-1:] == ("&",):
-            return Path(self.root, self.steps[:-1])
+            return _new(Path, (self.root, self.steps[:-1]))
         return self
 
     def text(self) -> str:
@@ -262,6 +262,11 @@ class Path(NamedTuple):
                     step if type(step) is str else f"[{step.text()}]")
                 prec = _PREC_POSTFIX
         return text, prec
+
+
+# tuple.__new__ builds a path without the NamedTuple's Python-level
+# __new__, which would be one more call per path and step
+_new = tuple.__new__
 
 
 def _zero(step) -> bool:
@@ -294,11 +299,11 @@ def to_path(node: AstNode) -> Path:
             break
         node = node.children[0]
     if kind in _LEAF_KINDS:
-        path = Path(node.text)
+        path = _new(Path, (node.text, ()))
     elif kind in EXPRESSION_KINDS:
-        path = Path(_pieces(node, True))
+        path = _new(Path, (_pieces(node, True), ()))
     else:
-        path = Path(statement_text(node))
+        path = _new(Path, (statement_text(node), ()))
     for step in reversed(steps):
         path = path.then(step)
     return path

@@ -3,13 +3,13 @@
 A TranslationUnit bundles everything one source file contributes: its
 AST, per-function CFGs, declaration tables, the match table every
 pattern consumer reads (`cbugscan.patterns`), listing the node kinds the
-job's checkers read, and the call graph, built from the calls the match
-table's one walk lists for each CFG node. It
-also keeps what checkers work out from those once for all of them: each
-pattern's hits by pattern shape (`checkers.base.matches`) and the
-supergraph (`traverse.build_supergraph`). The
-UnitManager builds units on demand through a loader callable and keeps
-at most `budget` of them resident, evicting the least recently used.
+job's checkers read, and the call graph, built as the unit's supergraph
+(`ir.callgraph.build_call_graph`) from the calls the match table's one
+walk lists for each CFG node. It also keeps what checkers work out from
+those once for all of them: each pattern's hits by pattern shape
+(`checkers.base.matches`). The UnitManager builds units on demand
+through a loader callable and keeps at most `budget` of them resident,
+evicting the least recently used.
 Analyses that fetch units only through the manager produce identical
 results at any budget; only peak memory and reload counts change.
 """
@@ -20,18 +20,15 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from cbugscan.errors import ConfigError, FrontendError
 from cbugscan.frontend.ast_nodes import AstNode, NodeKind
 from cbugscan.frontend.parser import parse
 from cbugscan.frontend.preprocess import preprocess_source
-from cbugscan.ir.callgraph import CallGraph, build_call_graph
+from cbugscan.ir.callgraph import SuperGraph, build_call_graph
 from cbugscan.ir.cfg import Cfg, build_cfg
 from cbugscan.patterns import Hit, MatchTable, build_match_table
-
-if TYPE_CHECKING:
-    from cbugscan.traverse import SuperGraph
 
 
 @dataclass(eq=False)
@@ -41,7 +38,7 @@ class TranslationUnit:
     ast: AstNode
     functions: dict[str, AstNode] = field(default_factory=dict)
     cfgs: dict[str, Cfg] = field(default_factory=dict)
-    call_graph: CallGraph = field(default_factory=CallGraph)
+    call_graph: SuperGraph = field(init=False)  # set once the CFGs are built
     func_params: dict[str, list[str]] = field(default_factory=dict)
     # each function's formals and locals, with their declared types
     func_locals: dict[str, dict[str, str]] = field(default_factory=dict)
@@ -51,8 +48,6 @@ class TranslationUnit:
     # each pattern's hits in `match_table` by `Pattern.shape`, filled by
     # `checkers.base.matches` as checkers ask
     hits_by_shape: dict[tuple, list[Hit]] = field(default_factory=dict)
-    # filled by `traverse.build_supergraph` on first use
-    supergraph: SuperGraph | None = None
 
 
 def build_unit_from_text(source: str, path: str,

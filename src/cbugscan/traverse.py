@@ -1,20 +1,10 @@
 """The per-unit interprocedural graph and the one summary solver.
 
-`build_supergraph(unit)` joins the CFGs of every function a unit defines
-into one graph, the supergraph of Reps, Horwitz & Sagiv (POPL'95).
-`succs` maps every CFG node id, which is unique within a unit, to its
-CFG's own successor list, not a copy; `calls` lists each node's calls
-to functions the unit defines, in evaluation order, each as its callee
-and its actuals' access paths (`ast_nodes.to_path`), so that no reader
-needs the call's tree; `sccs` holds the components of those calls
-(`ir.callgraph.strongly_connected_components`), callees before callers.
-`calls`, `recursive` and the components are read off the edges of the
-unit's call graph, which holds the call sites the match-table pass
-found: only the actuals are walked here. The graph is
-computed on the first call for a unit and kept on the unit, which every
-later call, from any checker, returns; it holds the unit's CFGs but no
-reference back to the unit, so a unit and its graph are freed without
-the cycle collector.
+`build_supergraph(unit)` returns the unit's supergraph, which is its
+call graph (`ir.callgraph.build_call_graph`, built with the unit): the
+CFGs of every function the unit defines as one graph, each node's calls
+to those functions, and the components of those calls, callees before
+callers. Both interprocedural checkers fetch the graph through it.
 
 Calls are not expanded into the graph. The interprocedural checkers
 compute one summary per function and apply a callee's summary at each
@@ -28,65 +18,17 @@ also keeps the one record of the calls each function's walk applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, TypeVar
 
-from cbugscan.frontend.ast_nodes import Path, to_path
-from cbugscan.ir.callgraph import strongly_connected_components
-from cbugscan.ir.cfg import Cfg
+from cbugscan.ir.callgraph import SuperGraph
 from cbugscan.ir.units import TranslationUnit
 
 Summary = TypeVar("Summary")
 
 
-@dataclass(eq=False)
-class SuperGraph:
-    """All CFGs of one unit, with their unit-local calls, each as its
-    callee and its actuals' access paths.
-
-    `recursive` names the functions of every component that calls
-    itself: a call between two functions of one component (`scc_of`
-    gives a function's index in `sccs`) is a recursive call. The unit
-    keeps its graph; the graph holds the unit's CFGs, not the unit.
-    """
-    cfgs: dict[str, Cfg]
-    succs: dict[int, list[int]]
-    calls: dict[int, list[tuple[str, tuple[Path, ...]]]]
-    sccs: list[list[str]]
-    scc_of: dict[str, int]
-    recursive: frozenset[str]
-
-
 def build_supergraph(unit: TranslationUnit) -> SuperGraph:
-    """The unit's CFGs as one graph, each node's unit-local calls, and
-    the call graph's components in bottom-up order. The first call for a
-    unit computes the graph and keeps it on the unit; later calls, from
-    any checker, return the same graph."""
-    if unit.supergraph is None:
-        unit.supergraph = _supergraph(unit)
-    return unit.supergraph
-
-
-def _supergraph(unit: TranslationUnit) -> SuperGraph:
-    calls: dict[int, list] = {}
-    callees: dict[str, list[str]] = {fn: [] for fn in unit.cfgs}
-    for edge in unit.call_graph.edges:
-        if not edge.external:
-            calls.setdefault(edge.node_id, []).append((edge.callee, tuple(
-                map(to_path, edge.call_node.children[1:]))))
-            callees[edge.caller].append(edge.callee)
-    sccs = strongly_connected_components(callees)
-    return SuperGraph(
-        cfgs=unit.cfgs,
-        succs={node_id: targets for cfg in unit.cfgs.values()
-               for node_id, targets in cfg.succs.items()},
-        calls=calls,
-        sccs=sccs,
-        scc_of={fn: i for i, scc in enumerate(sccs) for fn in scc},
-        recursive=frozenset(fn for scc in sccs
-                            if len(scc) > 1 or scc[0] in callees[scc[0]]
-                            for fn in scc),
-    )
+    """The unit's supergraph: its call graph, built with the unit."""
+    return unit.call_graph
 
 
 # -- summaries, bottom-up ----------------------------------------------------------

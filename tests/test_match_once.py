@@ -125,5 +125,31 @@ def test_supergraph_is_computed_once_per_unit(monkeypatch):
     for name in ("automaton", "thread", "automaton"):
         registry.create(name).check_unit(unit, services())
     assert len(graphs) == 3  # each check_unit still asks for it
-    assert graphs[0] is graphs[1] is graphs[2]
+    assert graphs[0] is graphs[1] is graphs[2] is unit.call_graph
     assert graphs[0].calls  # the graph of the chain, with its calls
+
+
+def test_the_call_graph_is_built_once_per_unit_load(monkeypatch, tmp_path):
+    built = []
+    original = units.build_call_graph
+
+    def counted(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(units, "build_call_graph", counted)
+    paths = []
+    for name, callee in (("a.c", "g"), ("b.c", "h")):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(
+            f"void {callee}(int *p) {{ mutex_lock(p); }}\n"
+            f"void f(void) {{ {callee}(&m); {callee}(&m); }}\n")
+    manager = units.UnitManager(units.load_unit, budget=1)
+    registry = builtin_registry()
+    for path in (paths[0], paths[1], paths[0]):
+        unit = manager.get(path)
+        for name in ("automaton", "lockstat", "thread", "reach"):
+            registry.create(name).check_unit(unit, services())
+        assert unit.call_graph is built[-1]
+        assert unit.call_graph.calls  # f's two calls, with their actuals
+    assert len(built) == manager.total_loads == 3

@@ -6,11 +6,8 @@ from cbugscan.checkers.automaton import _substituted
 from cbugscan.frontend import NodeKind, iter_tree, parse_fragment, to_text
 from cbugscan.frontend.ast_nodes import to_path
 from cbugscan.ir import build_unit_from_text
-from cbugscan.traverse import (
-    SuperGraph,
-    build_supergraph,
-    solve_summaries,
-)
+from cbugscan.ir.callgraph import SuperGraph
+from cbugscan.traverse import build_supergraph, solve_summaries
 
 from oracles import bfs_reachable, folded, map_expression_to_caller
 
@@ -175,7 +172,7 @@ def test_the_record_holds_both_functions_of_a_mutual_recursion():
 def chain_graph(n):
     """f0 calls f1, ..., f(n-2) calls f(n-1); no recursion."""
     names = [f"f{i}" for i in range(n)]
-    return SuperGraph(cfgs={}, succs={}, calls={},
+    return SuperGraph(edges=[], cfgs={}, succs={}, calls={},
                       sccs=[[fn] for fn in reversed(names)],
                       scc_of={fn: n - 1 - i for i, fn in enumerate(names)},
                       recursive=frozenset())
@@ -205,7 +202,7 @@ def test_a_lower_variant_asked_in_a_round_restarts_its_component():
     # f0 and f1 call each other above f2; f0's first attempt asks for a
     # variant of f1, which no later attempt asks for, and then for f2's
     # variant "v", not solved yet
-    graph = SuperGraph(cfgs={}, succs={}, calls={},
+    graph = SuperGraph(edges=[], cfgs={}, succs={}, calls={},
                        sccs=[["f2"], ["f0", "f1"]],
                        scc_of={"f2": 0, "f0": 1, "f1": 1},
                        recursive=frozenset({"f0", "f1"}))
