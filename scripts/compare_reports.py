@@ -19,14 +19,20 @@ or the `FrontendError` that building the unit raises, and then, under a
 `graph:` line, the unit's call graph: each of `unit.call_graph.edges`
 as its caller, node id, callee and whether it is external, each call of
 `build_supergraph(unit).calls` as its node id, callee and actuals'
-`Path.text()`, the components `sccs`, and `recursive` sorted. So the two
-frontends, CFG layers and call graphs are compared tree for tree and
-graph for graph, not only by what the checkers report. Before the jobs, the
-config parsers of the automaton, lockstat and thread checkers each
-read every text of `BAD_CONFIGS`, malformed configs that reach every
-error the config reader and their directives raise, and the
-`ConfigError` each raises is printed, so config error texts are
-compared too. Where more than one CPU
+`Path.text()`, the components `sccs`, and `recursive` sorted, and then,
+under a `summaries:` line, the bundled automaton's function summaries
+over the unit (`automaton._Summaries(...).solved`): for each (function,
+variant) in sorted order its `returns`, `keys` and `dead`, then, per
+entry state, each key's exit states with their witness steps
+(`location description`, joined by `; `) and each error's message,
+location and witness steps. So the two frontends, CFG layers, call
+graphs and summaries are compared tree for tree, graph for graph and
+witness for witness, not only by what the checkers report. Before the
+jobs, the config parsers of the automaton, lockstat and thread checkers
+each read every text of `BAD_CONFIGS`, malformed configs that reach
+every error the config reader and their directives raise, repeated
+single-value directives included, and the `ConfigError` each raises is
+printed, so config error texts are compared too. Where more than one CPU
 is usable, the engine splits a multi-file job into shards that forked
 workers check, so the groups exercise the shards. The two outputs are
 split at the config block and at each job's `== PATHS` header line and
@@ -89,6 +95,7 @@ import tempfile
 CHILD = r"""
 import json
 import sys
+from cbugscan.checkers import automaton, builtin_registry
 from cbugscan.checkers.automaton import parse_automaton_file
 from cbugscan.checkers.lockstat import parse_lockstat_config
 from cbugscan.checkers.threads import parse_thread_config
@@ -113,6 +120,14 @@ for text in request["configs"]:
             error = str(err)
         sys.stdout.write(f"config {name} {text!r}: {error}\n")
 checkers = [(name, None) for name in ("automaton", "lockstat", "thread", "reach")]
+auto, = builtin_registry().create("automaton").automata
+
+
+def steps(witness):
+    return "; ".join(f"{step.location} {step.description}"
+                     for step in automaton._steps(witness))
+
+
 for paths in request["jobs"]:
     result = run_job(AnalysisJob(sources=[SourceDescriptor(p) for p in paths],
                                  checkers=checkers))
@@ -143,7 +158,23 @@ for paths in request["jobs"]:
                 sys.stdout.write(f"call {node_id} {callee}"
                                  f"({', '.join(p.text() for p in actuals)})\n")
         sys.stdout.write(f"sccs {graph.sccs}\n"
-                         f"recursive {sorted(graph.recursive)}\n")
+                         f"recursive {sorted(graph.recursive)}\n"
+                         "summaries:\n")
+        solved = automaton._Summaries(auto, unit, unit.call_graph).solved
+        for fn, variant in sorted(solved):
+            summary = solved[fn, variant]
+            sys.stdout.write(f"summary {fn} {variant} returns {summary.returns}"
+                             f" keys {summary.keys} dead {summary.dead}\n")
+            for state, instances in summary.exits.items():
+                for key, inst in instances.items():
+                    for target, witness in inst.states.items():
+                        sys.stdout.write(f"exit {state} {key} {target}: "
+                                         f"{steps(witness)}\n")
+                for key, errors in summary.errors[state].items():
+                    for (message, location), error in errors.items():
+                        sys.stdout.write(f"error {state} {key} {message!r} "
+                                         f"at {location}: "
+                                         f"{steps(error.steps)}\n")
 """
 
 # Each is read by all three config parsers: the reader's own errors,
@@ -158,6 +189,8 @@ BAD_CONFIGS = [
     AUTOMATON_HEAD + "transition U p -> L\nerror U p x\n",
     AUTOMATON_HEAD + "error U p x\ntransition U p -> L\n",
     AUTOMATON_HEAD + "error-at-exit L x\nerror-at-exit L y\n",
+    AUTOMATON_HEAD + "start L\n", "automaton a\nstates U L U\n",
+    "automaton a\nstates U L\nstates L\n",
     AUTOMATON_HEAD + "transition U q -> L\n",
     AUTOMATON_HEAD + "transition U p -> M\n",
     AUTOMATON_HEAD + "error-at-exit M x\n",
@@ -166,10 +199,12 @@ BAD_CONFIGS = [
     "automaton a\nstates U\nstart V\n", "automaton a\nstates <absent>\n",
     "access x\nthreshold 7/x\n", "access x\nthreshold 1/0\n",
     "access x\nthreshold 0\n", "access x\nthreshold 1.5\n",
-    "access x\nthreshold 1\n", "min-samples five\n", "min-samples 0\n",
+    "access x\nthreshold 1\n", "access x\nthreshold 1/2\nthreshold 1\n",
+    "min-samples 2\nmin-samples 3\n", "min-samples five\n", "min-samples 0\n",
     "access x y\n", 'access "f(("\n', "lock x unlock\n",
     'lock "g()" unlock "h()"\n\nlock "f(("\n', 'lock "f()" unlock "g(("\n',
-    "unlock x y\n", "lock x\n", "max-cycles many\n", "max-cycles 0\n",
+    "unlock x y\n", "lock x\n", "max-cycles 2\nmax-cycles 3\n",
+    "max-cycles many\n", "max-cycles 0\n",
     "max-cycles 1 2\n", 'spawn "run(%G)"\n', 'spawn "run(("\n',
     "entry a b\n", "entry a\n",
 ]

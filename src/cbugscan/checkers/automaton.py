@@ -17,13 +17,13 @@ transition errors fired on the way. A key is the text of an access path
 (`ast_nodes.Path`), the one normal form of what an expression names, so
 every spelling of one object is one key: `*&E`, `&*E`, `(&E)[0]` and
 `&E[0]` are E, and `(*E).f` is `E->f`. A summary holds texts, never
-syntax trees. At a call, the callee's keys are rewritten into the
-caller's terms once per call edge: a path rooted at a formal becomes the
+syntax trees. A call applies its callee's own solved summary to the
+caller's instances, reading each of the callee's keys as a key of the
+caller through one map per call: a path rooted at a formal becomes the
 actual's path (`SuperGraph.calls`) followed by the callee's steps,
 normal again (a key whose path names a callee local keeps the
-`callee::text` form), and the summary is applied to the caller's
-instances. There is no call-depth bound; recursion is solved to a
-fixpoint.
+`callee::text` form). No summary is copied per call. There is no
+call-depth bound; recursion is solved to a fixpoint.
 
 Every defined function is also analyzed as an entry point from no
 instances, and its transition errors are reported in its own terms. A
@@ -135,8 +135,13 @@ def parse_automaton_file(text: str, source: str = "<automaton>") -> list[Automat
             raise ValueError("directive before 'automaton NAME'")
         auto = automata[-1]
         if directive == "states":
-            auto.states.extend(args)
+            for state in args:
+                if state in auto.states:
+                    raise ValueError(f"duplicate state {state!r}")
+                auto.states.append(state)
         elif directive == "start":
+            if auto.start:
+                raise ValueError("duplicate start")
             auto.start = args[0]
         elif directive == "pattern":
             auto.patterns.append(compile_pattern(args[1], name=args[0]))
@@ -349,6 +354,14 @@ class _Summary(NamedTuple):
 _BOTTOM = _Summary(False, (), (), {}, {})
 
 
+class _Call(NamedTuple):
+    """A call as its caller applies it: the callee's solved summary, and
+    its binding texts and its `keys` in the caller's terms."""
+    summary: _Summary
+    texts: dict[str, str]
+    keys: dict[_Key, _Key]
+
+
 class _Summaries:
     """The summaries of one automaton's functions over one unit, solved
     by `traverse.solve_summaries` and joined with `_union`.
@@ -357,11 +370,12 @@ class _Summaries:
     `paths` holds the access path each text prints, from the unit's
     events or mapped across a call (a `callee::text` has none), so a text
     crosses a call by the records of `SuperGraph.calls`, without a tree.
-    A call that passes one object under two names, so that two of the
-    callee's keys become one key of the caller, gets a variant summary of
-    the callee with those texts merged. The variant is the merge: sorted
-    (text, representative) pairs, the representative the first text of
-    its class in the callee's keys, solved on demand.
+    A call applies its callee's solved summary through `at_call`'s maps;
+    one that passes one object under two names, so that two of the
+    callee's keys become one key of the caller, applies a variant summary
+    of the callee with those texts merged. The variant is the merge:
+    sorted (text, representative) pairs, the representative the first
+    text of its class in the callee's keys, solved on demand.
     """
 
     def __init__(self, automaton: AutomatonDef, unit: TranslationUnit,
@@ -381,7 +395,6 @@ class _Summaries:
                        if owner is not None}
         self.called = {callee for sites in graph.calls.values()
                        for callee, _ in sites}
-        self.caller_texts: dict[tuple[int, str], str] = {}
         self.solved, self.applied = solve_summaries(
             graph, self.summarize, _union, _BOTTOM)
 
@@ -391,38 +404,33 @@ class _Summaries:
         self.paths.setdefault(text, path)
         return text
 
-    def caller_text(self, site: tuple, text: str, recursive: bool) -> str:
-        """A callee's binding text in the caller's terms, once per call
-        edge. A text that depends on a callee local keeps the callee's
-        terms as `callee::text`, which every later call passes as it is;
-        so does one of a call of the wrong arity, and one that would grow
-        across a recursive call, so that a component has finitely many
-        keys and its iteration ends."""
-        found = self.caller_texts.get((id(site), text))
-        if found is None:
-            callee, actuals = site
-            found = text  # without a path, a `callee::text`
-            path = self.paths.get(text)
-            if path is not None:
-                formals = self.formals[callee]
-                mapped = len(actuals) == len(formals) and _substituted(
-                    path, dict(zip(formals, actuals)), self.declared[callee],
-                    recursive)
-                found = (self.text_of(mapped) if mapped
-                         else f"{callee}::{text}")
-            self.caller_texts[id(site), text] = found
-        return found
-
     def at_call(self, fn: str, site: tuple, merge: dict[str, str],
-                summary_of) -> _Summary:
-        """The summary of the function `site` calls, in the terms of `fn`
-        with `merge` applied."""
-        callee = site[0]
+                summary_of) -> _Call:
+        """The call `site` of `fn`: its callee's solved summary, and the
+        maps from that summary's texts and keys to `fn`'s, `merge` applied.
+        A formal's path becomes its actual's; a text that depends on a
+        callee local keeps the callee's terms as `callee::text`, which
+        every later call passes as it is; so does one of a call of the
+        wrong arity, and one that would grow across a recursive call, so
+        that a component has finitely many keys and its iteration ends."""
+        callee, actuals = site
+        formals = self.formals[callee]
+        bound = dict(zip(formals, actuals))
         recursive = self.graph.scc_of[callee] == self.graph.scc_of[fn]
+        texts: dict[str, str] = {}
 
         def outer(text: str) -> str:
-            mapped = self.caller_text(site, text, recursive)
-            return merge.get(mapped, mapped)
+            found = texts.get(text)
+            if found is None:
+                found = text  # without a path, a `callee::text`
+                path = self.paths.get(text)
+                if path is not None:
+                    mapped = len(actuals) == len(formals) and _substituted(
+                        path, bound, self.declared[callee], recursive)
+                    found = (self.text_of(mapped) if mapped
+                             else f"{callee}::{text}")
+                found = texts[text] = merge.get(found, found)
+            return found
 
         # callee texts that become one text here are one instance, which
         # the first of them names, in keys that die in the callee too
@@ -432,7 +440,9 @@ class _Summaries:
                    for key in base.keys + base.dead for text in key}
         variant = tuple(sorted(pair for pair in classes.items()
                                if pair[0] != pair[1]))
-        return _renamed(summary_of(callee, variant), outer)
+        summary = summary_of(callee, variant)
+        return _Call(summary, texts, {key: tuple(sorted(map(outer, key)))
+                                      for key in summary.keys})
 
     def summarize(self, fn: str, variant: tuple, summary_of) -> _Summary:
         automaton, graph = self.automaton, self.graph
@@ -440,7 +450,7 @@ class _Summaries:
         cfg = graph.cfgs[fn]
         keys: dict[_Key, None] = {}
         own: dict[int, list] = {}
-        applied: dict[int, list[_Summary]] = {}
+        applied: dict[int, list[_Call]] = {}
 
         def own_events(node_id: int) -> list:
             found = own.get(node_id)
@@ -454,15 +464,15 @@ class _Summaries:
                     found.append((name, step, texts, key))
             return found
 
-        def callees(node_id: int) -> list[_Summary]:
+        def callees(node_id: int) -> list[_Call]:
             found = applied.get(node_id)
             if found is None:
                 found = applied[node_id] = []
                 for site in graph.calls.get(node_id, ()):
-                    summary = self.at_call(fn, site, merge, summary_of)
-                    found.append(summary)
-                    keys.update(dict.fromkeys(summary.keys))
-                    if not summary.returns:
+                    call = self.at_call(fn, site, merge, summary_of)
+                    found.append(call)
+                    keys.update(dict.fromkeys(call.keys.values()))
+                    if not call.summary.returns:
                         break
             return found
 
@@ -475,9 +485,9 @@ class _Summaries:
             def transfer(node_id: int, in_map: _InstMap) -> _InstMap | None:
                 out = _step(automaton, cfg.nodes[node_id].location,
                             own_events(node_id), in_map, record)
-                for summary in callees(node_id):
-                    out = _apply(summary, out, record)
-                    if not summary.returns:
+                for call in callees(node_id):
+                    out = _apply(call, out, record)
+                    if not call.summary.returns:
                         return None
                 return out
 
@@ -581,18 +591,23 @@ def _step(automaton: AutomatonDef, location: SourceLocation, events: list,
     return out
 
 
-def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
-    """The instances after a call, from those before it; the callee's
-    errors are recorded after each instance's witness so far."""
+def _apply(call: _Call, in_map: _InstMap, record) -> _InstMap:
+    """The instances after `call`, from those before it: each key of the
+    callee's summary is read as its caller key, and the callee's errors,
+    their messages rendered with the caller's texts, are recorded after
+    each instance's witness so far."""
+    summary, texts = call.summary, call.texts
     out = dict(in_map)
-    for key in summary.keys:
-        inst = in_map.get(key)
+    for key, outer in call.keys.items():
+        inst = in_map.get(outer)
         new_states: dict[str, tuple | _Then] = {}
         for state, witness in (_UNSEEN if inst is None else inst.states).items():
             errors = summary.errors.get(state, {}).get(key, {})
-            for found, error in errors.items():
-                record(key, found,
-                       error._replace(steps=_then(witness, error.steps)))
+            for (_, location), error in errors.items():
+                bound = {var: texts[t] for var, t in error.texts.items()}
+                found = render_message(error.template, bound), location
+                record(outer, found, error._replace(
+                    texts=bound, steps=_then(witness, error.steps)))
             after = summary.exits.get(state, {}).get(key)
             if after is None:  # the call leaves this instance alone
                 new_states.setdefault(state, witness)
@@ -600,43 +615,12 @@ def _apply(summary: _Summary, in_map: _InstMap, record) -> _InstMap:
             for target, steps in after.states.items():
                 new_states.setdefault(target, _then(witness, steps))
         if inst is not None:
-            out[key] = _Instance(inst.texts, new_states)
+            out[outer] = _Instance(inst.texts, new_states)
         elif list(new_states) != [_ABSENT]:
-            out[key] = _Instance(summary.exits[_ABSENT][key].texts, new_states)
+            out[outer] = _Instance(
+                {var: texts[text] for var, text
+                 in summary.exits[_ABSENT][key].texts.items()}, new_states)
     return out
-
-
-def _renamed(summary: _Summary, outer) -> _Summary:
-    """`summary`'s `keys` with each binding text `t` written as `outer(t)`."""
-    new_text = {text: outer(text) for key in summary.keys for text in key}
-    if all(new == text for text, new in new_text.items()):
-        return summary
-    new_key = {key: tuple(sorted(new_text[text] for text in key))
-               for key in summary.keys}
-
-    def texts_of(texts: dict[str, str]) -> dict[str, str]:
-        return {var: new_text[text] for var, text in texts.items()}
-
-    def errors_of(errors: dict[_Found, _Error]) -> dict[_Found, _Error]:
-        renamed: dict[_Found, _Error] = {}
-        for (_, location), error in errors.items():
-            error = error._replace(texts=texts_of(error.texts))
-            renamed.setdefault(
-                (render_message(error.template, error.texts), location), error)
-        return renamed
-
-    return _Summary(
-        returns=summary.returns,
-        keys=tuple(dict.fromkeys(new_key.values())),
-        dead=(),
-        exits={state: {new_key[key]: _Instance(texts_of(inst.texts),
-                                               inst.states)
-                       for key, inst in instances.items() if key in new_key}
-               for state, instances in summary.exits.items()},
-        errors={state: {new_key[key]: errors_of(errors)
-                        for key, errors in by_key.items() if key in new_key}
-                for state, by_key in summary.errors.items()},
-    )
 
 
 def _union(old: _Summary, new: _Summary) -> _Summary:

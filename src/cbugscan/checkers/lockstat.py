@@ -54,6 +54,7 @@ class LockstatConfig(LockLines):
 
 def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConfig:
     config = LockstatConfig()
+    given: set[str] = set()  # each directive that holds one value, read
 
     def take(words: list[str]) -> bool:
         if config.read_lock_line(words):
@@ -63,13 +64,17 @@ def parse_lockstat_config(text: str, source: str = "<lockstat>") -> LockstatConf
         directive, value = words
         if directive == "access":
             config.accesses.append(compile_pattern(value))
-        elif directive == "threshold":
+            return True
+        if directive in given:
+            raise ValueError(f"duplicate {directive}")
+        if directive == "threshold":
             config.threshold = config_number(value, "threshold", Fraction,
                                              lambda v: 0 < v <= 1, "in (0, 1]")
         elif directive == "min-samples":
             config.min_samples = config_number(value, "min-samples")
         else:
             return False
+        given.add(directive)
         return True
 
     read_directives(text, source, take)

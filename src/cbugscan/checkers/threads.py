@@ -76,6 +76,7 @@ class ThreadConfig(LockLines):
 
 def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
     config = ThreadConfig()
+    given: set[str] = set()  # each directive that holds one value, read
 
     def take(words: list[str]) -> bool:
         if config.read_lock_line(words):
@@ -91,6 +92,9 @@ def parse_thread_config(text: str, source: str = "<thread>") -> ThreadConfig:
         elif directive == "entry":
             config.entries.append(value)
         elif directive == "max-cycles":
+            if directive in given:
+                raise ValueError(f"duplicate {directive}")
+            given.add(directive)
             config.max_cycles = config_number(value, "max-cycles")
         else:
             return False

@@ -3,6 +3,7 @@ files, directories) that name its sources."""
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 from dataclasses import dataclass, field
@@ -31,10 +32,11 @@ class AnalysisJob:
 
 
 def read_text(path: str, what: str = "") -> str:
-    """The text of a UTF-8 file. One that cannot be read or decoded is a
-    ConfigError: `cannot read [WHAT ]PATH: reason`."""
+    """The text of a UTF-8 file, a leading byte order mark dropped.
+    One that cannot be read or decoded is a ConfigError:
+    `cannot read [WHAT ]PATH: reason`."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(
@@ -90,10 +92,11 @@ def expand_directory(path: str, recursive: bool) -> list[str]:
 
 
 def read_list_file(path: str) -> list[str]:
-    """Its lines but blanks and `#` comments, decoded as file names."""
+    """Its lines but blanks and `#` comments, decoded as file names, a
+    leading UTF-8 byte order mark dropped."""
     try:
         with open(path, "rb") as handle:
-            text = os.fsdecode(handle.read())
+            text = os.fsdecode(handle.read().removeprefix(codecs.BOM_UTF8))
     except OSError as exc:
         raise ConfigError(f"cannot read list file {path}: {exc}") from exc
     entries = []

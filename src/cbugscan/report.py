@@ -264,7 +264,7 @@ class TriageDb:
     def entries(self) -> dict[str, Triage]:
         verdicts: dict[str, Triage] = {}
         try:
-            with open(self.path, encoding="utf-8") as handle:
+            with open(self.path, encoding="utf-8-sig") as handle:
                 for raw in handle:
                     raw = raw.rstrip("\n")
                     if not raw.strip():

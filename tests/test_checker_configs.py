@@ -79,6 +79,13 @@ EXACT_ERRORS = [
     (AutomatonChecker, AUTOMATON_HEAD + "error-at-exit L x\n"
      "error-at-exit L y\n",
      "c.conf:6: duplicate rule for error-at-exit 'L'"),
+    # a directive that holds one value may be given once
+    (AutomatonChecker, AUTOMATON_HEAD + "start L\n",
+     "c.conf:5: duplicate start"),
+    (AutomatonChecker, "automaton a\nstates U L U\n",
+     "c.conf:2: duplicate state 'U'"),
+    (AutomatonChecker, "automaton a\nstates U L\nstates L\n",
+     "c.conf:3: duplicate state 'L'"),
     (AutomatonChecker, "automaton a b\n",
      "c.conf:1: cannot parse 'automaton a b'"),
     (AutomatonChecker, "automaton a\nstart U\nautomaton b\nfrobnicate\n",
@@ -90,6 +97,10 @@ EXACT_ERRORS = [
      "c.conf:2: threshold must be in (0, 1]"),
     (LockstatChecker, "access x\nthreshold 1.5\n",
      "c.conf:2: threshold must be in (0, 1]"),
+    (LockstatChecker, "access x\nthreshold 1/2\nthreshold 1\n",
+     "c.conf:3: duplicate threshold"),
+    (LockstatChecker, "min-samples 2\nmin-samples 3\n",
+     "c.conf:2: duplicate min-samples"),
     (LockstatChecker, "min-samples five\n", "c.conf:1: bad min-samples"),
     (LockstatChecker, "min-samples 0\n",
      "c.conf:1: min-samples must be at least 1"),
@@ -97,6 +108,8 @@ EXACT_ERRORS = [
     (LockstatChecker, "lock x unlock\n",
      "c.conf:1: cannot parse 'lock x unlock'"),
     (LockstatChecker, "lock x\n", "c.conf: no access patterns configured"),
+    (ThreadChecker, "max-cycles 2\nmax-cycles 3\n",
+     "c.conf:2: duplicate max-cycles"),
     (ThreadChecker, "max-cycles many\n", "c.conf:1: bad max-cycles"),
     (ThreadChecker, "max-cycles 0\n",
      "c.conf:1: max-cycles must be at least 1"),

@@ -478,6 +478,75 @@ def test_non_utf8_input_files_exit_two(tmp_path, capsys, monkeypatch, kind):
         f"cbugscan: cannot read {what}{path}: 'utf-8' codec can't decode")
 
 
+# Every text input may start with a UTF-8 byte order mark, as sources may.
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    source = write(tmp_path, "a.c", DOUBLE_LOCK)
+    config = tmp_path / "bom.aut"
+    config.write_bytes(BOM + b"# Locking discipline automaton.\n"
+                       b"automaton a\nstates U L\nstart U\n"
+                       b'pattern lock "mutex_lock(%X)"\n'
+                       b"transition U lock -> L\n"
+                       b'error L lock "double lock of %X"\n')
+    assert main(["check", source, "--checker", f"automaton:{config}"]) == 1
+    captured = capsys.readouterr()
+    assert "double lock of &m" in captured.out and captured.err == ""
+
+
+def test_a_compilation_database_with_a_byte_order_mark_is_read(tmp_path,
+                                                               capsys):
+    write(tmp_path, "a.c", DEAD_CODE)
+    compdb = tmp_path / "compile.json"
+    compdb.write_bytes(BOM + b'[{"file": "a.c", "flags": []}]')
+    assert main(["check", "--compdb", str(compdb),
+                 "--checker", "reach"]) == 1
+    captured = capsys.readouterr()
+    assert "unreachable code" in captured.out and captured.err == ""
+
+
+def test_a_list_file_with_a_byte_order_mark_is_read(tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "a.c", DEAD_CODE)
+    (tmp_path / "files.lst").write_bytes(BOM + b"a.c\n")
+    assert main(["check", "--list", "files.lst", "--checker", "reach"]) == 1
+    captured = capsys.readouterr()
+    assert "unreachable code" in captured.out and captured.err == ""
+
+
+def test_traces_with_a_byte_order_mark_are_read(tmp_path, capsys):
+    report = check_to_json(tmp_path, DEAD_CODE)
+    report.write_bytes(BOM + report.read_bytes())
+    assert main(["report", str(tmp_path / "triage.db"),
+                 "--traces", str(report)]) == 0
+    captured = capsys.readouterr()
+    assert "unreachable code" in captured.out and captured.err == ""
+
+
+def test_a_triage_report_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    report = check_to_json(tmp_path, DEAD_CODE)
+    trace_id = json.loads(report.read_text())[0]["id"]
+    report.write_bytes(BOM + report.read_bytes())
+    assert main(["triage", str(tmp_path / "triage.db"), trace_id, "real",
+                 "--report", str(report)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_journal_with_a_byte_order_mark_keeps_its_first_verdict(tmp_path,
+                                                                  capsys):
+    report = check_to_json(tmp_path, DEAD_CODE)
+    trace_id = json.loads(report.read_text())[0]["id"]
+    db = tmp_path / "db.tsv"
+    db.write_bytes(BOM + f"{trace_id}\treal\t2026\n".encode())
+    assert main(["report", str(db), "--traces", str(report)]) == 0
+    assert "100.0%" in capsys.readouterr().out
+    assert main(["report", str(db)]) == 0
+    assert capsys.readouterr().out == \
+        "1 triaged findings: 1 real, 0 false positives\n"
+
+
 def test_list_file_names_a_non_utf8_file_as_dir_finds_it(tmp_path, capsys,
                                                          monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -467,3 +467,39 @@ def test_own_storage_of_a_frame(text, dies):
     assert automaton._own_storage(tree and to_path(tree), declared) is dies
     if tree is not None:
         assert frame_storage(tree, declared) is dies
+
+
+# -- a call applies its callee's own summary --------------------------------------
+
+def test_a_call_applies_the_summary_its_callee_was_solved_to(monkeypatch):
+    # no summary is copied per call: each one `_apply` applies is a value
+    # of its run's `solved`, also where a formal maps a key to other texts;
+    # recursive programs are left out, since a component's iteration
+    # applies summaries that it then replaces
+    runs, applied = [], []
+    real_init, real_apply = automaton._Summaries.__init__, automaton._apply
+
+    def init(self, *args):
+        runs.append(self)
+        real_init(self, *args)
+
+    def apply(call, *args):
+        applied.append((runs[-1], call))
+        return real_apply(call, *args)
+
+    monkeypatch.setattr(automaton._Summaries, "__init__", init)
+    monkeypatch.setattr(automaton, "_apply", apply)
+    checked = []
+    for probes in ("CALL_PROBES", "ALIAS_PROBES"):
+        for name, text in PROBES[probes].items():
+            unit = build_unit_from_text(text, name)
+            if not unit.call_graph.recursive:
+                AUTOMATON.check_unit(unit, services())
+                checked.append(name)
+    assert len(checked) > 20 and applied
+    for run, call in applied:
+        assert any(call.summary is summary
+                   for summary in run.solved.values()), call
+    # not vacuous: some calls read a callee key as another caller key
+    assert any(key != outer for _, call in applied
+               for key, outer in call.keys.items())
